@@ -10,7 +10,6 @@ from .cloud import (
     AxisPermutation,
     VoxelCloud,
     parse_ply,
-    permute_axes,
     quantize,
     source_bit_depth,
     write_ply,
@@ -40,7 +39,6 @@ __all__ = [
     "decode_cloud",
     "encode_cloud",
     "parse_ply",
-    "permute_axes",
     "quantize",
     "source_bit_depth",
     "write_ply",

@@ -25,12 +25,19 @@ def _permutation(value: str):
     return pid
 
 
+def _positive_int(value: str) -> int:
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return number
+
+
 def _add_encode_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--permutation", type=_permutation, default="auto",
                    help="axis ordering: auto (try all 6, keep the smallest) or 0..5")
-    p.add_argument("--max-shells", type=int, default=2, metavar="N",
+    p.add_argument("--max-shells", type=_positive_int, default=2, metavar="N",
                    help="surface+section passes before raw-coding leftovers (default 2)")
-    p.add_argument("--bits", type=int, default=None, metavar="N",
+    p.add_argument("--bits", type=_positive_int, default=None, metavar="N",
                    help="quantize coordinates to N bits per axis before encoding")
     p.add_argument("--report", choices=("text", "csv"), default="text")
 
@@ -72,7 +79,7 @@ def _cmd_decode(args) -> int:
     elapsed = (time.perf_counter() - start) * 1000.0
     out = Path(args.output) if args.output else path.with_name(path.name + ".ply")
     out.write_bytes(write_ply(cloud, binary=args.binary))
-    print(f"decoded {len(cloud.points)} points (dims {cloud.dims}) "
+    print(f"decoded {len(cloud.to_array())} points (dims {cloud.dims}) "
           f"in {elapsed:.1f} ms -> {out}")
     return 0
 
@@ -184,9 +191,7 @@ def _selftest_coder() -> list[str]:
 def _selftest_end_to_end() -> list[str]:
     problems = []
     rng = np.random.default_rng(7)
-    pts = set(map(tuple, rng.integers(0, 32, size=(300, 3)).tolist()))
-    pts.add((0, 0, 0))
-    pts.add((31, 31, 31))
+    pts = np.vstack((rng.integers(0, 32, size=(300, 3)), [(0, 0, 0), (31, 31, 31)]))
     cloud = VoxelCloud.from_points(pts, (32, 32, 32))
     blob, _ = encode_cloud(cloud, permutation=0)
     if decode_cloud(blob) != cloud:

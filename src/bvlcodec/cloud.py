@@ -1,9 +1,14 @@
-"""Voxelized point clouds: construction, PLY I/O, quantization, permutation."""
+"""Voxelized point clouds: construction, PLY I/O, quantization, permutation.
+
+A VoxelCloud stores its voxels as one read-only (N, 3) int64 array, sorted by
+(x, y, z) and free of duplicates; `points` derives a frozenset on request.
+"""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -13,38 +18,62 @@ _AXIS_ORDERINGS: tuple[tuple[int, int, int], ...] = tuple(itertools.permutations
 PERMUTATION_COUNT = len(_AXIS_ORDERINGS)
 
 
-@dataclass(frozen=True)
 class VoxelCloud:
-    """A set of occupied integer voxels inside an (Nx, Ny, Nz) grid."""
+    """A set of occupied integer voxels inside an (Nx, Ny, Nz) grid.
 
-    dims: tuple[int, int, int]
-    points: frozenset[tuple[int, int, int]]
+    `points` may be any (N, 3) array or iterable of integer triples; it is
+    copied and normalized, but not bounds-checked (see validate).
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.dims) != 3 or any(d < 1 for d in self.dims):
-            raise ValueError(f"invalid dims {self.dims!r}")
+    def __init__(self, dims: tuple[int, int, int], points) -> None:
+        if len(dims) != 3 or any(d < 1 for d in dims):
+            raise ValueError(f"invalid dims {dims!r}")
+        self.dims = (int(dims[0]), int(dims[1]), int(dims[2]))
+        arr = np.array(points if isinstance(points, np.ndarray) else list(points), dtype=np.int64)
+        if arr.size == 0:
+            arr = arr.reshape(0, 3)
+        if arr.ndim != 2 or arr.shape[1] != 3:
+            raise ValueError(f"points must have shape (N, 3), not {arr.shape}")
+        # Rows already strictly increasing (another cloud's array, a written
+        # PLY) skip the sort.
+        later, earlier = arr[1:], arr[:-1]
+        gt, eq = later > earlier, later == earlier
+        if not np.all(gt[:, 0] | eq[:, 0] & (gt[:, 1] | eq[:, 1] & gt[:, 2])):
+            arr = arr[np.lexsort(arr.T[::-1])]
+            arr = arr[np.append(True, np.any(arr[1:] != arr[:-1], axis=1))]
+        arr.flags.writeable = False
+        self._array = arr
 
     @classmethod
     def from_points(cls, points, dims: tuple[int, int, int] | None = None) -> "VoxelCloud":
-        pts = frozenset((int(x), int(y), int(z)) for x, y, z in points)
-        if dims is None:
-            if pts:
-                dims = tuple(max(p[k] for p in pts) + 1 for k in range(3))
-            else:
-                dims = (1, 1, 1)
-        return cls((int(dims[0]), int(dims[1]), int(dims[2])), pts)
+        """Build a cloud; dims default to max coordinate + 1 per axis."""
+        cloud = cls((1, 1, 1) if dims is None else dims, points)
+        if dims is None and len(cloud._array):
+            cloud.dims = tuple((cloud._array.max(axis=0) + 1).tolist())
+        return cloud
 
-    def validate(self) -> None:
-        nx, ny, nz = self.dims
-        for x, y, z in self.points:
-            if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
-                raise ValueError(f"point {(x, y, z)} outside dims {self.dims}")
+    @cached_property
+    def points(self) -> frozenset[tuple[int, int, int]]:
+        """The voxels as a frozenset of (x, y, z) tuples, built on first access."""
+        return frozenset(map(tuple, self._array.tolist()))
 
     def to_array(self) -> np.ndarray:
-        """Points as an (N, 3) int64 array, in no particular order."""
-        if not self.points:
-            return np.empty((0, 3), dtype=np.int64)
-        return np.array(list(self.points), dtype=np.int64)
+        """The stored (N, 3) int64 array: sorted by (x, y, z), unique, read-only."""
+        return self._array
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VoxelCloud):
+            return NotImplemented
+        return self.dims == other.dims and np.array_equal(self._array, other._array)
+
+    def __repr__(self) -> str:
+        return f"VoxelCloud(dims={self.dims}, points=<{len(self._array)} voxels>)"
+
+    def validate(self) -> None:
+        outside = np.any((self._array < 0) | (self._array >= self.dims), axis=1)
+        if outside.any():
+            point = tuple(self._array[outside.argmax()].tolist())
+            raise ValueError(f"point {point} outside dims {self.dims}")
 
 
 @dataclass(frozen=True)
@@ -72,14 +101,8 @@ class AxisPermutation:
         return AxisPermutation.from_axes(inv)
 
     def apply(self, cloud: VoxelCloud) -> VoxelCloud:
-        a, b, c = self.axes
-        dims = (cloud.dims[a], cloud.dims[b], cloud.dims[c])
-        pts = frozenset((p[a], p[b], p[c]) for p in cloud.points)
-        return VoxelCloud(dims, pts)
-
-
-def permute_axes(cloud: VoxelCloud, permutation: AxisPermutation) -> VoxelCloud:
-    return permutation.apply(cloud)
+        axes = list(self.axes)
+        return VoxelCloud(tuple(cloud.dims[a] for a in axes), cloud.to_array()[:, axes])
 
 
 def source_bit_depth(cloud: VoxelCloud) -> int:
@@ -98,9 +121,7 @@ def quantize(cloud: VoxelCloud, target_bits: int) -> VoxelCloud:
     shift = source_bit_depth(cloud) - target_bits
     if shift < 0:
         return cloud
-    size = 1 << target_bits
-    pts = frozenset((x >> shift, y >> shift, z >> shift) for x, y, z in cloud.points)
-    return VoxelCloud((size, size, size), pts)
+    return VoxelCloud((1 << target_bits,) * 3, cloud.to_array() >> shift)
 
 
 _SCALAR_TYPES = {
@@ -203,18 +224,18 @@ def _vertices_ascii(body: bytes, elements) -> np.ndarray:
         if at + element["count"] > len(lines):
             raise PlyError("truncated vertex data")
         out = np.empty((element["count"], 3), dtype=np.int64)
-        for row in range(element["count"]):
-            tokens = lines[at + row].split()
+        for row, line in enumerate(lines[at : at + element["count"]]):
+            tokens = line.split()
             if len(tokens) < len(codes):
-                raise PlyError(f"short vertex line: {lines[at + row]!r}")
-            for k, col in enumerate((cx, cy, cz)):
-                if codes[col] in _FLOAT_CODES:
-                    value = float(tokens[col])
-                    if not value.is_integer():
+                raise PlyError(f"short vertex line: {line!r}")
+            try:
+                for k, col in enumerate((cx, cy, cz)):
+                    value = float(tokens[col]) if codes[col] in _FLOAT_CODES else int(tokens[col])
+                    if value != int(value):
                         raise PlyError(f"non-integral coordinate {tokens[col]}")
                     out[row, k] = int(value)
-                else:
-                    out[row, k] = int(tokens[col])
+            except (ValueError, OverflowError) as exc:
+                raise PlyError(f"bad coordinate in vertex line {line!r}") from exc
         return out
     raise PlyError("no vertex element")
 
@@ -240,8 +261,9 @@ def _vertices_binary(body: bytes, elements) -> np.ndarray:
         for k, col in enumerate((cx, cy, cz)):
             values = table[f"f{col}"]
             if element["props"][col][0] in _FLOAT_CODES:
-                if not np.all(np.isfinite(values)) or not np.array_equal(values, np.floor(values)):
-                    raise PlyError("non-integral coordinate in binary vertex data")
+                # abs() < limit is also false for nan and inf, so no value wraps in the cast
+                if not (np.all(np.abs(values) < 2.0**63) and np.array_equal(values, np.floor(values))):
+                    raise PlyError("non-integral or out-of-range coordinate in binary vertex data")
             out[:, k] = values.astype(np.int64)
         return out
     raise PlyError("no vertex element")
@@ -264,8 +286,8 @@ def parse_ply(data: bytes, dims: tuple[int, int, int] | None = None) -> VoxelClo
         raise PlyError("negative coordinate")
     if dims is None:
         dims = comment_dims
-    cloud = VoxelCloud.from_points(map(tuple, coords.tolist()), dims)
     try:
+        cloud = VoxelCloud.from_points(coords, dims)
         cloud.validate()
     except ValueError as exc:
         raise PlyError(str(exc)) from exc
@@ -273,8 +295,8 @@ def parse_ply(data: bytes, dims: tuple[int, int, int] | None = None) -> VoxelClo
 
 
 def write_ply(cloud: VoxelCloud, binary: bool = False) -> bytes:
-    """Serialize the voxel set as PLY; dims travel in a comment line."""
-    pts = sorted(cloud.points)
+    """Serialize the voxels in their stored order; dims travel in a comment line."""
+    pts = cloud.to_array()
     nx, ny, nz = cloud.dims
     header = (
         "ply\n"
@@ -287,6 +309,7 @@ def write_ply(cloud: VoxelCloud, binary: bool = False) -> bytes:
         "end_header\n"
     ).encode("ascii")
     if binary:
-        arr = np.array(pts, dtype="<i4") if pts else np.empty((0, 3), dtype="<i4")
-        return header + arr.tobytes()
-    return header + "".join(f"{x} {y} {z}\n" for x, y, z in pts).encode("ascii")
+        if len(pts) and pts.max() >= 1 << 31:
+            raise ValueError("coordinate does not fit a PLY int")
+        return header + pts.astype("<i4").tobytes()
+    return header + "".join(f"{x} {y} {z}\n" for x, y, z in pts.tolist()).encode("ascii")

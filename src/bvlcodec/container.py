@@ -13,6 +13,8 @@ import struct
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cloud import PERMUTATION_COUNT, AxisPermutation, VoxelCloud
 from .errors import ContainerError, EmptyCloudError, TruncatedStreamError
 from .sections import decode_residual, decode_shells, encode_residual, encode_shells
@@ -93,7 +95,8 @@ def encode_cloud(cloud: VoxelCloud, permutation: int | str = "auto",
     total payload (ties to the smallest id); an integer pins the ordering.
     """
     start = time.perf_counter()
-    if not cloud.points:
+    count = len(cloud.to_array())
+    if not count:
         raise EmptyCloudError("refusing to encode an empty cloud")
     cloud.validate()
     if max(cloud.dims) >= 1 << 32:
@@ -121,7 +124,6 @@ def encode_cloud(cloud: VoxelCloud, permutation: int | str = "auto",
     blob = _assemble(pid, dims, shells, residual_stream)
     stage1 = tuple(pair[0].bit_length for pair in shells)
     stage2 = tuple(pair[1].bit_length for pair in shells)
-    count = len(cloud.points)
     report = RateReport(
         points=count,
         permutation=pid,
@@ -171,7 +173,6 @@ def decode_cloud(data: bytes) -> VoxelCloud:
         offset += length
     dims = (int(nx), int(ny), int(nz))
     shell_blobs = [(blobs[2 * i], blobs[2 * i + 1]) for i in range(shell_count)]
-    points = decode_shells(shell_blobs, dims)
-    points.update(decode_residual(blobs[-1], dims))
-    permuted = VoxelCloud(dims, frozenset(points))
+    points = np.concatenate((decode_shells(shell_blobs, dims), decode_residual(blobs[-1], dims)))
+    permuted = VoxelCloud(dims, points)
     return AxisPermutation(pid).inverse().apply(permuted)

@@ -21,9 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 PATCH_COUNT = 3**9  # 19683 ternary patches
-BINARY_PATCH_COUNT = 2**9
 
-_POW2 = (2 ** np.arange(9)).astype(np.int64)
 _POW3 = (3 ** np.arange(9)).astype(np.int64)
 
 # Cell (i, j) contributes digit position i + 3*j (column-major scan).
@@ -32,34 +30,6 @@ _DIGIT_GRID = np.arange(9).reshape(3, 3, order="F")
 # Anti-diagonal scan used by the rotation score: cells near (0, 0) first.
 _SCORE_CELLS = ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (1, 2), (2, 1), (2, 2))
 _SCORE_DIGITS = np.array([i + 3 * j for i, j in _SCORE_CELLS])
-
-
-def ternary_index(patch) -> int:
-    """Bijective base-3 column-scan index of a {0,1,2} 3x3 patch."""
-    a = np.asarray(patch, dtype=np.int64)
-    return int(a.ravel(order="F") @ _POW3)
-
-
-def binary_index(patch) -> int:
-    """Bijective base-2 column-scan index of a {0,1} 3x3 patch."""
-    a = np.asarray(patch, dtype=np.int64)
-    return int(a.ravel(order="F") @ _POW2)
-
-
-def rotation_score(patch) -> int:
-    """Injective score ranking the four rotations of a ternary patch.
-
-    Base-3 expansion over a fixed anti-diagonal cell order; distinct patches
-    always get distinct scores, so ties only happen between identical
-    rotations.
-    """
-    a = np.asarray(patch, dtype=np.int64)
-    return int(a.ravel(order="F")[_SCORE_DIGITS] @ _POW3)
-
-
-def rot90(patch, turns: int) -> np.ndarray:
-    """Rotate a 3x3 patch by quarter turns, counterclockwise in (z, x)."""
-    return np.rot90(np.asarray(patch), turns % 4)
 
 
 @dataclass(frozen=True)
@@ -120,9 +90,3 @@ def _rotated_binary_weights() -> tuple[tuple[int, ...], ...]:
 
 BINARY_WEIGHTS_BY_TURN = _rotated_binary_weights()
 
-
-def normalized_context(current_patch, previous_patch, tables: NormTables) -> tuple[int, int]:
-    """Context label: canonical ternary index plus co-rotated binary index."""
-    ia = ternary_index(current_patch)
-    turns = int(tables.alpha_star[ia])
-    return int(tables.i_star[ia]), binary_index(rot90(previous_patch, turns))

@@ -45,20 +45,13 @@ class DepthmapPair:
     zmin: np.ndarray
     zmax: np.ndarray
 
-    @property
-    def nx(self) -> int:
-        return self.occ.shape[0]
-
-    @property
-    def ny(self) -> int:
-        return self.occ.shape[1]
-
 
 def project(cloud) -> DepthmapPair:
     """Exact per-pixel z extrema of the cloud; raises on an empty cloud."""
-    if not cloud.points:
+    points = cloud.to_array()
+    if not len(points):
         raise EmptyCloudError("cannot project an empty cloud")
-    return project_array(cloud.to_array(), cloud.dims)
+    return project_array(points, cloud.dims)
 
 
 def project_array(points: np.ndarray, dims) -> DepthmapPair:

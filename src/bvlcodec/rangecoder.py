@@ -42,9 +42,6 @@ class BinaryModel:
         self.c0 = c0
         self.c1 = c1
 
-    def probability_of_zero(self) -> float:
-        return self.c0 / (self.c0 + self.c1)
-
     def __repr__(self) -> str:
         return f"BinaryModel(c0={self.c0}, c1={self.c1})"
 

@@ -258,7 +258,7 @@ def sweep_decode(pair: DepthmapPair, dims, models: dict,
     return _sweep(pair, dims, models, decoder=decoder)
 
 
-def encode_shells(cloud, max_shells: int) -> tuple[list[tuple[CodedStream, CodedStream]], list]:
+def encode_shells(cloud, max_shells: int) -> tuple[list[tuple[CodedStream, CodedStream]], np.ndarray]:
     """Encode up to max_shells surface+section passes over the cloud.
 
     Each pass reconstructs the points reachable from its own depth surfaces;
@@ -269,37 +269,37 @@ def encode_shells(cloud, max_shells: int) -> tuple[list[tuple[CodedStream, Coded
     dims = cloud.dims
     nz = dims[2]
     models: dict = {}
-    remaining = set(cloud.points)
+    remaining = cloud.to_array()
     shells: list[tuple[CodedStream, CodedStream]] = []
-    while remaining and len(shells) < max_shells:
-        arr = np.array(list(remaining), dtype=np.int64)
-        pair = project_array(arr, dims)
+    while len(remaining) and len(shells) < max_shells:
+        pair = project_array(remaining, dims)
         surface_stream = encode_depthmaps(pair, nz)
         encoder = RangeEncoder()
-        recon, _ = sweep_encode(arr, pair, dims, models, encoder)
+        recon, _ = sweep_encode(remaining, pair, dims, models, encoder)
         shells.append((surface_stream, encoder.finish()))
-        remaining.difference_update(map(tuple, recon.tolist()))
-    return shells, sorted(remaining)
+        keys = np.ravel_multi_index(remaining.T, dims)
+        remaining = remaining[~np.isin(keys, np.ravel_multi_index(recon.T, dims))]
+    return shells, remaining
 
 
-def decode_shells(shell_blobs: list[tuple[bytes, bytes]], dims) -> set:
-    """Decode every shell's payload pair; returns the union of their points."""
+def decode_shells(shell_blobs: list[tuple[bytes, bytes]], dims) -> np.ndarray:
+    """Decode every shell's payload pair; returns their points, shell after shell."""
     nx, ny, nz = dims
     models: dict = {}
-    points: set = set()
+    chunks = [np.empty((0, 3), dtype=np.int64)]
     for surface_blob, section_blob in shell_blobs:
         pair = decode_depthmaps(surface_blob, nx, ny, nz)
         recon, _ = sweep_decode(pair, dims, models, RangeDecoder(section_blob))
-        points.update(map(tuple, recon.tolist()))
-    return points
+        chunks.append(recon)
+    return np.concatenate(chunks)
 
 
-def encode_residual(points: list, dims) -> CodedStream:
-    """Raw-code leftover points: a count then fixed-width x, y, z fields."""
+def encode_residual(points, dims) -> CodedStream:
+    """Raw-code leftover (N, 3) points: a count then fixed-width x, y, z fields."""
     writer = BitWriter()
     widths = [(d - 1).bit_length() for d in dims]
     writer.write_uint(len(points), 32)
-    for x, y, z in points:
+    for x, y, z in np.asarray(points, dtype=np.int64).tolist():
         writer.write_uint(x, widths[0])
         writer.write_uint(y, widths[1])
         writer.write_uint(z, widths[2])
@@ -307,7 +307,7 @@ def encode_residual(points: list, dims) -> CodedStream:
     return CodedStream(data, writer.bit_count)
 
 
-def decode_residual(data: bytes, dims) -> list[tuple[int, int, int]]:
+def decode_residual(data: bytes, dims) -> np.ndarray:
     reader = BitReader(data)
     widths = [(d - 1).bit_length() for d in dims]
     count = reader.read_uint(32)
@@ -321,4 +321,4 @@ def decode_residual(data: bytes, dims) -> list[tuple[int, int, int]]:
         if x >= dims[0] or y >= dims[1] or z >= dims[2]:
             raise BitstreamError("residual point outside the volume")
         out.append((x, y, z))
-    return out
+    return np.array(out, dtype=np.int64).reshape(-1, 3)

@@ -3,6 +3,7 @@
 import csv
 
 import numpy as np
+import pytest
 
 from bvlcodec import VoxelCloud, parse_ply, write_ply
 from bvlcodec.cli import main
@@ -123,3 +124,14 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 3
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("option", ["--max-shells", "--bits"])
+def test_encode_rejects_non_positive_integer_options(tmp_path, capsys, option):
+    src = tmp_path / "tiny.ply"
+    _write_cloud(src, VoxelCloud.from_points({(1, 2, 3)}, (8, 8, 8)))
+    with pytest.raises(SystemExit) as exc:
+        main(["encode", str(src), option, "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and option in err

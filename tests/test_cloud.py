@@ -1,5 +1,7 @@
 """Cloud model, PLY I/O, quantization, and permutation tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,28 @@ def test_parse_truncated_bodies():
     binary_data = write_ply(cloud, binary=True)
     with pytest.raises(PlyError):
         parse_ply(binary_data[:-4])
+
+
+def test_parse_invalid_comment_dims_rejected():
+    for dims in ("0 4 4", "4 -2 4"):
+        data = _ascii_ply([(0, 0, 0)], extra_header=f"comment voxel_dims {dims}\n")
+        with pytest.raises(PlyError):
+            parse_ply(data)
+
+
+def test_parse_non_finite_or_out_of_range_float_rejected():
+    header = (
+        b"ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
+        b"property double x\nproperty double y\nproperty double z\nend_header\n"
+    )
+    for value in (1e20, -1e20, float("inf"), float("nan")):
+        body = np.array([[value, 0.0, 0.0]], dtype="<f8").tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a wrapping cast would warn first
+            with pytest.raises(PlyError):
+                parse_ply(header + body)
+    with pytest.raises(PlyError):
+        parse_ply(_ascii_ply([(1e20, 0, 0)]))
 
 
 def test_parse_dims_override_and_comment():

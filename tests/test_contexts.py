@@ -6,16 +6,18 @@ from bvlcodec.contexts import (
     BINARY_WEIGHTS_BY_TURN,
     PATCH_COUNT,
     NormTables,
-    binary_index,
     build_norm_tables,
     get_norm_tables,
+)
+
+from oracles import (
+    binary_index,
     normalized_context,
     rot90,
+    rotation_orbit_count,
     rotation_score,
     ternary_index,
 )
-
-from oracles import rotation_orbit_count
 
 
 def _patch(entries):
