@@ -251,10 +251,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CodecError as exc:
+    except (OSError, CodecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -100,7 +100,7 @@ def encode_cloud(cloud: VoxelCloud, permutation: int | str = "auto",
         raise EmptyCloudError("refusing to encode an empty cloud")
     cloud.validate()
     if max(cloud.dims) >= 1 << 32:
-        raise ValueError("dims do not fit the 32-bit header fields")
+        raise ContainerError("dims do not fit the 32-bit header fields")
     if max_shells < 1:
         raise ValueError("max_shells must be >= 1")
     if permutation == "auto":

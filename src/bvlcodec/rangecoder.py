@@ -11,11 +11,17 @@ Termination: finish() emits a single disambiguating bit (plus any pending
 carry bits) and zero-pads the last byte. The decoder treats reads past the
 payload as zeros, which is exactly what the padding would have been, so every
 encoded symbol resolves without storing the symbol count in the stream.
+
+Bits are buffered unpacked, one byte per bit: the encoder appends to a
+bytearray that np.packbits packs once at the end, and the decoder indexes
+the np.unpackbits expansion of its payload, so no bit costs a function call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import TruncatedStreamError
 
@@ -55,87 +61,66 @@ class CodedStream:
 
 
 class BitWriter:
-    """MSB-first bit packer; the final partial byte is zero padded."""
+    """MSB-first bit writer; the final partial byte is zero padded.
 
-    __slots__ = ("_buf", "_acc", "_n", "bit_count")
+    Bits are buffered unpacked, one byte per bit, and packed once by finish().
+    """
+
+    __slots__ = ("bits",)
 
     def __init__(self) -> None:
-        self._buf = bytearray()
-        self._acc = 0
-        self._n = 0
-        self.bit_count = 0
+        self.bits = bytearray()
 
-    def write_bit(self, bit: int) -> None:
-        self._acc = (self._acc << 1) | bit
-        self._n += 1
-        self.bit_count += 1
-        if self._n == 8:
-            self._buf.append(self._acc)
-            self._acc = 0
-            self._n = 0
+    @property
+    def bit_count(self) -> int:
+        return len(self.bits)
 
     def write_uint(self, value: int, width: int) -> None:
-        for shift in range(width - 1, -1, -1):
-            self.write_bit((value >> shift) & 1)
+        self.bits += bytes((value >> shift) & 1 for shift in range(width - 1, -1, -1))
 
     def finish(self) -> bytes:
-        if self._n:
-            self._buf.append(self._acc << (8 - self._n))
-            self._acc = 0
-            self._n = 0
-        return bytes(self._buf)
+        return np.packbits(np.frombuffer(self.bits, dtype=np.uint8)).tobytes()
 
 
 class BitReader:
     """MSB-first bit reader; reads past the payload yield zeros.
 
-    A hard limit slightly past the payload turns runaway reads (possible only
-    on corrupt input) into TruncatedStreamError instead of silent garbage.
+    The payload is unpacked up front, one byte per bit, with `overrun` zero
+    bits appended. Reading past those, possible only on corrupt input, raises
+    TruncatedStreamError instead of returning silent garbage.
     """
 
-    __slots__ = ("_data", "_pos", "_size", "_limit")
+    __slots__ = ("bits", "_pos")
 
     def __init__(self, data: bytes, overrun: int = 64) -> None:
-        self._data = data
+        packed = np.frombuffer(data, dtype=np.uint8)
+        self.bits = bytearray(8 * packed.size + overrun)
+        np.frombuffer(self.bits, dtype=np.uint8)[: 8 * packed.size] = np.unpackbits(packed)
         self._pos = 0
-        self._size = 8 * len(data)
-        self._limit = self._size + overrun
-
-    def read_bit(self) -> int:
-        pos = self._pos
-        if pos >= self._size:
-            if pos >= self._limit:
-                raise TruncatedStreamError("bit stream exhausted")
-            self._pos = pos + 1
-            return 0
-        self._pos = pos + 1
-        return (self._data[pos >> 3] >> (7 - (pos & 7))) & 1
 
     def read_uint(self, width: int) -> int:
+        pos = self._pos
+        end = pos + width
+        if end > len(self.bits):
+            raise TruncatedStreamError("bit stream exhausted")
         value = 0
-        for _ in range(width):
-            value = (value << 1) | self.read_bit()
+        for bit in self.bits[pos:end]:
+            value = (value << 1) | bit
+        self._pos = end
         return value
 
 
 class RangeEncoder:
     """One-shot arithmetic encoder; call finish() exactly once at the end."""
 
-    __slots__ = ("_low", "_high", "_pending", "_writer")
+    __slots__ = ("_low", "_high", "_pending", "_writer", "_bits")
 
     def __init__(self) -> None:
         self._low = 0
         self._high = _FULL - 1
         self._pending = 0
         self._writer = BitWriter()
-
-    def _emit(self, bit: int) -> None:
-        writer = self._writer
-        writer.write_bit(bit)
-        inv = bit ^ 1
-        for _ in range(self._pending):
-            writer.write_bit(inv)
-        self._pending = 0
+        self._bits = self._writer.bits
 
     def encode(self, model: BinaryModel, bit: int) -> None:
         c0 = model.c0
@@ -150,9 +135,15 @@ class RangeEncoder:
             high = split - 1
         while True:
             if high < _HALF:
-                self._emit(0)
+                self._bits.append(0)
+                if self._pending:
+                    self._bits += b"\x01" * self._pending
+                    self._pending = 0
             elif low >= _HALF:
-                self._emit(1)
+                self._bits.append(1)
+                if self._pending:
+                    self._bits += bytes(self._pending)
+                    self._pending = 0
                 low -= _HALF
                 high -= _HALF
             elif low >= _QUARTER and high < _THREE_QUARTER:
@@ -176,30 +167,31 @@ class RangeEncoder:
         model.c1 = c1
 
     def finish(self) -> CodedStream:
-        # One more bit pins a value inside the final interval; its pending
-        # inversions and the byte padding are all zeros, matching what the
-        # decoder reads past the end of the payload.
-        self._pending += 1
-        self._emit(0 if self._low < _QUARTER else 1)
-        data = self._writer.finish()
-        return CodedStream(data, self._writer.bit_count)
+        # One more bit, followed by its pending inversions, pins a value
+        # inside the final interval; the byte padding after it is zeros,
+        # matching what the decoder reads past the end of the payload.
+        bit = 0 if self._low < _QUARTER else 1
+        self._bits.append(bit)
+        self._bits += bytes([bit ^ 1]) * (self._pending + 1)
+        self._pending = 0
+        return CodedStream(self._writer.finish(), self._writer.bit_count)
 
 
 class RangeDecoder:
     """Mirror of RangeEncoder; model updates replay the encoder's exactly."""
 
-    __slots__ = ("_reader", "_low", "_high", "_code")
+    __slots__ = ("_bits", "_pos", "_low", "_high", "_code")
 
     def __init__(self, data: bytes | CodedStream) -> None:
         if isinstance(data, CodedStream):
             data = data.data
-        self._reader = BitReader(data)
+        self._bits = BitReader(data).bits
+        self._pos = _STATE_BITS
         self._low = 0
         self._high = _FULL - 1
         code = 0
-        read = self._reader.read_bit
-        for _ in range(_STATE_BITS):
-            code = (code << 1) | read()
+        for bit in self._bits[:_STATE_BITS]:
+            code = (code << 1) | bit
         self._code = code
 
     def decode(self, model: BinaryModel) -> int:
@@ -216,23 +208,29 @@ class RangeDecoder:
         else:
             bit = 0
             high = split - 1
-        read = self._reader.read_bit
-        while True:
-            if high < _HALF:
-                pass
-            elif low >= _HALF:
-                low -= _HALF
-                high -= _HALF
-                code -= _HALF
-            elif low >= _QUARTER and high < _THREE_QUARTER:
-                low -= _QUARTER
-                high -= _QUARTER
-                code -= _QUARTER
-            else:
-                break
-            low <<= 1
-            high = (high << 1) | 1
-            code = (code << 1) | read()
+        bits = self._bits
+        pos = self._pos
+        try:
+            while True:
+                if high < _HALF:
+                    pass
+                elif low >= _HALF:
+                    low -= _HALF
+                    high -= _HALF
+                    code -= _HALF
+                elif low >= _QUARTER and high < _THREE_QUARTER:
+                    low -= _QUARTER
+                    high -= _QUARTER
+                    code -= _QUARTER
+                else:
+                    break
+                low <<= 1
+                high = (high << 1) | 1
+                code = (code << 1) | bits[pos]
+                pos += 1
+        except IndexError:
+            raise TruncatedStreamError("bit stream exhausted") from None
+        self._pos = pos
         self._low = low
         self._high = high
         self._code = code

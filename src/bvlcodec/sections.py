@@ -20,7 +20,10 @@ the surface seeds. Points no shell reaches are written raw, fixed width.
 
 Buffers are flat bytearrays with a one-cell border ring so the 3x3 crops
 never bounds-check; border cells read as known empty and never enter the
-list.
+list. Beyond filling the buffers (known empty by default), section set-up
+touches only the band cells of the occupied columns and the seeds' 3x3
+neighbours, and the reconstruction is read back from the band alone, so the
+per-section array work follows the band, not the section's area.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ from .rangecoder import (
     RangeEncoder,
 )
 
+_STEPS = np.array([-1, 0, 1], dtype=np.int64)
+
 
 @dataclass
 class SectionBuffers:
@@ -54,15 +59,7 @@ class SectionBuffers:
     marked: bytearray   # 1 once a cell has entered the work list
     prev: bytes         # previous section reconstruction, 0/1
     queue: deque
-
-    def occupied_cells(self) -> set[tuple[int, int]]:
-        """(z, x) cells currently reconstructed as occupied."""
-        arr = np.frombuffer(self.state, dtype=np.uint8)
-        st = self.stride
-        return {(int(i) // st - 1, int(i) % st - 1) for i in np.flatnonzero(arr == 2)}
-
-    def unknown_count(self) -> int:
-        return self.state.count(0)
+    band: np.ndarray    # flat indices of every feasible cell, seeds included
 
 
 def build_section(pair: DepthmapPair, y0: int, nz: int, prev: bytes | None = None) -> SectionBuffers:
@@ -70,35 +67,42 @@ def build_section(pair: DepthmapPair, y0: int, nz: int, prev: bytes | None = Non
     occ_col = pair.occ[:, y0]
     nx = occ_col.shape[0]
     st = nx + 2
-    state = np.ones((nz + 2, st), dtype=np.uint8)
-    seeds = np.zeros((nz + 2, st), dtype=np.uint8)
+    size = (nz + 2) * st
+    state = bytearray(b"\x01") * size
+    marked = bytearray(size)
     xs = np.flatnonzero(occ_col)
-    if xs.size:
-        lo = pair.zmin[xs, y0].astype(np.int64)
-        hi = pair.zmax[xs, y0].astype(np.int64)
-        for x, a, b in zip(xs.tolist(), lo.tolist(), hi.tolist()):
-            state[a + 1 : b + 2, x + 1] = 0
-        state[lo + 1, xs + 1] = 2
-        state[hi + 1, xs + 1] = 2
-        seeds[lo + 1, xs + 1] = 1
-        seeds[hi + 1, xs + 1] = 1
-    dilated = np.zeros_like(seeds)
-    dilated[1:-1, 1:-1] = (
-        seeds[:-2, :-2] | seeds[:-2, 1:-1] | seeds[:-2, 2:]
-        | seeds[1:-1, :-2] | seeds[1:-1, 1:-1] | seeds[1:-1, 2:]
-        | seeds[2:, :-2] | seeds[2:, 1:-1] | seeds[2:, 2:]
-    )
-    queue = deque(map(int, np.flatnonzero(dilated)))
+    lo = pair.zmin[xs, y0].astype(np.int64)
+    hi = pair.zmax[xs, y0].astype(np.int64)
+    low_seeds = (lo + 1) * st + xs + 1
+    high_seeds = (hi + 1) * st + xs + 1
+    # Column j's band: its low seed, then one row further per cell.
+    lengths = hi - lo + 1
+    starts = np.cumsum(lengths) - lengths
+    band = np.repeat(low_seeds - st * starts, lengths) + st * np.arange(int(lengths.sum()))
+    view = np.frombuffer(state, dtype=np.uint8)
+    view[band] = 0
+    view[low_seeds] = 2
+    view[high_seeds] = 2
+    # Work list: the seeds' 3x3 neighbours inside the border ring, sorted
+    # (row-major) and deduplicated.
+    seeds = np.concatenate((low_seeds, high_seeds[hi > lo]))
+    cells = (seeds[:, None] + (st * _STEPS[:, None] + _STEPS).ravel()).ravel()
+    rows, cols = np.divmod(cells, st)
+    cells = cells[(rows >= 1) & (rows <= nz) & (cols >= 1) & (cols <= nx)]
+    cells.sort()
+    cells = cells[np.diff(cells, prepend=-1) != 0]
+    np.frombuffer(marked, dtype=np.uint8)[cells] = 1
     if prev is None:
-        prev = bytes((nz + 2) * st)
+        prev = bytes(size)
     return SectionBuffers(
         nz=nz,
         nx=nx,
         stride=st,
-        state=bytearray(state.tobytes()),
-        marked=bytearray(dilated.tobytes()),
+        state=state,
+        marked=marked,
         prev=prev,
-        queue=queue,
+        queue=deque(cells.tolist()),
+        band=band,
     )
 
 
@@ -199,10 +203,10 @@ def code_section(
     return coded
 
 
-def _section_bytes(points: np.ndarray, nz: int, stride: int) -> bytes:
-    t = np.zeros((nz + 2) * stride, dtype=np.uint8)
-    t[(points[:, 2] + 1) * stride + points[:, 0] + 1] = 1
-    return t.tobytes()
+def _section_bytes(points: np.ndarray, nz: int, stride: int) -> bytearray:
+    t = bytearray((nz + 2) * stride)
+    np.frombuffer(t, dtype=np.uint8)[(points[:, 2] + 1) * stride + points[:, 0] + 1] = 1
+    return t
 
 
 def _group_by_y(points: np.ndarray) -> dict[int, np.ndarray]:
@@ -219,7 +223,8 @@ def _group_by_y(points: np.ndarray) -> dict[int, np.ndarray]:
 def _sweep(pair, dims, models, encoder=None, decoder=None, true_by_y=None):
     nx, ny, nz = dims
     st = nx + 2
-    empty_prev = bytes((nz + 2) * st)
+    size = (nz + 2) * st
+    empty_prev = bytes(size)
     prev = empty_prev
     chunks = []
     decisions = 0
@@ -235,13 +240,12 @@ def _sweep(pair, dims, models, encoder=None, decoder=None, true_by_y=None):
         decisions += code_section(
             buf, models, encoder=encoder, decoder=decoder, true_section=section
         )
-        state = np.frombuffer(bytes(buf.state), dtype=np.uint8)
-        occupied = np.flatnonzero(state == 2)
-        zs = occupied // st - 1
-        xs = occupied % st - 1
-        ys = np.full(xs.size, y0, dtype=np.int64)
-        chunks.append(np.column_stack((xs, ys, zs)))
-        prev = (state == 2).astype(np.uint8).tobytes()
+        band = buf.band
+        occupied = band[np.frombuffer(buf.state, dtype=np.uint8)[band] == 2]
+        zs, xs = np.divmod(occupied, st)
+        chunks.append(np.column_stack((xs - 1, np.full(xs.size, y0, dtype=np.int64), zs - 1)))
+        prev = bytearray(size)
+        np.frombuffer(prev, dtype=np.uint8)[occupied] = 1
     recon = np.concatenate(chunks) if chunks else np.empty((0, 3), dtype=np.int64)
     return recon, decisions
 

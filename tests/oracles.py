@@ -141,3 +141,46 @@ def normalized_context(current_patch, previous_patch, tables) -> tuple[int, int]
     ia = ternary_index(current_patch)
     turns = int(tables.alpha_star[ia])
     return int(tables.i_star[ia]), binary_index(rot90(previous_patch, turns))
+
+
+def reference_build_section(pair, y0: int, nz: int):
+    """Full-array section set-up: (state, marked, queue) for section y0.
+
+    Fills the whole padded (nz + 2) x (nx + 2) section, dilates the seed
+    bitmap with a 9-way OR and reads the work list back in row-major order.
+    """
+    occ_col = pair.occ[:, y0]
+    nx = occ_col.shape[0]
+    st = nx + 2
+    state = np.ones((nz + 2, st), dtype=np.uint8)
+    seeds = np.zeros((nz + 2, st), dtype=np.uint8)
+    xs = np.flatnonzero(occ_col)
+    if xs.size:
+        lo = pair.zmin[xs, y0].astype(np.int64)
+        hi = pair.zmax[xs, y0].astype(np.int64)
+        for x, a, b in zip(xs.tolist(), lo.tolist(), hi.tolist()):
+            state[a + 1 : b + 2, x + 1] = 0
+        state[lo + 1, xs + 1] = 2
+        state[hi + 1, xs + 1] = 2
+        seeds[lo + 1, xs + 1] = 1
+        seeds[hi + 1, xs + 1] = 1
+    dilated = np.zeros_like(seeds)
+    dilated[1:-1, 1:-1] = (
+        seeds[:-2, :-2] | seeds[:-2, 1:-1] | seeds[:-2, 2:]
+        | seeds[1:-1, :-2] | seeds[1:-1, 1:-1] | seeds[1:-1, 2:]
+        | seeds[2:, :-2] | seeds[2:, 1:-1] | seeds[2:, 2:]
+    )
+    queue = [int(i) for i in np.flatnonzero(dilated)]
+    return bytearray(state.tobytes()), bytearray(dilated.tobytes()), queue
+
+
+def occupied_cells(buf) -> set[tuple[int, int]]:
+    """(z, x) cells of a section buffer currently reconstructed as occupied."""
+    arr = np.frombuffer(buf.state, dtype=np.uint8)
+    st = buf.stride
+    return {(int(i) // st - 1, int(i) % st - 1) for i in np.flatnonzero(arr == 2)}
+
+
+def unknown_count(buf) -> int:
+    """Cells of a section buffer still unknown."""
+    return buf.state.count(0)

@@ -18,7 +18,7 @@ from bvlcodec.rangecoder import BinaryModel, RangeDecoder, RangeEncoder
 from bvlcodec.sections import build_section, code_section
 
 import shapes
-from oracles import binary_entropy, rotation_orbit_count, section_flood_fill
+from oracles import binary_entropy, occupied_cells, rotation_orbit_count, section_flood_fill
 
 _SUITE = None
 
@@ -178,7 +178,7 @@ def test_criterion_5_section_oracle_equivalence():
             oracle_coded, oracle_occupied = section_flood_fill(nz, nx, columns, true_cells)
             assert coded_set == oracle_coded
             assert n_enc == n_dec == len(oracle_coded)
-            assert dec_buf.occupied_cells() == oracle_occupied
+            assert occupied_cells(dec_buf) == oracle_occupied
             checked += 1
         print(f"  verified {checked} random sections")
 

@@ -112,6 +112,23 @@ def test_missing_file_is_reported(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_directory_input_is_reported(tmp_path, capsys):
+    assert main(["encode", str(tmp_path)]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_oversized_dims_are_reported(tmp_path, capsys):
+    src = tmp_path / "far.ply"
+    src.write_bytes(
+        b"ply\nformat ascii 1.0\nelement vertex 1\n"
+        b"property int x\nproperty int y\nproperty int z\nend_header\n"
+        b"4294967296 0 0\n"
+    )
+    assert main(["encode", str(src), "--permutation", "0"]) == 2
+    assert "32-bit header" in capsys.readouterr().err
+    assert not (tmp_path / "far.ply.bvl").exists()
+
+
 def test_corrupt_container_is_reported(tmp_path, capsys):
     bad = tmp_path / "bad.bvl"
     bad.write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNK")

@@ -16,7 +16,7 @@ from bvlcodec.sections import (
 )
 
 import shapes
-from oracles import section_flood_fill
+from oracles import occupied_cells, reference_build_section, section_flood_fill, unknown_count
 
 
 def _single_section_pair(nz, nx, columns) -> DepthmapPair:
@@ -52,8 +52,8 @@ def test_build_section_single_cell_interval():
     buf = build_section(pair, 0, 8)
     st = buf.stride
     assert buf.state[(5 + 1) * st + 2 + 1] == 2
-    assert buf.unknown_count() == 0
-    assert buf.occupied_cells() == {(5, 2)}
+    assert unknown_count(buf) == 0
+    assert occupied_cells(buf) == {(5, 2)}
 
 
 def test_build_section_interval_counts():
@@ -64,7 +64,7 @@ def test_build_section_interval_counts():
     assert buf.state[(9 + 1) * st + 1 + 1] == 2
     for z in range(3, 9):
         assert buf.state[(z + 1) * st + 1 + 1] == 0
-    assert buf.unknown_count() == 6
+    assert unknown_count(buf) == 6
 
 
 def test_build_section_list_is_row_major_dilation():
@@ -84,6 +84,36 @@ def test_build_section_list_is_row_major_dilation():
     assert cells == expected
     for i in buf.queue:
         assert buf.marked[i] == 1
+
+
+def _assert_matches_reference(pair, nz):
+    for y0 in np.flatnonzero(pair.occ.any(axis=0)).tolist():
+        state, marked, queue = reference_build_section(pair, y0, nz)
+        buf = build_section(pair, y0, nz)
+        assert buf.state == state
+        assert buf.marked == marked
+        assert list(buf.queue) == queue
+
+
+def test_build_section_matches_reference_on_fuzz_suite():
+    for _, cloud in shapes.fuzz_suite():
+        _assert_matches_reference(project(cloud), cloud.dims[2])
+
+
+def test_build_section_matches_reference_at_borders():
+    cases = [
+        # seeds on every border side: x = 0, x = nx - 1, z = 0, z = nz - 1
+        (6, 5, {0: (0, 5), 4: (0, 5), 2: (0, 0)}),
+        (6, 5, {0: (2, 2), 4: (5, 5), 1: (0, 3), 3: (1, 5)}),
+        (3, 3, {0: (0, 2), 1: (0, 2), 2: (0, 2)}),
+        # a single column, a single row, and a single cell
+        (7, 1, {0: (0, 6)}),
+        (7, 1, {0: (3, 3)}),
+        (1, 6, {0: (0, 0), 2: (0, 0), 5: (0, 0)}),
+        (1, 1, {0: (0, 0)}),
+    ]
+    for nz, nx, columns in cases:
+        _assert_matches_reference(_single_section_pair(nz, nx, columns), nz)
 
 
 def _run_both_sides(pair, nz, true_cells, prev=None):
@@ -119,8 +149,8 @@ def test_full_solid_column_codes_interior_once():
     enc_buf, dec_buf, cells, ce, cd, _ = _run_both_sides(pair, nz, true_cells)
     assert ce == cd == nz - 2
     assert len(cells) == len(set(cells))
-    assert enc_buf.occupied_cells() == true_cells
-    assert dec_buf.occupied_cells() == true_cells
+    assert occupied_cells(enc_buf) == true_cells
+    assert occupied_cells(dec_buf) == true_cells
 
 
 def test_section_coder_matches_flood_fill_oracle():
@@ -156,8 +186,8 @@ def test_section_coder_matches_flood_fill_oracle():
         assert coded_set == oracle_coded
         assert len(cells) == len(set(cells))
         assert ce == cd == len(oracle_coded)
-        assert enc_buf.occupied_cells() == oracle_occupied
-        assert dec_buf.occupied_cells() == oracle_occupied
+        assert occupied_cells(enc_buf) == oracle_occupied
+        assert occupied_cells(dec_buf) == oracle_occupied
 
 
 def test_infeasible_cells_never_touched():
@@ -168,7 +198,7 @@ def test_infeasible_cells_never_touched():
     for i in cells:
         z, x = (i // st) - 1, (i % st) - 1
         assert x == 2 and 3 <= z <= 10
-    for (z, x) in enc_buf.occupied_cells():
+    for (z, x) in occupied_cells(enc_buf):
         assert x == 2 and 3 <= z <= 10
 
 
