@@ -177,8 +177,7 @@ def _selftest_coder() -> list[str]:
     picks = rng.integers(0, 16, size=len(bits)).tolist()
     enc = RangeEncoder()
     enc_models = [BinaryModel() for _ in range(16)]
-    for pick, bit in zip(picks, bits):
-        enc.encode(enc_models[pick], bit)
+    enc.encode_many([enc_models[pick] for pick in picks], bits)
     stream = enc.finish()
     dec = RangeDecoder(stream)
     dec_models = [BinaryModel() for _ in range(16)]

@@ -15,6 +15,13 @@ Coding scheme (self-contained, fully adaptive):
     coded thickness.
 Residuals are zigzag-mapped and binarized as order-0 exp-Golomb, one adaptive
 context per bin position (32 contexts per surface).
+
+The encoder knows every pixel up front, so it works in blocks of whole rows:
+numpy builds a block's mask contexts, predictors and exp-Golomb bins, and
+the range coder codes the block's (model, bit) sequence in one call. The
+decoder works by rows: numpy builds the template terms from the two rows
+above once per row, and the two same-row terms ride in a shift register,
+pixel by pixel.
 """
 
 from __future__ import annotations
@@ -27,14 +34,20 @@ from .errors import BitstreamError, EmptyCloudError
 from .rangecoder import BinaryModel, CodedStream, RangeDecoder, RangeEncoder
 
 # Causal template around pixel (x, y); rows are x (scan order), columns y.
+# The last two terms lie on the current row: the decoder carries them in a
+# shift register, so they stay (0, -2) then (0, -1).
 _TEMPLATE = (
     (-2, -1), (-2, 0), (-2, 1),
     (-1, -2), (-1, -1), (-1, 0), (-1, 1), (-1, 2),
     (0, -2), (0, -1),
 )
+_ROW_TERMS = 8  # template terms on the two rows above the pixel
 MASK_CONTEXTS = 1 << len(_TEMPLATE)
 RESIDUAL_CONTEXTS = 32
 _MAX_PREFIX = 48
+# The encoder works on blocks of whole rows of about this many pixels, so
+# its temporaries follow the block, not the map.
+_BLOCK_PIXELS = 1 << 12
 
 
 @dataclass(eq=False)
@@ -69,24 +82,78 @@ def project_array(points: np.ndarray, dims) -> DepthmapPair:
     return DepthmapPair(occ=occ, zmin=zmin, zmax=zmax)
 
 
-def _mask_context_field(occ: np.ndarray) -> np.ndarray:
-    nx, ny = occ.shape
-    padded = np.zeros((nx + 2, ny + 4), dtype=np.uint8)
-    padded[2:, 2 : ny + 2] = occ
+def _template_field(padded: np.ndarray, terms: int) -> np.ndarray:
+    """Mask contexts made of the first `terms` template terms, per pixel.
+
+    padded holds two rows of history, then the rows to cover, each row with
+    two zero columns on either side; the field covers padded[2:, 2:-2].
+    """
+    nx = padded.shape[0] - 2
+    ny = padded.shape[1] - 4
     ctx = np.zeros((nx, ny), dtype=np.int32)
-    for k, (dx, dy) in enumerate(_TEMPLATE):
+    for k, (dx, dy) in enumerate(_TEMPLATE[:terms]):
         ctx |= padded[2 + dx : 2 + dx + nx, 2 + dy : 2 + dy + ny].astype(np.int32) << k
     return ctx
 
 
-def _encode_signed(enc: RangeEncoder, models: list[BinaryModel], value: int) -> None:
-    u = (value << 1) if value >= 0 else ((-value) << 1) - 1
-    n = (u + 1).bit_length() - 1
-    for k in range(n):
-        enc.encode(models[k if k < 16 else 15], 0)
-    enc.encode(models[n if n < 16 else 15], 1)
-    for i in range(n - 1, -1, -1):
-        enc.encode(models[16 + (i if i < 16 else 15)], ((u + 1) >> i) & 1)
+def _residuals(pair: DepthmapPair, a: int, b: int, prev_low: int, prev_thick: int):
+    """Low and thickness residuals, interleaved, of the occupied pixels in rows a..b-1.
+
+    prev_low and prev_thick are the last low and thickness coded before row
+    a; returns the residuals and the last low and thickness up to row b.
+    """
+    occ, low, high = pair.occ, pair.zmin, pair.zmax
+    xs, ys = np.nonzero(occ[a:b])
+    if not xs.size:
+        return np.empty(0, dtype=np.int64), prev_low, prev_thick
+    xs += a
+    v = low[xs, ys].astype(np.int64)
+    t = high[xs, ys] - v
+    # West, north and northwest neighbours; an index of -1 wraps around, but
+    # the masks drop it.
+    has_w = (ys > 0) & (occ[xs, ys - 1] != 0)
+    has_n = (xs > 0) & (occ[xs - 1, ys] != 0)
+    has_nw = (xs > 0) & (ys > 0) & (occ[xs - 1, ys - 1] != 0)
+    w = low[xs, ys - 1] * has_w
+    n = low[xs - 1, ys] * has_n
+    nw = low[xs - 1, ys - 1] * has_nw
+    count = has_w.astype(np.int8) + has_n + has_nw
+    total = w.astype(np.int64) + n + nw
+    median = np.maximum(np.minimum(w, n), np.minimum(np.maximum(w, n), nw))
+    previous = np.concatenate(([prev_low], v[:-1]))
+    pred_low = np.select([count == 3, count == 2, count == 1], [median, total // 2, total], previous)
+    thick_w = high[xs, ys - 1] - low[xs, ys - 1]
+    pred_thick = np.where(has_w, thick_w, np.concatenate(([prev_thick], t[:-1])))
+    residuals = np.empty(2 * v.size, dtype=np.int64)
+    residuals[0::2] = v - pred_low
+    residuals[1::2] = t - pred_thick
+    return residuals, int(v[-1]), int(t[-1])
+
+
+def _exp_golomb_bins(values: np.ndarray, model_base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zigzag order-0 exp-Golomb bins of each value: (model index, bit) arrays.
+
+    A value whose zigzag code plus one has n + 1 bits gives n prefix zeros, a
+    one, then its n low bits from the top. Prefix bin k uses model min(k, 15)
+    and suffix bit i model 16 + min(i, 15), both offset by the value's entry
+    in model_base.
+    """
+    w = np.where(values >= 0, 2 * values, -2 * values - 1) + 1
+    n = np.frexp(w)[1] - 1  # exact while w < 2^53
+    lengths = 2 * n + 1
+    n = np.repeat(n, lengths)
+    position = np.arange(n.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    # Bin `position` reads bit 2n - position of w: above the top bit (zeros)
+    # in the prefix, the top bit itself as the terminating one, then the
+    # suffix bits.
+    shift = 2 * n - position
+    bits = (np.repeat(w, lengths) >> np.minimum(shift, 63)) & 1
+    models = (
+        np.repeat(model_base, lengths)
+        + 16 * (position > n)
+        + np.minimum(np.minimum(position, shift), 15)
+    )
+    return models, bits
 
 
 def _decode_signed(dec: RangeDecoder, models: list[BinaryModel]) -> int:
@@ -130,24 +197,26 @@ def _predict_thickness(occ, low, high, x: int, y: int, previous: int) -> int:
 def encode_depthmaps(pair: DepthmapPair, nz: int) -> CodedStream:
     """Losslessly code a surface pair; decode_depthmaps inverts exactly."""
     occ = pair.occ
+    nx, ny = occ.shape
+    step = max(1, _BLOCK_PIXELS // ny)
     enc = RangeEncoder()
     mask_models = [BinaryModel() for _ in range(MASK_CONTEXTS)]
-    encode = enc.encode
-    for ctx, bit in zip(_mask_context_field(occ).ravel().tolist(), occ.ravel().tolist()):
-        encode(mask_models[ctx], bit)
-    low_models = [BinaryModel() for _ in range(RESIDUAL_CONTEXTS)]
-    thick_models = [BinaryModel() for _ in range(RESIDUAL_CONTEXTS)]
-    low, high = pair.zmin, pair.zmax
-    xs, ys = np.nonzero(occ)
-    prev_low = None
+    padded = np.zeros((nx + 2, ny + 4), dtype=np.uint8)
+    padded[2:, 2 : ny + 2] = occ
+    for a in range(0, nx, step):
+        ctx = _template_field(padded[a : a + step + 2], len(_TEMPLATE))
+        enc.encode_many(
+            map(mask_models.__getitem__, ctx.ravel().tolist()), occ[a : a + step].ravel().tolist()
+        )
+    # Low-surface models, then thickness models.
+    surface_models = [BinaryModel() for _ in range(2 * RESIDUAL_CONTEXTS)]
+    prev_low = nz // 2
     prev_thick = 0
-    for x, y in zip(xs.tolist(), ys.tolist()):
-        v = int(low[x, y])
-        _encode_signed(enc, low_models, v - _predict_low(occ, low, x, y, prev_low, nz))
-        t = int(high[x, y]) - v
-        _encode_signed(enc, thick_models, t - _predict_thickness(occ, low, high, x, y, prev_thick))
-        prev_low = v
-        prev_thick = t
+    for a in range(0, nx, step):
+        residuals, prev_low, prev_thick = _residuals(pair, a, a + step, prev_low, prev_thick)
+        base = RESIDUAL_CONTEXTS * (np.arange(residuals.size) & 1)
+        models, bits = _exp_golomb_bins(residuals, base)
+        enc.encode_many(map(surface_models.__getitem__, models.tolist()), bits.tolist())
     return enc.finish()
 
 
@@ -156,28 +225,19 @@ def decode_depthmaps(data: bytes, nx: int, ny: int, nz: int) -> DepthmapPair:
     mask_models = [BinaryModel() for _ in range(MASK_CONTEXTS)]
     stride = ny + 4
     grid = bytearray((nx + 2) * stride)
-    offs = [dx * stride + dy for dx, dy in _TEMPLATE]
-    o0, o1, o2, o3, o4, o5, o6, o7, o8, o9 = offs
+    rows = np.frombuffer(grid, dtype=np.uint8).reshape(nx + 2, stride)
     decode = dec.decode
     for x in range(nx):
         base = (x + 2) * stride + 2
-        for y in range(ny):
-            b = base + y
-            ctx = (
-                grid[b + o0]
-                | grid[b + o1] << 1
-                | grid[b + o2] << 2
-                | grid[b + o3] << 3
-                | grid[b + o4] << 4
-                | grid[b + o5] << 5
-                | grid[b + o6] << 6
-                | grid[b + o7] << 7
-                | grid[b + o8] << 8
-                | grid[b + o9] << 9
-            )
-            if decode(mask_models[ctx]):
-                grid[b] = 1
-    occ = np.frombuffer(bytes(grid), dtype=np.uint8).reshape(nx + 2, stride)[2:, 2 : ny + 2].copy()
+        # The same-row terms (0, -2) and (0, -1) are context bits 8 and 9.
+        run = 0
+        for y, upper in enumerate(_template_field(rows[x : x + 3], _ROW_TERMS).ravel().tolist()):
+            if decode(mask_models[upper | run]):
+                grid[base + y] = 1
+                run = ((run >> 1) & 256) | 512
+            else:
+                run = (run >> 1) & 256
+    occ = rows[2:, 2 : ny + 2].copy()
     low = np.zeros((nx, ny), dtype=np.int32)
     high = np.zeros((nx, ny), dtype=np.int32)
     low_models = [BinaryModel() for _ in range(RESIDUAL_CONTEXTS)]

@@ -12,6 +12,11 @@ carry bits) and zero-pads the last byte. The decoder treats reads past the
 payload as zeros, which is exactly what the padding would have been, so every
 encoded symbol resolves without storing the symbol count in the stream.
 
+The encoder codes sequences: encode_many takes a whole run of (model, bit)
+pairs and keeps the coder state in locals across it. The decoder codes one
+decision at a time, because the caller needs each bit to choose the next
+context.
+
 Bits are buffered unpacked, one byte per bit: the encoder appends to a
 bytearray that np.packbits packs once at the end, and the decoder indexes
 the np.unpackbits expansion of its payload, so no bit costs a function call.
@@ -19,6 +24,7 @@ the np.unpackbits expansion of its payload, so no bit costs a function call.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,49 +128,61 @@ class RangeEncoder:
         self._writer = BitWriter()
         self._bits = self._writer.bits
 
-    def encode(self, model: BinaryModel, bit: int) -> None:
-        c0 = model.c0
-        c1 = model.c1
-        total = c0 + c1
+    def encode_many(self, models: Iterable[BinaryModel], bits: Iterable[int]) -> None:
+        """Code each bit against its model, in order; the models adapt as they go.
+
+        The two iterables must have the same length (ValueError otherwise). The
+        coder state stays in locals for the whole sequence, so a long
+        sequence costs one call, not one per decision.
+        """
         low = self._low
         high = self._high
-        split = low + c0 * (high - low + 1) // total
-        if bit:
-            low = split
-        else:
-            high = split - 1
-        while True:
-            if high < _HALF:
-                self._bits.append(0)
-                if self._pending:
-                    self._bits += b"\x01" * self._pending
-                    self._pending = 0
-            elif low >= _HALF:
-                self._bits.append(1)
-                if self._pending:
-                    self._bits += bytes(self._pending)
-                    self._pending = 0
-                low -= _HALF
-                high -= _HALF
-            elif low >= _QUARTER and high < _THREE_QUARTER:
-                self._pending += 1
-                low -= _QUARTER
-                high -= _QUARTER
-            else:
-                break
-            low <<= 1
-            high = (high << 1) | 1
-        self._low = low
-        self._high = high
-        if bit:
-            c1 += 1
-        else:
-            c0 += 1
-        if total + 1 > RESCALE_LIMIT:
-            c0 = (c0 + 1) >> 1
-            c1 = (c1 + 1) >> 1
-        model.c0 = c0
-        model.c1 = c1
+        pending = self._pending
+        out = self._bits
+        append = out.append
+        try:
+            for model, bit in zip(models, bits, strict=True):
+                c0 = model.c0
+                c1 = model.c1
+                total = c0 + c1
+                split = low + c0 * (high - low + 1) // total
+                if bit:
+                    low = split
+                    c1 += 1
+                else:
+                    high = split - 1
+                    c0 += 1
+                while True:
+                    if high < _HALF:
+                        append(0)
+                        if pending:
+                            out += b"\x01" * pending
+                            pending = 0
+                    elif low >= _HALF:
+                        append(1)
+                        if pending:
+                            out += bytes(pending)
+                            pending = 0
+                        low -= _HALF
+                        high -= _HALF
+                    elif low >= _QUARTER and high < _THREE_QUARTER:
+                        pending += 1
+                        low -= _QUARTER
+                        high -= _QUARTER
+                    else:
+                        break
+                    low <<= 1
+                    high = (high << 1) | 1
+                if total >= RESCALE_LIMIT:
+                    c0 = (c0 + 1) >> 1
+                    c1 = (c1 + 1) >> 1
+                model.c0 = c0
+                model.c1 = c1
+        finally:
+            # On a length mismatch the pairs before it stay coded.
+            self._low = low
+            self._high = high
+            self._pending = pending
 
     def finish(self) -> CodedStream:
         # One more bit, followed by its pending inversions, pins a value

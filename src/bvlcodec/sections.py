@@ -17,6 +17,9 @@ unknown cells are coded one bit at a time, driven by a FIFO work list:
 Both sides run the identical control flow, so the decoder recovers exactly
 the cells the encoder coded: the points 8-connected, section by section, to
 the surface seeds. Points no shell reaches are written raw, fixed width.
+The encoder buffers a section's decisions as (model, bit) pairs and codes
+them together once the section's loop ends; the decoder needs each bit
+before it can go on.
 
 Buffers are flat bytearrays with a one-cell border ring so the 3x3 crops
 never bounds-check; border cells read as known empty and never enter the
@@ -119,7 +122,8 @@ def code_section(
 
     Pass exactly one of encoder/decoder; encoding needs the section's true
     occupancy in the same padded layout as buf.state. Afterwards buf.state
-    holds the reconstructed section.
+    holds the reconstructed section. The encoder codes the section's
+    decisions together, after the loop: no context depends on the coder.
     """
     if (encoder is None) == (decoder is None):
         raise ValueError("pass exactly one of encoder or decoder")
@@ -135,8 +139,9 @@ def code_section(
     pop = queue.popleft
     push = queue.append
     get_model = models.get
-    encode = encoder.encode if encoder is not None else None
     decode = decoder.decode if decoder is not None else None
+    coded_models = []
+    coded_bits = []
     coded = 0
     while queue:
         idx = pop()
@@ -166,9 +171,10 @@ def code_section(
         if model is None:
             model = BinaryModel()
             models[label] = model
-        if encode is not None:
+        if decode is None:
             bit = true_section[idx]
-            encode(model, bit)
+            coded_models.append(model)
+            coded_bits.append(bit)
         else:
             bit = decode(model)
         coded += 1
@@ -200,6 +206,8 @@ def code_section(
             if state[se] == 0 and marked[se] == 0:
                 marked[se] = 1
                 push(se)
+    if encoder is not None:
+        encoder.encode_many(coded_models, coded_bits)
     return coded
 
 

@@ -7,6 +7,8 @@ from collections import deque
 
 import numpy as np
 
+from bvlcodec.rangecoder import BinaryModel, RangeEncoder
+
 _POW2 = 2 ** np.arange(9, dtype=np.int64)
 _POW3 = 3 ** np.arange(9, dtype=np.int64)
 # Anti-diagonal scan used by the rotation score: cells near (0, 0) first.
@@ -184,3 +186,78 @@ def occupied_cells(buf) -> set[tuple[int, int]]:
 def unknown_count(buf) -> int:
     """Cells of a section buffer still unknown."""
     return buf.state.count(0)
+
+
+_MASK_TEMPLATE = (
+    (-2, -1), (-2, 0), (-2, 1),
+    (-1, -2), (-1, -1), (-1, 0), (-1, 1), (-1, 2),
+    (0, -2), (0, -1),
+)
+
+
+def _reference_signed_bins(models, value: int):
+    """(model, bit) pairs of one zigzag order-0 exp-Golomb residual."""
+    u = (value << 1) if value >= 0 else ((-value) << 1) - 1
+    n = (u + 1).bit_length() - 1
+    out = [(models[min(k, 15)], 0) for k in range(n)]
+    out.append((models[min(n, 15)], 1))
+    out += [(models[16 + min(i, 15)], ((u + 1) >> i) & 1) for i in range(n - 1, -1, -1)]
+    return out
+
+
+def _reference_predict_low(occ, low, x, y, previous, nz):
+    cands = []
+    if y and occ[x][y - 1]:
+        cands.append(low[x][y - 1])
+    if x:
+        if occ[x - 1][y]:
+            cands.append(low[x - 1][y])
+        if y and occ[x - 1][y - 1]:
+            cands.append(low[x - 1][y - 1])
+    k = len(cands)
+    if k == 3:
+        return sorted(cands)[1]
+    if k == 2:
+        return (cands[0] + cands[1]) // 2
+    if k == 1:
+        return cands[0]
+    return previous if previous is not None else nz // 2
+
+
+def reference_encode_depthmaps(pair, nz: int):
+    """Pixel-by-pixel surface encoder: the same stream as encode_depthmaps.
+
+    Builds each mask context with bounds checks, predicts each surface value
+    from its neighbours (nested lists, one pixel at a time) and binarizes each
+    residual on its own, then codes the whole (model, bit) sequence.
+    """
+    occ, low, high = (a.tolist() for a in (pair.occ, pair.zmin, pair.zmax))
+    nx, ny = pair.occ.shape
+    decisions = []
+    mask_models = [BinaryModel() for _ in range(1 << len(_MASK_TEMPLATE))]
+    for x in range(nx):
+        for y in range(ny):
+            ctx = 0
+            for k, (dx, dy) in enumerate(_MASK_TEMPLATE):
+                if 0 <= x + dx and 0 <= y + dy < ny and occ[x + dx][y + dy]:
+                    ctx |= 1 << k
+            decisions.append((mask_models[ctx], occ[x][y]))
+    low_models = [BinaryModel() for _ in range(32)]
+    thick_models = [BinaryModel() for _ in range(32)]
+    prev_low = None
+    prev_thick = 0
+    for x, y in zip(*(a.tolist() for a in np.nonzero(pair.occ))):
+        v = low[x][y]
+        predicted = _reference_predict_low(occ, low, x, y, prev_low, nz)
+        decisions += _reference_signed_bins(low_models, v - predicted)
+        t = high[x][y] - v
+        if y and occ[x][y - 1]:
+            predicted = high[x][y - 1] - low[x][y - 1]
+        else:
+            predicted = prev_thick
+        decisions += _reference_signed_bins(thick_models, t - predicted)
+        prev_low = v
+        prev_thick = t
+    enc = RangeEncoder()
+    enc.encode_many([m for m, _ in decisions], [b for _, b in decisions])
+    return enc.finish()

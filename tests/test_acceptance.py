@@ -94,9 +94,7 @@ def test_criterion_3_coder_rate():
             bits = (rng.random(n) < p).astype(int).tolist()
             enc = RangeEncoder()
             model = BinaryModel()
-            encode = enc.encode
-            for bit in bits:
-                encode(model, bit)
+            enc.encode_many([model] * n, bits)
             rate = enc.finish().bit_length / n
             target = binary_entropy(p)
             assert abs(rate - target) <= 0.02 * target, (

@@ -1,12 +1,14 @@
 """Projection and surface-coding tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bvlcodec import EmptyCloudError, VoxelCloud
 from bvlcodec.depthmap import DepthmapPair, decode_depthmaps, encode_depthmaps, project
 
-from oracles import brute_force_depthmaps
+from oracles import brute_force_depthmaps, reference_encode_depthmaps
 
 
 def _pairs_equal(a: DepthmapPair, b: DepthmapPair) -> bool:
@@ -127,3 +129,71 @@ def test_points_at_z_zero_survive():
     assert _pairs_equal(pair, again)
     assert again.occ[0, 0] == 1 and again.zmin[0, 0] == 0
     assert again.occ[2, 2] == 0
+
+
+def _pair_from(occ, zmin, zmax) -> DepthmapPair:
+    occ = np.asarray(occ, dtype=np.uint8)
+    return DepthmapPair(
+        occ=occ,
+        zmin=np.asarray(zmin, dtype=np.int32) * occ,
+        zmax=np.asarray(zmax, dtype=np.int32) * occ,
+    )
+
+
+def _reference_cases():
+    rng = np.random.default_rng(21)
+    # All occupied: the interior mask context codes 298^2 > RESCALE_LIMIT
+    # decisions, so its counts get halved.
+    ramp = np.add.outer(np.arange(300), np.arange(300)) // 8
+    low = ramp + rng.integers(0, 3, size=(300, 300))
+    yield "full-300", _pair_from(np.ones((300, 300)), low, low + rng.integers(0, 4, size=(300, 300))), 200
+    for nx, ny in ((1, 9), (9, 1), (1, 1)):
+        occ = np.ones((nx, ny)) if nx * ny == 1 else rng.random((nx, ny)) < 0.6
+        z = np.sort(rng.integers(0, 16, size=(2, nx, ny)), axis=0)
+        yield f"axis-{nx}x{ny}", _pair_from(occ, z[0], z[1]), 16
+    # Residuals up to 69999 need 16 or more prefix bins: model 15 is reused.
+    yield "deep", _pair_from(np.ones((2, 2)), [[0, 69999], [69999, 0]], [[69999, 69999], [69999, 0]]), 70000
+    occ = rng.random((12, 10)) < 0.5
+    occ[0] = False
+    z = np.sort(rng.integers(0, 40, size=(2, 12, 10)), axis=0)
+    yield "empty-first-row", _pair_from(occ, z[0], z[1]), 40
+    # Sparse rows over several encoder blocks: pixels without an occupied
+    # neighbour take the last value coded, often in an earlier block.
+    occ = rng.random((64, 200)) < 0.05
+    z = np.sort(rng.integers(0, 90, size=(2, 64, 200)), axis=0)
+    yield "sparse-blocks", _pair_from(occ, z[0], z[1]), 90
+    occ = np.zeros((7, 5))
+    occ[4, 3] = 1
+    yield "single-pixel", _pair_from(occ, np.full((7, 5), 9), np.full((7, 5), 30)), 33
+
+
+@pytest.mark.parametrize(
+    "pair,nz", [pytest.param(pair, nz, id=name) for name, pair, nz in _reference_cases()]
+)
+def test_encoder_matches_the_scalar_reference(pair, nz):
+    stream = encode_depthmaps(pair, nz)
+    assert stream == reference_encode_depthmaps(pair, nz)
+    assert _pairs_equal(pair, decode_depthmaps(stream.data, *pair.occ.shape, nz))
+
+
+# Traced peak of the pixel-by-pixel encoder on the map below, which built
+# full-map context and bit lists before coding them.
+_PIXEL_LOOP_PEAK_BYTES = 7_247_192
+
+
+def test_encode_peak_memory_follows_the_block_not_the_map():
+    # The depth map of a uniform scatter: 512 x 512, about 20% occupied,
+    # one random z in 0..511 per pixel.
+    rng = np.random.default_rng(0)
+    occ = (rng.random((512, 512)) < 0.2).astype(np.uint8)
+    z = rng.integers(0, 512, size=(512, 512), dtype=np.int32) * occ
+    pair = DepthmapPair(occ=occ, zmin=z, zmax=z.copy())
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        encode_depthmaps(pair, 512)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * _PIXEL_LOOP_PEAK_BYTES

@@ -19,8 +19,7 @@ from oracles import binary_entropy
 def _round_trip(bits, picks, n_models):
     enc = RangeEncoder()
     models = [BinaryModel() for _ in range(n_models)]
-    for pick, bit in zip(picks, bits):
-        enc.encode(models[pick], bit)
+    enc.encode_many([models[pick] for pick in picks], bits)
     stream = enc.finish()
     dec = RangeDecoder(stream)
     dec_models = [BinaryModel() for _ in range(n_models)]
@@ -62,8 +61,7 @@ def test_rate_tracks_entropy(p, tol):
     bits = (rng.random(n) < p).astype(int).tolist()
     enc = RangeEncoder()
     model = BinaryModel()
-    for bit in bits:
-        enc.encode(model, bit)
+    enc.encode_many([model] * n, bits)
     rate = enc.finish().bit_length / n
     target = binary_entropy(p)
     assert abs(rate - target) <= tol * max(target, 0.05)
@@ -74,7 +72,7 @@ def test_model_counts_stay_bounded():
     model = BinaryModel()
     enc = RangeEncoder()
     for bit in (rng.random(300_000) < 0.02).astype(int).tolist():
-        enc.encode(model, bit)
+        enc.encode_many((model,), (bit,))
         assert model.c0 >= 1 and model.c1 >= 1
         assert model.c0 + model.c1 <= RESCALE_LIMIT
     enc.finish()
@@ -90,15 +88,14 @@ def test_model_states_sync_after_every_symbol():
     bits = (rng.random(4000) < 0.3).astype(int).tolist()
     enc = RangeEncoder()
     enc_model = BinaryModel()
-    for bit in bits:
-        enc.encode(enc_model, bit)
+    enc.encode_many([enc_model] * len(bits), bits)
     stream = enc.finish()
     replay = RangeEncoder()
     replay_model = BinaryModel()
     dec = RangeDecoder(stream)
     dec_model = BinaryModel()
     for bit in bits:
-        replay.encode(replay_model, bit)
+        replay.encode_many((replay_model,), (bit,))
         assert dec.decode(dec_model) == bit
         assert (dec_model.c0, dec_model.c1) == (replay_model.c0, replay_model.c1)
 
@@ -108,8 +105,7 @@ def test_truncated_stream_raises():
     bits = (rng.random(5000) < 0.5).astype(int).tolist()
     enc = RangeEncoder()
     model = BinaryModel()
-    for bit in bits:
-        enc.encode(model, bit)
+    enc.encode_many([model] * len(bits), bits)
     stream = enc.finish()
     dec = RangeDecoder(stream.data[: len(stream.data) // 4])
     dec_model = BinaryModel()
@@ -150,8 +146,7 @@ def test_coded_stream_pads_to_whole_bytes():
     for n in (0, 1, 7, 100, 1001):
         enc = RangeEncoder()
         model = BinaryModel()
-        for bit in (rng.random(n) < 0.3).astype(int).tolist():
-            enc.encode(model, bit)
+        enc.encode_many([model] * n, (rng.random(n) < 0.3).astype(int).tolist())
         stream = enc.finish()
         assert len(stream.data) == (stream.bit_length + 7) // 8
         tail = 8 * len(stream.data) - stream.bit_length
@@ -186,3 +181,35 @@ def test_empty_payload_decodes():
     model = BinaryModel()
     assert [dec.decode(model) for _ in range(10)] == [0] * 10
     assert BitReader(b"").read_uint(64) == 0
+
+
+def test_split_sequence_codes_like_one_call():
+    rng = np.random.default_rng(17)
+    n = 20_000
+    bits = (rng.random(n) < 0.25).astype(int).tolist()
+    picks = rng.integers(0, 8, size=n).tolist()
+    whole = RangeEncoder()
+    whole_models = [BinaryModel() for _ in range(8)]
+    whole.encode_many([whole_models[pick] for pick in picks], bits)
+    split = RangeEncoder()
+    split_models = [BinaryModel() for _ in range(8)]
+    cuts = [0, 0, 1, 1, 777, 777, 5000, 19_999, n, n]
+    for a, b in zip(cuts, cuts[1:]):
+        split.encode_many((split_models[pick] for pick in picks[a:b]), iter(bits[a:b]))
+    assert split.finish() == whole.finish()
+    assert [(m.c0, m.c1) for m in split_models] == [(m.c0, m.c1) for m in whole_models]
+
+
+@pytest.mark.parametrize("n_models,n_bits", [(3, 2), (2, 3), (0, 1), (1, 0)])
+def test_encode_many_rejects_a_length_mismatch(n_models, n_bits):
+    enc = RangeEncoder()
+    model = BinaryModel()
+    with pytest.raises(ValueError):
+        enc.encode_many([model] * n_models, [1] * n_bits)
+    # The pairs before the mismatch stay coded.
+    ref = RangeEncoder()
+    ref_model = BinaryModel()
+    prefix = min(n_models, n_bits)
+    ref.encode_many([ref_model] * prefix, [1] * prefix)
+    assert (model.c0, model.c1) == (ref_model.c0, ref_model.c1)
+    assert enc.finish() == ref.finish()
