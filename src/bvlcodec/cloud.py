@@ -180,10 +180,14 @@ def _parse_header(header: str):
                 count = int(parts[2])
             except ValueError as exc:
                 raise PlyError(f"bad element count: {line!r}") from exc
+            if count < 0:
+                raise PlyError(f"negative element count: {line!r}")
             elements.append({"name": parts[1], "count": count, "props": []})
         elif kw == "property":
             if not elements:
                 raise PlyError("property before any element")
+            if len(parts) < 3:
+                raise PlyError(f"malformed property line: {line!r}")
             if parts[1] == "list":
                 elements[-1]["props"].append(("list", parts[-1]))
             else:

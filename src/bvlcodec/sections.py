@@ -14,19 +14,33 @@ unknown cells are coded one bit at a time, driven by a FIFO work list:
     the previous section;
   * a cell coded occupied enqueues its unknown, not yet enqueued 8-neighbors.
 
-Both sides run the identical control flow, so the decoder recovers exactly
-the cells the encoder coded: the points 8-connected, section by section, to
-the surface seeds. Points no shell reaches are written raw, fixed width.
-The encoder buffers a section's decisions as (model, bit) pairs and codes
-them together once the section's loop ends; the decoder needs each bit
-before it can go on.
+Both sides code the same cells in the same order, so the decoder recovers
+exactly the cells the encoder coded: the points 8-connected, section by
+section, to the surface seeds. Points no shell reaches are written raw,
+fixed width.
+
+The decoder runs the loop above cell by cell: it needs each bit before it
+can go on. The encoder knows every section's true occupancy up front, so it
+derives the loop's order by breadth-first levels instead. Level 0 is the
+unknown part of the start list; level L + 1 is the unknown, not yet listed
+8-neighbours of level L's occupied cells, in push order, first occurrence
+kept. Every cell a level-L cell pushes goes behind all of level L, so the
+FIFO pops the levels one after another, each in push order: their
+concatenation is the decoder's order. A cell's place in it is its position;
+in its context, a neighbour unknown at set-up reads as coded (1 + bit) if
+its position is smaller and as unknown otherwise. With the order and the
+positions in arrays, numpy builds the contexts of a run of consecutive
+sections at once, and the range coder codes them in blocks. The first
+section of a run reads the previous section's reconstruction carried over
+from the run before it.
 
 Buffers are flat bytearrays with a one-cell border ring so the 3x3 crops
 never bounds-check; border cells read as known empty and never enter the
-list. Beyond filling the buffers (known empty by default), section set-up
-touches only the band cells of the occupied columns and the seeds' 3x3
-neighbours, and the reconstruction is read back from the band alone, so the
-per-section array work follows the band, not the section's area.
+list. A run's sections lie one padded slab after another. Beyond filling
+the buffers (known empty by default), set-up touches only the band cells
+of the occupied columns and the seeds' 3x3 neighbours, and the
+reconstruction is read back from the band alone, so the array work follows
+the band, not the section's area.
 """
 
 from __future__ import annotations
@@ -36,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contexts import BINARY_WEIGHTS_BY_TURN, get_norm_lists
+from .contexts import BINARY_WEIGHTS_BY_TURN, get_norm_lists, get_norm_tables
 from .depthmap import DepthmapPair, decode_depthmaps, encode_depthmaps, project_array
 from .errors import BitstreamError
 from .rangecoder import (
@@ -49,35 +63,59 @@ from .rangecoder import (
 )
 
 _STEPS = np.array([-1, 0, 1], dtype=np.int64)
+# The encoder sets up and codes consecutive sections in runs of about this
+# many cells (at least one section), and builds contexts for this many coded
+# cells at a time, so its temporaries follow the run and the block.
+_RUN_CELLS = 1 << 18
+_BLOCK_CELLS = 1 << 14
+# (z, x) steps to the 8 neighbours in push order: nw, n, ne, w, e, sw, s, se.
+_PUSH_DZ = np.array([-1, -1, -1, 0, 0, 1, 1, 1])
+_PUSH_DX = np.array([-1, 0, 1, -1, 1, -1, 0, 1])
+# (z, x) steps to the 3x3 patch cells in digit order, and the weights of the
+# digits: digit i + 3 * j is the cell at z step i - 1 and x step j - 1.
+_PATCH_DZ = np.tile(_STEPS, 3)
+_PATCH_DX = np.repeat(_STEPS, 3)
+_TERNARY_WEIGHTS = 3 ** np.arange(9, dtype=np.int64)
+_BINARY_WEIGHTS = 1 << np.arange(9, dtype=np.int64)
+# [turns, b]: binary patch index b after the quarter turns that normalize
+# the ternary patch.
+_ROTATED_BINARY = np.array(BINARY_WEIGHTS_BY_TURN) @ ((np.arange(512) >> np.arange(9)[:, None]) & 1)
 
 
 @dataclass
 class SectionBuffers:
-    """Mutable per-section coding state (padded, row per z, stride nx + 2)."""
+    """Mutable coding state of a run of sections (padded, row per z, stride nx + 2)."""
 
     nz: int
     nx: int
     stride: int
     state: bytearray    # 0 unknown, 1 known empty, 2 known occupied
     marked: bytearray   # 1 once a cell has entered the work list
-    prev: bytes         # previous section reconstruction, 0/1
-    queue: deque
+    prev: bytes         # reconstruction of the section before the run, 0/1
+    queue: np.ndarray   # the start of the work list, section by section, row-major
     band: np.ndarray    # flat indices of every feasible cell, seeds included
 
 
-def build_section(pair: DepthmapPair, y0: int, nz: int, prev: bytes | None = None) -> SectionBuffers:
-    """Initialize state, seeds, and the dilated work list for section y0."""
-    occ_col = pair.occ[:, y0]
-    nx = occ_col.shape[0]
+def build_section(pair: DepthmapPair, y0: int, nz: int, prev: bytes | None = None,
+                  count: int = 1) -> SectionBuffers:
+    """Initialize state, seeds and the dilated work list of sections y0 .. y0 + count - 1.
+
+    The sections lie one padded slab after another; prev is the
+    reconstruction of the section before y0 (empty when None).
+    """
+    occ = pair.occ[:, y0 : y0 + count]
+    nx = occ.shape[0]
     st = nx + 2
-    size = (nz + 2) * st
+    slab = (nz + 2) * st
+    size = count * slab
     state = bytearray(b"\x01") * size
     marked = bytearray(size)
-    xs = np.flatnonzero(occ_col)
-    lo = pair.zmin[xs, y0].astype(np.int64)
-    hi = pair.zmax[xs, y0].astype(np.int64)
-    low_seeds = (lo + 1) * st + xs + 1
-    high_seeds = (hi + 1) * st + xs + 1
+    ks, xs = np.nonzero(occ.T)
+    lo = pair.zmin[xs, y0 + ks].astype(np.int64)
+    hi = pair.zmax[xs, y0 + ks].astype(np.int64)
+    columns = ks * slab + xs + 1
+    low_seeds = columns + (lo + 1) * st
+    high_seeds = columns + (hi + 1) * st
     # Column j's band: its low seed, then one row further per cell.
     lengths = hi - lo + 1
     starts = np.cumsum(lengths) - lengths
@@ -87,16 +125,17 @@ def build_section(pair: DepthmapPair, y0: int, nz: int, prev: bytes | None = Non
     view[low_seeds] = 2
     view[high_seeds] = 2
     # Work list: the seeds' 3x3 neighbours inside the border ring, sorted
-    # (row-major) and deduplicated.
-    seeds = np.concatenate((low_seeds, high_seeds[hi > lo]))
-    cells = (seeds[:, None] + (st * _STEPS[:, None] + _STEPS).ravel()).ravel()
-    rows, cols = np.divmod(cells, st)
-    cells = cells[(rows >= 1) & (rows <= nz) & (cols >= 1) & (cols <= nx)]
+    # (section by section, row-major) and deduplicated.
+    two = hi > lo
+    seeds = np.concatenate((low_seeds, high_seeds[two]))
+    zs = np.concatenate((lo, hi[two]))[:, None] + _PATCH_DZ
+    xs = np.concatenate((xs, xs[two]))[:, None] + _PATCH_DX
+    cells = (seeds[:, None] + (st * _PATCH_DZ + _PATCH_DX))[(zs >= 0) & (zs < nz) & (xs >= 0) & (xs < nx)]
     cells.sort()
     cells = cells[np.diff(cells, prepend=-1) != 0]
     np.frombuffer(marked, dtype=np.uint8)[cells] = 1
     if prev is None:
-        prev = bytes(size)
+        prev = bytes(slab)
     return SectionBuffers(
         nz=nz,
         nx=nx,
@@ -104,7 +143,7 @@ def build_section(pair: DepthmapPair, y0: int, nz: int, prev: bytes | None = Non
         state=state,
         marked=marked,
         prev=prev,
-        queue=deque(cells.tolist()),
+        queue=cells,
         band=band,
     )
 
@@ -116,32 +155,31 @@ def code_section(
     encoder: RangeEncoder | None = None,
     decoder: RangeDecoder | None = None,
     true_section: bytes | None = None,
-    coded_cells: list | None = None,
 ) -> int:
-    """Run the list-driven coding loop; returns the number of coded bits.
+    """Code the unknown cells the work list reaches; returns the number of coded bits.
 
-    Pass exactly one of encoder/decoder; encoding needs the section's true
-    occupancy in the same padded layout as buf.state. Afterwards buf.state
-    holds the reconstructed section. The encoder codes the section's
-    decisions together, after the loop: no context depends on the coder.
+    Pass exactly one of encoder/decoder. The decoder runs the list-driven
+    loop over a single section. The encoder codes a whole run by levels and
+    needs its true occupancy in the same padded layout as buf.state.
+    Afterwards buf.state holds the reconstruction.
     """
     if (encoder is None) == (decoder is None):
         raise ValueError("pass exactly one of encoder or decoder")
-    if encoder is not None and true_section is None:
-        raise ValueError("encoding requires the true section")
+    if encoder is not None:
+        if true_section is None:
+            raise ValueError("encoding requires the true section")
+        return _encode_run(buf, models, encoder, true_section)
     turn_by_patch, canonical_by_patch = get_norm_lists()
     weights_by_turn = BINARY_WEIGHTS_BY_TURN
     state = buf.state
     marked = buf.marked
     prev = buf.prev
-    queue = buf.queue
+    queue = deque(buf.queue.tolist())
     st = buf.stride
     pop = queue.popleft
     push = queue.append
     get_model = models.get
-    decode = decoder.decode if decoder is not None else None
-    coded_models = []
-    coded_bits = []
+    decode = decoder.decode
     coded = 0
     while queue:
         idx = pop()
@@ -171,15 +209,8 @@ def code_section(
         if model is None:
             model = BinaryModel()
             models[label] = model
-        if decode is None:
-            bit = true_section[idx]
-            coded_models.append(model)
-            coded_bits.append(bit)
-        else:
-            bit = decode(model)
+        bit = decode(model)
         coded += 1
-        if coded_cells is not None:
-            coded_cells.append(idx)
         state[idx] = 1 + bit
         if bit:
             if state[nw] == 0 and marked[nw] == 0:
@@ -206,35 +237,135 @@ def code_section(
             if state[se] == 0 and marked[se] == 0:
                 marked[se] = 1
                 push(se)
-    if encoder is not None:
-        encoder.encode_many(coded_models, coded_bits)
     return coded
 
 
-def _section_bytes(points: np.ndarray, nz: int, stride: int) -> bytearray:
-    t = bytearray((nz + 2) * stride)
-    np.frombuffer(t, dtype=np.uint8)[(points[:, 2] + 1) * stride + points[:, 0] + 1] = 1
-    return t
+def _encode_run(buf: SectionBuffers, models: dict, encoder: RangeEncoder, true_section: bytes) -> int:
+    """Code a run of sections by breadth-first levels (see the module docstring)."""
+    st = buf.stride
+    slab = (buf.nz + 2) * st
+    state = np.frombuffer(buf.state, dtype=np.uint8)
+    marked = np.frombuffer(buf.marked, dtype=np.uint8)
+    truth = np.frombuffer(true_section, dtype=np.uint8)
+    start = buf.queue
+    unknown = state[start] == 0
+    known = start[~unknown]
+    level = start[unknown]
+    push = st * _PUSH_DZ + _PUSH_DX
+    levels = []
+    # While the levels are found, state 3 marks a listed unknown cell.
+    while level.size:
+        levels.append(level)
+        state[level] = 3
+        pushed = (level[truth[level] == 1][:, None] + push).ravel()
+        pushed = pushed[state[pushed] == 0]
+        _, first = np.unique(pushed, return_index=True)
+        level = pushed[np.sort(first)]
+    if not levels:
+        return 0
+    order = np.concatenate(levels)
+    position = np.empty(state.size, dtype=np.int32)
+    position[order] = np.arange(order.size, dtype=np.int32)
+    # Levels interleave the run's sections; the coder takes one section
+    # after another, each in its own order.
+    cells = order[np.argsort(order // slab, kind="stable")]
+    bits = truth[cells]
+    # From here a mark means coded, and the state is the reconstruction.
+    marked[known] = 0
+    marked[cells] = 1
+    state[cells] = 1 + bits
+    tables = get_norm_tables()
+    prev = np.frombuffer(buf.prev, dtype=np.uint8)
+    patch_offsets = st * _PATCH_DZ + _PATCH_DX
+    first_section = int(np.count_nonzero(cells < slab))
+    for a in range(0, cells.size, _BLOCK_CELLS):
+        block = cells[a : a + _BLOCK_CELLS]
+        around = block[:, None] + patch_offsets
+        # The patch as it stood when the cell was coded: a cell coded at or
+        # after it, the cell itself included, was still unknown.
+        current = state[around]
+        current[(marked[around] == 1) & (position[around] >= position[block][:, None])] = 0
+        patch = current @ _TERNARY_WEIGHTS
+        # The run's first section reads the carried reconstruction; the
+        # others read the section before them in the run.
+        split = max(0, min(first_section - a, block.size))
+        previous = np.empty(around.shape, dtype=np.uint8)
+        previous[:split] = prev[around[:split]]
+        previous[split:] = state[around[split:] - slab] == 2
+        binary = _ROTATED_BINARY[tables.alpha_star[patch], previous @ _BINARY_WEIGHTS]
+        labels, inverse = np.unique(tables.i_star[patch] * 512 + binary, return_inverse=True)
+        block_models = []
+        for label in labels.tolist():
+            model = models.get(label)
+            if model is None:
+                model = BinaryModel()
+                models[label] = model
+            block_models.append(model)
+        encoder.encode_many(
+            map(block_models.__getitem__, inverse.tolist()), bits[a : a + _BLOCK_CELLS].tolist()
+        )
+    marked[known] = 1
+    return int(cells.size)
 
 
-def _group_by_y(points: np.ndarray) -> dict[int, np.ndarray]:
-    order = np.argsort(points[:, 1], kind="stable")
-    sorted_pts = points[order]
-    ys, starts = np.unique(sorted_pts[:, 1], return_index=True)
-    bounds = np.append(starts, len(sorted_pts))
-    return {
-        int(y): sorted_pts[a:b]
-        for y, a, b in zip(ys.tolist(), bounds[:-1].tolist(), bounds[1:].tolist())
-    }
+def _reconstruction(buf: SectionBuffers, y0: int) -> tuple[np.ndarray, np.ndarray]:
+    """Occupied band cells of a coded run, and the same cells as (x, y, z) points."""
+    band = buf.band
+    occupied = band[np.frombuffer(buf.state, dtype=np.uint8)[band] == 2]
+    ks, cells = np.divmod(occupied, (buf.nz + 2) * buf.stride)
+    zs, xs = np.divmod(cells, buf.stride)
+    return occupied, np.column_stack((xs - 1, ks + y0, zs - 1))
 
 
-def _sweep(pair, dims, models, encoder=None, decoder=None, true_by_y=None):
+def sweep_encode(points: np.ndarray, pair: DepthmapPair, dims, models: dict,
+                 encoder: RangeEncoder) -> tuple[np.ndarray, int]:
+    """Encode all sections; returns (reconstructed points, decision count).
+
+    Consecutive occupied sections are set up and coded together, in runs of
+    about _RUN_CELLS cells.
+    """
     nx, ny, nz = dims
     st = nx + 2
-    size = (nz + 2) * st
+    slab = (nz + 2) * st
+    per_run = max(1, _RUN_CELLS // slab)
+    by_y = points[np.argsort(points[:, 1], kind="stable")]
+    y_starts = np.searchsorted(by_y[:, 1], np.arange(ny + 1)).tolist()
+    runs: list[list[int]] = []
+    for y in np.flatnonzero(pair.occ.any(axis=0)).tolist():
+        if runs and runs[-1][0] + runs[-1][1] == y and runs[-1][1] < per_run:
+            runs[-1][1] += 1
+        else:
+            runs.append([y, 1])
+    chunks = [np.empty((0, 3), dtype=np.int64)]
+    decisions = 0
+    prev = None
+    end = -1
+    for y0, count in runs:
+        if y0 != end:
+            prev = None
+        buf = build_section(pair, y0, nz, prev, count)
+        pts = by_y[y_starts[y0] : y_starts[y0 + count]]
+        truth = bytearray(count * slab)
+        np.frombuffer(truth, dtype=np.uint8)[
+            (pts[:, 1] - y0) * slab + (pts[:, 2] + 1) * st + pts[:, 0] + 1
+        ] = 1
+        decisions += code_section(buf, models, encoder=encoder, true_section=truth)
+        occupied, recon = _reconstruction(buf, y0)
+        chunks.append(recon)
+        prev = bytearray(slab)
+        np.frombuffer(prev, dtype=np.uint8)[occupied[occupied >= (count - 1) * slab] % slab] = 1
+        end = y0 + count
+    return np.concatenate(chunks), decisions
+
+
+def sweep_decode(pair: DepthmapPair, dims, models: dict,
+                 decoder: RangeDecoder) -> tuple[np.ndarray, int]:
+    """Decode all sections; mirrors sweep_encode decision for decision."""
+    nx, ny, nz = dims
+    size = (nz + 2) * (nx + 2)
     empty_prev = bytes(size)
     prev = empty_prev
-    chunks = []
+    chunks = [np.empty((0, 3), dtype=np.int64)]
     decisions = 0
     has_any = pair.occ.any(axis=0)
     for y0 in range(ny):
@@ -242,32 +373,12 @@ def _sweep(pair, dims, models, encoder=None, decoder=None, true_by_y=None):
             prev = empty_prev
             continue
         buf = build_section(pair, y0, nz, prev)
-        section = None
-        if encoder is not None:
-            section = _section_bytes(true_by_y[y0], nz, st)
-        decisions += code_section(
-            buf, models, encoder=encoder, decoder=decoder, true_section=section
-        )
-        band = buf.band
-        occupied = band[np.frombuffer(buf.state, dtype=np.uint8)[band] == 2]
-        zs, xs = np.divmod(occupied, st)
-        chunks.append(np.column_stack((xs - 1, np.full(xs.size, y0, dtype=np.int64), zs - 1)))
+        decisions += code_section(buf, models, decoder=decoder)
+        occupied, recon = _reconstruction(buf, y0)
+        chunks.append(recon)
         prev = bytearray(size)
         np.frombuffer(prev, dtype=np.uint8)[occupied] = 1
-    recon = np.concatenate(chunks) if chunks else np.empty((0, 3), dtype=np.int64)
-    return recon, decisions
-
-
-def sweep_encode(points: np.ndarray, pair: DepthmapPair, dims, models: dict,
-                 encoder: RangeEncoder) -> tuple[np.ndarray, int]:
-    """Encode all sections; returns (reconstructed points, decision count)."""
-    return _sweep(pair, dims, models, encoder=encoder, true_by_y=_group_by_y(points))
-
-
-def sweep_decode(pair: DepthmapPair, dims, models: dict,
-                 decoder: RangeDecoder) -> tuple[np.ndarray, int]:
-    """Decode all sections; mirrors sweep_encode decision for decision."""
-    return _sweep(pair, dims, models, decoder=decoder)
+    return np.concatenate(chunks), decisions
 
 
 def encode_shells(cloud, max_shells: int) -> tuple[list[tuple[CodedStream, CodedStream]], np.ndarray]:

@@ -7,7 +7,9 @@ from collections import deque
 
 import numpy as np
 
+from bvlcodec.contexts import BINARY_WEIGHTS_BY_TURN, get_norm_lists
 from bvlcodec.rangecoder import BinaryModel, RangeEncoder
+from bvlcodec.sections import build_section
 
 _POW2 = 2 ** np.arange(9, dtype=np.int64)
 _POW3 = 3 ** np.arange(9, dtype=np.int64)
@@ -186,6 +188,99 @@ def occupied_cells(buf) -> set[tuple[int, int]]:
 def unknown_count(buf) -> int:
     """Cells of a section buffer still unknown."""
     return buf.state.count(0)
+
+
+def reference_encode_section(buf, models: dict, encoder, true_section, coded_cells=None) -> int:
+    """Cell-by-cell section encoder: the list-driven loop, coding as it goes.
+
+    Pops the work list one cell at a time, builds each context from the
+    section state as it stands, and pushes the unknown neighbours of every
+    cell coded occupied; the section's (model, bit) pairs go to the coder
+    in one call. Returns the number of coded cells; afterwards buf.state
+    holds the reconstruction.
+    """
+    turn_by_patch, canonical_by_patch = get_norm_lists()
+    weights_by_turn = BINARY_WEIGHTS_BY_TURN
+    state = buf.state
+    marked = buf.marked
+    prev = buf.prev
+    queue = deque(buf.queue.tolist())
+    st = buf.stride
+    pop = queue.popleft
+    push = queue.append
+    coded_models = []
+    coded_bits = []
+    while queue:
+        idx = pop()
+        if state[idx]:
+            continue
+        nw = idx - st - 1
+        n = nw + 1
+        ne = n + 1
+        w = idx - 1
+        e = idx + 1
+        sw = idx + st - 1
+        s = sw + 1
+        se = s + 1
+        # Base-3 column-scan patch index; the center cell is unknown (0).
+        patch = (
+            state[nw] + 3 * state[w] + 9 * state[sw]
+            + 27 * state[n] + 243 * state[s]
+            + 729 * state[ne] + 2187 * state[e] + 6561 * state[se]
+        )
+        wt = weights_by_turn[turn_by_patch[patch]]
+        label = canonical_by_patch[patch] * 512 + (
+            prev[nw] * wt[0] + prev[w] * wt[1] + prev[sw] * wt[2]
+            + prev[n] * wt[3] + prev[idx] * wt[4] + prev[s] * wt[5]
+            + prev[ne] * wt[6] + prev[e] * wt[7] + prev[se] * wt[8]
+        )
+        model = models.get(label)
+        if model is None:
+            model = BinaryModel()
+            models[label] = model
+        bit = true_section[idx]
+        coded_models.append(model)
+        coded_bits.append(bit)
+        if coded_cells is not None:
+            coded_cells.append(idx)
+        state[idx] = 1 + bit
+        if bit:
+            for c in (nw, n, ne, w, e, sw, s, se):
+                if state[c] == 0 and marked[c] == 0:
+                    marked[c] = 1
+                    push(c)
+    encoder.encode_many(coded_models, coded_bits)
+    return len(coded_bits)
+
+
+def reference_sweep_encode(points, pair, dims, models: dict, encoder):
+    """Section-by-section sweep encoder over reference_encode_section.
+
+    Same arguments and result as sections.sweep_encode: (reconstructed
+    points, decision count).
+    """
+    nx, ny, nz = dims
+    st = nx + 2
+    size = (nz + 2) * st
+    prev = bytes(size)
+    chunks = [np.empty((0, 3), dtype=np.int64)]
+    decisions = 0
+    has_any = pair.occ.any(axis=0)
+    for y0 in range(ny):
+        if not has_any[y0]:
+            prev = bytes(size)
+            continue
+        buf = build_section(pair, y0, nz, prev)
+        section = bytearray(size)
+        here = points[points[:, 1] == y0]
+        np.frombuffer(section, dtype=np.uint8)[(here[:, 2] + 1) * st + here[:, 0] + 1] = 1
+        decisions += reference_encode_section(buf, models, encoder, section)
+        state = np.frombuffer(buf.state, dtype=np.uint8)
+        occupied = np.flatnonzero(state == 2)
+        zs, xs = np.divmod(occupied, st)
+        chunks.append(np.column_stack((xs - 1, np.full(xs.size, y0), zs - 1)))
+        prev = (state == 2).astype(np.uint8).tobytes()
+    return np.concatenate(chunks), decisions
 
 
 _MASK_TEMPLATE = (

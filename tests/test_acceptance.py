@@ -18,7 +18,13 @@ from bvlcodec.rangecoder import BinaryModel, RangeDecoder, RangeEncoder
 from bvlcodec.sections import build_section, code_section
 
 import shapes
-from oracles import binary_entropy, occupied_cells, rotation_orbit_count, section_flood_fill
+from oracles import (
+    binary_entropy,
+    occupied_cells,
+    reference_encode_section,
+    rotation_orbit_count,
+    section_flood_fill,
+)
 
 _SUITE = None
 
@@ -167,8 +173,7 @@ def test_criterion_5_section_oracle_equivalence():
             enc = RangeEncoder()
             enc_buf = build_section(pair, 0, nz, prev)
             cells: list = []
-            n_enc = code_section(enc_buf, {}, encoder=enc,
-                                 true_section=bytes(true_bytes), coded_cells=cells)
+            n_enc = reference_encode_section(enc_buf, {}, enc, bytes(true_bytes), coded_cells=cells)
             stream = enc.finish()
             dec_buf = build_section(pair, 0, nz, prev)
             n_dec = code_section(dec_buf, {}, decoder=RangeDecoder(stream))

@@ -129,6 +129,21 @@ def test_oversized_dims_are_reported(tmp_path, capsys):
     assert not (tmp_path / "far.ply.bvl").exists()
 
 
+@pytest.mark.parametrize("element, first_property", [
+    (b"element vertex 1", b"property"),
+    (b"element vertex -2", b"property int x"),
+])
+def test_malformed_ply_header_is_reported(tmp_path, capsys, element, first_property):
+    src = tmp_path / "bad.ply"
+    src.write_bytes(
+        b"ply\nformat ascii 1.0\n" + element + b"\n" + first_property + b"\n"
+        b"property int y\nproperty int z\nend_header\n0 0 0\n"
+    )
+    assert main(["encode", str(src), "--permutation", "0"]) == 2
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "bad.ply.bvl").exists()
+
+
 def test_corrupt_container_is_reported(tmp_path, capsys):
     bad = tmp_path / "bad.bvl"
     bad.write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNK")

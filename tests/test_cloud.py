@@ -52,6 +52,13 @@ def test_parse_malformed_header():
         parse_ply(b"not a ply at all")
     with pytest.raises(PlyError):
         parse_ply(b"ply\nformat ascii 1.0\nelement vertex 1\n")  # no end_header
+    with pytest.raises(PlyError):
+        parse_ply(b"ply\nformat ascii 1.0\nelement vertex 1\nproperty\nend_header\n0 0 0\n")
+    with pytest.raises(PlyError):
+        parse_ply(
+            b"ply\nformat ascii 1.0\nelement vertex -2\n"
+            b"property int x\nproperty int y\nproperty int z\nend_header\n"
+        )
 
 
 def test_parse_truncated_bodies():

@@ -2,7 +2,9 @@
 
 import numpy as np
 
-from bvlcodec.depthmap import DepthmapPair, project
+from bvlcodec import sections
+from bvlcodec.cloud import PERMUTATION_COUNT, AxisPermutation, VoxelCloud
+from bvlcodec.depthmap import DepthmapPair, project, project_array
 from bvlcodec.rangecoder import RangeDecoder, RangeEncoder
 from bvlcodec.sections import (
     build_section,
@@ -16,7 +18,14 @@ from bvlcodec.sections import (
 )
 
 import shapes
-from oracles import occupied_cells, reference_build_section, section_flood_fill, unknown_count
+from oracles import (
+    occupied_cells,
+    reference_build_section,
+    reference_encode_section,
+    reference_sweep_encode,
+    section_flood_fill,
+    unknown_count,
+)
 
 
 def _single_section_pair(nz, nx, columns) -> DepthmapPair:
@@ -122,9 +131,8 @@ def _run_both_sides(pair, nz, true_cells, prev=None):
     enc_buf = build_section(pair, 0, nz, prev)
     enc_cells: list = []
     enc_models: dict = {}
-    coded_enc = code_section(
-        enc_buf, enc_models, encoder=enc,
-        true_section=_true_bytes(true_cells, nz, nx), coded_cells=enc_cells,
+    coded_enc = reference_encode_section(
+        enc_buf, enc_models, enc, _true_bytes(true_cells, nz, nx), coded_cells=enc_cells,
     )
     stream = enc.finish()
     dec_buf = build_section(pair, 0, nz, prev)
@@ -248,6 +256,90 @@ def test_sweep_hollow_sphere_exact_in_one_shell():
     cloud = shapes.hollow_sphere(64, 20)
     recon, _, _ = _sweep_round_trip(cloud)
     assert recon == set(cloud.points)
+
+
+def _model_counts(models):
+    return {label: (m.c0, m.c1) for label, m in models.items()}
+
+
+def _assert_sweep_matches_reference(cloud, shells=2):
+    """sweep_encode against the cell-by-cell reference, shell after shell.
+
+    Each side keeps one models dict across the shells, as encode_shells
+    does; each shell must give the same section bytes, decision count,
+    reconstruction and model counts.
+    """
+    dims = cloud.dims
+    models: dict = {}
+    ref_models: dict = {}
+    remaining = cloud.to_array()
+    decisions = 0
+    for _ in range(shells):
+        if not len(remaining):
+            break
+        pair = project_array(remaining, dims)
+        enc, ref_enc = RangeEncoder(), RangeEncoder()
+        recon, n = sweep_encode(remaining, pair, dims, models, enc)
+        ref_recon, ref_n = reference_sweep_encode(remaining, pair, dims, ref_models, ref_enc)
+        assert enc.finish() == ref_enc.finish()
+        assert n == ref_n
+        assert _point_set(recon) == _point_set(ref_recon)
+        assert len(models) == len(ref_models)
+        assert _model_counts(models) == _model_counts(ref_models)
+        decisions += n
+        keys = np.ravel_multi_index(remaining.T, dims)
+        remaining = remaining[~np.isin(keys, np.ravel_multi_index(recon.T, dims))]
+    return decisions
+
+
+def test_sweep_encode_matches_reference_on_fuzz_suite_in_every_permutation():
+    for _, cloud in shapes.fuzz_suite():
+        for pid in range(PERMUTATION_COUNT):
+            _assert_sweep_matches_reference(AxisPermutation(pid).apply(cloud))
+
+
+def _layered_cloud(rng, nx, ny, nz, empty_ys):
+    """Random thick layers per section, some sections left empty."""
+    points = []
+    for y in range(ny):
+        if y in empty_ys:
+            continue
+        for x in range(nx):
+            lo, hi = sorted(rng.integers(0, nz, size=2).tolist())
+            zs = [z for z in range(lo, hi + 1) if z in (lo, hi) or rng.random() < 0.7]
+            points += [(x, y, z) for z in zs]
+    return VoxelCloud((nx, ny, nz), points)
+
+
+def test_sweep_encode_matches_reference_across_runs(monkeypatch):
+    # Slabs of 10 x 10 cells and runs of 3 sections: sections 0-2, then
+    # section 3 empty at the run's edge, then 4-6, 7-9 and 10-11, whose
+    # carried reconstructions cross run edges; blocks of 7 coded cells split
+    # runs inside and across sections.
+    monkeypatch.setattr(sections, "_RUN_CELLS", 300)
+    monkeypatch.setattr(sections, "_BLOCK_CELLS", 7)
+    rng = np.random.default_rng(77)
+    for _ in range(4):
+        cloud = _layered_cloud(rng, 8, 12, 8, {3})
+        assert _assert_sweep_matches_reference(cloud) > 3 * 7
+
+
+def test_sweep_encode_matches_reference_with_sections_over_the_run_budget(monkeypatch):
+    monkeypatch.setattr(sections, "_RUN_CELLS", 50)
+    rng = np.random.default_rng(78)
+    cloud = _layered_cloud(rng, 8, 6, 8, {2})
+    assert _assert_sweep_matches_reference(cloud) > 0
+
+
+def test_sweep_encode_matches_reference_over_many_blocks():
+    cloud = shapes.solid_sphere(48, 20)
+    assert _assert_sweep_matches_reference(cloud) > 2 * sections._BLOCK_CELLS
+
+
+def test_sweep_encode_matches_reference_with_no_decisions():
+    rng = np.random.default_rng(5)
+    cloud = shapes.thin_pair_cloud(12, 12, 24, rng)
+    assert _assert_sweep_matches_reference(cloud) == 0
 
 
 def test_shells_connected_object_single_shell():
