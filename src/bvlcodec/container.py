@@ -5,6 +5,11 @@ u8 shell count, u32 dims x3, then one u32 byte length per payload
 (2 per shell plus the raw residual), then the payloads back to back. The
 header carries the dims seen by the coder (after axis permutation); decode
 applies the inverse permutation at the end.
+
+The coder's buffers are planes spanned by two dims with a small border, so
+every pair of dims must satisfy (a + 2) * (b + 2) <= MAX_PLANE_CELLS. Both
+sides check this before allocating anything: the encoder never writes a
+container the decoder refuses, and a header with outsized dims fails closed.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .sections import decode_residual, decode_shells, encode_residual, encode_sh
 MAGIC = b"BVL1"
 FORMAT_VERSION = 1
 _FIXED = struct.Struct("<4sHBB3I")
+MAX_PLANE_CELLS = 1 << 26
 
 CSV_COLUMNS = (
     "file", "points", "permutation", "shells", "stage1_bits", "stage2_bits",
@@ -80,6 +86,12 @@ class RateReport:
         return "\n".join(lines)
 
 
+def _check_dims(dims) -> None:
+    a, b, c = dims
+    if max((a + 2) * (b + 2), (a + 2) * (c + 2), (b + 2) * (c + 2)) > MAX_PLANE_CELLS:
+        raise ContainerError(f"dims {tuple(dims)} exceed {MAX_PLANE_CELLS} cells per plane")
+
+
 def _assemble(permutation_id: int, dims, shells, residual_stream) -> bytes:
     payloads = [s for pair in shells for s in pair] + [residual_stream]
     header = _FIXED.pack(MAGIC, FORMAT_VERSION, permutation_id, len(shells), *dims)
@@ -99,8 +111,8 @@ def encode_cloud(cloud: VoxelCloud, permutation: int | str = "auto",
     if not count:
         raise EmptyCloudError("refusing to encode an empty cloud")
     cloud.validate()
-    if max(cloud.dims) >= 1 << 32:
-        raise ContainerError("dims do not fit the 32-bit header fields")
+    # Also keeps every dim within its 32-bit header field.
+    _check_dims(cloud.dims)
     if max_shells < 1:
         raise ValueError("max_shells must be >= 1")
     if permutation == "auto":
@@ -155,6 +167,7 @@ def decode_cloud(data: bytes) -> VoxelCloud:
         raise ContainerError(f"invalid permutation id {pid}")
     if min(nx, ny, nz) < 1:
         raise ContainerError("invalid dims")
+    _check_dims((nx, ny, nz))
     payload_count = 2 * shell_count + 1
     offset = _FIXED.size
     table_end = offset + 4 * payload_count

@@ -16,9 +16,12 @@ Coding scheme (self-contained, fully adaptive):
 Residuals are zigzag-mapped and binarized as order-0 exp-Golomb, one adaptive
 context per bin position (32 contexts per surface).
 
+The stream's contexts are int slots of one count table: the mask contexts
+first, then the low-surface bins, then the thickness bins.
+
 The encoder knows every pixel up front, so it works in blocks of whole rows:
 numpy builds a block's mask contexts, predictors and exp-Golomb bins, and
-the range coder codes the block's (model, bit) sequence in one call. The
+the range coder codes the block's contexts and bits in one call. The
 decoder works by rows: numpy builds the template terms from the two rows
 above once per row, and the two same-row terms ride in a shift register,
 pixel by pixel.
@@ -30,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BitstreamError, EmptyCloudError
-from .rangecoder import BinaryModel, CodedStream, RangeDecoder, RangeEncoder
+from .errors import BitstreamError
+from .rangecoder import CodedStream, RangeDecoder, RangeEncoder
 
 # Causal template around pixel (x, y); rows are x (scan order), columns y.
 # The last two terms lie on the current row: the decoder carries them in a
@@ -44,6 +47,7 @@ _TEMPLATE = (
 _ROW_TERMS = 8  # template terms on the two rows above the pixel
 MASK_CONTEXTS = 1 << len(_TEMPLATE)
 RESIDUAL_CONTEXTS = 32
+_CONTEXTS = MASK_CONTEXTS + 2 * RESIDUAL_CONTEXTS
 _MAX_PREFIX = 48
 # The encoder works on blocks of whole rows of about this many pixels, so
 # its temporaries follow the block, not the map.
@@ -59,15 +63,8 @@ class DepthmapPair:
     zmax: np.ndarray
 
 
-def project(cloud) -> DepthmapPair:
-    """Exact per-pixel z extrema of the cloud; raises on an empty cloud."""
-    points = cloud.to_array()
-    if not len(points):
-        raise EmptyCloudError("cannot project an empty cloud")
-    return project_array(points, cloud.dims)
-
-
 def project_array(points: np.ndarray, dims) -> DepthmapPair:
+    """Exact per-pixel z extrema of (N, 3) points."""
     nx, ny, nz = dims
     occ = np.zeros((nx, ny), dtype=np.uint8)
     zmin = np.full((nx, ny), nz, dtype=np.int32)
@@ -130,13 +127,13 @@ def _residuals(pair: DepthmapPair, a: int, b: int, prev_low: int, prev_thick: in
     return residuals, int(v[-1]), int(t[-1])
 
 
-def _exp_golomb_bins(values: np.ndarray, model_base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Zigzag order-0 exp-Golomb bins of each value: (model index, bit) arrays.
+def _exp_golomb_bins(values: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zigzag order-0 exp-Golomb bins of each value: (context, bit) arrays.
 
     A value whose zigzag code plus one has n + 1 bits gives n prefix zeros, a
-    one, then its n low bits from the top. Prefix bin k uses model min(k, 15)
-    and suffix bit i model 16 + min(i, 15), both offset by the value's entry
-    in model_base.
+    one, then its n low bits from the top. Prefix bin k uses context
+    min(k, 15) and suffix bit i context 16 + min(i, 15), both offset by the
+    value's entry in base.
     """
     w = np.where(values >= 0, 2 * values, -2 * values - 1) + 1
     n = np.frexp(w)[1] - 1  # exact while w < 2^53
@@ -148,23 +145,23 @@ def _exp_golomb_bins(values: np.ndarray, model_base: np.ndarray) -> tuple[np.nda
     # suffix bits.
     shift = 2 * n - position
     bits = (np.repeat(w, lengths) >> np.minimum(shift, 63)) & 1
-    models = (
-        np.repeat(model_base, lengths)
+    contexts = (
+        np.repeat(base, lengths)
         + 16 * (position > n)
         + np.minimum(np.minimum(position, shift), 15)
     )
-    return models, bits
+    return contexts, bits
 
 
-def _decode_signed(dec: RangeDecoder, models: list[BinaryModel]) -> int:
+def _decode_signed(dec: RangeDecoder, base: int) -> int:
     n = 0
-    while dec.decode(models[n if n < 16 else 15]) == 0:
+    while dec.decode(base + (n if n < 16 else 15)) == 0:
         n += 1
         if n > _MAX_PREFIX:
             raise BitstreamError("runaway residual prefix")
     value = 1
     for i in range(n - 1, -1, -1):
-        value = (value << 1) | dec.decode(models[16 + (i if i < 16 else 15)])
+        value = (value << 1) | dec.decode(base + 16 + (i if i < 16 else 15))
     u = value - 1
     return (u >> 1) if (u & 1) == 0 else -((u + 1) >> 1)
 
@@ -199,30 +196,25 @@ def encode_depthmaps(pair: DepthmapPair, nz: int) -> CodedStream:
     occ = pair.occ
     nx, ny = occ.shape
     step = max(1, _BLOCK_PIXELS // ny)
-    enc = RangeEncoder()
-    mask_models = [BinaryModel() for _ in range(MASK_CONTEXTS)]
+    enc = RangeEncoder([1] * _CONTEXTS, [1] * _CONTEXTS)
     padded = np.zeros((nx + 2, ny + 4), dtype=np.uint8)
     padded[2:, 2 : ny + 2] = occ
     for a in range(0, nx, step):
         ctx = _template_field(padded[a : a + step + 2], len(_TEMPLATE))
-        enc.encode_many(
-            map(mask_models.__getitem__, ctx.ravel().tolist()), occ[a : a + step].ravel().tolist()
-        )
-    # Low-surface models, then thickness models.
-    surface_models = [BinaryModel() for _ in range(2 * RESIDUAL_CONTEXTS)]
+        enc.encode_many(ctx.ravel().tolist(), occ[a : a + step].ravel().tolist())
     prev_low = nz // 2
     prev_thick = 0
     for a in range(0, nx, step):
         residuals, prev_low, prev_thick = _residuals(pair, a, a + step, prev_low, prev_thick)
-        base = RESIDUAL_CONTEXTS * (np.arange(residuals.size) & 1)
-        models, bits = _exp_golomb_bins(residuals, base)
-        enc.encode_many(map(surface_models.__getitem__, models.tolist()), bits.tolist())
+        # Low residuals and thickness residuals alternate.
+        base = MASK_CONTEXTS + RESIDUAL_CONTEXTS * (np.arange(residuals.size) & 1)
+        contexts, bits = _exp_golomb_bins(residuals, base)
+        enc.encode_many(contexts.tolist(), bits.tolist())
     return enc.finish()
 
 
 def decode_depthmaps(data: bytes, nx: int, ny: int, nz: int) -> DepthmapPair:
-    dec = RangeDecoder(data)
-    mask_models = [BinaryModel() for _ in range(MASK_CONTEXTS)]
+    dec = RangeDecoder(data, [1] * _CONTEXTS, [1] * _CONTEXTS)
     stride = ny + 4
     grid = bytearray((nx + 2) * stride)
     rows = np.frombuffer(grid, dtype=np.uint8).reshape(nx + 2, stride)
@@ -232,7 +224,7 @@ def decode_depthmaps(data: bytes, nx: int, ny: int, nz: int) -> DepthmapPair:
         # The same-row terms (0, -2) and (0, -1) are context bits 8 and 9.
         run = 0
         for y, upper in enumerate(_template_field(rows[x : x + 3], _ROW_TERMS).ravel().tolist()):
-            if decode(mask_models[upper | run]):
+            if decode(upper | run):
                 grid[base + y] = 1
                 run = ((run >> 1) & 256) | 512
             else:
@@ -240,16 +232,15 @@ def decode_depthmaps(data: bytes, nx: int, ny: int, nz: int) -> DepthmapPair:
     occ = rows[2:, 2 : ny + 2].copy()
     low = np.zeros((nx, ny), dtype=np.int32)
     high = np.zeros((nx, ny), dtype=np.int32)
-    low_models = [BinaryModel() for _ in range(RESIDUAL_CONTEXTS)]
-    thick_models = [BinaryModel() for _ in range(RESIDUAL_CONTEXTS)]
     xs, ys = np.nonzero(occ)
+    thick_base = MASK_CONTEXTS + RESIDUAL_CONTEXTS
     prev_low = None
     prev_thick = 0
     for x, y in zip(xs.tolist(), ys.tolist()):
-        v = _predict_low(occ, low, x, y, prev_low, nz) + _decode_signed(dec, low_models)
+        v = _predict_low(occ, low, x, y, prev_low, nz) + _decode_signed(dec, MASK_CONTEXTS)
         if not 0 <= v < nz:
             raise BitstreamError("decoded low surface out of range")
-        t = _predict_thickness(occ, low, high, x, y, prev_thick) + _decode_signed(dec, thick_models)
+        t = _predict_thickness(occ, low, high, x, y, prev_thick) + _decode_signed(dec, thick_base)
         if t < 0 or v + t >= nz:
             raise BitstreamError("decoded thickness out of range")
         low[x, y] = v

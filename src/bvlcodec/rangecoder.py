@@ -1,20 +1,21 @@
 """Adaptive binary arithmetic coding and bit-level stream I/O.
 
 Integer range coder with 32-bit interval registers and pending-bit carry
-resolution (Witten/Neal/Cleary style renormalization). Every binary decision
-is coded against a BinaryModel holding Laplace-smoothed occurrence counts, so
-p(0) = c0 / (c0 + c1) adapts as symbols are observed. Encoder and decoder
-apply the identical model update after each symbol, which keeps both model
-states bit-for-bit in sync.
+resolution (Witten/Neal/Cleary style renormalization). A coder owns two
+count tables, c0 and c1: plain lists of ints, one entry per context, each
+Laplace-initialized to 1. A binary decision is coded under an int context,
+so p(0) = c0[context] / (c0[context] + c1[context]) adapts as symbols are
+observed. Encoder and decoder apply the identical count update after each
+symbol, which keeps both tables bit-for-bit in sync.
 
 Termination: finish() emits a single disambiguating bit (plus any pending
 carry bits) and zero-pads the last byte. The decoder treats reads past the
 payload as zeros, which is exactly what the padding would have been, so every
 encoded symbol resolves without storing the symbol count in the stream.
 
-The encoder codes sequences: encode_many takes a whole run of (model, bit)
-pairs and keeps the coder state in locals across it. The decoder codes one
-decision at a time, because the caller needs each bit to choose the next
+The encoder codes sequences: encode_many takes a whole run of contexts and
+their bits and keeps the coder state in locals across it. The decoder codes
+one decision at a time, because the caller needs each bit to choose the next
 context.
 
 Bits are buffered unpacked, one byte per bit: the encoder appends to a
@@ -41,21 +42,6 @@ _THREE_QUARTER = _HALF + _QUARTER
 # the estimator responsive on nonstationary data. Must stay far below the
 # minimum interval width (2^30) so every symbol keeps a nonempty subinterval.
 RESCALE_LIMIT = 1 << 16
-
-
-class BinaryModel:
-    """Adaptive counts for one binary context, Laplace-initialized to (1, 1)."""
-
-    __slots__ = ("c0", "c1")
-
-    def __init__(self, c0: int = 1, c1: int = 1) -> None:
-        if c0 < 1 or c1 < 1:
-            raise ValueError("model counts must be at least 1")
-        self.c0 = c0
-        self.c1 = c1
-
-    def __repr__(self) -> str:
-        return f"BinaryModel(c0={self.c0}, c1={self.c1})"
 
 
 @dataclass(frozen=True)
@@ -117,19 +103,26 @@ class BitReader:
 
 
 class RangeEncoder:
-    """One-shot arithmetic encoder; call finish() exactly once at the end."""
+    """One-shot arithmetic encoder over the count tables c0 and c1.
 
-    __slots__ = ("_low", "_high", "_pending", "_writer", "_bits")
+    The tables are updated in place, so a caller may grow them (one count of
+    1 in each per new context) between calls. Call finish() exactly once at
+    the end.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("c0", "c1", "_low", "_high", "_pending", "_writer", "_bits")
+
+    def __init__(self, c0: list[int], c1: list[int]) -> None:
+        self.c0 = c0
+        self.c1 = c1
         self._low = 0
         self._high = _FULL - 1
         self._pending = 0
         self._writer = BitWriter()
         self._bits = self._writer.bits
 
-    def encode_many(self, models: Iterable[BinaryModel], bits: Iterable[int]) -> None:
-        """Code each bit against its model, in order; the models adapt as they go.
+    def encode_many(self, contexts: Iterable[int], bits: Iterable[int]) -> None:
+        """Code each bit under its context, in order; the counts adapt as they go.
 
         The two iterables must have the same length (ValueError otherwise). The
         coder state stays in locals for the whole sequence, so a long
@@ -140,10 +133,12 @@ class RangeEncoder:
         pending = self._pending
         out = self._bits
         append = out.append
+        c0s = self.c0
+        c1s = self.c1
         try:
-            for model, bit in zip(models, bits, strict=True):
-                c0 = model.c0
-                c1 = model.c1
+            for ctx, bit in zip(contexts, bits, strict=True):
+                c0 = c0s[ctx]
+                c1 = c1s[ctx]
                 total = c0 + c1
                 split = low + c0 * (high - low + 1) // total
                 if bit:
@@ -176,8 +171,8 @@ class RangeEncoder:
                 if total >= RESCALE_LIMIT:
                     c0 = (c0 + 1) >> 1
                     c1 = (c1 + 1) >> 1
-                model.c0 = c0
-                model.c1 = c1
+                c0s[ctx] = c0
+                c1s[ctx] = c1
         finally:
             # On a length mismatch the pairs before it stay coded.
             self._low = low
@@ -196,11 +191,13 @@ class RangeEncoder:
 
 
 class RangeDecoder:
-    """Mirror of RangeEncoder; model updates replay the encoder's exactly."""
+    """Mirror of RangeEncoder; count updates replay the encoder's exactly."""
 
-    __slots__ = ("_bits", "_pos", "_low", "_high", "_code")
+    __slots__ = ("c0", "c1", "_bits", "_pos", "_low", "_high", "_code")
 
-    def __init__(self, data: bytes | CodedStream) -> None:
+    def __init__(self, data: bytes | CodedStream, c0: list[int], c1: list[int]) -> None:
+        self.c0 = c0
+        self.c1 = c1
         if isinstance(data, CodedStream):
             data = data.data
         self._bits = BitReader(data).bits
@@ -212,9 +209,11 @@ class RangeDecoder:
             code = (code << 1) | bit
         self._code = code
 
-    def decode(self, model: BinaryModel) -> int:
-        c0 = model.c0
-        c1 = model.c1
+    def decode(self, ctx: int) -> int:
+        c0s = self.c0
+        c1s = self.c1
+        c0 = c0s[ctx]
+        c1 = c1s[ctx]
         total = c0 + c1
         low = self._low
         high = self._high
@@ -259,6 +258,6 @@ class RangeDecoder:
         if total + 1 > RESCALE_LIMIT:
             c0 = (c0 + 1) >> 1
             c1 = (c1 + 1) >> 1
-        model.c0 = c0
-        model.c1 = c1
+        c0s[ctx] = c0
+        c1s[ctx] = c1
         return bit

@@ -19,6 +19,11 @@ exactly the cells the encoder coded: the points 8-connected, section by
 section, to the surface seeds. Points no shell reaches are written raw,
 fixed width.
 
+A context label (canonical ternary patch * 512 + rotated binary patch) is
+mapped to an int slot of the coder's count tables by a dict shared across
+shells; a label's first touch gives it the next slot and appends a count of
+1 to each table.
+
 The decoder runs the loop above cell by cell: it needs each bit before it
 can go on. The encoder knows every section's true occupancy up front, so it
 derives the loop's order by breadth-first levels instead. Level 0 is the
@@ -50,17 +55,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contexts import BINARY_WEIGHTS_BY_TURN, get_norm_lists, get_norm_tables
+from .contexts import get_norm_lists, get_norm_tables
 from .depthmap import DepthmapPair, decode_depthmaps, encode_depthmaps, project_array
 from .errors import BitstreamError
-from .rangecoder import (
-    BinaryModel,
-    BitReader,
-    BitWriter,
-    CodedStream,
-    RangeDecoder,
-    RangeEncoder,
-)
+from .rangecoder import BitReader, BitWriter, CodedStream, RangeDecoder, RangeEncoder
 
 _STEPS = np.array([-1, 0, 1], dtype=np.int64)
 # The encoder sets up and codes consecutive sections in runs of about this
@@ -77,9 +75,6 @@ _PATCH_DZ = np.tile(_STEPS, 3)
 _PATCH_DX = np.repeat(_STEPS, 3)
 _TERNARY_WEIGHTS = 3 ** np.arange(9, dtype=np.int64)
 _BINARY_WEIGHTS = 1 << np.arange(9, dtype=np.int64)
-# [turns, b]: binary patch index b after the quarter turns that normalize
-# the ternary patch.
-_ROTATED_BINARY = np.array(BINARY_WEIGHTS_BY_TURN) @ ((np.arange(512) >> np.arange(9)[:, None]) & 1)
 
 
 @dataclass
@@ -158,10 +153,11 @@ def code_section(
 ) -> int:
     """Code the unknown cells the work list reaches; returns the number of coded bits.
 
-    Pass exactly one of encoder/decoder. The decoder runs the list-driven
-    loop over a single section. The encoder codes a whole run by levels and
-    needs its true occupancy in the same padded layout as buf.state.
-    Afterwards buf.state holds the reconstruction.
+    models maps each context label seen so far to its slot in the coder's
+    count tables. Pass exactly one of encoder/decoder. The decoder runs the
+    list-driven loop over a single section. The encoder codes a whole run by
+    levels and needs its true occupancy in the same padded layout as
+    buf.state. Afterwards buf.state holds the reconstruction.
     """
     if (encoder is None) == (decoder is None):
         raise ValueError("pass exactly one of encoder or decoder")
@@ -169,8 +165,7 @@ def code_section(
         if true_section is None:
             raise ValueError("encoding requires the true section")
         return _encode_run(buf, models, encoder, true_section)
-    turn_by_patch, canonical_by_patch = get_norm_lists()
-    weights_by_turn = BINARY_WEIGHTS_BY_TURN
+    turn_by_patch, canonical_by_patch, rotated = get_norm_lists()
     state = buf.state
     marked = buf.marked
     prev = buf.prev
@@ -178,7 +173,9 @@ def code_section(
     st = buf.stride
     pop = queue.popleft
     push = queue.append
-    get_model = models.get
+    get_slot = models.get
+    c0 = decoder.c0
+    c1 = decoder.c1
     decode = decoder.decode
     coded = 0
     while queue:
@@ -199,17 +196,17 @@ def code_section(
             + 27 * state[n] + 243 * state[s]
             + 729 * state[ne] + 2187 * state[e] + 6561 * state[se]
         )
-        wt = weights_by_turn[turn_by_patch[patch]]
-        label = canonical_by_patch[patch] * 512 + (
-            prev[nw] * wt[0] + prev[w] * wt[1] + prev[sw] * wt[2]
-            + prev[n] * wt[3] + prev[idx] * wt[4] + prev[s] * wt[5]
-            + prev[ne] * wt[6] + prev[e] * wt[7] + prev[se] * wt[8]
-        )
-        model = get_model(label)
-        if model is None:
-            model = BinaryModel()
-            models[label] = model
-        bit = decode(model)
+        label = canonical_by_patch[patch] * 512 + rotated[turn_by_patch[patch]][
+            prev[nw] + 2 * prev[w] + 4 * prev[sw]
+            + 8 * prev[n] + 16 * prev[idx] + 32 * prev[s]
+            + 64 * prev[ne] + 128 * prev[e] + 256 * prev[se]
+        ]
+        slot = get_slot(label)
+        if slot is None:
+            slot = models[label] = len(c0)
+            c0.append(1)
+            c1.append(1)
+        bit = decode(slot)
         coded += 1
         state[idx] = 1 + bit
         if bit:
@@ -275,6 +272,8 @@ def _encode_run(buf: SectionBuffers, models: dict, encoder: RangeEncoder, true_s
     marked[cells] = 1
     state[cells] = 1 + bits
     tables = get_norm_tables()
+    c0 = encoder.c0
+    c1 = encoder.c1
     prev = np.frombuffer(buf.prev, dtype=np.uint8)
     patch_offsets = st * _PATCH_DZ + _PATCH_DX
     first_section = int(np.count_nonzero(cells < slab))
@@ -292,18 +291,17 @@ def _encode_run(buf: SectionBuffers, models: dict, encoder: RangeEncoder, true_s
         previous = np.empty(around.shape, dtype=np.uint8)
         previous[:split] = prev[around[:split]]
         previous[split:] = state[around[split:] - slab] == 2
-        binary = _ROTATED_BINARY[tables.alpha_star[patch], previous @ _BINARY_WEIGHTS]
+        binary = tables.rotated_binary[tables.alpha_star[patch], previous @ _BINARY_WEIGHTS]
         labels, inverse = np.unique(tables.i_star[patch] * 512 + binary, return_inverse=True)
-        block_models = []
+        slots = []
         for label in labels.tolist():
-            model = models.get(label)
-            if model is None:
-                model = BinaryModel()
-                models[label] = model
-            block_models.append(model)
-        encoder.encode_many(
-            map(block_models.__getitem__, inverse.tolist()), bits[a : a + _BLOCK_CELLS].tolist()
-        )
+            slot = models.get(label)
+            if slot is None:
+                slot = models[label] = len(c0)
+                c0.append(1)
+                c1.append(1)
+            slots.append(slot)
+        encoder.encode_many(np.array(slots)[inverse].tolist(), bits[a : a + _BLOCK_CELLS].tolist())
     marked[known] = 1
     return int(cells.size)
 
@@ -386,18 +384,19 @@ def encode_shells(cloud, max_shells: int) -> tuple[list[tuple[CodedStream, Coded
 
     Each pass reconstructs the points reachable from its own depth surfaces;
     the next pass runs on whatever is left. Returns the per-shell payload
-    pairs and the sorted points no shell reached. Section context models
-    persist across shells.
+    pairs and the sorted points no shell reached. Section context labels and
+    their counts persist across shells.
     """
     dims = cloud.dims
     nz = dims[2]
     models: dict = {}
+    c0, c1 = [], []
     remaining = cloud.to_array()
     shells: list[tuple[CodedStream, CodedStream]] = []
     while len(remaining) and len(shells) < max_shells:
         pair = project_array(remaining, dims)
         surface_stream = encode_depthmaps(pair, nz)
-        encoder = RangeEncoder()
+        encoder = RangeEncoder(c0, c1)
         recon, _ = sweep_encode(remaining, pair, dims, models, encoder)
         shells.append((surface_stream, encoder.finish()))
         keys = np.ravel_multi_index(remaining.T, dims)
@@ -409,10 +408,11 @@ def decode_shells(shell_blobs: list[tuple[bytes, bytes]], dims) -> np.ndarray:
     """Decode every shell's payload pair; returns their points, shell after shell."""
     nx, ny, nz = dims
     models: dict = {}
+    c0, c1 = [], []
     chunks = [np.empty((0, 3), dtype=np.int64)]
     for surface_blob, section_blob in shell_blobs:
         pair = decode_depthmaps(surface_blob, nx, ny, nz)
-        recon, _ = sweep_decode(pair, dims, models, RangeDecoder(section_blob))
+        recon, _ = sweep_decode(pair, dims, models, RangeDecoder(section_blob, c0, c1))
         chunks.append(recon)
     return np.concatenate(chunks)
 

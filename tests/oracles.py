@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from functools import lru_cache
 
 import numpy as np
 
-from bvlcodec.contexts import BINARY_WEIGHTS_BY_TURN, get_norm_lists
-from bvlcodec.rangecoder import BinaryModel, RangeEncoder
+from bvlcodec.contexts import get_norm_lists
+from bvlcodec.rangecoder import RangeEncoder
 from bvlcodec.sections import build_section
 
 _POW2 = 2 ** np.arange(9, dtype=np.int64)
@@ -140,6 +141,19 @@ def rot90(patch, turns: int) -> np.ndarray:
     return np.rot90(np.asarray(patch), turns % 4)
 
 
+@lru_cache(maxsize=1)
+def rotated_binary_lists() -> list[list[int]]:
+    """[turns][b]: binary_index of binary patch b rotated by `turns`, patch by patch."""
+    out = []
+    for turns in range(4):
+        row = []
+        for b in range(512):
+            patch = np.array([(b >> d) & 1 for d in range(9)]).reshape(3, 3, order="F")
+            row.append(binary_index(rot90(patch, turns)))
+        out.append(row)
+    return out
+
+
 def normalized_context(current_patch, previous_patch, tables) -> tuple[int, int]:
     """Context label: canonical ternary index plus co-rotated binary index."""
     ia = ternary_index(current_patch)
@@ -195,12 +209,13 @@ def reference_encode_section(buf, models: dict, encoder, true_section, coded_cel
 
     Pops the work list one cell at a time, builds each context from the
     section state as it stands, and pushes the unknown neighbours of every
-    cell coded occupied; the section's (model, bit) pairs go to the coder
-    in one call. Returns the number of coded cells; afterwards buf.state
-    holds the reconstruction.
+    cell coded occupied; the section's contexts and bits go to the coder in
+    one call. models maps each label to its slot in the encoder's count
+    tables; a new label gets the next slot. Returns the number of coded
+    cells; afterwards buf.state holds the reconstruction.
     """
-    turn_by_patch, canonical_by_patch = get_norm_lists()
-    weights_by_turn = BINARY_WEIGHTS_BY_TURN
+    turn_by_patch, canonical_by_patch, _ = get_norm_lists()
+    rotated = rotated_binary_lists()
     state = buf.state
     marked = buf.marked
     prev = buf.prev
@@ -208,7 +223,7 @@ def reference_encode_section(buf, models: dict, encoder, true_section, coded_cel
     st = buf.stride
     pop = queue.popleft
     push = queue.append
-    coded_models = []
+    coded_slots = []
     coded_bits = []
     while queue:
         idx = pop()
@@ -228,18 +243,17 @@ def reference_encode_section(buf, models: dict, encoder, true_section, coded_cel
             + 27 * state[n] + 243 * state[s]
             + 729 * state[ne] + 2187 * state[e] + 6561 * state[se]
         )
-        wt = weights_by_turn[turn_by_patch[patch]]
-        label = canonical_by_patch[patch] * 512 + (
-            prev[nw] * wt[0] + prev[w] * wt[1] + prev[sw] * wt[2]
-            + prev[n] * wt[3] + prev[idx] * wt[4] + prev[s] * wt[5]
-            + prev[ne] * wt[6] + prev[e] * wt[7] + prev[se] * wt[8]
+        b = (
+            prev[nw] + 2 * prev[w] + 4 * prev[sw] + 8 * prev[n] + 16 * prev[idx]
+            + 32 * prev[s] + 64 * prev[ne] + 128 * prev[e] + 256 * prev[se]
         )
-        model = models.get(label)
-        if model is None:
-            model = BinaryModel()
-            models[label] = model
+        label = canonical_by_patch[patch] * 512 + rotated[turn_by_patch[patch]][b]
+        if label not in models:
+            models[label] = len(encoder.c0)
+            encoder.c0.append(1)
+            encoder.c1.append(1)
         bit = true_section[idx]
-        coded_models.append(model)
+        coded_slots.append(models[label])
         coded_bits.append(bit)
         if coded_cells is not None:
             coded_cells.append(idx)
@@ -249,7 +263,7 @@ def reference_encode_section(buf, models: dict, encoder, true_section, coded_cel
                 if state[c] == 0 and marked[c] == 0:
                     marked[c] = 1
                     push(c)
-    encoder.encode_many(coded_models, coded_bits)
+    encoder.encode_many(coded_slots, coded_bits)
     return len(coded_bits)
 
 
@@ -290,13 +304,13 @@ _MASK_TEMPLATE = (
 )
 
 
-def _reference_signed_bins(models, value: int):
-    """(model, bit) pairs of one zigzag order-0 exp-Golomb residual."""
+def _reference_signed_bins(base: int, value: int):
+    """(context, bit) pairs of one zigzag order-0 exp-Golomb residual."""
     u = (value << 1) if value >= 0 else ((-value) << 1) - 1
     n = (u + 1).bit_length() - 1
-    out = [(models[min(k, 15)], 0) for k in range(n)]
-    out.append((models[min(n, 15)], 1))
-    out += [(models[16 + min(i, 15)], ((u + 1) >> i) & 1) for i in range(n - 1, -1, -1)]
+    out = [(base + min(k, 15), 0) for k in range(n)]
+    out.append((base + min(n, 15), 1))
+    out += [(base + 16 + min(i, 15), ((u + 1) >> i) & 1) for i in range(n - 1, -1, -1)]
     return out
 
 
@@ -324,35 +338,34 @@ def reference_encode_depthmaps(pair, nz: int):
 
     Builds each mask context with bounds checks, predicts each surface value
     from its neighbours (nested lists, one pixel at a time) and binarizes each
-    residual on its own, then codes the whole (model, bit) sequence.
+    residual on its own, then codes the whole (context, bit) sequence. The
+    1024 mask contexts come first, then 32 low-surface and 32 thickness
+    contexts.
     """
     occ, low, high = (a.tolist() for a in (pair.occ, pair.zmin, pair.zmax))
     nx, ny = pair.occ.shape
     decisions = []
-    mask_models = [BinaryModel() for _ in range(1 << len(_MASK_TEMPLATE))]
     for x in range(nx):
         for y in range(ny):
             ctx = 0
             for k, (dx, dy) in enumerate(_MASK_TEMPLATE):
                 if 0 <= x + dx and 0 <= y + dy < ny and occ[x + dx][y + dy]:
                     ctx |= 1 << k
-            decisions.append((mask_models[ctx], occ[x][y]))
-    low_models = [BinaryModel() for _ in range(32)]
-    thick_models = [BinaryModel() for _ in range(32)]
+            decisions.append((ctx, occ[x][y]))
     prev_low = None
     prev_thick = 0
     for x, y in zip(*(a.tolist() for a in np.nonzero(pair.occ))):
         v = low[x][y]
         predicted = _reference_predict_low(occ, low, x, y, prev_low, nz)
-        decisions += _reference_signed_bins(low_models, v - predicted)
+        decisions += _reference_signed_bins(1024, v - predicted)
         t = high[x][y] - v
         if y and occ[x][y - 1]:
             predicted = high[x][y - 1] - low[x][y - 1]
         else:
             predicted = prev_thick
-        decisions += _reference_signed_bins(thick_models, t - predicted)
+        decisions += _reference_signed_bins(1024 + 32, t - predicted)
         prev_low = v
         prev_thick = t
-    enc = RangeEncoder()
-    enc.encode_many([m for m, _ in decisions], [b for _, b in decisions])
+    enc = RangeEncoder([1] * (1024 + 2 * 32), [1] * (1024 + 2 * 32))
+    enc.encode_many([c for c, _ in decisions], [b for _, b in decisions])
     return enc.finish()

@@ -125,7 +125,7 @@ def test_oversized_dims_are_reported(tmp_path, capsys):
         b"4294967296 0 0\n"
     )
     assert main(["encode", str(src), "--permutation", "0"]) == 2
-    assert "32-bit header" in capsys.readouterr().err
+    assert "cells per plane" in capsys.readouterr().err
     assert not (tmp_path / "far.ply.bvl").exists()
 
 

@@ -1,8 +1,15 @@
 """Container framing, top-level round trips, and report invariants."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bvlcodec
 from bvlcodec import (
     ContainerError,
     EmptyCloudError,
@@ -11,7 +18,7 @@ from bvlcodec import (
     decode_cloud,
     encode_cloud,
 )
-from bvlcodec.container import _FIXED, MAGIC
+from bvlcodec.container import _FIXED, MAGIC, MAX_PLANE_CELLS, _check_dims
 
 import shapes
 
@@ -142,3 +149,56 @@ def test_max_shells_one_forces_residual():
     assert report.shells == 1
     assert report.residual_bits > 32
     assert decode_cloud(blob) == cloud
+
+
+# Run in a child process whose address space is capped at 1 GiB, so a codec
+# that allocated before checking the dims fails there with MemoryError
+# instead of taking the host's memory.
+_OUTSIZED_DIMS_SCRIPT = """
+import json, resource, sys
+import numpy as np
+from bvlcodec import VoxelCloud, decode_cloud, encode_cloud
+from bvlcodec.container import _FIXED
+
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+rng = np.random.default_rng(1729)
+points = rng.integers(0, 24, size=(400, 3))
+blob, _ = encode_cloud(VoxelCloud.from_points(points, (24, 24, 24)), permutation=0)
+head = _FIXED.unpack_from(blob)[:4]
+attempts = [
+    lambda d=d: decode_cloud(_FIXED.pack(*head, *d) + blob[_FIXED.size:])
+    for d in json.loads(sys.argv[1])
+]
+far = VoxelCloud.from_points({(0, 0, 0)}, (1 << 31, 24, 24))
+attempts.append(lambda: encode_cloud(far, permutation=0))
+outcomes = []
+for attempt in attempts:
+    try:
+        attempt()
+        outcomes.append("no error")
+    except Exception as exc:
+        outcomes.append(type(exc).__name__)
+print(json.dumps(outcomes))
+"""
+
+
+def test_outsized_dims_fail_closed():
+    dims = [(1 << 31, 24, 24), (24, 1 << 31, 24), (24, 24, 1 << 31), (1 << 16, 1 << 16, 24)]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(bvlcodec.__file__).resolve().parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", _OUTSIZED_DIMS_SCRIPT, json.dumps(dims)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == ["ContainerError"] * (len(dims) + 1)
+
+
+def test_plane_limit_is_exact():
+    side = 8190  # (8190 + 2)^2 == MAX_PLANE_CELLS
+    assert (side + 2) ** 2 == MAX_PLANE_CELLS
+    for dims in ((side, side, 1), (1, side, side), (side, 1, side), (1, 1, 1)):
+        _check_dims(dims)
+    for dims in ((side + 1, side, 1), (1, side, side + 1), (side + 1, 5, side)):
+        with pytest.raises(ContainerError):
+            _check_dims(dims)

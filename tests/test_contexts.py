@@ -1,12 +1,15 @@
 """Patch indexing, rotation, and normalization-table tests."""
 
+import dataclasses
+
 import numpy as np
 
 from bvlcodec.contexts import (
-    BINARY_WEIGHTS_BY_TURN,
     PATCH_COUNT,
     NormTables,
     build_norm_tables,
+    check_norm_tables,
+    get_norm_lists,
     get_norm_tables,
 )
 
@@ -133,13 +136,25 @@ def test_normalized_context_trivial_and_invariance():
 
 
 def test_binary_weights_match_rotated_index():
-    rng = np.random.default_rng(9)
-    for _ in range(500):
-        b = rng.integers(0, 2, size=(3, 3))
-        flat = b.ravel(order="F").tolist()
+    table = get_norm_tables().rotated_binary
+    assert table.shape == (4, 512)
+    assert get_norm_lists()[2] == table.tolist()
+    for index in range(512):
+        patch = np.array([(index >> d) & 1 for d in range(9)]).reshape(3, 3, order="F")
         for turns in range(4):
-            weighted = sum(v * w for v, w in zip(flat, BINARY_WEIGHTS_BY_TURN[turns]))
-            assert weighted == binary_index(rot90(b, turns))
+            assert table[turns, index] == binary_index(rot90(patch, turns))
+
+
+def test_table_checker_passes_the_tables_and_reports_a_corrupted_i_star():
+    tables = build_norm_tables()
+    assert check_norm_tables(tables) == []
+    i_star = tables.i_star.copy()
+    # Patch 1 (a single known-empty corner) and its rotations share a class;
+    # moving patch 1 alone to another class breaks rotation invariance.
+    i_star[1] = i_star[2]
+    problems = check_norm_tables(dataclasses.replace(tables, i_star=i_star))
+    assert problems
+    assert any("turns" in problem for problem in problems)
 
 
 def test_indices_are_bijections_exhaustively():

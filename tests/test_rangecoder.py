@@ -6,7 +6,6 @@ import pytest
 from bvlcodec.errors import TruncatedStreamError
 from bvlcodec.rangecoder import (
     RESCALE_LIMIT,
-    BinaryModel,
     BitReader,
     BitWriter,
     RangeDecoder,
@@ -16,16 +15,17 @@ from bvlcodec.rangecoder import (
 from oracles import binary_entropy
 
 
-def _round_trip(bits, picks, n_models):
-    enc = RangeEncoder()
-    models = [BinaryModel() for _ in range(n_models)]
-    enc.encode_many([models[pick] for pick in picks], bits)
+def _tables(n):
+    return [1] * n, [1] * n
+
+
+def _round_trip(bits, picks, n_contexts):
+    enc = RangeEncoder(*_tables(n_contexts))
+    enc.encode_many(picks, bits)
     stream = enc.finish()
-    dec = RangeDecoder(stream)
-    dec_models = [BinaryModel() for _ in range(n_models)]
-    decoded = [dec.decode(dec_models[pick]) for pick in picks]
-    for a, b in zip(models, dec_models):
-        assert (a.c0, a.c1) == (b.c0, b.c1)
+    dec = RangeDecoder(stream, *_tables(n_contexts))
+    decoded = [dec.decode(pick) for pick in picks]
+    assert (enc.c0, enc.c1) == (dec.c0, dec.c1)
     return decoded, stream
 
 
@@ -59,59 +59,52 @@ def test_rate_tracks_entropy(p, tol):
     rng = np.random.default_rng(2024)
     n = 200_000
     bits = (rng.random(n) < p).astype(int).tolist()
-    enc = RangeEncoder()
-    model = BinaryModel()
-    enc.encode_many([model] * n, bits)
+    enc = RangeEncoder(*_tables(1))
+    enc.encode_many([0] * n, bits)
     rate = enc.finish().bit_length / n
     target = binary_entropy(p)
     assert abs(rate - target) <= tol * max(target, 0.05)
 
 
 def test_model_counts_stay_bounded():
-    rng = np.random.default_rng(9)
-    model = BinaryModel()
-    enc = RangeEncoder()
-    for bit in (rng.random(300_000) < 0.02).astype(int).tolist():
-        enc.encode_many((model,), (bit,))
-        assert model.c0 >= 1 and model.c1 >= 1
-        assert model.c0 + model.c1 <= RESCALE_LIMIT
-    enc.finish()
-
-
-def test_model_rejects_zero_counts():
-    with pytest.raises(ValueError):
-        BinaryModel(0, 1)
+    n = 300_000
+    skewed = (np.random.default_rng(9).random(n) < 0.02).astype(int).tolist()
+    for bits in (skewed, [1] * n, [0] * n):
+        enc = RangeEncoder(*_tables(1))
+        for bit in bits:
+            enc.encode_many((0,), (bit,))
+            c0, c1 = enc.c0[0], enc.c1[0]
+            assert c0 >= 1 and c1 >= 1
+            assert c0 + c1 <= RESCALE_LIMIT
+            # Each count fits a uint16 table entry.
+            assert max(c0, c1) <= 65_535
+        enc.finish()
 
 
 def test_model_states_sync_after_every_symbol():
     rng = np.random.default_rng(31)
     bits = (rng.random(4000) < 0.3).astype(int).tolist()
-    enc = RangeEncoder()
-    enc_model = BinaryModel()
-    enc.encode_many([enc_model] * len(bits), bits)
+    enc = RangeEncoder(*_tables(1))
+    enc.encode_many([0] * len(bits), bits)
     stream = enc.finish()
-    replay = RangeEncoder()
-    replay_model = BinaryModel()
-    dec = RangeDecoder(stream)
-    dec_model = BinaryModel()
+    replay = RangeEncoder(*_tables(1))
+    dec = RangeDecoder(stream, *_tables(1))
     for bit in bits:
-        replay.encode_many((replay_model,), (bit,))
-        assert dec.decode(dec_model) == bit
-        assert (dec_model.c0, dec_model.c1) == (replay_model.c0, replay_model.c1)
+        replay.encode_many((0,), (bit,))
+        assert dec.decode(0) == bit
+        assert (dec.c0, dec.c1) == (replay.c0, replay.c1)
 
 
 def test_truncated_stream_raises():
     rng = np.random.default_rng(3)
     bits = (rng.random(5000) < 0.5).astype(int).tolist()
-    enc = RangeEncoder()
-    model = BinaryModel()
-    enc.encode_many([model] * len(bits), bits)
+    enc = RangeEncoder(*_tables(1))
+    enc.encode_many([0] * len(bits), bits)
     stream = enc.finish()
-    dec = RangeDecoder(stream.data[: len(stream.data) // 4])
-    dec_model = BinaryModel()
+    dec = RangeDecoder(stream.data[: len(stream.data) // 4], *_tables(1))
     with pytest.raises(TruncatedStreamError):
         for _ in bits:
-            dec.decode(dec_model)
+            dec.decode(0)
 
 
 def test_bit_writer_reader_uint_round_trip():
@@ -144,9 +137,8 @@ def test_bit_writer_count_and_zero_padding():
 def test_coded_stream_pads_to_whole_bytes():
     rng = np.random.default_rng(11)
     for n in (0, 1, 7, 100, 1001):
-        enc = RangeEncoder()
-        model = BinaryModel()
-        enc.encode_many([model] * n, (rng.random(n) < 0.3).astype(int).tolist())
+        enc = RangeEncoder(*_tables(1))
+        enc.encode_many([0] * n, (rng.random(n) < 0.3).astype(int).tolist())
         stream = enc.finish()
         assert len(stream.data) == (stream.bit_length + 7) // 8
         tail = 8 * len(stream.data) - stream.bit_length
@@ -167,19 +159,19 @@ def test_bit_reader_reads_64_zero_bits_past_the_payload(payload):
 
 @pytest.mark.parametrize("size", [0, 1, 5])
 def test_range_decoder_reads_64_zero_bits_past_the_payload(size):
-    # On an all-zero stream, a fresh (1, 1) model decodes 0 and consumes
-    # exactly one bit, so the decode count measures the bits available.
-    dec = RangeDecoder(bytes(size))
+    # On an all-zero stream, a context with fresh (1, 1) counts decodes 0
+    # and consumes exactly one bit, so the decode count measures the bits
+    # available.
     available = 8 * size + 64 - 32
-    assert [dec.decode(BinaryModel()) for _ in range(available)] == [0] * available
+    dec = RangeDecoder(bytes(size), *_tables(available + 1))
+    assert [dec.decode(k) for k in range(available)] == [0] * available
     with pytest.raises(TruncatedStreamError):
-        dec.decode(BinaryModel())
+        dec.decode(available)
 
 
 def test_empty_payload_decodes():
-    dec = RangeDecoder(b"")
-    model = BinaryModel()
-    assert [dec.decode(model) for _ in range(10)] == [0] * 10
+    dec = RangeDecoder(b"", *_tables(1))
+    assert [dec.decode(0) for _ in range(10)] == [0] * 10
     assert BitReader(b"").read_uint(64) == 0
 
 
@@ -188,28 +180,24 @@ def test_split_sequence_codes_like_one_call():
     n = 20_000
     bits = (rng.random(n) < 0.25).astype(int).tolist()
     picks = rng.integers(0, 8, size=n).tolist()
-    whole = RangeEncoder()
-    whole_models = [BinaryModel() for _ in range(8)]
-    whole.encode_many([whole_models[pick] for pick in picks], bits)
-    split = RangeEncoder()
-    split_models = [BinaryModel() for _ in range(8)]
+    whole = RangeEncoder(*_tables(8))
+    whole.encode_many(picks, bits)
+    split = RangeEncoder(*_tables(8))
     cuts = [0, 0, 1, 1, 777, 777, 5000, 19_999, n, n]
     for a, b in zip(cuts, cuts[1:]):
-        split.encode_many((split_models[pick] for pick in picks[a:b]), iter(bits[a:b]))
+        split.encode_many(iter(picks[a:b]), iter(bits[a:b]))
     assert split.finish() == whole.finish()
-    assert [(m.c0, m.c1) for m in split_models] == [(m.c0, m.c1) for m in whole_models]
+    assert (split.c0, split.c1) == (whole.c0, whole.c1)
 
 
-@pytest.mark.parametrize("n_models,n_bits", [(3, 2), (2, 3), (0, 1), (1, 0)])
-def test_encode_many_rejects_a_length_mismatch(n_models, n_bits):
-    enc = RangeEncoder()
-    model = BinaryModel()
+@pytest.mark.parametrize("n_contexts,n_bits", [(3, 2), (2, 3), (0, 1), (1, 0)])
+def test_encode_many_rejects_a_length_mismatch(n_contexts, n_bits):
+    enc = RangeEncoder(*_tables(1))
     with pytest.raises(ValueError):
-        enc.encode_many([model] * n_models, [1] * n_bits)
+        enc.encode_many([0] * n_contexts, [1] * n_bits)
     # The pairs before the mismatch stay coded.
-    ref = RangeEncoder()
-    ref_model = BinaryModel()
-    prefix = min(n_models, n_bits)
-    ref.encode_many([ref_model] * prefix, [1] * prefix)
-    assert (model.c0, model.c1) == (ref_model.c0, ref_model.c1)
+    ref = RangeEncoder(*_tables(1))
+    prefix = min(n_contexts, n_bits)
+    ref.encode_many([0] * prefix, [1] * prefix)
+    assert (enc.c0, enc.c1) == (ref.c0, ref.c1)
     assert enc.finish() == ref.finish()

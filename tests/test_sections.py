@@ -4,7 +4,7 @@ import numpy as np
 
 from bvlcodec import sections
 from bvlcodec.cloud import PERMUTATION_COUNT, AxisPermutation, VoxelCloud
-from bvlcodec.depthmap import DepthmapPair, project, project_array
+from bvlcodec.depthmap import DepthmapPair, project_array
 from bvlcodec.rangecoder import RangeDecoder, RangeEncoder
 from bvlcodec.sections import (
     build_section,
@@ -106,7 +106,7 @@ def _assert_matches_reference(pair, nz):
 
 def test_build_section_matches_reference_on_fuzz_suite():
     for _, cloud in shapes.fuzz_suite():
-        _assert_matches_reference(project(cloud), cloud.dims[2])
+        _assert_matches_reference(project_array(cloud.to_array(), cloud.dims), cloud.dims[2])
 
 
 def test_build_section_matches_reference_at_borders():
@@ -127,7 +127,7 @@ def test_build_section_matches_reference_at_borders():
 
 def _run_both_sides(pair, nz, true_cells, prev=None):
     nx = pair.occ.shape[0]
-    enc = RangeEncoder()
+    enc = RangeEncoder([], [])
     enc_buf = build_section(pair, 0, nz, prev)
     enc_cells: list = []
     enc_models: dict = {}
@@ -137,7 +137,7 @@ def _run_both_sides(pair, nz, true_cells, prev=None):
     stream = enc.finish()
     dec_buf = build_section(pair, 0, nz, prev)
     dec_models: dict = {}
-    coded_dec = code_section(dec_buf, dec_models, decoder=RangeDecoder(stream))
+    coded_dec = code_section(dec_buf, dec_models, decoder=RangeDecoder(stream, [], []))
     return enc_buf, dec_buf, enc_cells, coded_enc, coded_dec, stream
 
 
@@ -215,14 +215,14 @@ def _point_set(points):
 
 
 def _sweep_round_trip(cloud, models_enc=None, models_dec=None):
-    pair = project(cloud)
-    enc = RangeEncoder()
+    pair = project_array(cloud.to_array(), cloud.dims)
+    enc = RangeEncoder([], [])
     recon_enc, n_enc = sweep_encode(
         cloud.to_array(), pair, cloud.dims, {} if models_enc is None else models_enc, enc
     )
     stream = enc.finish()
     recon_dec, n_dec = sweep_decode(
-        pair, cloud.dims, {} if models_dec is None else models_dec, RangeDecoder(stream)
+        pair, cloud.dims, {} if models_dec is None else models_dec, RangeDecoder(stream, [], [])
     )
     assert n_enc == n_dec
     enc_set = _point_set(recon_enc)
@@ -258,34 +258,36 @@ def test_sweep_hollow_sphere_exact_in_one_shell():
     assert recon == set(cloud.points)
 
 
-def _model_counts(models):
-    return {label: (m.c0, m.c1) for label, m in models.items()}
+def _model_counts(models, coder):
+    return {label: (coder.c0[slot], coder.c1[slot]) for label, slot in models.items()}
 
 
 def _assert_sweep_matches_reference(cloud, shells=2):
     """sweep_encode against the cell-by-cell reference, shell after shell.
 
-    Each side keeps one models dict across the shells, as encode_shells
-    does; each shell must give the same section bytes, decision count,
+    Each side keeps one models dict and one pair of count tables across
+    the shells, as encode_shells does; each shell must give the same section bytes, decision count,
     reconstruction and model counts.
     """
     dims = cloud.dims
     models: dict = {}
     ref_models: dict = {}
+    tables = ([], [])
+    ref_tables = ([], [])
     remaining = cloud.to_array()
     decisions = 0
     for _ in range(shells):
         if not len(remaining):
             break
         pair = project_array(remaining, dims)
-        enc, ref_enc = RangeEncoder(), RangeEncoder()
+        enc, ref_enc = RangeEncoder(*tables), RangeEncoder(*ref_tables)
         recon, n = sweep_encode(remaining, pair, dims, models, enc)
         ref_recon, ref_n = reference_sweep_encode(remaining, pair, dims, ref_models, ref_enc)
         assert enc.finish() == ref_enc.finish()
         assert n == ref_n
         assert _point_set(recon) == _point_set(ref_recon)
         assert len(models) == len(ref_models)
-        assert _model_counts(models) == _model_counts(ref_models)
+        assert _model_counts(models, enc) == _model_counts(ref_models, ref_enc)
         decisions += n
         keys = np.ravel_multi_index(remaining.T, dims)
         remaining = remaining[~np.isin(keys, np.ravel_multi_index(recon.T, dims))]
