@@ -11,8 +11,8 @@ Coding scheme (self-contained, fully adaptive):
     median of the west/north/northwest occupied neighbors, falling back to
     the last coded value and then to nz/2;
   * the high surface is coded as the nonnegative thickness (high - low),
-    predicted from the west neighbor's thickness, falling back to the last
-    coded thickness.
+    predicted by the last coded thickness (the west neighbor's whenever that
+    pixel is occupied, since pixels are coded in row order).
 Residuals are zigzag-mapped and binarized as order-0 exp-Golomb, one adaptive
 context per bin position (32 contexts per surface).
 
@@ -119,11 +119,9 @@ def _residuals(pair: DepthmapPair, a: int, b: int, prev_low: int, prev_thick: in
     median = np.maximum(np.minimum(w, n), np.minimum(np.maximum(w, n), nw))
     previous = np.concatenate(([prev_low], v[:-1]))
     pred_low = np.select([count == 3, count == 2, count == 1], [median, total // 2, total], previous)
-    thick_w = high[xs, ys - 1] - low[xs, ys - 1]
-    pred_thick = np.where(has_w, thick_w, np.concatenate(([prev_thick], t[:-1])))
     residuals = np.empty(2 * v.size, dtype=np.int64)
     residuals[0::2] = v - pred_low
-    residuals[1::2] = t - pred_thick
+    residuals[1::2] = np.diff(t, prepend=prev_thick)
     return residuals, int(v[-1]), int(t[-1])
 
 
@@ -185,12 +183,6 @@ def _predict_low(occ, low, x: int, y: int, previous, nz: int) -> int:
     return previous if previous is not None else nz // 2
 
 
-def _predict_thickness(occ, low, high, x: int, y: int, previous: int) -> int:
-    if y and occ[x, y - 1]:
-        return int(high[x, y - 1]) - int(low[x, y - 1])
-    return previous
-
-
 def encode_depthmaps(pair: DepthmapPair, nz: int) -> CodedStream:
     """Losslessly code a surface pair; decode_depthmaps inverts exactly."""
     occ = pair.occ
@@ -240,7 +232,7 @@ def decode_depthmaps(data: bytes, nx: int, ny: int, nz: int) -> DepthmapPair:
         v = _predict_low(occ, low, x, y, prev_low, nz) + _decode_signed(dec, MASK_CONTEXTS)
         if not 0 <= v < nz:
             raise BitstreamError("decoded low surface out of range")
-        t = _predict_thickness(occ, low, high, x, y, prev_thick) + _decode_signed(dec, thick_base)
+        t = prev_thick + _decode_signed(dec, thick_base)
         if t < 0 or v + t >= nz:
             raise BitstreamError("decoded thickness out of range")
         low[x, y] = v

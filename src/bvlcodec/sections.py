@@ -24,28 +24,33 @@ mapped to an int slot of the coder's count tables by a dict shared across
 shells; a label's first touch gives it the next slot and appends a count of
 1 to each table.
 
-The decoder runs the loop above cell by cell: it needs each bit before it
-can go on. The encoder knows every section's true occupancy up front, so it
-derives the loop's order by breadth-first levels instead. Level 0 is the
-unknown part of the start list; level L + 1 is the unknown, not yet listed
-8-neighbours of level L's occupied cells, in push order, first occurrence
-kept. Every cell a level-L cell pushes goes behind all of level L, so the
-FIFO pops the levels one after another, each in push order: their
-concatenation is the decoder's order. A cell's place in it is its position;
-in its context, a neighbour unknown at set-up reads as coded (1 + bit) if
-its position is smaller and as unknown otherwise. With the order and the
-positions in arrays, numpy builds the contexts of a run of consecutive
-sections at once, and the range coder codes them in blocks. The first
-section of a run reads the previous section's reconstruction carried over
-from the run before it.
+Both sides code runs: consecutive occupied sections, about _RUN_CELLS cells
+at most (at least one section); an empty section ends a run. A run's
+sections lie one padded slab after another in every buffer. Slab k of prev
+holds the 0/1 reconstruction of the section before section k (for slab 0,
+the last section of the run before, or zero after an empty section), so a
+cell reads its previous-section patch around its own index in prev.
+
+The decoder runs the loop above cell by cell, section after section, and
+writes each section's reconstruction into the next slab of prev. The
+encoder knows every section's true occupancy up front, so it fills prev at
+once and derives the loop's order by breadth-first levels instead.
+Level 0 is the unknown part of the start list; level L + 1 is the unknown,
+not yet listed 8-neighbours of level L's occupied cells, in push order,
+first occurrence kept. Every cell a level-L cell pushes goes behind all of
+level L, so the FIFO pops the levels one after another, each in push order:
+their concatenation is the decoder's order. A cell's place in it is its
+position; in its context, a neighbour unknown at set-up reads as coded
+(1 + bit) if its position is smaller and as unknown otherwise. With the
+order and the positions in arrays, numpy builds the contexts of the whole
+run at once, and the range coder codes them in blocks.
 
 Buffers are flat bytearrays with a one-cell border ring so the 3x3 crops
 never bounds-check; border cells read as known empty and never enter the
-list. A run's sections lie one padded slab after another. Beyond filling
-the buffers (known empty by default), set-up touches only the band cells
-of the occupied columns and the seeds' 3x3 neighbours, and the
-reconstruction is read back from the band alone, so the array work follows
-the band, not the section's area.
+list. Beyond filling the buffers (known empty by default), set-up touches
+only the band cells of the occupied columns and the seeds' 3x3 neighbours,
+and the reconstruction is read back from the band alone, so the array work
+follows the band, not the section's area.
 """
 
 from __future__ import annotations
@@ -61,9 +66,9 @@ from .errors import BitstreamError
 from .rangecoder import BitReader, BitWriter, CodedStream, RangeDecoder, RangeEncoder
 
 _STEPS = np.array([-1, 0, 1], dtype=np.int64)
-# The encoder sets up and codes consecutive sections in runs of about this
-# many cells (at least one section), and builds contexts for this many coded
-# cells at a time, so its temporaries follow the run and the block.
+# Both sides set up and code consecutive sections in runs of about this many
+# cells (at least one section), and the encoder builds contexts for this many
+# coded cells at a time, so its temporaries follow the run and the block.
 _RUN_CELLS = 1 << 18
 _BLOCK_CELLS = 1 << 14
 # (z, x) steps to the 8 neighbours in push order: nw, n, ne, w, e, sw, s, se.
@@ -79,14 +84,17 @@ _BINARY_WEIGHTS = 1 << np.arange(9, dtype=np.int64)
 
 @dataclass
 class SectionBuffers:
-    """Mutable coding state of a run of sections (padded, row per z, stride nx + 2)."""
+    """Mutable coding state of a run of sections, one padded slab per section.
+
+    A slab has a row per z of stride nx + 2 cells. Slab k of prev holds the
+    0/1 reconstruction of the section before section k.
+    """
 
     nz: int
-    nx: int
     stride: int
     state: bytearray    # 0 unknown, 1 known empty, 2 known occupied
     marked: bytearray   # 1 once a cell has entered the work list
-    prev: bytes         # reconstruction of the section before the run, 0/1
+    prev: bytearray     # slab k: the section before section k, 0/1
     queue: np.ndarray   # the start of the work list, section by section, row-major
     band: np.ndarray    # flat indices of every feasible cell, seeds included
 
@@ -95,8 +103,9 @@ def build_section(pair: DepthmapPair, y0: int, nz: int, prev: bytes | None = Non
                   count: int = 1) -> SectionBuffers:
     """Initialize state, seeds and the dilated work list of sections y0 .. y0 + count - 1.
 
-    The sections lie one padded slab after another; prev is the
-    reconstruction of the section before y0 (empty when None).
+    The sections lie one padded slab after another. prev, one slab, is the
+    reconstruction of the section before y0: it fills slab 0 of the buffers'
+    prev, which stays zero when it is None; coding fills the other slabs.
     """
     occ = pair.occ[:, y0 : y0 + count]
     nx = occ.shape[0]
@@ -129,15 +138,15 @@ def build_section(pair: DepthmapPair, y0: int, nz: int, prev: bytes | None = Non
     cells.sort()
     cells = cells[np.diff(cells, prepend=-1) != 0]
     np.frombuffer(marked, dtype=np.uint8)[cells] = 1
-    if prev is None:
-        prev = bytes(slab)
+    run_prev = bytearray(size)
+    if prev is not None:
+        run_prev[:slab] = prev
     return SectionBuffers(
         nz=nz,
-        nx=nx,
         stride=st,
         state=state,
         marked=marked,
-        prev=prev,
+        prev=run_prev,
         queue=cells,
         band=band,
     )
@@ -151,13 +160,15 @@ def code_section(
     decoder: RangeDecoder | None = None,
     true_section: bytes | None = None,
 ) -> int:
-    """Code the unknown cells the work list reaches; returns the number of coded bits.
+    """Code the unknown cells the work list reaches in every section of the run.
 
-    models maps each context label seen so far to its slot in the coder's
-    count tables. Pass exactly one of encoder/decoder. The decoder runs the
-    list-driven loop over a single section. The encoder codes a whole run by
-    levels and needs its true occupancy in the same padded layout as
-    buf.state. Afterwards buf.state holds the reconstruction.
+    Returns the number of coded bits. models maps each context label seen so
+    far to its slot in the coder's count tables. Pass exactly one of
+    encoder/decoder. The decoder runs the list-driven loop over one section
+    after another, each reading the slab of buf.prev that the section before
+    filled. The encoder codes the run by levels and needs its true occupancy
+    in the same padded layout as buf.state. Afterwards buf.state holds the
+    reconstruction.
     """
     if (encoder is None) == (decoder is None):
         raise ValueError("pass exactly one of encoder or decoder")
@@ -169,71 +180,81 @@ def code_section(
     state = buf.state
     marked = buf.marked
     prev = buf.prev
-    queue = deque(buf.queue.tolist())
     st = buf.stride
-    pop = queue.popleft
-    push = queue.append
+    slab = (buf.nz + 2) * st
     get_slot = models.get
     c0 = decoder.c0
     c1 = decoder.c1
     decode = decoder.decode
     coded = 0
-    while queue:
-        idx = pop()
-        if state[idx]:
-            continue
-        nw = idx - st - 1
-        n = nw + 1
-        ne = n + 1
-        w = idx - 1
-        e = idx + 1
-        sw = idx + st - 1
-        s = sw + 1
-        se = s + 1
-        # Base-3 column-scan patch index; the center cell is unknown (0).
-        patch = (
-            state[nw] + 3 * state[w] + 9 * state[sw]
-            + 27 * state[n] + 243 * state[s]
-            + 729 * state[ne] + 2187 * state[e] + 6561 * state[se]
-        )
-        label = canonical_by_patch[patch] * 512 + rotated[turn_by_patch[patch]][
-            prev[nw] + 2 * prev[w] + 4 * prev[sw]
-            + 8 * prev[n] + 16 * prev[idx] + 32 * prev[s]
-            + 64 * prev[ne] + 128 * prev[e] + 256 * prev[se]
-        ]
-        slot = get_slot(label)
-        if slot is None:
-            slot = models[label] = len(c0)
-            c0.append(1)
-            c1.append(1)
-        bit = decode(slot)
-        coded += 1
-        state[idx] = 1 + bit
-        if bit:
-            if state[nw] == 0 and marked[nw] == 0:
-                marked[nw] = 1
-                push(nw)
-            if state[n] == 0 and marked[n] == 0:
-                marked[n] = 1
-                push(n)
-            if state[ne] == 0 and marked[ne] == 0:
-                marked[ne] = 1
-                push(ne)
-            if state[w] == 0 and marked[w] == 0:
-                marked[w] = 1
-                push(w)
-            if state[e] == 0 and marked[e] == 0:
-                marked[e] = 1
-                push(e)
-            if state[sw] == 0 and marked[sw] == 0:
-                marked[sw] = 1
-                push(sw)
-            if state[s] == 0 and marked[s] == 0:
-                marked[s] = 1
-                push(s)
-            if state[se] == 0 and marked[se] == 0:
-                marked[se] = 1
-                push(se)
+    reconstruction = np.frombuffer(state, dtype=np.uint8)
+    previous = np.frombuffer(prev, dtype=np.uint8)
+    # The start list is sorted, so each section's part of it lies between
+    # two slab boundaries.
+    starts = range(0, len(state), slab)
+    parts = np.split(buf.queue, np.searchsorted(buf.queue, starts[1:]))
+    for a, part in zip(starts, parts):
+        queue = deque(part.tolist())
+        pop = queue.popleft
+        push = queue.append
+        while queue:
+            idx = pop()
+            if state[idx]:
+                continue
+            nw = idx - st - 1
+            n = nw + 1
+            ne = n + 1
+            w = idx - 1
+            e = idx + 1
+            sw = idx + st - 1
+            s = sw + 1
+            se = s + 1
+            # Base-3 column-scan patch index; the center cell is unknown (0).
+            patch = (
+                state[nw] + 3 * state[w] + 9 * state[sw]
+                + 27 * state[n] + 243 * state[s]
+                + 729 * state[ne] + 2187 * state[e] + 6561 * state[se]
+            )
+            label = canonical_by_patch[patch] * 512 + rotated[turn_by_patch[patch]][
+                prev[nw] + 2 * prev[w] + 4 * prev[sw]
+                + 8 * prev[n] + 16 * prev[idx] + 32 * prev[s]
+                + 64 * prev[ne] + 128 * prev[e] + 256 * prev[se]
+            ]
+            slot = get_slot(label)
+            if slot is None:
+                slot = models[label] = len(c0)
+                c0.append(1)
+                c1.append(1)
+            bit = decode(slot)
+            coded += 1
+            state[idx] = 1 + bit
+            if bit:
+                if state[nw] == 0 and marked[nw] == 0:
+                    marked[nw] = 1
+                    push(nw)
+                if state[n] == 0 and marked[n] == 0:
+                    marked[n] = 1
+                    push(n)
+                if state[ne] == 0 and marked[ne] == 0:
+                    marked[ne] = 1
+                    push(ne)
+                if state[w] == 0 and marked[w] == 0:
+                    marked[w] = 1
+                    push(w)
+                if state[e] == 0 and marked[e] == 0:
+                    marked[e] = 1
+                    push(e)
+                if state[sw] == 0 and marked[sw] == 0:
+                    marked[sw] = 1
+                    push(sw)
+                if state[s] == 0 and marked[s] == 0:
+                    marked[s] = 1
+                    push(s)
+                if state[se] == 0 and marked[se] == 0:
+                    marked[se] = 1
+                    push(se)
+        if a + slab < len(state):
+            previous[a + slab : a + 2 * slab] = reconstruction[a : a + slab] == 2
     return coded
 
 
@@ -271,12 +292,12 @@ def _encode_run(buf: SectionBuffers, models: dict, encoder: RangeEncoder, true_s
     marked[known] = 0
     marked[cells] = 1
     state[cells] = 1 + bits
+    prev = np.frombuffer(buf.prev, dtype=np.uint8)
+    prev[slab:] = state[:-slab] == 2
     tables = get_norm_tables()
     c0 = encoder.c0
     c1 = encoder.c1
-    prev = np.frombuffer(buf.prev, dtype=np.uint8)
     patch_offsets = st * _PATCH_DZ + _PATCH_DX
-    first_section = int(np.count_nonzero(cells < slab))
     for a in range(0, cells.size, _BLOCK_CELLS):
         block = cells[a : a + _BLOCK_CELLS]
         around = block[:, None] + patch_offsets
@@ -285,13 +306,7 @@ def _encode_run(buf: SectionBuffers, models: dict, encoder: RangeEncoder, true_s
         current = state[around]
         current[(marked[around] == 1) & (position[around] >= position[block][:, None])] = 0
         patch = current @ _TERNARY_WEIGHTS
-        # The run's first section reads the carried reconstruction; the
-        # others read the section before them in the run.
-        split = max(0, min(first_section - a, block.size))
-        previous = np.empty(around.shape, dtype=np.uint8)
-        previous[:split] = prev[around[:split]]
-        previous[split:] = state[around[split:] - slab] == 2
-        binary = tables.rotated_binary[tables.alpha_star[patch], previous @ _BINARY_WEIGHTS]
+        binary = tables.rotated_binary[tables.alpha_star[patch], prev[around] @ _BINARY_WEIGHTS]
         labels, inverse = np.unique(tables.i_star[patch] * 512 + binary, return_inverse=True)
         slots = []
         for label in labels.tolist():
@@ -315,68 +330,58 @@ def _reconstruction(buf: SectionBuffers, y0: int) -> tuple[np.ndarray, np.ndarra
     return occupied, np.column_stack((xs - 1, ks + y0, zs - 1))
 
 
-def sweep_encode(points: np.ndarray, pair: DepthmapPair, dims, models: dict,
-                 encoder: RangeEncoder) -> tuple[np.ndarray, int]:
-    """Encode all sections; returns (reconstructed points, decision count).
+def _sweep(pair: DepthmapPair, dims, models: dict, points: np.ndarray | None = None,
+           encoder: RangeEncoder | None = None,
+           decoder: RangeDecoder | None = None) -> tuple[np.ndarray, int]:
+    """Code all sections, run by run; returns (reconstructed points, decision count).
 
-    Consecutive occupied sections are set up and coded together, in runs of
-    about _RUN_CELLS cells.
+    The encoder also passes the points, which give each run's true occupancy.
     """
     nx, ny, nz = dims
     st = nx + 2
     slab = (nz + 2) * st
     per_run = max(1, _RUN_CELLS // slab)
-    by_y = points[np.argsort(points[:, 1], kind="stable")]
-    y_starts = np.searchsorted(by_y[:, 1], np.arange(ny + 1)).tolist()
     runs: list[list[int]] = []
     for y in np.flatnonzero(pair.occ.any(axis=0)).tolist():
         if runs and runs[-1][0] + runs[-1][1] == y and runs[-1][1] < per_run:
             runs[-1][1] += 1
         else:
             runs.append([y, 1])
+    if points is not None:
+        by_y = points[np.argsort(points[:, 1], kind="stable")]
+        y_starts = np.searchsorted(by_y[:, 1], np.arange(ny + 1)).tolist()
     chunks = [np.empty((0, 3), dtype=np.int64)]
     decisions = 0
-    prev = None
+    carry = None
     end = -1
     for y0, count in runs:
-        if y0 != end:
-            prev = None
-        buf = build_section(pair, y0, nz, prev, count)
-        pts = by_y[y_starts[y0] : y_starts[y0 + count]]
-        truth = bytearray(count * slab)
-        np.frombuffer(truth, dtype=np.uint8)[
-            (pts[:, 1] - y0) * slab + (pts[:, 2] + 1) * st + pts[:, 0] + 1
-        ] = 1
-        decisions += code_section(buf, models, encoder=encoder, true_section=truth)
+        buf = build_section(pair, y0, nz, carry if y0 == end else None, count)
+        truth = None
+        if points is not None:
+            pts = by_y[y_starts[y0] : y_starts[y0 + count]]
+            truth = bytearray(count * slab)
+            np.frombuffer(truth, dtype=np.uint8)[
+                (pts[:, 1] - y0) * slab + (pts[:, 2] + 1) * st + pts[:, 0] + 1
+            ] = 1
+        decisions += code_section(buf, models, encoder=encoder, decoder=decoder, true_section=truth)
         occupied, recon = _reconstruction(buf, y0)
         chunks.append(recon)
-        prev = bytearray(slab)
-        np.frombuffer(prev, dtype=np.uint8)[occupied[occupied >= (count - 1) * slab] % slab] = 1
+        carry = bytearray(slab)
+        np.frombuffer(carry, dtype=np.uint8)[occupied[occupied >= (count - 1) * slab] % slab] = 1
         end = y0 + count
     return np.concatenate(chunks), decisions
+
+
+def sweep_encode(points: np.ndarray, pair: DepthmapPair, dims, models: dict,
+                 encoder: RangeEncoder) -> tuple[np.ndarray, int]:
+    """Encode all sections; returns (reconstructed points, decision count)."""
+    return _sweep(pair, dims, models, points, encoder=encoder)
 
 
 def sweep_decode(pair: DepthmapPair, dims, models: dict,
                  decoder: RangeDecoder) -> tuple[np.ndarray, int]:
     """Decode all sections; mirrors sweep_encode decision for decision."""
-    nx, ny, nz = dims
-    size = (nz + 2) * (nx + 2)
-    empty_prev = bytes(size)
-    prev = empty_prev
-    chunks = [np.empty((0, 3), dtype=np.int64)]
-    decisions = 0
-    has_any = pair.occ.any(axis=0)
-    for y0 in range(ny):
-        if not has_any[y0]:
-            prev = empty_prev
-            continue
-        buf = build_section(pair, y0, nz, prev)
-        decisions += code_section(buf, models, decoder=decoder)
-        occupied, recon = _reconstruction(buf, y0)
-        chunks.append(recon)
-        prev = bytearray(size)
-        np.frombuffer(prev, dtype=np.uint8)[occupied] = 1
-    return np.concatenate(chunks), decisions
+    return _sweep(pair, dims, models, decoder=decoder)
 
 
 def encode_shells(cloud, max_shells: int) -> tuple[list[tuple[CodedStream, CodedStream]], np.ndarray]:

@@ -263,17 +263,19 @@ def _model_counts(models, coder):
 
 
 def _assert_sweep_matches_reference(cloud, shells=2):
-    """sweep_encode against the cell-by-cell reference, shell after shell.
+    """sweep_encode against the cell-by-cell reference, and sweep_decode against both.
 
-    Each side keeps one models dict and one pair of count tables across
-    the shells, as encode_shells does; each shell must give the same section bytes, decision count,
-    reconstruction and model counts.
+    Each side keeps one models dict and one pair of count tables across the
+    shells, as encode_shells and decode_shells do; each shell must give the
+    same section bytes, decision count, reconstruction and model counts.
     """
     dims = cloud.dims
     models: dict = {}
     ref_models: dict = {}
+    dec_models: dict = {}
     tables = ([], [])
     ref_tables = ([], [])
+    dec_tables = ([], [])
     remaining = cloud.to_array()
     decisions = 0
     for _ in range(shells):
@@ -283,11 +285,19 @@ def _assert_sweep_matches_reference(cloud, shells=2):
         enc, ref_enc = RangeEncoder(*tables), RangeEncoder(*ref_tables)
         recon, n = sweep_encode(remaining, pair, dims, models, enc)
         ref_recon, ref_n = reference_sweep_encode(remaining, pair, dims, ref_models, ref_enc)
-        assert enc.finish() == ref_enc.finish()
+        stream = enc.finish()
+        assert stream == ref_enc.finish()
         assert n == ref_n
         assert _point_set(recon) == _point_set(ref_recon)
         assert len(models) == len(ref_models)
         assert _model_counts(models, enc) == _model_counts(ref_models, ref_enc)
+        dec = RangeDecoder(stream.data, *dec_tables)
+        dec_recon, dec_n = sweep_decode(pair, dims, dec_models, dec)
+        assert dec_n == n
+        assert _point_set(dec_recon) == _point_set(recon)
+        # Slots follow first touch when decoding and sorted labels per block
+        # when encoding, so the tables are compared label by label.
+        assert _model_counts(dec_models, dec) == _model_counts(models, enc)
         decisions += n
         keys = np.ravel_multi_index(remaining.T, dims)
         remaining = remaining[~np.isin(keys, np.ravel_multi_index(recon.T, dims))]
