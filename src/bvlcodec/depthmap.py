@@ -164,7 +164,7 @@ def _decode_signed(dec: RangeDecoder, base: int) -> int:
     return (u >> 1) if (u & 1) == 0 else -((u + 1) >> 1)
 
 
-def _predict_low(occ, low, x: int, y: int, previous, nz: int) -> int:
+def _predict_low(occ, low, x: int, y: int, previous: int) -> int:
     cands = []
     if y and occ[x, y - 1]:
         cands.append(int(low[x, y - 1]))
@@ -180,7 +180,7 @@ def _predict_low(occ, low, x: int, y: int, previous, nz: int) -> int:
         return (cands[0] + cands[1]) // 2
     if k == 1:
         return cands[0]
-    return previous if previous is not None else nz // 2
+    return previous
 
 
 def encode_depthmaps(pair: DepthmapPair, nz: int) -> CodedStream:
@@ -226,10 +226,10 @@ def decode_depthmaps(data: bytes, nx: int, ny: int, nz: int) -> DepthmapPair:
     high = np.zeros((nx, ny), dtype=np.int32)
     xs, ys = np.nonzero(occ)
     thick_base = MASK_CONTEXTS + RESIDUAL_CONTEXTS
-    prev_low = None
+    prev_low = nz // 2
     prev_thick = 0
     for x, y in zip(xs.tolist(), ys.tolist()):
-        v = _predict_low(occ, low, x, y, prev_low, nz) + _decode_signed(dec, MASK_CONTEXTS)
+        v = _predict_low(occ, low, x, y, prev_low) + _decode_signed(dec, MASK_CONTEXTS)
         if not 0 <= v < nz:
             raise BitstreamError("decoded low surface out of range")
         t = prev_thick + _decode_signed(dec, thick_base)

@@ -1,4 +1,4 @@
-"""Adaptive binary arithmetic coding and bit-level stream I/O.
+"""Adaptive binary arithmetic coding.
 
 Integer range coder with 32-bit interval registers and pending-bit carry
 resolution (Witten/Neal/Cleary style renormalization). A coder owns two
@@ -18,9 +18,11 @@ their bits and keeps the coder state in locals across it. The decoder codes
 one decision at a time, because the caller needs each bit to choose the next
 context.
 
-Bits are buffered unpacked, one byte per bit: the encoder appends to a
-bytearray that np.packbits packs once at the end, and the decoder indexes
-the np.unpackbits expansion of its payload, so no bit costs a function call.
+Each coder owns its bits, buffered unpacked, one byte per bit, MSB first:
+the encoder appends to a bytearray that np.packbits packs once in finish(),
+and the decoder indexes the np.unpackbits expansion of its payload followed
+by 64 zero bits, so no bit costs a function call. A read past those zero
+bits, possible only on corrupt input, raises TruncatedStreamError.
 """
 
 from __future__ import annotations
@@ -52,56 +54,6 @@ class CodedStream:
     bit_length: int
 
 
-class BitWriter:
-    """MSB-first bit writer; the final partial byte is zero padded.
-
-    Bits are buffered unpacked, one byte per bit, and packed once by finish().
-    """
-
-    __slots__ = ("bits",)
-
-    def __init__(self) -> None:
-        self.bits = bytearray()
-
-    @property
-    def bit_count(self) -> int:
-        return len(self.bits)
-
-    def write_uint(self, value: int, width: int) -> None:
-        self.bits += bytes((value >> shift) & 1 for shift in range(width - 1, -1, -1))
-
-    def finish(self) -> bytes:
-        return np.packbits(np.frombuffer(self.bits, dtype=np.uint8)).tobytes()
-
-
-class BitReader:
-    """MSB-first bit reader; reads past the payload yield zeros.
-
-    The payload is unpacked up front, one byte per bit, with `overrun` zero
-    bits appended. Reading past those, possible only on corrupt input, raises
-    TruncatedStreamError instead of returning silent garbage.
-    """
-
-    __slots__ = ("bits", "_pos")
-
-    def __init__(self, data: bytes, overrun: int = 64) -> None:
-        packed = np.frombuffer(data, dtype=np.uint8)
-        self.bits = bytearray(8 * packed.size + overrun)
-        np.frombuffer(self.bits, dtype=np.uint8)[: 8 * packed.size] = np.unpackbits(packed)
-        self._pos = 0
-
-    def read_uint(self, width: int) -> int:
-        pos = self._pos
-        end = pos + width
-        if end > len(self.bits):
-            raise TruncatedStreamError("bit stream exhausted")
-        value = 0
-        for bit in self.bits[pos:end]:
-            value = (value << 1) | bit
-        self._pos = end
-        return value
-
-
 class RangeEncoder:
     """One-shot arithmetic encoder over the count tables c0 and c1.
 
@@ -110,7 +62,7 @@ class RangeEncoder:
     the end.
     """
 
-    __slots__ = ("c0", "c1", "_low", "_high", "_pending", "_writer", "_bits")
+    __slots__ = ("c0", "c1", "_low", "_high", "_pending", "_bits")
 
     def __init__(self, c0: list[int], c1: list[int]) -> None:
         self.c0 = c0
@@ -118,8 +70,7 @@ class RangeEncoder:
         self._low = 0
         self._high = _FULL - 1
         self._pending = 0
-        self._writer = BitWriter()
-        self._bits = self._writer.bits
+        self._bits = bytearray()
 
     def encode_many(self, contexts: Iterable[int], bits: Iterable[int]) -> None:
         """Code each bit under its context, in order; the counts adapt as they go.
@@ -187,7 +138,8 @@ class RangeEncoder:
         self._bits.append(bit)
         self._bits += bytes([bit ^ 1]) * (self._pending + 1)
         self._pending = 0
-        return CodedStream(self._writer.finish(), self._writer.bit_count)
+        packed = np.packbits(np.frombuffer(self._bits, dtype=np.uint8)).tobytes()
+        return CodedStream(packed, len(self._bits))
 
 
 class RangeDecoder:
@@ -200,7 +152,9 @@ class RangeDecoder:
         self.c1 = c1
         if isinstance(data, CodedStream):
             data = data.data
-        self._bits = BitReader(data).bits
+        packed = np.frombuffer(data, dtype=np.uint8)
+        self._bits = bytearray(8 * packed.size + 64)
+        np.frombuffer(self._bits, dtype=np.uint8)[: 8 * packed.size] = np.unpackbits(packed)
         self._pos = _STATE_BITS
         self._low = 0
         self._high = _FULL - 1

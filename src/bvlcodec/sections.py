@@ -6,13 +6,15 @@ can hold points; the band's two extreme cells are known occupied from the
 surfaces and everything outside the band is known empty. The remaining
 unknown cells are coded one bit at a time, driven by a FIFO work list:
 
-  * the list starts as the 3x3 dilation of the surface seed cells, traversed
-    in row-major order (z outer, x inner);
-  * popping a known cell is a no-op; popping an unknown cell codes its
-    occupancy under a rotation-normalized context built from the fused
-    known/occupancy state of the current section and the reconstruction of
-    the previous section;
+  * the list starts as the unknown cells of the 3x3 dilation of the surface
+    seed cells, in row-major order (z outer, x inner);
+  * every popped cell is unknown: it is coded under a rotation-normalized
+    context built from the fused known/occupancy state of the current
+    section and the reconstruction of the previous section;
   * a cell coded occupied enqueues its unknown, not yet enqueued 8-neighbors.
+
+A cell is marked once it is listed, on both sides; every listed cell is
+coded, so no pop is a no-op.
 
 Both sides code the same cells in the same order, so the decoder recovers
 exactly the cells the encoder coded: the points 8-connected, section by
@@ -35,15 +37,15 @@ The decoder runs the loop above cell by cell, section after section, and
 writes each section's reconstruction into the next slab of prev. The
 encoder knows every section's true occupancy up front, so it fills prev at
 once and derives the loop's order by breadth-first levels instead.
-Level 0 is the unknown part of the start list; level L + 1 is the unknown,
-not yet listed 8-neighbours of level L's occupied cells, in push order,
-first occurrence kept. Every cell a level-L cell pushes goes behind all of
-level L, so the FIFO pops the levels one after another, each in push order:
-their concatenation is the decoder's order. A cell's place in it is its
-position; in its context, a neighbour unknown at set-up reads as coded
-(1 + bit) if its position is smaller and as unknown otherwise. With the
-order and the positions in arrays, numpy builds the contexts of the whole
-run at once, and the range coder codes them in blocks.
+Level 0 is the start list; level L + 1 is the unknown, not yet listed
+8-neighbours of level L's occupied cells, in push order, first occurrence
+kept. Every cell a level-L cell pushes goes behind all of level L, so the
+FIFO pops the levels one after another, each in push order: their
+concatenation is the decoder's order. A cell's place in it is its position;
+in its context, a neighbour unknown at set-up reads as coded (1 + bit) if
+its position is smaller and as unknown otherwise. With the order and the
+positions in arrays, numpy builds the contexts of the whole run at once, and
+the range coder codes them in blocks.
 
 Buffers are flat bytearrays with a one-cell border ring so the 3x3 crops
 never bounds-check; border cells read as known empty and never enter the
@@ -55,15 +57,14 @@ follows the band, not the section's area.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .contexts import get_norm_lists, get_norm_tables
 from .depthmap import DepthmapPair, decode_depthmaps, encode_depthmaps, project_array
-from .errors import BitstreamError
-from .rangecoder import BitReader, BitWriter, CodedStream, RangeDecoder, RangeEncoder
+from .errors import BitstreamError, TruncatedStreamError
+from .rangecoder import CodedStream, RangeDecoder, RangeEncoder
 
 _STEPS = np.array([-1, 0, 1], dtype=np.int64)
 # Both sides set up and code consecutive sections in runs of about this many
@@ -95,13 +96,13 @@ class SectionBuffers:
     state: bytearray    # 0 unknown, 1 known empty, 2 known occupied
     marked: bytearray   # 1 once a cell has entered the work list
     prev: bytearray     # slab k: the section before section k, 0/1
-    queue: np.ndarray   # the start of the work list, section by section, row-major
+    queue: np.ndarray   # the start of the work list: unknown cells, section by section, row-major
     band: np.ndarray    # flat indices of every feasible cell, seeds included
 
 
 def build_section(pair: DepthmapPair, y0: int, nz: int, prev: bytes | None = None,
                   count: int = 1) -> SectionBuffers:
-    """Initialize state, seeds and the dilated work list of sections y0 .. y0 + count - 1.
+    """Initialize state, seeds and the start of the work list of sections y0 .. y0 + count - 1.
 
     The sections lie one padded slab after another. prev, one slab, is the
     reconstruction of the section before y0: it fills slab 0 of the buffers'
@@ -128,13 +129,11 @@ def build_section(pair: DepthmapPair, y0: int, nz: int, prev: bytes | None = Non
     view[band] = 0
     view[low_seeds] = 2
     view[high_seeds] = 2
-    # Work list: the seeds' 3x3 neighbours inside the border ring, sorted
-    # (section by section, row-major) and deduplicated.
-    two = hi > lo
-    seeds = np.concatenate((low_seeds, high_seeds[two]))
-    zs = np.concatenate((lo, hi[two]))[:, None] + _PATCH_DZ
-    xs = np.concatenate((xs, xs[two]))[:, None] + _PATCH_DX
-    cells = (seeds[:, None] + (st * _PATCH_DZ + _PATCH_DX))[(zs >= 0) & (zs < nz) & (xs >= 0) & (xs < nx)]
+    # Work list: the unknown cells among the seeds' 3x3 neighbours, sorted
+    # (section by section, row-major) and deduplicated. Seeds and the border
+    # ring are known, so each seed's neighbours stay inside its padded slab.
+    cells = (np.concatenate((low_seeds, high_seeds))[:, None] + (st * _PATCH_DZ + _PATCH_DX)).ravel()
+    cells = cells[view[cells] == 0]
     cells.sort()
     cells = cells[np.diff(cells, prepend=-1) != 0]
     np.frombuffer(marked, dtype=np.uint8)[cells] = 1
@@ -194,13 +193,11 @@ def code_section(
     starts = range(0, len(state), slab)
     parts = np.split(buf.queue, np.searchsorted(buf.queue, starts[1:]))
     for a, part in zip(starts, parts):
-        queue = deque(part.tolist())
-        pop = queue.popleft
+        # Every listed cell is unknown until it is coded, so the FIFO is a
+        # list that the loop walks while it grows.
+        queue = part.tolist()
         push = queue.append
-        while queue:
-            idx = pop()
-            if state[idx]:
-                continue
+        for idx in queue:
             nw = idx - st - 1
             n = nw + 1
             ne = n + 1
@@ -265,18 +262,14 @@ def _encode_run(buf: SectionBuffers, models: dict, encoder: RangeEncoder, true_s
     state = np.frombuffer(buf.state, dtype=np.uint8)
     marked = np.frombuffer(buf.marked, dtype=np.uint8)
     truth = np.frombuffer(true_section, dtype=np.uint8)
-    start = buf.queue
-    unknown = state[start] == 0
-    known = start[~unknown]
-    level = start[unknown]
+    level = buf.queue
     push = st * _PUSH_DZ + _PUSH_DX
     levels = []
-    # While the levels are found, state 3 marks a listed unknown cell.
     while level.size:
         levels.append(level)
-        state[level] = 3
+        marked[level] = 1
         pushed = (level[truth[level] == 1][:, None] + push).ravel()
-        pushed = pushed[state[pushed] == 0]
+        pushed = pushed[(state[pushed] == 0) & (marked[pushed] == 0)]
         _, first = np.unique(pushed, return_index=True)
         level = pushed[np.sort(first)]
     if not levels:
@@ -288,9 +281,8 @@ def _encode_run(buf: SectionBuffers, models: dict, encoder: RangeEncoder, true_s
     # after another, each in its own order.
     cells = order[np.argsort(order // slab, kind="stable")]
     bits = truth[cells]
-    # From here a mark means coded, and the state is the reconstruction.
-    marked[known] = 0
-    marked[cells] = 1
+    # Every listed cell is coded, so from here a mark means coded, and the
+    # state is the reconstruction.
     state[cells] = 1 + bits
     prev = np.frombuffer(buf.prev, dtype=np.uint8)
     prev[slab:] = state[:-slab] == 2
@@ -317,7 +309,6 @@ def _encode_run(buf: SectionBuffers, models: dict, encoder: RangeEncoder, true_s
                 c1.append(1)
             slots.append(slot)
         encoder.encode_many(np.array(slots)[inverse].tolist(), bits[a : a + _BLOCK_CELLS].tolist())
-    marked[known] = 1
     return int(cells.size)
 
 
@@ -423,30 +414,31 @@ def decode_shells(shell_blobs: list[tuple[bytes, bytes]], dims) -> np.ndarray:
 
 
 def encode_residual(points, dims) -> CodedStream:
-    """Raw-code leftover (N, 3) points: a count then fixed-width x, y, z fields."""
-    writer = BitWriter()
+    """Raw-code leftover (N, 3) points: a 32-bit count then fixed-width x, y, z fields.
+
+    Everything is written MSB first, back to back; the last byte is zero padded.
+    """
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, 3)
     widths = [(d - 1).bit_length() for d in dims]
-    writer.write_uint(len(points), 32)
-    for x, y, z in np.asarray(points, dtype=np.int64).tolist():
-        writer.write_uint(x, widths[0])
-        writer.write_uint(y, widths[1])
-        writer.write_uint(z, widths[2])
-    data = writer.finish()
-    return CodedStream(data, writer.bit_count)
+    fields = np.hstack([(pts[:, [i]] >> np.arange(w - 1, -1, -1)) & 1 for i, w in enumerate(widths)])
+    packed = np.packbits(fields.astype(np.uint8).ravel()).tobytes()
+    return CodedStream(len(pts).to_bytes(4, "big") + packed, 32 + fields.size)
 
 
 def decode_residual(data: bytes, dims) -> np.ndarray:
-    reader = BitReader(data)
-    widths = [(d - 1).bit_length() for d in dims]
-    count = reader.read_uint(32)
+    """Invert encode_residual; a short payload or a point outside the volume raises."""
+    if len(data) < 4:
+        raise TruncatedStreamError("residual payload shorter than its count")
+    count = int.from_bytes(data[:4], "big")
     if count > dims[0] * dims[1] * dims[2]:
         raise BitstreamError("residual count exceeds the volume")
-    out = []
-    for _ in range(count):
-        x = reader.read_uint(widths[0])
-        y = reader.read_uint(widths[1])
-        z = reader.read_uint(widths[2])
-        if x >= dims[0] or y >= dims[1] or z >= dims[2]:
-            raise BitstreamError("residual point outside the volume")
-        out.append((x, y, z))
-    return np.array(out, dtype=np.int64).reshape(-1, 3)
+    widths = [(d - 1).bit_length() for d in dims]
+    size = count * sum(widths)
+    if 32 + size > 8 * len(data):
+        raise TruncatedStreamError("residual payload shorter than its points")
+    fields = np.unpackbits(np.frombuffer(data, dtype=np.uint8, offset=4))[:size]
+    columns = np.split(fields.reshape(count, sum(widths)).astype(np.int64), np.cumsum(widths)[:2], axis=1)
+    pts = np.column_stack([c @ (1 << np.arange(c.shape[1] - 1, -1, -1)) for c in columns])
+    if (pts >= np.asarray(dims)).any():
+        raise BitstreamError("residual point outside the volume")
+    return pts

@@ -165,7 +165,8 @@ def reference_build_section(pair, y0: int, nz: int):
     """Full-array section set-up: (state, marked, queue) for section y0.
 
     Fills the whole padded (nz + 2) x (nx + 2) section, dilates the seed
-    bitmap with a 9-way OR and reads the work list back in row-major order.
+    bitmap with a 9-way OR and keeps its unknown cells as the work list, in
+    row-major order; marked holds exactly the listed cells.
     """
     occ_col = pair.occ[:, y0]
     nx = occ_col.shape[0]
@@ -188,8 +189,9 @@ def reference_build_section(pair, y0: int, nz: int):
         | seeds[1:-1, :-2] | seeds[1:-1, 1:-1] | seeds[1:-1, 2:]
         | seeds[2:, :-2] | seeds[2:, 1:-1] | seeds[2:, 2:]
     )
-    queue = [int(i) for i in np.flatnonzero(dilated)]
-    return bytearray(state.tobytes()), bytearray(dilated.tobytes()), queue
+    listed = dilated & (state == 0)
+    queue = [int(i) for i in np.flatnonzero(listed)]
+    return bytearray(state.tobytes()), bytearray(listed.tobytes()), queue
 
 
 def occupied_cells(buf) -> set[tuple[int, int]]:

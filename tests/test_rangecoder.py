@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from bvlcodec.errors import TruncatedStreamError
-from bvlcodec.rangecoder import (
-    RESCALE_LIMIT,
-    BitReader,
-    BitWriter,
-    RangeDecoder,
-    RangeEncoder,
-)
+from bvlcodec.rangecoder import RESCALE_LIMIT, RangeDecoder, RangeEncoder
 
 from oracles import binary_entropy
 
@@ -107,33 +101,6 @@ def test_truncated_stream_raises():
             dec.decode(0)
 
 
-def test_bit_writer_reader_uint_round_trip():
-    writer = BitWriter()
-    values = [(0, 1), (1, 1), (5, 3), (1023, 10), (0, 7), (2**31 - 1, 32)]
-    for value, width in values:
-        writer.write_uint(value, width)
-    data = writer.finish()
-    assert writer.bit_count == sum(w for _, w in values)
-    reader = BitReader(data)
-    for value, width in values:
-        assert reader.read_uint(width) == value
-
-
-def test_bit_writer_count_and_zero_padding():
-    for bits, packed in [
-        ([], b""),
-        ([1], b"\x80"),
-        ([1, 0, 1], b"\xa0"),
-        ([1] * 8, b"\xff"),
-        ([0, 1, 1, 0, 1, 0, 0, 1, 1], b"\x69\x80"),
-    ]:
-        writer = BitWriter()
-        for bit in bits:
-            writer.write_uint(bit, 1)
-        assert writer.bit_count == len(bits)
-        assert writer.finish() == packed
-
-
 def test_coded_stream_pads_to_whole_bytes():
     rng = np.random.default_rng(11)
     for n in (0, 1, 7, 100, 1001):
@@ -143,18 +110,6 @@ def test_coded_stream_pads_to_whole_bytes():
         assert len(stream.data) == (stream.bit_length + 7) // 8
         tail = 8 * len(stream.data) - stream.bit_length
         assert stream.data[-1] & ((1 << tail) - 1) == 0
-
-
-@pytest.mark.parametrize("payload", [b"", b"\xff", b"\xa5\x3c\x00"])
-def test_bit_reader_reads_64_zero_bits_past_the_payload(payload):
-    reader = BitReader(payload)
-    expected = [(byte >> (7 - i)) & 1 for byte in payload for i in range(8)]
-    assert [reader.read_uint(1) for _ in expected] == expected
-    assert [reader.read_uint(1) for _ in range(64)] == [0] * 64
-    with pytest.raises(TruncatedStreamError):
-        reader.read_uint(1)
-    with pytest.raises(TruncatedStreamError):
-        BitReader(payload).read_uint(8 * len(payload) + 65)
 
 
 @pytest.mark.parametrize("size", [0, 1, 5])
@@ -172,7 +127,6 @@ def test_range_decoder_reads_64_zero_bits_past_the_payload(size):
 def test_empty_payload_decodes():
     dec = RangeDecoder(b"", *_tables(1))
     assert [dec.decode(0) for _ in range(10)] == [0] * 10
-    assert BitReader(b"").read_uint(64) == 0
 
 
 def test_split_sequence_codes_like_one_call():

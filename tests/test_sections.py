@@ -1,10 +1,12 @@
 """Section building, list-driven coding, sweep, and shell tests."""
 
 import numpy as np
+import pytest
 
 from bvlcodec import sections
 from bvlcodec.cloud import PERMUTATION_COUNT, AxisPermutation, VoxelCloud
 from bvlcodec.depthmap import DepthmapPair, project_array
+from bvlcodec.errors import BitstreamError, TruncatedStreamError
 from bvlcodec.rangecoder import RangeDecoder, RangeEncoder
 from bvlcodec.sections import (
     build_section,
@@ -77,22 +79,26 @@ def test_build_section_interval_counts():
 
 
 def test_build_section_list_is_row_major_dilation():
-    pair = _single_section_pair(8, 8, {3: (2, 4)})
+    # Unknown cells in columns 0, 1 and 2; column 5 is a lone seed.
+    columns = {0: (1, 5), 1: (2, 6), 2: (0, 4), 5: (3, 3)}
+    pair = _single_section_pair(8, 8, columns)
     buf = build_section(pair, 0, 8)
     st = buf.stride
     cells = [((i // st) - 1, (i % st) - 1) for i in buf.queue]
+    seeds = {(z, x) for x, band in columns.items() for z in band}
+    unknown = {(z, x) for x, (lo, hi) in columns.items() for z in range(lo + 1, hi)}
     expected = sorted(
         {
             (z + dz, x + dx)
-            for z, x in ((2, 3), (4, 3))
+            for z, x in seeds
             for dz in (-1, 0, 1)
             for dx in (-1, 0, 1)
-            if 0 <= z + dz < 8 and 0 <= x + dx < 8
         }
+        & unknown
     )
+    assert {x for _, x in expected} == {0, 1, 2}
     assert cells == expected
-    for i in buf.queue:
-        assert buf.marked[i] == 1
+    assert np.flatnonzero(buf.marked).tolist() == list(buf.queue)
 
 
 def _assert_matches_reference(pair, nz):
@@ -407,11 +413,36 @@ def test_residual_empty():
 
 
 def test_residual_rejects_out_of_range_points():
-    import pytest
-
-    from bvlcodec.errors import BitstreamError
-
     dims = (33, 1, 4)  # 6-bit x field can hold values past dim 33
     stream = encode_residual([(40, 0, 1)], dims)
     with pytest.raises(BitstreamError):
         decode_residual(stream.data, dims)
+
+
+def test_residual_exact_bytes():
+    # Widths 3, 0 and 1: the count, then x = 101 and z = 1, MSB first.
+    stream = encode_residual([(5, 0, 1)], (8, 1, 2))
+    assert stream.data == bytes.fromhex("00000001b0")
+    assert stream.bit_length == 36
+    assert decode_residual(stream.data, (8, 1, 2)).tolist() == [[5, 0, 1]]
+
+
+def test_residual_round_trip_with_a_24_bit_field():
+    dims = (2**24 - 2, 1, 2)
+    pts = [(0, 0, 0), (2**24 - 3, 0, 1), (12_345_678, 0, 0), (1, 0, 1)]
+    stream = encode_residual(pts, dims)
+    assert stream.bit_length == 32 + len(pts) * (24 + 0 + 1)
+    assert list(map(tuple, decode_residual(stream.data, dims).tolist())) == pts
+
+
+def test_residual_count_past_the_volume_raises_before_allocating():
+    with pytest.raises(BitstreamError):
+        decode_residual(b"\xff\xff\xff\xff", (1, 1, 1))
+
+
+def test_residual_payload_short_of_its_count_raises():
+    dims = (2**24 - 2, 1, 2)
+    data = encode_residual([(7, 0, 1), (9, 0, 0), (11, 0, 1)], dims).data
+    for cut in (b"", data[:3], data[:4], data[:-1]):
+        with pytest.raises(TruncatedStreamError):
+            decode_residual(cut, dims)
