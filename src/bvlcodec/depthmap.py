@@ -22,19 +22,22 @@ first, then the low-surface bins, then the thickness bins.
 The encoder knows every pixel up front, so it works in blocks of whole rows:
 numpy builds a block's mask contexts, predictors and exp-Golomb bins, and
 the range coder codes the block's contexts and bits in one call. The
-decoder works by rows: numpy builds the template terms from the two rows
-above once per row, and the two same-row terms ride in a shift register,
-pixel by pixel.
+decoder runs two loops in the native kernel (rangecoder.py): the mask pixel
+by pixel, then the surfaces at the occupied pixels. Without the kernel the
+same loops run in Python: the mask by rows, with numpy building the
+template terms from the two rows above once per row and the two same-row
+terms riding in a shift register.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BitstreamError
-from .rangecoder import CodedStream, RangeDecoder, RangeEncoder
+from .rangecoder import CodedStream, RangeDecoder, RangeEncoder, check_status, count_tables, native
 
 # Causal template around pixel (x, y); rows are x (scan order), columns y.
 # The last two terms lie on the current row: the decoder carries them in a
@@ -188,12 +191,12 @@ def encode_depthmaps(pair: DepthmapPair, nz: int) -> CodedStream:
     occ = pair.occ
     nx, ny = occ.shape
     step = max(1, _BLOCK_PIXELS // ny)
-    enc = RangeEncoder([1] * _CONTEXTS, [1] * _CONTEXTS)
+    enc = RangeEncoder(*count_tables(_CONTEXTS))
     padded = np.zeros((nx + 2, ny + 4), dtype=np.uint8)
     padded[2:, 2 : ny + 2] = occ
     for a in range(0, nx, step):
         ctx = _template_field(padded[a : a + step + 2], len(_TEMPLATE))
-        enc.encode_many(ctx.ravel().tolist(), occ[a : a + step].ravel().tolist())
+        enc.encode_many(ctx.ravel(), occ[a : a + step].ravel())
     prev_low = nz // 2
     prev_thick = 0
     for a in range(0, nx, step):
@@ -201,29 +204,39 @@ def encode_depthmaps(pair: DepthmapPair, nz: int) -> CodedStream:
         # Low residuals and thickness residuals alternate.
         base = MASK_CONTEXTS + RESIDUAL_CONTEXTS * (np.arange(residuals.size) & 1)
         contexts, bits = _exp_golomb_bins(residuals, base)
-        enc.encode_many(contexts.tolist(), bits.tolist())
+        enc.encode_many(contexts, bits)
     return enc.finish()
 
 
 def decode_depthmaps(data: bytes, nx: int, ny: int, nz: int) -> DepthmapPair:
-    dec = RangeDecoder(data, [1] * _CONTEXTS, [1] * _CONTEXTS)
+    dec = RangeDecoder(data, *count_tables(_CONTEXTS))
+    lib = native()
     stride = ny + 4
     grid = bytearray((nx + 2) * stride)
     rows = np.frombuffer(grid, dtype=np.uint8).reshape(nx + 2, stride)
-    decode = dec.decode
-    for x in range(nx):
-        base = (x + 2) * stride + 2
-        # The same-row terms (0, -2) and (0, -1) are context bits 8 and 9.
-        run = 0
-        for y, upper in enumerate(_template_field(rows[x : x + 3], _ROW_TERMS).ravel().tolist()):
-            if decode(upper | run):
-                grid[base + y] = 1
-                run = ((run >> 1) & 256) | 512
-            else:
-                run = (run >> 1) & 256
+    if lib is not None:
+        with dec.native_state() as state:
+            check_status(lib.decode_mask(ctypes.byref(state), rows.ctypes.data, nx, ny))
+    else:
+        decode = dec.decode
+        for x in range(nx):
+            base = (x + 2) * stride + 2
+            # The same-row terms (0, -2) and (0, -1) are context bits 8 and 9.
+            run = 0
+            for y, upper in enumerate(_template_field(rows[x : x + 3], _ROW_TERMS).ravel().tolist()):
+                if decode(upper | run):
+                    grid[base + y] = 1
+                    run = ((run >> 1) & 256) | 512
+                else:
+                    run = (run >> 1) & 256
     occ = rows[2:, 2 : ny + 2].copy()
     low = np.zeros((nx, ny), dtype=np.int32)
     high = np.zeros((nx, ny), dtype=np.int32)
+    if lib is not None:
+        with dec.native_state() as state:
+            check_status(lib.decode_surfaces(ctypes.byref(state), occ.ctypes.data, low.ctypes.data,
+                                             high.ctypes.data, nx, ny, nz))
+        return DepthmapPair(occ=occ, zmin=low, zmax=high)
     xs, ys = np.nonzero(occ)
     thick_base = MASK_CONTEXTS + RESIDUAL_CONTEXTS
     prev_low = nz // 2

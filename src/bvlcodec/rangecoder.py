@@ -1,38 +1,49 @@
-"""Adaptive binary arithmetic coding.
+"""Adaptive binary arithmetic coding, and the native kernel behind it.
 
 Integer range coder with 32-bit interval registers and pending-bit carry
 resolution (Witten/Neal/Cleary style renormalization). A coder owns two
-count tables, c0 and c1: plain lists of ints, one entry per context, each
-Laplace-initialized to 1. A binary decision is coded under an int context,
-so p(0) = c0[context] / (c0[context] + c1[context]) adapts as symbols are
-observed. Encoder and decoder apply the identical count update after each
-symbol, which keeps both tables bit-for-bit in sync.
+count tables, c0 and c1: array('H') tables, one entry per context, each
+Laplace-initialized to 1 (count_tables). A binary decision is coded under an
+int context, so p(0) = c0[context] / (c0[context] + c1[context]) adapts as
+symbols are observed. Encoder and decoder apply the identical count update
+after each symbol, which keeps both tables bit-for-bit in sync. Counts stay
+at or below RESCALE_LIMIT - 1, so uint16 entries hold them.
 
 Termination: finish() emits a single disambiguating bit (plus any pending
 carry bits) and zero-pads the last byte. The decoder treats reads past the
 payload as zeros, which is exactly what the padding would have been, so every
 encoded symbol resolves without storing the symbol count in the stream.
 
-The encoder codes sequences: encode_many takes a whole run of contexts and
-their bits and keeps the coder state in locals across it. The decoder codes
-one decision at a time, because the caller needs each bit to choose the next
-context.
-
 Each coder owns its bits, buffered unpacked, one byte per bit, MSB first:
 the encoder appends to a bytearray that np.packbits packs once in finish(),
 and the decoder indexes the np.unpackbits expansion of its payload followed
-by 64 zero bits, so no bit costs a function call. A read past those zero
-bits, possible only on corrupt input, raises TruncatedStreamError.
+by 64 zero bits. A read past those zero bits, possible only on corrupt
+input, raises TruncatedStreamError.
+
+The coding loops run natively: _kernel.c holds the coder and one loop per
+stream (encode_many, the mask and surface decoders, the section run), and
+load_kernel compiles it with gcc on first use into a per-user cache and loads
+it through ctypes. Where that fails, the same loops run in Python:
+encode_many here, RangeDecoder.decode one decision at a time, and the loops
+of depthmap.py and sections.py. Both paths give the same bits.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import tempfile
+import zlib
+from array import array
 from collections.abc import Iterable
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import TruncatedStreamError
+from .errors import BitstreamError, TruncatedStreamError
 
 _STATE_BITS = 32
 _FULL = 1 << _STATE_BITS
@@ -44,6 +55,125 @@ _THREE_QUARTER = _HALF + _QUARTER
 # the estimator responsive on nonstationary data. Must stay far below the
 # minimum interval width (2^30) so every symbol keeps a nonempty subinterval.
 RESCALE_LIMIT = 1 << 16
+
+_SOURCE = Path(__file__).with_name("_kernel.c")
+_BUILD = ("gcc", "-O2", "-shared", "-fPIC")
+_P = ctypes.c_void_p
+_I = ctypes.c_int64
+_SIGNATURES = {
+    "encode_many": (_P, _P, _P, _I),
+    "decode_mask": (_P, _P, _I, _I),
+    "decode_surfaces": (_P, _P, _P, _P, _I, _I, _I),
+    "map_fill": (_P,),
+    "code_run": (_P, _P, _P),
+}
+# Kernel statuses: a loop that ran out of room, the errors of corrupt input,
+# and buffers that break the section layout.
+NEED_ROOM = 1
+_ERRORS = {
+    -1: (TruncatedStreamError, "bit stream exhausted"),
+    -2: (BitstreamError, "runaway residual prefix"),
+    -3: (BitstreamError, "decoded low surface out of range"),
+    -4: (BitstreamError, "decoded thickness out of range"),
+    -5: (ValueError, "section buffers do not match their layout"),
+}
+
+
+def _private_dir(path: Path) -> None:
+    path.mkdir(mode=0o700, parents=True, exist_ok=True)
+    info = path.stat()
+    if info.st_uid != os.getuid() or info.st_mode & 0o022:
+        raise OSError(f"{path} is writable by other users")
+
+
+def _build(path: Path) -> None:
+    """Compile _kernel.c to a temporary file beside path, then move it into place."""
+    # Imported here: only a build needs it, and every process pays for its imports.
+    import subprocess
+
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=path.parent)
+    os.close(fd)
+    try:
+        subprocess.run([*_BUILD, "-o", tmp, str(_SOURCE)], check=True, capture_output=True, timeout=120)
+        os.replace(tmp, path)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"build failed: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+@functools.cache
+def load_kernel() -> tuple[ctypes.CDLL | None, str]:
+    """The native kernel and the file it was loaded from, or None and why not.
+
+    Builds _kernel.c on first use into ~/.cache/bvlcodec/<key>/, else into a
+    per-user directory under the system's temporary directory; <key> is the
+    CRC-32 and the Adler-32 of the source and the build command. Tried once
+    per process.
+    """
+    try:
+        text = _SOURCE.read_bytes() + " ".join(_BUILD).encode()
+        key = f"{zlib.crc32(text):08x}{zlib.adler32(text):08x}"
+        bases = [Path.home() / ".cache" / "bvlcodec", Path(tempfile.gettempdir()) / f"bvlcodec-{os.getuid()}"]
+    except (OSError, RuntimeError, AttributeError) as exc:
+        return None, f"no kernel source or cache directory: {exc}"
+    reasons = []
+    for base in bases:
+        path = base / key / "_kernel.so"
+        try:
+            _private_dir(base)
+            _private_dir(path.parent)
+            if not path.exists():
+                _build(path)
+            lib = ctypes.CDLL(str(path))
+            for name, args in _SIGNATURES.items():
+                getattr(lib, name).argtypes = args
+                getattr(lib, name).restype = _I
+        except (OSError, AttributeError) as exc:
+            reasons.append(f"{base}: {exc}")
+            continue
+        return lib, str(path)
+    return None, "; ".join(reasons)
+
+
+def native() -> ctypes.CDLL | None:
+    """The loaded kernel, or None when the Python loops run."""
+    return load_kernel()[0]
+
+
+def check_status(status: int) -> None:
+    """Raise the error that a negative kernel status stands for."""
+    if status < 0:
+        error, message = _ERRORS[status]
+        raise error(message)
+
+
+def address(buffer) -> int:
+    """Address of the first item of an array or a non-empty writable buffer; valid until it is resized."""
+    if isinstance(buffer, array):
+        return buffer.buffer_info()[0]
+    return ctypes.addressof(ctypes.c_char.from_buffer(buffer))
+
+
+class _Coder(ctypes.Structure):
+    """A coder as the kernel sees it (Coder in _kernel.c)."""
+
+    _fields_ = [
+        ("low", _I), ("high", _I), ("extra", _I), ("pos", _I),
+        ("bits", _P), ("size", _I), ("c0", _P), ("c1", _P), ("contexts", _I),
+    ]
+
+
+def count_tables(n: int) -> tuple[array, array]:
+    """Count tables c0 and c1 of n contexts each, every count 1."""
+    return array("H", [1]) * n, array("H", [1]) * n
+
+
+def _check_tables(c0: array, c1: array) -> None:
+    if not (isinstance(c0, array) and isinstance(c1, array) and c0.typecode == c1.typecode == "H"
+            and len(c0) == len(c1)):
+        raise TypeError("count tables must be two array('H') of one length")
 
 
 @dataclass(frozen=True)
@@ -62,23 +192,68 @@ class RangeEncoder:
     the end.
     """
 
-    __slots__ = ("c0", "c1", "_low", "_high", "_pending", "_bits")
+    __slots__ = ("c0", "c1", "slot_map", "_low", "_high", "_pending", "_bits")
 
-    def __init__(self, c0: list[int], c1: list[int]) -> None:
+    def __init__(self, c0: array, c1: array) -> None:
+        _check_tables(c0, c1)
         self.c0 = c0
         self.c1 = c1
+        # The section loop's label map for the kernel (sections.py).
+        self.slot_map = None
         self._low = 0
         self._high = _FULL - 1
         self._pending = 0
         self._bits = bytearray()
 
+    @contextmanager
+    def native_state(self, room: int):
+        """The coder as the kernel's struct, with room for `room` bits beyond the pending ones.
+
+        The kernel's changes to the state come back when the block ends.
+        """
+        start = len(self._bits)
+        self._bits += bytes(self._pending + 64 + room)
+        state = _Coder(self._low, self._high, self._pending, start, address(self._bits),
+                       len(self._bits), address(self.c0), address(self.c1), len(self.c0))
+        try:
+            yield state
+        finally:
+            self._low, self._high, self._pending = state.low, state.high, state.extra
+            del self._bits[state.pos :]
+
     def encode_many(self, contexts: Iterable[int], bits: Iterable[int]) -> None:
         """Code each bit under its context, in order; the counts adapt as they go.
 
-        The two iterables must have the same length (ValueError otherwise). The
-        coder state stays in locals for the whole sequence, so a long
-        sequence costs one call, not one per decision.
+        The two sequences must have the same length (ValueError otherwise,
+        after the pairs before the mismatch are coded). A nonzero bit codes
+        a 1. The whole sequence costs one call into the kernel.
         """
+        lib = native()
+        if lib is None:
+            self.encode_many_python(contexts, bits)
+            return
+        contexts = np.array(contexts if isinstance(contexts, (np.ndarray, list, tuple)) else list(contexts),
+                            dtype=np.int64)
+        bits = np.asarray(bits if isinstance(bits, (np.ndarray, list, tuple)) else list(bits))
+        n = min(contexts.size, bits.size)
+        mismatch = contexts.size != bits.size
+        bits = (bits[:n] != 0).view(np.uint8)
+        done = 0
+        while done < n:
+            # A decision writes at most 18 bits beyond the pending ones.
+            with self.native_state(18 * min(n - done, 1 << 16)) as state:
+                done += lib.encode_many(ctypes.byref(state), address(contexts[done:]), address(bits[done:]), n - done)
+            if done < n and not 0 <= contexts[done] < len(self.c0):
+                raise IndexError("context outside the count tables")
+        if mismatch:
+            raise ValueError("contexts and bits differ in length")
+
+    def encode_many_python(self, contexts: Iterable[int], bits: Iterable[int]) -> None:
+        """encode_many's Python loop, which runs when the kernel does not."""
+        if isinstance(contexts, np.ndarray):
+            contexts = contexts.tolist()
+        if isinstance(bits, np.ndarray):
+            bits = bits.tolist()
         low = self._low
         high = self._high
         pending = self._pending
@@ -145,11 +320,13 @@ class RangeEncoder:
 class RangeDecoder:
     """Mirror of RangeEncoder; count updates replay the encoder's exactly."""
 
-    __slots__ = ("c0", "c1", "_bits", "_pos", "_low", "_high", "_code")
+    __slots__ = ("c0", "c1", "slot_map", "_bits", "_pos", "_low", "_high", "_code")
 
-    def __init__(self, data: bytes | CodedStream, c0: list[int], c1: list[int]) -> None:
+    def __init__(self, data: bytes | CodedStream, c0: array, c1: array) -> None:
+        _check_tables(c0, c1)
         self.c0 = c0
         self.c1 = c1
+        self.slot_map = None
         if isinstance(data, CodedStream):
             data = data.data
         packed = np.frombuffer(data, dtype=np.uint8)
@@ -163,7 +340,21 @@ class RangeDecoder:
             code = (code << 1) | bit
         self._code = code
 
+    @contextmanager
+    def native_state(self, room: int = 0):
+        """The coder as the kernel's struct; `room` sizes an encoder's bits and is unused here.
+
+        The kernel's changes to the state come back when the block ends.
+        """
+        state = _Coder(self._low, self._high, self._code, self._pos, address(self._bits),
+                       len(self._bits), address(self.c0), address(self.c1), len(self.c0))
+        try:
+            yield state
+        finally:
+            self._low, self._high, self._code, self._pos = state.low, state.high, state.extra, state.pos
+
     def decode(self, ctx: int) -> int:
+        """Decode one decision in Python; the kernel's loops decode whole streams."""
         c0s = self.c0
         c1s = self.c1
         c0 = c0s[ctx]

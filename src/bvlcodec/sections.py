@@ -33,19 +33,12 @@ holds the 0/1 reconstruction of the section before section k (for slab 0,
 the last section of the run before, or zero after an empty section), so a
 cell reads its previous-section patch around its own index in prev.
 
-The decoder runs the loop above cell by cell, section after section, and
-writes each section's reconstruction into the next slab of prev. The
-encoder knows every section's true occupancy up front, so it fills prev at
-once and derives the loop's order by breadth-first levels instead.
-Level 0 is the start list; level L + 1 is the unknown, not yet listed
-8-neighbours of level L's occupied cells, in push order, first occurrence
-kept. Every cell a level-L cell pushes goes behind all of level L, so the
-FIFO pops the levels one after another, each in push order: their
-concatenation is the decoder's order. A cell's place in it is its position;
-in its context, a neighbour unknown at set-up reads as coded (1 + bit) if
-its position is smaller and as unknown otherwise. With the order and the
-positions in arrays, numpy builds the contexts of the whole run at once, and
-the range coder codes them in blocks.
+One loop codes a run on either side: it takes each bit from the decoder, or
+from the true occupancy and hands it to the encoder, and after each section
+writes its reconstruction into the next slab of prev. The loop runs in the
+native kernel (rangecoder.py), which keeps the dict's labels in a hash table
+of its own; without the kernel it runs in Python, and the encoder codes the
+run's contexts and bits in one call at the end.
 
 Buffers are flat bytearrays with a one-cell border ring so the 3x3 crops
 never bounds-check; border cells read as known empty and never enter the
@@ -57,6 +50,7 @@ follows the band, not the section's area.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,23 +58,25 @@ import numpy as np
 from .contexts import get_norm_lists, get_norm_tables
 from .depthmap import DepthmapPair, decode_depthmaps, encode_depthmaps, project_array
 from .errors import BitstreamError, TruncatedStreamError
-from .rangecoder import CodedStream, RangeDecoder, RangeEncoder
+from .rangecoder import (
+    NEED_ROOM,
+    CodedStream,
+    RangeDecoder,
+    RangeEncoder,
+    address,
+    check_status,
+    count_tables,
+    native,
+)
 
 _STEPS = np.array([-1, 0, 1], dtype=np.int64)
 # Both sides set up and code consecutive sections in runs of about this many
-# cells (at least one section), and the encoder builds contexts for this many
-# coded cells at a time, so its temporaries follow the run and the block.
+# cells (at least one section), so the buffers follow the run.
 _RUN_CELLS = 1 << 18
-_BLOCK_CELLS = 1 << 14
-# (z, x) steps to the 8 neighbours in push order: nw, n, ne, w, e, sw, s, se.
-_PUSH_DZ = np.array([-1, -1, -1, 0, 0, 1, 1, 1])
-_PUSH_DX = np.array([-1, 0, 1, -1, 1, -1, 0, 1])
-# (z, x) steps to the 3x3 patch cells in digit order, and the weights of the
-# digits: digit i + 3 * j is the cell at z step i - 1 and x step j - 1.
-_PATCH_DZ = np.tile(_STEPS, 3)
-_PATCH_DX = np.repeat(_STEPS, 3)
-_TERNARY_WEIGHTS = 3 ** np.arange(9, dtype=np.int64)
-_BINARY_WEIGHTS = 1 << np.arange(9, dtype=np.int64)
+# The room each call into the kernel's section loop starts with: coded bits,
+# and count-table slots (at least twice the slots in use).
+_BITS_ROOM = 1 << 16
+_SLOTS_ROOM = 1 << 10
 
 
 @dataclass
@@ -132,7 +128,7 @@ def build_section(pair: DepthmapPair, y0: int, nz: int, prev: bytes | None = Non
     # Work list: the unknown cells among the seeds' 3x3 neighbours, sorted
     # (section by section, row-major) and deduplicated. Seeds and the border
     # ring are known, so each seed's neighbours stay inside its padded slab.
-    cells = (np.concatenate((low_seeds, high_seeds))[:, None] + (st * _PATCH_DZ + _PATCH_DX)).ravel()
+    cells = (np.concatenate((low_seeds, high_seeds))[:, None] + (st * _STEPS[:, None] + _STEPS).ravel()).ravel()
     cells = cells[view[cells] == 0]
     cells.sort()
     cells = cells[np.diff(cells, prepend=-1) != 0]
@@ -163,18 +159,18 @@ def code_section(
 
     Returns the number of coded bits. models maps each context label seen so
     far to its slot in the coder's count tables. Pass exactly one of
-    encoder/decoder. The decoder runs the list-driven loop over one section
-    after another, each reading the slab of buf.prev that the section before
-    filled. The encoder codes the run by levels and needs its true occupancy
-    in the same padded layout as buf.state. Afterwards buf.state holds the
-    reconstruction.
+    encoder/decoder; the encoder also needs the run's true occupancy in the
+    same padded layout as buf.state. The list-driven loop runs over one
+    section after another, each reading the slab of buf.prev that the
+    section before filled. Afterwards buf.state holds the reconstruction.
     """
     if (encoder is None) == (decoder is None):
         raise ValueError("pass exactly one of encoder or decoder")
-    if encoder is not None:
-        if true_section is None:
-            raise ValueError("encoding requires the true section")
-        return _encode_run(buf, models, encoder, true_section)
+    if encoder is not None and true_section is None:
+        raise ValueError("encoding requires the true section")
+    lib = native()
+    if lib is not None:
+        return _code_native(lib, buf, models, encoder or decoder, true_section)
     turn_by_patch, canonical_by_patch, rotated = get_norm_lists()
     state = buf.state
     marked = buf.marked
@@ -182,9 +178,12 @@ def code_section(
     st = buf.stride
     slab = (buf.nz + 2) * st
     get_slot = models.get
-    c0 = decoder.c0
-    c1 = decoder.c1
-    decode = decoder.decode
+    coder = encoder or decoder
+    c0 = coder.c0
+    c1 = coder.c1
+    decode = None if decoder is None else decoder.decode
+    slots: list[int] = []
+    bits: list[int] = []
     coded = 0
     reconstruction = np.frombuffer(state, dtype=np.uint8)
     previous = np.frombuffer(prev, dtype=np.uint8)
@@ -222,7 +221,12 @@ def code_section(
                 slot = models[label] = len(c0)
                 c0.append(1)
                 c1.append(1)
-            bit = decode(slot)
+            if decode is None:
+                bit = true_section[idx]
+                slots.append(slot)
+                bits.append(bit)
+            else:
+                bit = decode(slot)
             coded += 1
             state[idx] = 1 + bit
             if bit:
@@ -252,64 +256,85 @@ def code_section(
                     push(se)
         if a + slab < len(state):
             previous[a + slab : a + 2 * slab] = reconstruction[a : a + slab] == 2
+    if encoder is not None:
+        encoder.encode_many(slots, bits)
     return coded
 
 
-def _encode_run(buf: SectionBuffers, models: dict, encoder: RangeEncoder, true_section: bytes) -> int:
-    """Code a run of sections by breadth-first levels (see the module docstring)."""
+class _LabelMap(ctypes.Structure):
+    """LabelMap in _kernel.c."""
+
+    _fields_ = [("keys", ctypes.c_void_p), ("slots", ctypes.c_void_p), ("mask", ctypes.c_int64),
+                ("labels", ctypes.c_void_p), ("count", ctypes.c_int64)]
+
+
+class _Run(ctypes.Structure):
+    """Run in _kernel.c."""
+
+    _fields_ = [(name, ctypes.c_void_p) for name in ("state", "marked", "prev", "truth")] + [
+        (name, ctypes.c_int64) for name in ("stride", "slab", "count")
+    ] + [("start", ctypes.c_void_p), ("starts", ctypes.c_int64)] + [
+        (name, ctypes.c_void_p) for name in ("fifo", "turn", "canonical", "rotated")
+    ] + [(name, ctypes.c_int64) for name in ("section", "next", "head", "tail", "loaded", "coded")]
+
+
+class _SlotMap:
+    """A models dict as the kernel's LabelMap, with room for `capacity` slots.
+
+    labels[slot] is the label that owns each of the first `slots` slots of
+    the coder's count tables (-1 for none); the hash table is twice the
+    capacity or more, so it never fills.
+    """
+
+    def __init__(self, lib, models: dict, slots: int, capacity: int) -> None:
+        self.models = models
+        self.labels = np.full(capacity, -1, dtype=np.int32)
+        self.labels[np.fromiter(models.values(), np.int64, len(models))] = np.fromiter(
+            models.keys(), np.int64, len(models))
+        size = 1 << (2 * capacity - 1).bit_length()
+        self.keys = np.full(size, -1, dtype=np.int32)
+        self.slots = np.empty(size, dtype=np.int32)
+        self.struct = _LabelMap(self.keys.ctypes.data, self.slots.ctypes.data, size - 1,
+                                self.labels.ctypes.data, slots)
+        lib.map_fill(ctypes.byref(self.struct))
+
+
+def _code_native(lib, buf: SectionBuffers, models: dict, coder, truth) -> int:
+    """code_section's loop in the kernel; the coder's slot_map keeps models' labels across calls."""
     st = buf.stride
     slab = (buf.nz + 2) * st
-    state = np.frombuffer(buf.state, dtype=np.uint8)
-    marked = np.frombuffer(buf.marked, dtype=np.uint8)
-    truth = np.frombuffer(true_section, dtype=np.uint8)
-    level = buf.queue
-    push = st * _PUSH_DZ + _PUSH_DX
-    levels = []
-    while level.size:
-        levels.append(level)
-        marked[level] = 1
-        pushed = (level[truth[level] == 1][:, None] + push).ravel()
-        pushed = pushed[(state[pushed] == 0) & (marked[pushed] == 0)]
-        _, first = np.unique(pushed, return_index=True)
-        level = pushed[np.sort(first)]
-    if not levels:
-        return 0
-    order = np.concatenate(levels)
-    position = np.empty(state.size, dtype=np.int32)
-    position[order] = np.arange(order.size, dtype=np.int32)
-    # Levels interleave the run's sections; the coder takes one section
-    # after another, each in its own order.
-    cells = order[np.argsort(order // slab, kind="stable")]
-    bits = truth[cells]
-    # Every listed cell is coded, so from here a mark means coded, and the
-    # state is the reconstruction.
-    state[cells] = 1 + bits
-    prev = np.frombuffer(buf.prev, dtype=np.uint8)
-    prev[slab:] = state[:-slab] == 2
+    size = len(buf.state)
+    queue = np.ascontiguousarray(buf.queue, dtype=np.int64)
+    if (size % slab or len(buf.marked) != size or len(buf.prev) != size
+            or (truth is not None and len(truth) != size)):
+        raise ValueError("section buffers do not match their layout")
     tables = get_norm_tables()
-    c0 = encoder.c0
-    c1 = encoder.c1
-    patch_offsets = st * _PATCH_DZ + _PATCH_DX
-    for a in range(0, cells.size, _BLOCK_CELLS):
-        block = cells[a : a + _BLOCK_CELLS]
-        around = block[:, None] + patch_offsets
-        # The patch as it stood when the cell was coded: a cell coded at or
-        # after it, the cell itself included, was still unknown.
-        current = state[around]
-        current[(marked[around] == 1) & (position[around] >= position[block][:, None])] = 0
-        patch = current @ _TERNARY_WEIGHTS
-        binary = tables.rotated_binary[tables.alpha_star[patch], prev[around] @ _BINARY_WEIGHTS]
-        labels, inverse = np.unique(tables.i_star[patch] * 512 + binary, return_inverse=True)
-        slots = []
-        for label in labels.tolist():
-            slot = models.get(label)
-            if slot is None:
-                slot = models[label] = len(c0)
-                c0.append(1)
-                c1.append(1)
-            slots.append(slot)
-        encoder.encode_many(np.array(slots)[inverse].tolist(), bits[a : a + _BLOCK_CELLS].tolist())
-    return int(cells.size)
+    fifo = np.empty(slab, dtype=np.int32)
+    run = _Run(address(buf.state), address(buf.marked), address(buf.prev),
+               None if truth is None else np.frombuffer(truth, dtype=np.uint8).ctypes.data,
+               st, slab, size // slab, queue.ctypes.data, queue.size, fifo.ctypes.data,
+               tables.alpha_star.ctypes.data, tables.i_star.ctypes.data, tables.rotated_binary.ctypes.data)
+    c0 = coder.c0
+    c1 = coder.c1
+    status = NEED_ROOM
+    while status == NEED_ROOM:
+        slots = len(c0)
+        slot_map = coder.slot_map
+        # A new dict or new tables, or a full map: rebuild it from models.
+        if (slot_map is None or slot_map.models is not models or slot_map.struct.count != slots
+                or slots == len(slot_map.labels)):
+            slot_map = coder.slot_map = _SlotMap(lib, models, slots, max(_SLOTS_ROOM, 2 * slots))
+        spare = len(slot_map.labels) - slots
+        c0.frombytes(bytes(2 * spare))
+        c1.frombytes(bytes(2 * spare))
+        with coder.native_state(_BITS_ROOM) as state:
+            status = lib.code_run(ctypes.byref(state), ctypes.byref(slot_map.struct), ctypes.byref(run))
+        count = slot_map.struct.count
+        models.update(zip(slot_map.labels[slots:count].tolist(), range(slots, count)))
+        del c0[count:]
+        del c1[count:]
+    check_status(status)
+    return run.coded
 
 
 def _reconstruction(buf: SectionBuffers, y0: int) -> tuple[np.ndarray, np.ndarray]:
@@ -386,7 +411,7 @@ def encode_shells(cloud, max_shells: int) -> tuple[list[tuple[CodedStream, Coded
     dims = cloud.dims
     nz = dims[2]
     models: dict = {}
-    c0, c1 = [], []
+    c0, c1 = count_tables(0)
     remaining = cloud.to_array()
     shells: list[tuple[CodedStream, CodedStream]] = []
     while len(remaining) and len(shells) < max_shells:
@@ -395,8 +420,11 @@ def encode_shells(cloud, max_shells: int) -> tuple[list[tuple[CodedStream, Coded
         encoder = RangeEncoder(c0, c1)
         recon, _ = sweep_encode(remaining, pair, dims, models, encoder)
         shells.append((surface_stream, encoder.finish()))
-        keys = np.ravel_multi_index(remaining.T, dims)
-        remaining = remaining[~np.isin(keys, np.ravel_multi_index(recon.T, dims))]
+        # The points are sorted, so their keys are; every reconstructed point
+        # is one of them.
+        keep = np.ones(len(remaining), dtype=bool)
+        keep[np.searchsorted(np.ravel_multi_index(remaining.T, dims), np.ravel_multi_index(recon.T, dims))] = False
+        remaining = remaining[keep]
     return shells, remaining
 
 
@@ -404,7 +432,7 @@ def decode_shells(shell_blobs: list[tuple[bytes, bytes]], dims) -> np.ndarray:
     """Decode every shell's payload pair; returns their points, shell after shell."""
     nx, ny, nz = dims
     models: dict = {}
-    c0, c1 = [], []
+    c0, c1 = count_tables(0)
     chunks = [np.empty((0, 3), dtype=np.int64)]
     for surface_blob, section_blob in shell_blobs:
         pair = decode_depthmaps(surface_blob, nx, ny, nz)

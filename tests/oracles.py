@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from bvlcodec.contexts import get_norm_lists
-from bvlcodec.rangecoder import RangeEncoder
+from bvlcodec.rangecoder import RangeEncoder, count_tables
 from bvlcodec.sections import build_section
 
 _POW2 = 2 ** np.arange(9, dtype=np.int64)
@@ -368,6 +368,6 @@ def reference_encode_depthmaps(pair, nz: int):
         decisions += _reference_signed_bins(1024 + 32, t - predicted)
         prev_low = v
         prev_thick = t
-    enc = RangeEncoder([1] * (1024 + 2 * 32), [1] * (1024 + 2 * 32))
+    enc = RangeEncoder(*count_tables(1024 + 2 * 32))
     enc.encode_many([c for c, _ in decisions], [b for _, b in decisions])
     return enc.finish()

@@ -14,7 +14,7 @@ import pytest
 from bvlcodec import decode_cloud, encode_cloud, parse_ply
 from bvlcodec.contexts import PATCH_COUNT, build_norm_tables, check_norm_tables
 from bvlcodec.depthmap import DepthmapPair
-from bvlcodec.rangecoder import RangeDecoder, RangeEncoder
+from bvlcodec.rangecoder import RangeDecoder, RangeEncoder, count_tables
 from bvlcodec.sections import build_section, code_section
 
 import shapes
@@ -90,7 +90,7 @@ def test_criterion_3_coder_rate():
         for p, seed in ((0.5, 11), (0.1, 22), (0.01, 33)):
             rng = np.random.default_rng(seed)
             bits = (rng.random(n) < p).astype(int).tolist()
-            enc = RangeEncoder([1], [1])
+            enc = RangeEncoder(*count_tables(1))
             enc.encode_many([0] * n, bits)
             rate = enc.finish().bit_length / n
             target = binary_entropy(p)
@@ -161,13 +161,13 @@ def test_criterion_5_section_oracle_equivalence():
             true_bytes = bytearray((nz + 2) * st)
             for z, x in true_cells:
                 true_bytes[(z + 1) * st + x + 1] = 1
-            enc = RangeEncoder([], [])
+            enc = RangeEncoder(*count_tables(0))
             enc_buf = build_section(pair, 0, nz, prev)
             cells: list = []
             n_enc = reference_encode_section(enc_buf, {}, enc, bytes(true_bytes), coded_cells=cells)
             stream = enc.finish()
             dec_buf = build_section(pair, 0, nz, prev)
-            n_dec = code_section(dec_buf, {}, decoder=RangeDecoder(stream, [], []))
+            n_dec = code_section(dec_buf, {}, decoder=RangeDecoder(stream, *count_tables(0)))
             coded_set = {((i // st) - 1, (i % st) - 1) for i in cells}
             oracle_coded, oracle_occupied = section_flood_fill(nz, nx, columns, true_cells)
             assert coded_set == oracle_coded

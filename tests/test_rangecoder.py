@@ -4,20 +4,16 @@ import numpy as np
 import pytest
 
 from bvlcodec.errors import TruncatedStreamError
-from bvlcodec.rangecoder import RESCALE_LIMIT, RangeDecoder, RangeEncoder
+from bvlcodec.rangecoder import RESCALE_LIMIT, RangeDecoder, RangeEncoder, count_tables
 
 from oracles import binary_entropy
 
 
-def _tables(n):
-    return [1] * n, [1] * n
-
-
 def _round_trip(bits, picks, n_contexts):
-    enc = RangeEncoder(*_tables(n_contexts))
+    enc = RangeEncoder(*count_tables(n_contexts))
     enc.encode_many(picks, bits)
     stream = enc.finish()
-    dec = RangeDecoder(stream, *_tables(n_contexts))
+    dec = RangeDecoder(stream, *count_tables(n_contexts))
     decoded = [dec.decode(pick) for pick in picks]
     assert (enc.c0, enc.c1) == (dec.c0, dec.c1)
     return decoded, stream
@@ -53,7 +49,7 @@ def test_rate_tracks_entropy(p, tol):
     rng = np.random.default_rng(2024)
     n = 200_000
     bits = (rng.random(n) < p).astype(int).tolist()
-    enc = RangeEncoder(*_tables(1))
+    enc = RangeEncoder(*count_tables(1))
     enc.encode_many([0] * n, bits)
     rate = enc.finish().bit_length / n
     target = binary_entropy(p)
@@ -64,7 +60,7 @@ def test_model_counts_stay_bounded():
     n = 300_000
     skewed = (np.random.default_rng(9).random(n) < 0.02).astype(int).tolist()
     for bits in (skewed, [1] * n, [0] * n):
-        enc = RangeEncoder(*_tables(1))
+        enc = RangeEncoder(*count_tables(1))
         for bit in bits:
             enc.encode_many((0,), (bit,))
             c0, c1 = enc.c0[0], enc.c1[0]
@@ -78,11 +74,11 @@ def test_model_counts_stay_bounded():
 def test_model_states_sync_after_every_symbol():
     rng = np.random.default_rng(31)
     bits = (rng.random(4000) < 0.3).astype(int).tolist()
-    enc = RangeEncoder(*_tables(1))
+    enc = RangeEncoder(*count_tables(1))
     enc.encode_many([0] * len(bits), bits)
     stream = enc.finish()
-    replay = RangeEncoder(*_tables(1))
-    dec = RangeDecoder(stream, *_tables(1))
+    replay = RangeEncoder(*count_tables(1))
+    dec = RangeDecoder(stream, *count_tables(1))
     for bit in bits:
         replay.encode_many((0,), (bit,))
         assert dec.decode(0) == bit
@@ -92,10 +88,10 @@ def test_model_states_sync_after_every_symbol():
 def test_truncated_stream_raises():
     rng = np.random.default_rng(3)
     bits = (rng.random(5000) < 0.5).astype(int).tolist()
-    enc = RangeEncoder(*_tables(1))
+    enc = RangeEncoder(*count_tables(1))
     enc.encode_many([0] * len(bits), bits)
     stream = enc.finish()
-    dec = RangeDecoder(stream.data[: len(stream.data) // 4], *_tables(1))
+    dec = RangeDecoder(stream.data[: len(stream.data) // 4], *count_tables(1))
     with pytest.raises(TruncatedStreamError):
         for _ in bits:
             dec.decode(0)
@@ -104,7 +100,7 @@ def test_truncated_stream_raises():
 def test_coded_stream_pads_to_whole_bytes():
     rng = np.random.default_rng(11)
     for n in (0, 1, 7, 100, 1001):
-        enc = RangeEncoder(*_tables(1))
+        enc = RangeEncoder(*count_tables(1))
         enc.encode_many([0] * n, (rng.random(n) < 0.3).astype(int).tolist())
         stream = enc.finish()
         assert len(stream.data) == (stream.bit_length + 7) // 8
@@ -118,14 +114,14 @@ def test_range_decoder_reads_64_zero_bits_past_the_payload(size):
     # and consumes exactly one bit, so the decode count measures the bits
     # available.
     available = 8 * size + 64 - 32
-    dec = RangeDecoder(bytes(size), *_tables(available + 1))
+    dec = RangeDecoder(bytes(size), *count_tables(available + 1))
     assert [dec.decode(k) for k in range(available)] == [0] * available
     with pytest.raises(TruncatedStreamError):
         dec.decode(available)
 
 
 def test_empty_payload_decodes():
-    dec = RangeDecoder(b"", *_tables(1))
+    dec = RangeDecoder(b"", *count_tables(1))
     assert [dec.decode(0) for _ in range(10)] == [0] * 10
 
 
@@ -134,9 +130,9 @@ def test_split_sequence_codes_like_one_call():
     n = 20_000
     bits = (rng.random(n) < 0.25).astype(int).tolist()
     picks = rng.integers(0, 8, size=n).tolist()
-    whole = RangeEncoder(*_tables(8))
+    whole = RangeEncoder(*count_tables(8))
     whole.encode_many(picks, bits)
-    split = RangeEncoder(*_tables(8))
+    split = RangeEncoder(*count_tables(8))
     cuts = [0, 0, 1, 1, 777, 777, 5000, 19_999, n, n]
     for a, b in zip(cuts, cuts[1:]):
         split.encode_many(iter(picks[a:b]), iter(bits[a:b]))
@@ -146,11 +142,11 @@ def test_split_sequence_codes_like_one_call():
 
 @pytest.mark.parametrize("n_contexts,n_bits", [(3, 2), (2, 3), (0, 1), (1, 0)])
 def test_encode_many_rejects_a_length_mismatch(n_contexts, n_bits):
-    enc = RangeEncoder(*_tables(1))
+    enc = RangeEncoder(*count_tables(1))
     with pytest.raises(ValueError):
         enc.encode_many([0] * n_contexts, [1] * n_bits)
     # The pairs before the mismatch stay coded.
-    ref = RangeEncoder(*_tables(1))
+    ref = RangeEncoder(*count_tables(1))
     prefix = min(n_contexts, n_bits)
     ref.encode_many([0] * prefix, [1] * prefix)
     assert (enc.c0, enc.c1) == (ref.c0, ref.c1)

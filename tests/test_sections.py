@@ -7,7 +7,7 @@ from bvlcodec import sections
 from bvlcodec.cloud import PERMUTATION_COUNT, AxisPermutation, VoxelCloud
 from bvlcodec.depthmap import DepthmapPair, project_array
 from bvlcodec.errors import BitstreamError, TruncatedStreamError
-from bvlcodec.rangecoder import RangeDecoder, RangeEncoder
+from bvlcodec.rangecoder import RangeDecoder, RangeEncoder, count_tables
 from bvlcodec.sections import (
     build_section,
     code_section,
@@ -133,7 +133,7 @@ def test_build_section_matches_reference_at_borders():
 
 def _run_both_sides(pair, nz, true_cells, prev=None):
     nx = pair.occ.shape[0]
-    enc = RangeEncoder([], [])
+    enc = RangeEncoder(*count_tables(0))
     enc_buf = build_section(pair, 0, nz, prev)
     enc_cells: list = []
     enc_models: dict = {}
@@ -143,7 +143,7 @@ def _run_both_sides(pair, nz, true_cells, prev=None):
     stream = enc.finish()
     dec_buf = build_section(pair, 0, nz, prev)
     dec_models: dict = {}
-    coded_dec = code_section(dec_buf, dec_models, decoder=RangeDecoder(stream, [], []))
+    coded_dec = code_section(dec_buf, dec_models, decoder=RangeDecoder(stream, *count_tables(0)))
     return enc_buf, dec_buf, enc_cells, coded_enc, coded_dec, stream
 
 
@@ -222,13 +222,13 @@ def _point_set(points):
 
 def _sweep_round_trip(cloud, models_enc=None, models_dec=None):
     pair = project_array(cloud.to_array(), cloud.dims)
-    enc = RangeEncoder([], [])
+    enc = RangeEncoder(*count_tables(0))
     recon_enc, n_enc = sweep_encode(
         cloud.to_array(), pair, cloud.dims, {} if models_enc is None else models_enc, enc
     )
     stream = enc.finish()
     recon_dec, n_dec = sweep_decode(
-        pair, cloud.dims, {} if models_dec is None else models_dec, RangeDecoder(stream, [], [])
+        pair, cloud.dims, {} if models_dec is None else models_dec, RangeDecoder(stream, *count_tables(0))
     )
     assert n_enc == n_dec
     enc_set = _point_set(recon_enc)
@@ -279,9 +279,9 @@ def _assert_sweep_matches_reference(cloud, shells=2):
     models: dict = {}
     ref_models: dict = {}
     dec_models: dict = {}
-    tables = ([], [])
-    ref_tables = ([], [])
-    dec_tables = ([], [])
+    tables = count_tables(0)
+    ref_tables = count_tables(0)
+    dec_tables = count_tables(0)
     remaining = cloud.to_array()
     decisions = 0
     for _ in range(shells):
@@ -301,8 +301,7 @@ def _assert_sweep_matches_reference(cloud, shells=2):
         dec_recon, dec_n = sweep_decode(pair, dims, dec_models, dec)
         assert dec_n == n
         assert _point_set(dec_recon) == _point_set(recon)
-        # Slots follow first touch when decoding and sorted labels per block
-        # when encoding, so the tables are compared label by label.
+        # The tables are compared label by label, so slot order is free.
         assert _model_counts(dec_models, dec) == _model_counts(models, enc)
         decisions += n
         keys = np.ravel_multi_index(remaining.T, dims)
@@ -332,10 +331,12 @@ def _layered_cloud(rng, nx, ny, nz, empty_ys):
 def test_sweep_encode_matches_reference_across_runs(monkeypatch):
     # Slabs of 10 x 10 cells and runs of 3 sections: sections 0-2, then
     # section 3 empty at the run's edge, then 4-6, 7-9 and 10-11, whose
-    # carried reconstructions cross run edges; blocks of 7 coded cells split
-    # runs inside and across sections.
+    # carried reconstructions cross run edges. With room for 7 bits and one
+    # slot, the kernel's section loop stops every few decisions and at every
+    # new label, so its calls resume inside and across sections.
     monkeypatch.setattr(sections, "_RUN_CELLS", 300)
-    monkeypatch.setattr(sections, "_BLOCK_CELLS", 7)
+    monkeypatch.setattr(sections, "_BITS_ROOM", 7)
+    monkeypatch.setattr(sections, "_SLOTS_ROOM", 1)
     rng = np.random.default_rng(77)
     for _ in range(4):
         cloud = _layered_cloud(rng, 8, 12, 8, {3})
@@ -351,7 +352,7 @@ def test_sweep_encode_matches_reference_with_sections_over_the_run_budget(monkey
 
 def test_sweep_encode_matches_reference_over_many_blocks():
     cloud = shapes.solid_sphere(48, 20)
-    assert _assert_sweep_matches_reference(cloud) > 2 * sections._BLOCK_CELLS
+    assert _assert_sweep_matches_reference(cloud) > 2 * (1 << 14)
 
 
 def test_sweep_encode_matches_reference_with_no_decisions():
