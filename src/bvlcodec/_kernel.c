@@ -274,113 +274,224 @@ static inline int64_t slot_of(LabelMap *m, Coder *c, int32_t label) {
     return s;
 }
 
-/* A run of `count` sections, one padded slab after another (see sections.py),
+/* A shell: every section of one pair of depth surfaces (see sections.py),
  * and where a resumed call picks up. */
 typedef struct {
-    uint8_t *state, *marked, *prev;
-    const uint8_t *truth;          /* true occupancy when encoding, NULL when decoding */
-    int64_t stride, slab, count;
-    const int64_t *start;          /* the start of the work list, sorted */
-    int64_t starts;
+    const uint8_t *occ;            /* the (nx, ny) depth surfaces, row-major, read in place */
+    const int32_t *zmin, *zmax;
+    int64_t nx, ny, nz;
+    const int64_t *cells;          /* encoding: the true cells' slab indices, sorted by section; NULL decoding */
+    const int64_t *offsets;        /* section y's true cells: cells[offsets[y] .. offsets[y + 1]) */
+    uint8_t *state;                /* two slabs: section y codes in slab y % 2 */
+    uint8_t *marked, *truth;       /* one slab each, all zero between sections */
     int32_t *fifo;                 /* room for one slab of cells */
+    int32_t *columns;              /* room for nx: the section's occupied columns */
+    int64_t *rows;                 /* nz + 2 zeros: start-list cells per row while a section loads */
+    int64_t *out;                  /* (x, y, z) of every reconstructed point */
+    int64_t room;                  /* points out can hold */
     const uint8_t *turn;           /* contexts.NormTables */
     const int32_t *canonical;
     const int64_t *rotated;
-    int64_t section, next, head, tail, loaded, coded;
-} Run;
+    int64_t section, loaded, head, tail, coded, emitted;
+} Shell;
 
-/* dst[i] = (src[i] == 2) for states 0, 1 and 2, eight cells at a time. */
-static void fill_prev(uint8_t *dst, const uint8_t *src, int64_t n) {
-    int64_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        uint64_t w;
-        memcpy(&w, src + i, 8);
-        w = (w >> 1) & 0x0101010101010101ULL;
-        memcpy(dst + i, &w, 8);
-    }
-    for (; i < n; i++)
-        dst[i] = (src[i] >> 1) & 1;
+/* Column x of section y: 1 with its band [lo, hi], 0 when empty, or
+ * BAD_LAYOUT when its occ byte is above 1 or its band leaves 0 .. nz - 1. */
+static inline int column(const Shell *s, int64_t x, int64_t y, int64_t *lo, int64_t *hi) {
+    const int64_t i = x * s->ny + y;
+    if (!s->occ[i])
+        return 0;
+    *lo = s->zmin[i];
+    *hi = s->zmax[i];
+    return s->occ[i] == 1 && 0 <= *lo && *lo <= *hi && *hi < s->nz ? 1 : BAD_LAYOUT;
 }
 
-/* The list-driven section loop of sections.code_section, on either side:
- * each bit is decoded, or read from truth and encoded. After each section
- * but the last, the next slab of prev gets its reconstruction. The map's
- * table must hold at least twice the coder's contexts. A cell whose 3x3
- * crop leaves the run, a patch outside the tables (state above 2 or prev
- * above 1), or a section that lists more cells than a slab means the
- * buffers break their layout: BAD_LAYOUT. */
-int64_t code_run(Coder *c, LabelMap *m, Run *r) {
-    const int64_t st = r->stride, slab = r->slab;
-    const int64_t push[8] = {-st - 1, -st, -st + 1, -1, 1, st - 1, st, st + 1};
-    uint8_t *state = r->state, *marked = r->marked, *prev = r->prev;
-    int32_t *fifo = r->fifo;
-    const int64_t first = st + 1, last = r->count * slab - st - 2;
-    int64_t head = r->head, tail = r->tail, coded = r->coded, status = DONE;
-    for (; r->section < r->count; r->section++) {
-        const int64_t a = r->section * slab;
-        if (!r->loaded) {
-            head = tail = 0;
-            while (r->next < r->starts && r->start[r->next] < a + slab) {
-                if (tail == slab)
-                    return BAD_LAYOUT;
-                fifo[tail++] = (int32_t)r->start[r->next++];
+static inline void emit_point(Shell *s, int64_t x, int64_t y, int64_t z) {
+    int64_t *p = s->out + 3 * s->emitted++;
+    p[0] = x;
+    p[1] = y;
+    p[2] = z;
+}
+
+/* Mark each unknown, unmarked cell of the 3x3 crops around the section's
+ * seeds with `mark`, in column order, low seed first; count pass (fifo NULL)
+ * or place pass. Within a row the columns come in increasing order and each
+ * crop visits x - 1, x, x + 1, so a row's cells arrive sorted and a counting
+ * sort by row orders the whole list. */
+static int64_t list_starts(Shell *s, uint8_t *state, int64_t y, int64_t n, uint8_t want, uint8_t mark,
+                           int32_t *fifo, int64_t total) {
+    const int64_t st = s->nx + 2;
+    uint8_t *marked = s->marked;
+    int64_t *rows = s->rows, listed = 0;
+    for (int64_t j = 0; j < n; j++) {
+        const int64_t x = s->columns[j], i = x * s->ny + y;
+        const int64_t seeds[2] = {s->zmin[i] + 1, s->zmax[i] + 1};
+        for (int k = 0; k < 1 + (seeds[1] != seeds[0]); k++) {
+            for (int64_t r = seeds[k] - 1; r <= seeds[k] + 1; r++) {
+                for (int64_t cell = r * st + x; cell <= r * st + x + 2; cell++) {
+                    if (state[cell] || marked[cell] != want)
+                        continue;
+                    marked[cell] = mark;
+                    listed++;
+                    if (!fifo) {
+                        rows[r]++;
+                    } else {
+                        if (rows[r] >= total)
+                            return BAD_LAYOUT;
+                        fifo[rows[r]++] = (int32_t)cell;
+                    }
+                }
             }
-            r->loaded = 1;
         }
+    }
+    return listed;
+}
+
+/* Set up section y in its slab: clear the bands section y - 2 left there,
+ * write the bands (unknown) and seeds (occupied) of the occupied columns,
+ * emit the seeds, list the unknown cells around the seeds sorted row-major
+ * into the fifo, and mark the true cells when encoding. The work follows the
+ * columns and the listed cells, never the slab's area. */
+static int64_t load_section(Shell *s, int64_t y) {
+    const int64_t st = s->nx + 2, size = (s->nz + 2) * st;
+    uint8_t *state = s->state + (y & 1) * size;
+    int64_t lo, hi, k, n = 0, first = s->nz + 2, last = -1;
+    for (int64_t x = 0; y >= 2 && x < s->nx; x++) {
+        if ((k = column(s, x, y - 2, &lo, &hi)) < 0)
+            return k;
+        if (k)
+            for (int64_t z = lo; z <= hi; z++)
+                state[(z + 1) * st + x + 1] = 1;
+    }
+    for (int64_t x = 0; x < s->nx; x++) {
+        if ((k = column(s, x, y, &lo, &hi)) <= 0) {
+            if (k < 0)
+                return k;
+            continue;
+        }
+        uint8_t *cell = state + (lo + 1) * st + x + 1;
+        for (int64_t z = lo; z <= hi; z++)
+            cell[(z - lo) * st] = 0;
+        cell[0] = cell[(hi - lo) * st] = 2;
+        emit_point(s, x, y, lo);
+        if (hi > lo)
+            emit_point(s, x, y, hi);
+        s->columns[n++] = x;
+        /* The seeds' crops cover rows lo .. hi + 2 of the padded slab. */
+        first = lo < first ? lo : first;
+        last = hi + 2 > last ? hi + 2 : last;
+    }
+    /* Count the list's cells per row, turn the counts into each row's first
+     * position, place the cells, and zero the counts again. */
+    int64_t total = list_starts(s, state, y, n, 0, 1, NULL, 0), pos = 0;
+    for (int64_t r = first; r <= last; r++) {
+        const int64_t c = s->rows[r];
+        s->rows[r] = pos;
+        pos += c;
+    }
+    if ((k = list_starts(s, state, y, n, 1, 2, s->fifo, total)) < 0)
+        return k;
+    for (int64_t r = first; r <= last; r++)
+        s->rows[r] = 0;
+    s->head = 0;
+    s->tail = total;
+    for (int64_t i = s->cells ? s->offsets[y] : 0; s->cells && i < s->offsets[y + 1]; i++) {
+        if ((uint64_t)s->cells[i] >= (uint64_t)size)
+            return BAD_LAYOUT;
+        s->truth[s->cells[i]] = 1;
+    }
+    return DONE;
+}
+
+/* Clear the marks and true cells section y set; its bands stay for section
+ * y + 1 to read. */
+static void unload_section(Shell *s, int64_t y) {
+    for (int64_t i = 0; i < s->tail; i++)
+        s->marked[s->fifo[i]] = 0;
+    for (int64_t i = s->cells ? s->offsets[y] : 0; s->cells && i < s->offsets[y + 1]; i++)
+        s->truth[s->cells[i]] = 0;
+}
+
+/* The list-driven section loop of sections.code_section over every section
+ * of a shell, on either side: each bit is decoded, or read from the truth
+ * and encoded. Section y reads the reconstruction of section y - 1 (state 2)
+ * from the other slab. The reconstructed points go to out: each section's
+ * seeds, then its cells coded occupied. The map's table must hold at least
+ * twice the coder's contexts, and out room for 2 nx more points before a
+ * section loads. A malformed column or true cell, a listed cell whose 3x3
+ * crop leaves its slab, or a patch outside the tables (state above 2) means
+ * the shell breaks its layout: BAD_LAYOUT. */
+int64_t code_shell(Coder *c, LabelMap *m, Shell *s) {
+    const int64_t st = s->nx + 2, size = (s->nz + 2) * st;
+    const int64_t push[8] = {-st - 1, -st, -st + 1, -1, 1, st - 1, st, st + 1};
+    uint8_t *marked = s->marked;
+    int32_t *fifo = s->fifo;
+    int64_t status = DONE;
+    for (; s->section < s->ny; s->section++) {
+        const int64_t y = s->section;
+        if (!s->loaded) {
+            if (s->emitted + 2 * s->nx > s->room)
+                return NEED_ROOM;
+            if ((status = load_section(s, y)) < 0)
+                return status;
+            s->loaded = 1;
+        }
+        uint8_t *state = s->state + (y & 1) * size;
+        const uint8_t *prev = s->state + (~y & 1) * size;
+        int64_t head = s->head, tail = s->tail, coded = s->coded;
         while (head < tail) {
-            if (m->count >= c->contexts || (r->truth && c->pos + c->extra + 64 > c->size)) {
+            if (m->count >= c->contexts || s->emitted == s->room
+                || (s->cells && c->pos + c->extra + 64 > c->size)) {
                 status = NEED_ROOM;
-                goto out;
+                break;
             }
             const int64_t idx = fifo[head];
-            if (idx < first || idx > last) {
+            if (idx < st + 1 || idx > size - st - 2) {
                 status = BAD_LAYOUT;
-                goto out;
+                break;
             }
-            const uint8_t *s = state + idx, *p = prev + idx;
+            const uint8_t *q = state + idx, *p = prev + idx;
             /* Base-3 column-scan patch index; the center cell is unknown (0). */
-            int64_t patch = s[-st - 1] + 3 * s[-1] + 9 * s[st - 1] + 27 * s[-st] + 243 * s[st]
-                            + 729 * s[-st + 1] + 2187 * s[1] + 6561 * s[st + 1];
-            int64_t binary = p[-st - 1] + 2 * p[-1] + 4 * p[st - 1] + 8 * p[-st] + 16 * p[0]
-                             + 32 * p[st] + 64 * p[-st + 1] + 128 * p[1] + 256 * p[st + 1];
+            int64_t patch = q[-st - 1] + 3 * q[-1] + 9 * q[st - 1] + 27 * q[-st] + 243 * q[st]
+                            + 729 * q[-st + 1] + 2187 * q[1] + 6561 * q[st + 1];
+            int64_t binary = (p[-st - 1] >> 1) + 2 * (p[-1] >> 1) + 4 * (p[st - 1] >> 1) + 8 * (p[-st] >> 1)
+                             + 16 * (p[0] >> 1) + 32 * (p[st] >> 1) + 64 * (p[-st + 1] >> 1)
+                             + 128 * (p[1] >> 1) + 256 * (p[st + 1] >> 1);
             if (patch >= 19683 || binary >= 512) {
                 status = BAD_LAYOUT;
-                goto out;
+                break;
             }
-            int32_t label = r->canonical[patch] * 512 + (int32_t)r->rotated[r->turn[patch] * 512 + binary];
+            int32_t label = s->canonical[patch] * 512 + (int32_t)s->rotated[s->turn[patch] * 512 + binary];
             int64_t slot = slot_of(m, c, label);
             int bit;
-            if (r->truth) {
-                bit = r->truth[idx] != 0;
+            if (s->cells) {
+                bit = s->truth[idx] != 0;
                 encode_bit(c, slot, bit);
             } else if ((bit = decode_bit(c, slot)) < 0) {
                 status = bit;
-                goto out;
+                break;
             }
             head++;
             coded++;
             state[idx] = (uint8_t)(1 + bit);
             if (bit) {
+                emit_point(s, idx % st - 1, y, idx / st - 1);
                 for (int k = 0; k < 8; k++) {
                     int64_t j = idx + push[k];
                     if (state[j] == 0 && marked[j] == 0) {
-                        if (tail == slab) {
-                            status = BAD_LAYOUT;
-                            goto out;
-                        }
                         marked[j] = 1;
                         fifo[tail++] = (int32_t)j;
                     }
                 }
             }
         }
-        if (r->section + 1 < r->count)
-            fill_prev(prev + a + slab, state + a, slab);
-        r->loaded = 0;
+        s->head = head;
+        s->tail = tail;
+        s->coded = coded;
+        if (status != DONE)
+            return status;
+        unload_section(s, y);
+        s->loaded = 0;
     }
-out:
-    r->head = head;
-    r->tail = tail;
-    r->coded = coded;
-    return status;
+    return DONE;
 }

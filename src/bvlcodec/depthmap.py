@@ -67,18 +67,21 @@ class DepthmapPair:
 
 
 def project_array(points: np.ndarray, dims) -> DepthmapPair:
-    """Exact per-pixel z extrema of (N, 3) points."""
+    """Exact per-pixel z extrema of (N, 3) points sorted by (x, y, z).
+
+    Each occupied pixel's points form one run of the sorted array: zmin is
+    the z of its first point, zmax the z of its last.
+    """
     nx, ny, nz = dims
     occ = np.zeros((nx, ny), dtype=np.uint8)
-    zmin = np.full((nx, ny), nz, dtype=np.int32)
-    zmax = np.full((nx, ny), -1, dtype=np.int32)
-    x, y, z = points[:, 0], points[:, 1], points[:, 2]
-    occ[x, y] = 1
-    np.minimum.at(zmin, (x, y), z)
-    np.maximum.at(zmax, (x, y), z)
-    empty = occ == 0
-    zmin[empty] = 0
-    zmax[empty] = 0
+    zmin = np.zeros((nx, ny), dtype=np.int32)
+    zmax = np.zeros((nx, ny), dtype=np.int32)
+    pixels = points[:, 0] * ny + points[:, 1]
+    first = np.flatnonzero(np.diff(pixels, prepend=-1))
+    last = np.flatnonzero(np.diff(pixels, append=-1))
+    occ.ravel()[pixels[first]] = 1
+    zmin.ravel()[pixels[first]] = points[first, 2]
+    zmax.ravel()[pixels[first]] = points[last, 2]
     return DepthmapPair(occ=occ, zmin=zmin, zmax=zmax)
 
 

@@ -21,7 +21,7 @@ by 64 zero bits. A read past those zero bits, possible only on corrupt
 input, raises TruncatedStreamError.
 
 The coding loops run natively: _kernel.c holds the coder and one loop per
-stream (encode_many, the mask and surface decoders, the section run), and
+stream (encode_many, the mask and surface decoders, the shell sweep), and
 load_kernel compiles it with gcc on first use into a per-user cache and loads
 it through ctypes. Where that fails, the same loops run in Python:
 encode_many here, RangeDecoder.decode one decision at a time, and the loops
@@ -65,17 +65,17 @@ _SIGNATURES = {
     "decode_mask": (_P, _P, _I, _I),
     "decode_surfaces": (_P, _P, _P, _P, _I, _I, _I),
     "map_fill": (_P,),
-    "code_run": (_P, _P, _P),
+    "code_shell": (_P, _P, _P),
 }
 # Kernel statuses: a loop that ran out of room, the errors of corrupt input,
-# and buffers that break the section layout.
+# and maps or buffers that break the section layout.
 NEED_ROOM = 1
 _ERRORS = {
     -1: (TruncatedStreamError, "bit stream exhausted"),
     -2: (BitstreamError, "runaway residual prefix"),
     -3: (BitstreamError, "decoded low surface out of range"),
     -4: (BitstreamError, "decoded thickness out of range"),
-    -5: (ValueError, "section buffers do not match their layout"),
+    -5: (ValueError, "section maps or buffers do not match their layout"),
 }
 
 

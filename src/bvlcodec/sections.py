@@ -26,26 +26,28 @@ mapped to an int slot of the coder's count tables by a dict shared across
 shells; a label's first touch gives it the next slot and appends a count of
 1 to each table.
 
-Both sides code runs: consecutive occupied sections, about _RUN_CELLS cells
-at most (at least one section); an empty section ends a run. A run's
-sections lie one padded slab after another in every buffer. Slab k of prev
-holds the 0/1 reconstruction of the section before section k (for slab 0,
-the last section of the run before, or zero after an empty section), so a
-cell reads its previous-section patch around its own index in prev.
+Both sides code a whole shell in one call. build_section prepares it once:
+the depth maps, read in place; the slab cells of the encoder's points,
+grouped by section; and the coding buffers. code_section then walks the
+sections in y order. Section y codes in state slab y % 2 and reads the
+reconstruction of section y - 1 (state 2) from the other slab, which an
+empty section leaves blank. Loading a section first clears the bands that
+section y - 2 left in its slab, then writes its own bands and seeds, lists
+the unknown cells around the seeds (sorted row-major, deduplicated) and
+marks the encoder's true cells; afterwards the marks and true cells are
+cleared again. So the set-up follows the occupied columns and the coded
+cells, never a slab's area. The reconstructed points, each section's seeds
+then its cells coded occupied, go to an output array as they are found.
 
-One loop codes a run on either side: it takes each bit from the decoder, or
-from the true occupancy and hands it to the encoder, and after each section
-writes its reconstruction into the next slab of prev. The loop runs in the
-native kernel (rangecoder.py), which keeps the dict's labels in a hash table
-of its own; without the kernel it runs in Python, and the encoder codes the
-run's contexts and bits in one call at the end.
+The loop runs in the native kernel (rangecoder.py), which keeps the dict's
+labels in a hash table of its own. Without the kernel it runs in Python,
+section by section, on buffers that numpy sets up per section
+(_section_buffers), and the encoder codes each section's contexts and bits
+in one call.
 
-Buffers are flat bytearrays with a one-cell border ring so the 3x3 crops
+Slabs are flat byte buffers with a one-cell border ring so the 3x3 crops
 never bounds-check; border cells read as known empty and never enter the
-list. Beyond filling the buffers (known empty by default), set-up touches
-only the band cells of the occupied columns and the seeds' 3x3 neighbours,
-and the reconstruction is read back from the band alone, so the array work
-follows the band, not the section's area.
+list.
 """
 
 from __future__ import annotations
@@ -70,10 +72,7 @@ from .rangecoder import (
 )
 
 _STEPS = np.array([-1, 0, 1], dtype=np.int64)
-# Both sides set up and code consecutive sections in runs of about this many
-# cells (at least one section), so the buffers follow the run.
-_RUN_CELLS = 1 << 18
-# The room each call into the kernel's section loop starts with: coded bits,
+# The room each call into the kernel's shell loop starts with: coded bits,
 # and count-table slots (at least twice the slots in use).
 _BITS_ROOM = 1 << 16
 _SLOTS_ROOM = 1 << 10
@@ -81,42 +80,39 @@ _SLOTS_ROOM = 1 << 10
 
 @dataclass
 class SectionBuffers:
-    """Mutable coding state of a run of sections, one padded slab per section.
+    """Mutable coding state of one section in the Python loop.
 
-    A slab has a row per z of stride nx + 2 cells. Slab k of prev holds the
-    0/1 reconstruction of the section before section k.
+    A padded slab has a row per z of stride nx + 2 cells.
     """
 
     nz: int
     stride: int
     state: bytearray    # 0 unknown, 1 known empty, 2 known occupied
     marked: bytearray   # 1 once a cell has entered the work list
-    prev: bytearray     # slab k: the section before section k, 0/1
-    queue: np.ndarray   # the start of the work list: unknown cells, section by section, row-major
-    band: np.ndarray    # flat indices of every feasible cell, seeds included
+    prev: bytearray     # the reconstruction of the section before, 0/1
+    queue: np.ndarray   # the start of the work list: unknown cells, row-major
 
 
-def build_section(pair: DepthmapPair, y0: int, nz: int, prev: bytes | None = None,
-                  count: int = 1) -> SectionBuffers:
-    """Initialize state, seeds and the start of the work list of sections y0 .. y0 + count - 1.
+def _section_buffers(pair: DepthmapPair, y: int, nz: int, prev: bytes | None = None) -> SectionBuffers:
+    """Initialize state, seeds and the start of the work list of section y.
 
-    The sections lie one padded slab after another. prev, one slab, is the
-    reconstruction of the section before y0: it fills slab 0 of the buffers'
-    prev, which stays zero when it is None; coding fills the other slabs.
+    prev, one slab, is the reconstruction of the section before y; None
+    stands for an empty one. A column whose occ byte is above 1 or whose
+    band leaves 0 .. nz - 1 raises ValueError.
     """
-    occ = pair.occ[:, y0 : y0 + count]
+    occ = pair.occ[:, y]
     nx = occ.shape[0]
     st = nx + 2
-    slab = (nz + 2) * st
-    size = count * slab
+    size = (nz + 2) * st
     state = bytearray(b"\x01") * size
     marked = bytearray(size)
-    ks, xs = np.nonzero(occ.T)
-    lo = pair.zmin[xs, y0 + ks].astype(np.int64)
-    hi = pair.zmax[xs, y0 + ks].astype(np.int64)
-    columns = ks * slab + xs + 1
-    low_seeds = columns + (lo + 1) * st
-    high_seeds = columns + (hi + 1) * st
+    xs = np.flatnonzero(occ)
+    lo = pair.zmin[xs, y].astype(np.int64)
+    hi = pair.zmax[xs, y].astype(np.int64)
+    if (occ[xs] != 1).any() or (lo < 0).any() or (lo > hi).any() or (hi >= nz).any():
+        raise ValueError("section maps or buffers do not match their layout")
+    low_seeds = (lo + 1) * st + xs + 1
+    high_seeds = (hi + 1) * st + xs + 1
     # Column j's band: its low seed, then one row further per cell.
     lengths = hi - lo + 1
     starts = np.cumsum(lengths) - lengths
@@ -126,139 +122,107 @@ def build_section(pair: DepthmapPair, y0: int, nz: int, prev: bytes | None = Non
     view[low_seeds] = 2
     view[high_seeds] = 2
     # Work list: the unknown cells among the seeds' 3x3 neighbours, sorted
-    # (section by section, row-major) and deduplicated. Seeds and the border
-    # ring are known, so each seed's neighbours stay inside its padded slab.
+    # row-major and deduplicated. Seeds and the border ring are known, so
+    # each seed's neighbours stay inside the padded slab.
     cells = (np.concatenate((low_seeds, high_seeds))[:, None] + (st * _STEPS[:, None] + _STEPS).ravel()).ravel()
     cells = cells[view[cells] == 0]
     cells.sort()
     cells = cells[np.diff(cells, prepend=-1) != 0]
     np.frombuffer(marked, dtype=np.uint8)[cells] = 1
-    run_prev = bytearray(size)
-    if prev is not None:
-        run_prev[:slab] = prev
     return SectionBuffers(
         nz=nz,
         stride=st,
         state=state,
         marked=marked,
-        prev=run_prev,
+        prev=bytearray(size) if prev is None else bytearray(prev),
         queue=cells,
-        band=band,
     )
 
 
-def code_section(
-    buf: SectionBuffers,
-    models: dict,
-    *,
-    encoder: RangeEncoder | None = None,
-    decoder: RangeDecoder | None = None,
-    true_section: bytes | None = None,
-) -> int:
-    """Code the unknown cells the work list reaches in every section of the run.
+def _code_buffers(buf: SectionBuffers, models: dict, coder, truth: bytes | None = None) -> int:
+    """Code the unknown cells the work list reaches in one section, in Python.
 
-    Returns the number of coded bits. models maps each context label seen so
-    far to its slot in the coder's count tables. Pass exactly one of
-    encoder/decoder; the encoder also needs the run's true occupancy in the
-    same padded layout as buf.state. The list-driven loop runs over one
-    section after another, each reading the slab of buf.prev that the
-    section before filled. Afterwards buf.state holds the reconstruction.
+    Returns the number of coded bits. With truth, the section's true
+    occupancy in the layout of buf.state, each bit is read from it and the
+    coder encodes the section's contexts and bits in one call at the end;
+    without, each bit is decoded. Afterwards buf.state holds the
+    reconstruction.
     """
-    if (encoder is None) == (decoder is None):
-        raise ValueError("pass exactly one of encoder or decoder")
-    if encoder is not None and true_section is None:
-        raise ValueError("encoding requires the true section")
-    lib = native()
-    if lib is not None:
-        return _code_native(lib, buf, models, encoder or decoder, true_section)
     turn_by_patch, canonical_by_patch, rotated = get_norm_lists()
     state = buf.state
     marked = buf.marked
     prev = buf.prev
     st = buf.stride
-    slab = (buf.nz + 2) * st
     get_slot = models.get
-    coder = encoder or decoder
     c0 = coder.c0
     c1 = coder.c1
-    decode = None if decoder is None else decoder.decode
+    decode = None if truth is not None else coder.decode
     slots: list[int] = []
     bits: list[int] = []
-    coded = 0
-    reconstruction = np.frombuffer(state, dtype=np.uint8)
-    previous = np.frombuffer(prev, dtype=np.uint8)
-    # The start list is sorted, so each section's part of it lies between
-    # two slab boundaries.
-    starts = range(0, len(state), slab)
-    parts = np.split(buf.queue, np.searchsorted(buf.queue, starts[1:]))
-    for a, part in zip(starts, parts):
-        # Every listed cell is unknown until it is coded, so the FIFO is a
-        # list that the loop walks while it grows.
-        queue = part.tolist()
-        push = queue.append
-        for idx in queue:
-            nw = idx - st - 1
-            n = nw + 1
-            ne = n + 1
-            w = idx - 1
-            e = idx + 1
-            sw = idx + st - 1
-            s = sw + 1
-            se = s + 1
-            # Base-3 column-scan patch index; the center cell is unknown (0).
-            patch = (
-                state[nw] + 3 * state[w] + 9 * state[sw]
-                + 27 * state[n] + 243 * state[s]
-                + 729 * state[ne] + 2187 * state[e] + 6561 * state[se]
-            )
-            label = canonical_by_patch[patch] * 512 + rotated[turn_by_patch[patch]][
-                prev[nw] + 2 * prev[w] + 4 * prev[sw]
-                + 8 * prev[n] + 16 * prev[idx] + 32 * prev[s]
-                + 64 * prev[ne] + 128 * prev[e] + 256 * prev[se]
-            ]
-            slot = get_slot(label)
-            if slot is None:
-                slot = models[label] = len(c0)
-                c0.append(1)
-                c1.append(1)
-            if decode is None:
-                bit = true_section[idx]
-                slots.append(slot)
-                bits.append(bit)
-            else:
-                bit = decode(slot)
-            coded += 1
-            state[idx] = 1 + bit
-            if bit:
-                if state[nw] == 0 and marked[nw] == 0:
-                    marked[nw] = 1
-                    push(nw)
-                if state[n] == 0 and marked[n] == 0:
-                    marked[n] = 1
-                    push(n)
-                if state[ne] == 0 and marked[ne] == 0:
-                    marked[ne] = 1
-                    push(ne)
-                if state[w] == 0 and marked[w] == 0:
-                    marked[w] = 1
-                    push(w)
-                if state[e] == 0 and marked[e] == 0:
-                    marked[e] = 1
-                    push(e)
-                if state[sw] == 0 and marked[sw] == 0:
-                    marked[sw] = 1
-                    push(sw)
-                if state[s] == 0 and marked[s] == 0:
-                    marked[s] = 1
-                    push(s)
-                if state[se] == 0 and marked[se] == 0:
-                    marked[se] = 1
-                    push(se)
-        if a + slab < len(state):
-            previous[a + slab : a + 2 * slab] = reconstruction[a : a + slab] == 2
-    if encoder is not None:
-        encoder.encode_many(slots, bits)
-    return coded
+    # Every listed cell is unknown until it is coded, so the FIFO is a list
+    # that the loop walks while it grows.
+    queue = buf.queue.tolist()
+    push = queue.append
+    for idx in queue:
+        nw = idx - st - 1
+        n = nw + 1
+        ne = n + 1
+        w = idx - 1
+        e = idx + 1
+        sw = idx + st - 1
+        s = sw + 1
+        se = s + 1
+        # Base-3 column-scan patch index; the center cell is unknown (0).
+        patch = (
+            state[nw] + 3 * state[w] + 9 * state[sw]
+            + 27 * state[n] + 243 * state[s]
+            + 729 * state[ne] + 2187 * state[e] + 6561 * state[se]
+        )
+        label = canonical_by_patch[patch] * 512 + rotated[turn_by_patch[patch]][
+            prev[nw] + 2 * prev[w] + 4 * prev[sw]
+            + 8 * prev[n] + 16 * prev[idx] + 32 * prev[s]
+            + 64 * prev[ne] + 128 * prev[e] + 256 * prev[se]
+        ]
+        slot = get_slot(label)
+        if slot is None:
+            slot = models[label] = len(c0)
+            c0.append(1)
+            c1.append(1)
+        if decode is None:
+            bit = truth[idx]
+            slots.append(slot)
+            bits.append(bit)
+        else:
+            bit = decode(slot)
+        state[idx] = 1 + bit
+        if bit:
+            if state[nw] == 0 and marked[nw] == 0:
+                marked[nw] = 1
+                push(nw)
+            if state[n] == 0 and marked[n] == 0:
+                marked[n] = 1
+                push(n)
+            if state[ne] == 0 and marked[ne] == 0:
+                marked[ne] = 1
+                push(ne)
+            if state[w] == 0 and marked[w] == 0:
+                marked[w] = 1
+                push(w)
+            if state[e] == 0 and marked[e] == 0:
+                marked[e] = 1
+                push(e)
+            if state[sw] == 0 and marked[sw] == 0:
+                marked[sw] = 1
+                push(sw)
+            if state[s] == 0 and marked[s] == 0:
+                marked[s] = 1
+                push(s)
+            if state[se] == 0 and marked[se] == 0:
+                marked[se] = 1
+                push(se)
+    if decode is None:
+        coder.encode_many(slots, bits)
+    return len(queue)
 
 
 class _LabelMap(ctypes.Structure):
@@ -268,14 +232,147 @@ class _LabelMap(ctypes.Structure):
                 ("labels", ctypes.c_void_p), ("count", ctypes.c_int64)]
 
 
-class _Run(ctypes.Structure):
-    """Run in _kernel.c."""
+class _Shell(ctypes.Structure):
+    """Shell in _kernel.c."""
 
-    _fields_ = [(name, ctypes.c_void_p) for name in ("state", "marked", "prev", "truth")] + [
-        (name, ctypes.c_int64) for name in ("stride", "slab", "count")
-    ] + [("start", ctypes.c_void_p), ("starts", ctypes.c_int64)] + [
-        (name, ctypes.c_void_p) for name in ("fifo", "turn", "canonical", "rotated")
-    ] + [(name, ctypes.c_int64) for name in ("section", "next", "head", "tail", "loaded", "coded")]
+    _fields_ = [(name, ctypes.c_void_p) for name in ("occ", "zmin", "zmax")] + [
+        (name, ctypes.c_int64) for name in ("nx", "ny", "nz")
+    ] + [(name, ctypes.c_void_p) for name in (
+        "cells", "offsets", "state", "marked", "truth", "fifo", "columns", "rows", "out")] + [
+        ("room", ctypes.c_int64)
+    ] + [(name, ctypes.c_void_p) for name in ("turn", "canonical", "rotated")] + [
+        (name, ctypes.c_int64) for name in ("section", "loaded", "head", "tail", "coded", "emitted")
+    ]
+
+
+@dataclass(eq=False)
+class Shell:
+    """One shell's sweep, prepared by build_section and coded by code_section.
+
+    The maps are C-contiguous (nx, ny) arrays: occ as uint8, zmin and zmax
+    as int32. When encoding, cells holds the slab index of each true point,
+    grouped by section: section y's are cells[offsets[y] : offsets[y + 1]].
+    buffers holds what the kernel codes in, or None when the Python loop
+    runs.
+    """
+
+    pair: DepthmapPair
+    dims: tuple[int, int, int]
+    cells: np.ndarray | None
+    offsets: np.ndarray | None
+    buffers: "_ShellBuffers | None"
+
+
+class _ShellBuffers:
+    """The kernel's Shell struct over buffers this object keeps alive.
+
+    Two state slabs (known empty), one slab each of marks and true cells
+    (zero), a slab of work-list room, a section's occupied columns, the
+    per-row counts of its start list, and room for the reconstructed points,
+    which code_section grows as needed.
+    """
+
+    def __init__(self, shell: Shell) -> None:
+        nx, ny, nz = shell.dims
+        slab = (nz + 2) * (nx + 2)
+        pair = shell.pair
+        self.state = np.ones(2 * slab, dtype=np.uint8)
+        self.marked = np.zeros(slab, dtype=np.uint8)
+        self.truth = None if shell.cells is None else np.zeros(slab, dtype=np.uint8)
+        self.fifo = np.empty(slab, dtype=np.int32)
+        self.columns = np.empty(nx, dtype=np.int32)
+        self.rows = np.zeros(nz + 2, dtype=np.int64)
+        # Every occupied column gives one or two seeds.
+        self.out = np.empty((2 * np.count_nonzero(pair.occ) + 2 * nx + 1, 3), dtype=np.int64)
+        self.tables = tables = get_norm_tables()
+        cells = offsets = None
+        if shell.cells is not None:
+            cells = shell.cells.ctypes.data
+            offsets = shell.offsets.ctypes.data
+        self.struct = _Shell(
+            pair.occ.ctypes.data, pair.zmin.ctypes.data, pair.zmax.ctypes.data, nx, ny, nz,
+            cells, offsets, self.state.ctypes.data, self.marked.ctypes.data,
+            None if self.truth is None else self.truth.ctypes.data, self.fifo.ctypes.data,
+            self.columns.ctypes.data, self.rows.ctypes.data, self.out.ctypes.data, len(self.out),
+            tables.alpha_star.ctypes.data, tables.i_star.ctypes.data, tables.rotated_binary.ctypes.data)
+
+    def grow(self, room: int) -> None:
+        """Give out room for `room` points, keeping the ones emitted."""
+        out = np.empty((room, 3), dtype=np.int64)
+        emitted = self.struct.emitted
+        out[:emitted] = self.out[:emitted]
+        self.out = out
+        self.struct.out = out.ctypes.data
+        self.struct.room = room
+
+
+def build_section(pair: DepthmapPair, dims, points: np.ndarray | None = None) -> Shell:
+    """Prepare the sweep of one shell; code_section codes it.
+
+    The maps are used in place when they already have the layout of Shell.
+    The encoder passes the shell's (N, 3) points, which give each section's
+    true occupancy.
+    """
+    nx, ny, nz = dims
+    pair = DepthmapPair(
+        np.ascontiguousarray(pair.occ, dtype=np.uint8),
+        np.ascontiguousarray(pair.zmin, dtype=np.int32),
+        np.ascontiguousarray(pair.zmax, dtype=np.int32),
+    )
+    if not pair.occ.shape == pair.zmin.shape == pair.zmax.shape == (nx, ny):
+        raise ValueError("depth maps do not match the dims")
+    cells = offsets = None
+    if points is not None:
+        # numpy sorts integers of 16 bits or fewer by radix when asked for a
+        # stable sort.
+        keys = points[:, 1].astype(np.min_scalar_type(ny))
+        order = np.argsort(keys, kind="stable")
+        cells = ((points[:, 2] + 1) * (nx + 2) + points[:, 0] + 1).astype(np.int64, copy=False)[order]
+        offsets = np.searchsorted(keys[order], np.arange(ny + 1))
+    shell = Shell(pair, (nx, ny, nz), cells, offsets, None)
+    if native() is not None:
+        shell.buffers = _ShellBuffers(shell)
+    return shell
+
+
+def code_section(
+    shell: Shell,
+    models: dict,
+    *,
+    encoder: RangeEncoder | None = None,
+    decoder: RangeDecoder | None = None,
+) -> tuple[np.ndarray, int]:
+    """Code every section of a shell, in y order; returns (reconstructed points, decision count).
+
+    models maps each context label seen so far to its slot in the coder's
+    count tables. Pass exactly one of encoder/decoder; encoding needs a
+    shell built with its points. A shell is coded once.
+    """
+    if (encoder is None) == (decoder is None):
+        raise ValueError("pass exactly one of encoder or decoder")
+    if encoder is not None and shell.cells is None:
+        raise ValueError("encoding requires the shell's points")
+    if shell.buffers is not None:
+        return _code_native(native(), shell, models, encoder or decoder, encoder is not None)
+    nx, ny, nz = shell.dims
+    st = nx + 2
+    chunks = [np.empty((0, 3), dtype=np.int64)]
+    coded = 0
+    prev = None
+    last = None
+    for y in np.flatnonzero(shell.pair.occ.any(axis=0)).tolist():
+        buf = _section_buffers(shell.pair, y, nz, prev if last == y - 1 else None)
+        truth = None
+        if encoder is not None:
+            truth = bytearray(len(buf.state))
+            np.frombuffer(truth, dtype=np.uint8)[shell.cells[shell.offsets[y] : shell.offsets[y + 1]]] = 1
+        coded += _code_buffers(buf, models, encoder or decoder, truth)
+        occupied = np.frombuffer(buf.state, dtype=np.uint8) == 2
+        zs, xs = np.divmod(np.flatnonzero(occupied), st)
+        chunks.append(np.column_stack((xs - 1, np.full(xs.size, y), zs - 1)))
+        prev = occupied.tobytes()
+        last = y
+    return np.concatenate(chunks), coded
 
 
 class _SlotMap:
@@ -299,21 +396,13 @@ class _SlotMap:
         lib.map_fill(ctypes.byref(self.struct))
 
 
-def _code_native(lib, buf: SectionBuffers, models: dict, coder, truth) -> int:
-    """code_section's loop in the kernel; the coder's slot_map keeps models' labels across calls."""
-    st = buf.stride
-    slab = (buf.nz + 2) * st
-    size = len(buf.state)
-    queue = np.ascontiguousarray(buf.queue, dtype=np.int64)
-    if (size % slab or len(buf.marked) != size or len(buf.prev) != size
-            or (truth is not None and len(truth) != size)):
-        raise ValueError("section buffers do not match their layout")
-    tables = get_norm_tables()
-    fifo = np.empty(slab, dtype=np.int32)
-    run = _Run(address(buf.state), address(buf.marked), address(buf.prev),
-               None if truth is None else np.frombuffer(truth, dtype=np.uint8).ctypes.data,
-               st, slab, size // slab, queue.ctypes.data, queue.size, fifo.ctypes.data,
-               tables.alpha_star.ctypes.data, tables.i_star.ctypes.data, tables.rotated_binary.ctypes.data)
+def _code_native(lib, shell: Shell, models: dict, coder, encoding: bool) -> tuple[np.ndarray, int]:
+    """code_section in the kernel; the coder's slot_map keeps models' labels across calls."""
+    buffers = shell.buffers
+    sweep = buffers.struct
+    if not encoding:
+        sweep.cells = None
+    nx = shell.dims[0]
     c0 = coder.c0
     c1 = coder.c1
     status = NEED_ROOM
@@ -327,65 +416,28 @@ def _code_native(lib, buf: SectionBuffers, models: dict, coder, truth) -> int:
         spare = len(slot_map.labels) - slots
         c0.frombytes(bytes(2 * spare))
         c1.frombytes(bytes(2 * spare))
+        # A section loads only with room for two seeds per column.
+        if sweep.room - sweep.emitted <= 2 * nx:
+            buffers.grow(max(2 * sweep.room, sweep.emitted + 2 * nx + 1))
         with coder.native_state(_BITS_ROOM) as state:
-            status = lib.code_run(ctypes.byref(state), ctypes.byref(slot_map.struct), ctypes.byref(run))
+            status = lib.code_shell(ctypes.byref(state), ctypes.byref(slot_map.struct), ctypes.byref(sweep))
         count = slot_map.struct.count
         models.update(zip(slot_map.labels[slots:count].tolist(), range(slots, count)))
         del c0[count:]
         del c1[count:]
     check_status(status)
-    return run.coded
-
-
-def _reconstruction(buf: SectionBuffers, y0: int) -> tuple[np.ndarray, np.ndarray]:
-    """Occupied band cells of a coded run, and the same cells as (x, y, z) points."""
-    band = buf.band
-    occupied = band[np.frombuffer(buf.state, dtype=np.uint8)[band] == 2]
-    ks, cells = np.divmod(occupied, (buf.nz + 2) * buf.stride)
-    zs, xs = np.divmod(cells, buf.stride)
-    return occupied, np.column_stack((xs - 1, ks + y0, zs - 1))
+    return buffers.out[: sweep.emitted], sweep.coded
 
 
 def _sweep(pair: DepthmapPair, dims, models: dict, points: np.ndarray | None = None,
            encoder: RangeEncoder | None = None,
            decoder: RangeDecoder | None = None) -> tuple[np.ndarray, int]:
-    """Code all sections, run by run; returns (reconstructed points, decision count).
+    """Code all sections of one shell; returns (reconstructed points, decision count).
 
-    The encoder also passes the points, which give each run's true occupancy.
+    The encoder also passes the points, which give each section's true occupancy.
     """
-    nx, ny, nz = dims
-    st = nx + 2
-    slab = (nz + 2) * st
-    per_run = max(1, _RUN_CELLS // slab)
-    runs: list[list[int]] = []
-    for y in np.flatnonzero(pair.occ.any(axis=0)).tolist():
-        if runs and runs[-1][0] + runs[-1][1] == y and runs[-1][1] < per_run:
-            runs[-1][1] += 1
-        else:
-            runs.append([y, 1])
-    if points is not None:
-        by_y = points[np.argsort(points[:, 1], kind="stable")]
-        y_starts = np.searchsorted(by_y[:, 1], np.arange(ny + 1)).tolist()
-    chunks = [np.empty((0, 3), dtype=np.int64)]
-    decisions = 0
-    carry = None
-    end = -1
-    for y0, count in runs:
-        buf = build_section(pair, y0, nz, carry if y0 == end else None, count)
-        truth = None
-        if points is not None:
-            pts = by_y[y_starts[y0] : y_starts[y0 + count]]
-            truth = bytearray(count * slab)
-            np.frombuffer(truth, dtype=np.uint8)[
-                (pts[:, 1] - y0) * slab + (pts[:, 2] + 1) * st + pts[:, 0] + 1
-            ] = 1
-        decisions += code_section(buf, models, encoder=encoder, decoder=decoder, true_section=truth)
-        occupied, recon = _reconstruction(buf, y0)
-        chunks.append(recon)
-        carry = bytearray(slab)
-        np.frombuffer(carry, dtype=np.uint8)[occupied[occupied >= (count - 1) * slab] % slab] = 1
-        end = y0 + count
-    return np.concatenate(chunks), decisions
+    shell = build_section(pair, dims, points)
+    return code_section(shell, models, encoder=encoder, decoder=decoder)
 
 
 def sweep_encode(points: np.ndarray, pair: DepthmapPair, dims, models: dict,

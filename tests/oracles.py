@@ -10,7 +10,7 @@ import numpy as np
 
 from bvlcodec.contexts import get_norm_lists
 from bvlcodec.rangecoder import RangeEncoder, count_tables
-from bvlcodec.sections import build_section
+from bvlcodec.sections import _section_buffers
 
 _POW2 = 2 ** np.arange(9, dtype=np.int64)
 _POW3 = 3 ** np.arange(9, dtype=np.int64)
@@ -286,7 +286,7 @@ def reference_sweep_encode(points, pair, dims, models: dict, encoder):
         if not has_any[y0]:
             prev = bytes(size)
             continue
-        buf = build_section(pair, y0, nz, prev)
+        buf = _section_buffers(pair, y0, nz, prev)
         section = bytearray(size)
         here = points[points[:, 1] == y0]
         np.frombuffer(section, dtype=np.uint8)[(here[:, 2] + 1) * st + here[:, 0] + 1] = 1

@@ -15,7 +15,7 @@ from bvlcodec import decode_cloud, encode_cloud, parse_ply
 from bvlcodec.contexts import PATCH_COUNT, build_norm_tables, check_norm_tables
 from bvlcodec.depthmap import DepthmapPair
 from bvlcodec.rangecoder import RangeDecoder, RangeEncoder, count_tables
-from bvlcodec.sections import build_section, code_section
+from bvlcodec.sections import _code_buffers, _section_buffers, build_section, code_section
 
 import shapes
 from oracles import (
@@ -161,18 +161,27 @@ def test_criterion_5_section_oracle_equivalence():
             true_bytes = bytearray((nz + 2) * st)
             for z, x in true_cells:
                 true_bytes[(z + 1) * st + x + 1] = 1
-            enc = RangeEncoder(*count_tables(0))
-            enc_buf = build_section(pair, 0, nz, prev)
-            cells: list = []
-            n_enc = reference_encode_section(enc_buf, {}, enc, bytes(true_bytes), coded_cells=cells)
-            stream = enc.finish()
-            dec_buf = build_section(pair, 0, nz, prev)
-            n_dec = code_section(dec_buf, {}, decoder=RangeDecoder(stream, *count_tables(0)))
-            coded_set = {((i // st) - 1, (i % st) - 1) for i in cells}
             oracle_coded, oracle_occupied = section_flood_fill(nz, nx, columns, true_cells)
-            assert coded_set == oracle_coded
-            assert n_enc == n_dec == len(oracle_coded)
-            assert occupied_cells(dec_buf) == oracle_occupied
+            # With a previous section, the Python section loop decodes; without
+            # one, the section is a whole shell, decoded in one code_section call.
+            for previous in (prev, None):
+                enc = RangeEncoder(*count_tables(0))
+                enc_buf = _section_buffers(pair, 0, nz, previous)
+                cells: list = []
+                n_enc = reference_encode_section(enc_buf, {}, enc, bytes(true_bytes), coded_cells=cells)
+                stream = enc.finish()
+                decoder = RangeDecoder(stream, *count_tables(0))
+                if previous is None:
+                    recon, n_dec = code_section(build_section(pair, (nx, 1, nz)), {}, decoder=decoder)
+                    occupied = {(z, x) for x, _, z in recon.tolist()}
+                else:
+                    dec_buf = _section_buffers(pair, 0, nz, previous)
+                    n_dec = _code_buffers(dec_buf, {}, decoder)
+                    occupied = occupied_cells(dec_buf)
+                coded_set = {((i // st) - 1, (i % st) - 1) for i in cells}
+                assert coded_set == oracle_coded
+                assert n_enc == n_dec == len(oracle_coded)
+                assert occupied == oracle_occupied
             checked += 1
         print(f"  verified {checked} random sections")
 

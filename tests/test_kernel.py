@@ -8,10 +8,11 @@ kernel loader.
 import numpy as np
 import pytest
 
-from bvlcodec import CodecError, decode_cloud, encode_cloud, rangecoder
-from bvlcodec.depthmap import DepthmapPair
-from bvlcodec.rangecoder import RangeDecoder, count_tables
-from bvlcodec.sections import build_section, code_section
+from bvlcodec import CodecError, decode_cloud, encode_cloud, rangecoder, sections
+from bvlcodec.cloud import PERMUTATION_COUNT, AxisPermutation, VoxelCloud
+from bvlcodec.depthmap import DepthmapPair, project_array
+from bvlcodec.rangecoder import RangeDecoder, RangeEncoder, count_tables
+from bvlcodec.sections import build_section, code_section, sweep_decode, sweep_encode
 
 import shapes
 
@@ -70,16 +71,95 @@ def test_containers_are_byte_identical_on_both_paths(kernel, monkeypatch):
         assert a == b, name
 
 
+def _decode_shell(pair, nz):
+    shell = build_section(pair, (pair.occ.shape[0], pair.occ.shape[1], nz))
+    return code_section(shell, {}, decoder=RangeDecoder(bytes(8), *count_tables(0)))
+
+
+def _column_pair(*columns):
+    """Maps of one column per section: each entry is (occ, zmin, zmax)."""
+    occ, zmin, zmax = (np.array([[c[k] for c in columns]], dtype) for k, dtype in
+                       enumerate((np.uint8, np.int32, np.int32)))
+    return DepthmapPair(occ, zmin, zmax)
+
+
 def test_kernel_refuses_section_buffers_that_break_their_layout(kernel):
-    # A listed cell on the border ring would read outside the run, and prev
-    # bytes above 1 would index outside the context tables.
+    # State bytes above 2 would index outside the context tables, and an
+    # unknown border ring would list cells whose 3x3 crops leave the slab.
     pair = DepthmapPair(np.ones((4, 1), np.uint8), np.zeros((4, 1), np.int32), np.full((4, 1), 5, np.int32))
-    spoilers = (
-        lambda buf: setattr(buf, "queue", np.concatenate(([0], buf.queue))),
-        lambda buf: buf.prev.__setitem__(slice(None), b"\x07" * len(buf.prev)),
-    )
-    for spoil in spoilers:
-        buf = build_section(pair, 0, 6)
-        spoil(buf)
+    for fill in (7, 0):
+        shell = build_section(pair, (4, 1, 6))
+        shell.buffers.state[:] = fill
         with pytest.raises(ValueError):
-            code_section(buf, {}, decoder=RangeDecoder(bytes(8), *count_tables(0)))
+            code_section(shell, {}, decoder=RangeDecoder(bytes(8), *count_tables(0)))
+
+
+# Each malformed column follows a valid section, so the kernel has coded
+# before it meets it; a band far past nz would write outside the slabs.
+@pytest.mark.parametrize("column", [(1, 4, 3), (1, 2, 6), (1, 2, 1 << 30), (2, 1, 3)],
+                         ids=["zmin-above-zmax", "zmax-at-nz", "zmax-far-past-nz", "occ-byte-2"])
+def test_kernel_refuses_a_malformed_column(kernel, column):
+    with pytest.raises(ValueError):
+        _decode_shell(_column_pair((1, 0, 5), column), 6)
+
+
+def test_kernel_accepts_the_valid_column_the_malformed_ones_spoil(kernel):
+    _, decisions = _decode_shell(_column_pair((1, 0, 5), (1, 2, 5)), 6)
+    assert decisions > 0
+
+
+def _sweep_record(cloud, shells=2):
+    """Per shell, encoder then decoder: section bytes, decisions, sorted reconstruction, models and count tables."""
+    dims = cloud.dims
+    enc_models: dict = {}
+    dec_models: dict = {}
+    enc_tables = count_tables(0)
+    dec_tables = count_tables(0)
+    remaining = cloud.to_array()
+    record = []
+    for _ in range(shells):
+        if not len(remaining):
+            break
+        pair = project_array(remaining, dims)
+        enc = RangeEncoder(*enc_tables)
+        recon, n = sweep_encode(remaining, pair, dims, enc_models, enc)
+        stream = enc.finish()
+        dec = RangeDecoder(stream.data, *dec_tables)
+        dec_recon, dec_n = sweep_decode(pair, dims, dec_models, dec)
+        record.append((
+            stream, n, np.unique(recon, axis=0).tolist(), dict(enc_models), enc.c0.tolist(), enc.c1.tolist(),
+            dec_n, np.unique(dec_recon, axis=0).tolist(), dict(dec_models), dec.c0.tolist(), dec.c1.tolist(),
+        ))
+        keys = np.ravel_multi_index(remaining.T, dims)
+        remaining = remaining[~np.isin(keys, np.ravel_multi_index(recon.T, dims))]
+    return record
+
+
+def _assert_paths_agree(clouds, monkeypatch):
+    native = [_sweep_record(cloud) for cloud in clouds]
+    _force_python(monkeypatch)
+    for k, cloud in enumerate(clouds):
+        assert _sweep_record(cloud) == native[k], f"cloud {k}"
+    return native
+
+
+def test_kernel_and_python_sweeps_agree_on_fuzz_suite_in_every_permutation(kernel, monkeypatch):
+    clouds = [AxisPermutation(pid).apply(cloud) for _, cloud in shapes.fuzz_suite()
+              for pid in range(PERMUTATION_COUNT)]
+    _assert_paths_agree(clouds, monkeypatch)
+
+
+def test_kernel_and_python_sweeps_agree_when_kernel_calls_resume(kernel, monkeypatch):
+    # Room for 7 bits and one slot: the kernel's calls resume inside and
+    # across sections, on both sides; section 3 of each cloud is empty.
+    monkeypatch.setattr(sections, "_BITS_ROOM", 7)
+    monkeypatch.setattr(sections, "_SLOTS_ROOM", 1)
+    rng = np.random.default_rng(79)
+    clouds = []
+    for _ in range(4):
+        points = [(x, y, z) for y in range(12) if y != 3 for x in range(8)
+                  for lo, hi in [sorted(rng.integers(0, 8, size=2).tolist())]
+                  for z in range(lo, hi + 1) if z in (lo, hi) or rng.random() < 0.7]
+        clouds.append(VoxelCloud((8, 12, 8), points))
+    for record in _assert_paths_agree(clouds, monkeypatch):
+        assert sum(shell[1] for shell in record) > 3 * 7

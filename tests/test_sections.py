@@ -51,7 +51,7 @@ def _true_bytes(true_cells, nz, nx):
 
 def test_build_section_empty_column():
     pair = _single_section_pair(8, 4, {1: (2, 5)})
-    buf = build_section(pair, 0, 8)
+    buf = sections._section_buffers(pair, 0, 8)
     st = buf.stride
     # column 3 has no occupancy: everything there is known empty
     for z in range(8):
@@ -60,7 +60,7 @@ def test_build_section_empty_column():
 
 def test_build_section_single_cell_interval():
     pair = _single_section_pair(8, 4, {2: (5, 5)})
-    buf = build_section(pair, 0, 8)
+    buf = sections._section_buffers(pair, 0, 8)
     st = buf.stride
     assert buf.state[(5 + 1) * st + 2 + 1] == 2
     assert unknown_count(buf) == 0
@@ -69,7 +69,7 @@ def test_build_section_single_cell_interval():
 
 def test_build_section_interval_counts():
     pair = _single_section_pair(16, 4, {1: (2, 9)})
-    buf = build_section(pair, 0, 16)
+    buf = sections._section_buffers(pair, 0, 16)
     st = buf.stride
     assert buf.state[(2 + 1) * st + 1 + 1] == 2
     assert buf.state[(9 + 1) * st + 1 + 1] == 2
@@ -82,7 +82,7 @@ def test_build_section_list_is_row_major_dilation():
     # Unknown cells in columns 0, 1 and 2; column 5 is a lone seed.
     columns = {0: (1, 5), 1: (2, 6), 2: (0, 4), 5: (3, 3)}
     pair = _single_section_pair(8, 8, columns)
-    buf = build_section(pair, 0, 8)
+    buf = sections._section_buffers(pair, 0, 8)
     st = buf.stride
     cells = [((i // st) - 1, (i % st) - 1) for i in buf.queue]
     seeds = {(z, x) for x, band in columns.items() for z in band}
@@ -104,7 +104,7 @@ def test_build_section_list_is_row_major_dilation():
 def _assert_matches_reference(pair, nz):
     for y0 in np.flatnonzero(pair.occ.any(axis=0)).tolist():
         state, marked, queue = reference_build_section(pair, y0, nz)
-        buf = build_section(pair, y0, nz)
+        buf = sections._section_buffers(pair, y0, nz)
         assert buf.state == state
         assert buf.marked == marked
         assert list(buf.queue) == queue
@@ -132,18 +132,27 @@ def test_build_section_matches_reference_at_borders():
 
 
 def _run_both_sides(pair, nz, true_cells, prev=None):
+    """Encode one section with the reference loop and decode it with the Python one.
+
+    Without prev the section is also a whole shell, whose decode through
+    build_section and code_section (in the kernel when it loads) must agree.
+    """
     nx = pair.occ.shape[0]
     enc = RangeEncoder(*count_tables(0))
-    enc_buf = build_section(pair, 0, nz, prev)
+    enc_buf = sections._section_buffers(pair, 0, nz, prev)
     enc_cells: list = []
     enc_models: dict = {}
     coded_enc = reference_encode_section(
         enc_buf, enc_models, enc, _true_bytes(true_cells, nz, nx), coded_cells=enc_cells,
     )
     stream = enc.finish()
-    dec_buf = build_section(pair, 0, nz, prev)
-    dec_models: dict = {}
-    coded_dec = code_section(dec_buf, dec_models, decoder=RangeDecoder(stream, *count_tables(0)))
+    dec_buf = sections._section_buffers(pair, 0, nz, prev)
+    coded_dec = sections._code_buffers(dec_buf, {}, RangeDecoder(stream, *count_tables(0)))
+    if prev is None:
+        shell = build_section(pair, (nx, 1, nz))
+        recon, coded = code_section(shell, {}, decoder=RangeDecoder(stream, *count_tables(0)))
+        assert coded == coded_dec
+        assert {(z, x) for x, _, z in recon.tolist()} == occupied_cells(dec_buf)
     return enc_buf, dec_buf, enc_cells, coded_enc, coded_dec, stream
 
 
@@ -328,26 +337,17 @@ def _layered_cloud(rng, nx, ny, nz, empty_ys):
     return VoxelCloud((nx, ny, nz), points)
 
 
-def test_sweep_encode_matches_reference_across_runs(monkeypatch):
-    # Slabs of 10 x 10 cells and runs of 3 sections: sections 0-2, then
-    # section 3 empty at the run's edge, then 4-6, 7-9 and 10-11, whose
-    # carried reconstructions cross run edges. With room for 7 bits and one
-    # slot, the kernel's section loop stops every few decisions and at every
-    # new label, so its calls resume inside and across sections.
-    monkeypatch.setattr(sections, "_RUN_CELLS", 300)
+def test_sweep_encode_matches_reference_when_kernel_calls_resume(monkeypatch):
+    # Slabs of 10 x 10 cells; section 3 is empty, so section 4 reads a blank
+    # previous section. With room for 7 bits and one slot, the kernel's shell
+    # loop stops every few decisions and at every new label, so its calls
+    # resume inside and across sections.
     monkeypatch.setattr(sections, "_BITS_ROOM", 7)
     monkeypatch.setattr(sections, "_SLOTS_ROOM", 1)
     rng = np.random.default_rng(77)
     for _ in range(4):
         cloud = _layered_cloud(rng, 8, 12, 8, {3})
         assert _assert_sweep_matches_reference(cloud) > 3 * 7
-
-
-def test_sweep_encode_matches_reference_with_sections_over_the_run_budget(monkeypatch):
-    monkeypatch.setattr(sections, "_RUN_CELLS", 50)
-    rng = np.random.default_rng(78)
-    cloud = _layered_cloud(rng, 8, 6, 8, {2})
-    assert _assert_sweep_matches_reference(cloud) > 0
 
 
 def test_sweep_encode_matches_reference_over_many_blocks():
@@ -397,6 +397,28 @@ def test_shells_are_disjoint_point_sets():
     assert first <= both
     second = both - first
     assert first.isdisjoint(second) and second
+
+
+def test_each_shell_is_built_and_coded_in_one_call_each(monkeypatch):
+    calls = []
+
+    def counted(name):
+        real = getattr(sections, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("build_section", "code_section"):
+        monkeypatch.setattr(sections, name, counted(name))
+    cloud = shapes.nested_hollow_cubes(32, (2, 9))
+    streams, _ = encode_shells(cloud, 2)
+    blobs = [(a.data, b.data) for a, b in streams]
+    decode_shells(blobs, cloud.dims)
+    assert len(streams) == 2
+    assert calls == ["build_section", "code_section"] * 4
 
 
 def test_residual_round_trip():
