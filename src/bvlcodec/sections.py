@@ -65,7 +65,6 @@ from .rangecoder import (
     CodedStream,
     RangeDecoder,
     RangeEncoder,
-    address,
     check_status,
     count_tables,
     native,
@@ -260,7 +259,7 @@ class Shell:
     dims: tuple[int, int, int]
     cells: np.ndarray | None
     offsets: np.ndarray | None
-    buffers: "_ShellBuffers | None"
+    buffers: _ShellBuffers | None
 
 
 class _ShellBuffers:
