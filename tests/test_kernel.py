@@ -90,7 +90,7 @@ def test_kernel_refuses_section_buffers_that_break_their_layout(kernel):
     for fill in (7, 0):
         shell = build_section(pair, (4, 1, 6))
         shell.buffers.state[:] = fill
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="layout"):
             code_section(shell, {}, decoder=RangeDecoder(bytes(8), *count_tables(0)))
 
 
@@ -99,7 +99,7 @@ def test_kernel_refuses_section_buffers_that_break_their_layout(kernel):
 @pytest.mark.parametrize("column", [(1, 4, 3), (1, 2, 6), (1, 2, 1 << 30), (2, 1, 3)],
                          ids=["zmin-above-zmax", "zmax-at-nz", "zmax-far-past-nz", "occ-byte-2"])
 def test_kernel_refuses_a_malformed_column(kernel, column):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="layout"):
         _decode_shell(_column_pair((1, 0, 5), column), 6)
 
 
@@ -157,9 +157,11 @@ def test_kernel_and_python_sweeps_agree_when_kernel_calls_resume(kernel, monkeyp
     rng = np.random.default_rng(79)
     clouds = []
     for _ in range(4):
-        points = [(x, y, z) for y in range(12) if y != 3 for x in range(8)
-                  for lo, hi in [sorted(rng.integers(0, 8, size=2).tolist())]
-                  for z in range(lo, hi + 1) if z in (lo, hi) or rng.random() < 0.7]
+        points = []
+        for y in (y for y in range(12) if y != 3):
+            for x in range(8):
+                lo, hi = sorted(rng.integers(0, 8, size=2).tolist())
+                points += [(x, y, z) for z in range(lo, hi + 1) if z in (lo, hi) or rng.random() < 0.7]
         clouds.append(VoxelCloud((8, 12, 8), points))
     for record in _assert_paths_agree(clouds, monkeypatch):
         assert sum(shell[1] for shell in record) > 3 * 7
