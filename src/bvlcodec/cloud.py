@@ -2,6 +2,12 @@
 
 A VoxelCloud stores its voxels as one read-only (N, 3) int64 array, sorted by
 (x, y, z) and free of duplicates; `points` derives a frozenset on request.
+The constructor reaches that order through one int64 key per row, the three
+coordinates less the array's minimum packed side by side: one sort of the
+keys, a neighbour test for duplicates, and shifts and masks back to rows.
+Input that already has strictly increasing keys (another cloud's array, a
+written PLY) is kept as it is. Only a coordinate range too wide for three
+fields in 63 bits falls back to a lexsort of the columns.
 """
 
 from __future__ import annotations
@@ -18,11 +24,42 @@ _AXIS_ORDERINGS: tuple[tuple[int, int, int], ...] = tuple(itertools.permutations
 PERMUTATION_COUNT = len(_AXIS_ORDERINGS)
 
 
+def _normalized(arr: np.ndarray) -> np.ndarray:
+    """The distinct rows of an (N, 3) int64 array in (x, y, z) order; arr itself when already so."""
+    if len(arr) < 2:
+        return arr
+    # Whole-array min and max cost far less than per-column ones (axis=0).
+    lo = int(arr.min())
+    width = (int(arr.max()) - lo).bit_length()
+    if 3 * width > 63:
+        arr = arr[np.lexsort(arr.T[::-1])]
+        return arr[np.append(True, np.any(arr[1:] != arr[:-1], axis=1))]
+    # One packed key per row orders the rows as (x, y, z) does.
+    key = (arr[:, 0] - lo) << 2 * width
+    key |= (arr[:, 1] - lo) << width
+    key |= arr[:, 2] - lo
+    if np.all(key[1:] > key[:-1]):
+        return arr
+    # np.sort and a neighbour test; np.unique hashes, and is far slower here.
+    key.sort()
+    fresh = key[1:] != key[:-1]
+    if not fresh.all():
+        key = key[np.append(True, fresh)]
+    mask = (1 << width) - 1
+    out = np.empty((len(key), 3), dtype=np.int64)
+    out[:, 0] = key >> 2 * width
+    out[:, 1] = (key >> width) & mask
+    out[:, 2] = key & mask
+    out += lo
+    return out
+
+
 class VoxelCloud:
     """A set of occupied integer voxels inside an (Nx, Ny, Nz) grid.
 
     `points` may be any (N, 3) array or iterable of integer triples; it is
-    copied and normalized, but not bounds-checked (see validate).
+    copied and normalized (sorted by the packed key, duplicates dropped), but
+    not bounds-checked (see validate).
     """
 
     def __init__(self, dims: tuple[int, int, int], points) -> None:
@@ -34,13 +71,7 @@ class VoxelCloud:
             arr = arr.reshape(0, 3)
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise ValueError(f"points must have shape (N, 3), not {arr.shape}")
-        # Rows already strictly increasing (another cloud's array, a written
-        # PLY) skip the sort.
-        later, earlier = arr[1:], arr[:-1]
-        gt, eq = later > earlier, later == earlier
-        if not np.all(gt[:, 0] | eq[:, 0] & (gt[:, 1] | eq[:, 1] & gt[:, 2])):
-            arr = arr[np.lexsort(arr.T[::-1])]
-            arr = arr[np.append(True, np.any(arr[1:] != arr[:-1], axis=1))]
+        arr = _normalized(arr)
         arr.flags.writeable = False
         self._array = arr
 
@@ -70,10 +101,13 @@ class VoxelCloud:
         return f"VoxelCloud(dims={self.dims}, points=<{len(self._array)} voxels>)"
 
     def validate(self) -> None:
-        outside = np.any((self._array < 0) | (self._array >= self.dims), axis=1)
-        if outside.any():
-            point = tuple(self._array[outside.argmax()].tolist())
-            raise ValueError(f"point {point} outside dims {self.dims}")
+        arr = self._array
+        if not len(arr) or arr.min() >= 0 and all(arr[:, k].max() < d for k, d in enumerate(self.dims)):
+            return
+        # The per-row mask is built only to name the first offending point.
+        outside = np.any((arr < 0) | (arr >= self.dims), axis=1)
+        point = tuple(arr[outside.argmax()].tolist())
+        raise ValueError(f"point {point} outside dims {self.dims}")
 
 
 @dataclass(frozen=True)

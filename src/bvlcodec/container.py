@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PERMUTATION_COUNT, AxisPermutation, VoxelCloud
-from .errors import ContainerError, EmptyCloudError, TruncatedStreamError
+from .errors import BitstreamError, ContainerError, EmptyCloudError, TruncatedStreamError
 from .sections import decode_residual, decode_shells, encode_residual, encode_shells
 
 MAGIC = b"BVL1"
@@ -188,4 +188,8 @@ def decode_cloud(data: bytes) -> VoxelCloud:
     shell_blobs = [(blobs[2 * i], blobs[2 * i + 1]) for i in range(shell_count)]
     points = np.concatenate((decode_shells(shell_blobs, dims), decode_residual(blobs[-1], dims)))
     permuted = VoxelCloud(dims, points)
+    # Shells peel disjoint points and the residual holds the rest, so a
+    # valid container never decodes a point twice.
+    if len(permuted.to_array()) != len(points):
+        raise BitstreamError("decoded points repeat")
     return AxisPermutation(pid).inverse().apply(permuted)

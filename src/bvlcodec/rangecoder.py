@@ -15,10 +15,10 @@ payload as zeros, which is exactly what the padding would have been, so every
 encoded symbol resolves without storing the symbol count in the stream.
 
 Each coder owns its bits, buffered unpacked, one byte per bit, MSB first:
-the encoder appends to a bytearray that np.packbits packs once in finish(),
-and the decoder indexes the np.unpackbits expansion of its payload followed
-by 64 zero bits. A read past those zero bits, possible only on corrupt
-input, raises TruncatedStreamError.
+the encoder writes into a bytearray that grows by doubling and that
+np.packbits packs once in finish(), and the decoder indexes the
+np.unpackbits expansion of its payload followed by 64 zero bits. A read past
+those zero bits, possible only on corrupt input, raises TruncatedStreamError.
 
 The coding loops run natively: _kernel.c holds the coder and one loop per
 stream (encode_many, the mask and surface decoders, the shell sweep), and
@@ -192,7 +192,7 @@ class RangeEncoder:
     the end.
     """
 
-    __slots__ = ("c0", "c1", "slot_map", "_low", "_high", "_pending", "_bits")
+    __slots__ = ("c0", "c1", "slot_map", "_state", "_bits")
 
     def __init__(self, c0: array, c1: array) -> None:
         _check_tables(c0, c1)
@@ -200,26 +200,40 @@ class RangeEncoder:
         self.c1 = c1
         # The section loop's label map for the kernel (sections.py).
         self.slot_map = None
-        self._low = 0
-        self._high = _FULL - 1
-        self._pending = 0
+        # The coder's state is the kernel's struct (extra counts the pending
+        # bits); _bits[:pos] are the bits written so far, and the kernel may
+        # write up to size bytes. size 0 marks the address stale.
         self._bits = bytearray()
+        self._state = _Coder(0, _FULL - 1, 0, 0, None, 0, None, None, 0)
+
+    def _room(self, room: int) -> _Coder:
+        """The state, with room for `room` bits beyond the pending ones and the tables' current addresses."""
+        state = self._state
+        need = state.pos + state.extra + 64 + room
+        if need > state.size:
+            bits = self._bits
+            del bits[state.pos :]
+            bits += bytes(max(need, 2 * len(bits)) - len(bits))
+            state.bits = address(bits)
+            state.size = len(bits)
+        state.c0 = address(self.c0)
+        state.c1 = address(self.c1)
+        state.contexts = len(self.c0)
+        return state
+
+    def _written(self) -> bytearray:
+        """The bits written so far, as the buffer itself; marks the kernel's view of it stale."""
+        del self._bits[self._state.pos :]
+        self._state.size = 0
+        return self._bits
 
     @contextmanager
     def native_state(self, room: int):
         """The coder as the kernel's struct, with room for `room` bits beyond the pending ones.
 
-        The kernel's changes to the state come back when the block ends.
+        The kernel updates the state in place.
         """
-        start = len(self._bits)
-        self._bits += bytes(self._pending + 64 + room)
-        state = _Coder(self._low, self._high, self._pending, start, address(self._bits),
-                       len(self._bits), address(self.c0), address(self.c1), len(self.c0))
-        try:
-            yield state
-        finally:
-            self._low, self._high, self._pending = state.low, state.high, state.extra
-            del self._bits[state.pos :]
+        yield self._room(room)
 
     def encode_many(self, contexts: Iterable[int], bits: Iterable[int]) -> None:
         """Code each bit under its context, in order; the counts adapt as they go.
@@ -234,18 +248,18 @@ class RangeEncoder:
             return
         contexts = np.array(contexts if isinstance(contexts, (np.ndarray, list, tuple)) else list(contexts),
                             dtype=np.int64)
-        bits = np.asarray(bits if isinstance(bits, (np.ndarray, list, tuple)) else list(bits))
+        bits = np.array(bits if isinstance(bits, (np.ndarray, list, tuple)) else list(bits), dtype=bool)
         n = min(contexts.size, bits.size)
-        mismatch = contexts.size != bits.size
-        bits = (bits[:n] != 0).view(np.uint8)
         done = 0
+        if n:
+            at_contexts, at_bits = address(contexts), address(bits)
         while done < n:
             # A decision writes at most 18 bits beyond the pending ones.
-            with self.native_state(18 * min(n - done, 1 << 16)) as state:
-                done += lib.encode_many(ctypes.byref(state), address(contexts[done:]), address(bits[done:]), n - done)
+            state = self._room(18 * min(n - done, 1 << 16))
+            done += lib.encode_many(ctypes.byref(state), at_contexts + 8 * done, at_bits + done, n - done)
             if done < n and not 0 <= contexts[done] < len(self.c0):
                 raise IndexError("context outside the count tables")
-        if mismatch:
+        if contexts.size != bits.size:
             raise ValueError("contexts and bits differ in length")
 
     def encode_many_python(self, contexts: Iterable[int], bits: Iterable[int]) -> None:
@@ -254,10 +268,11 @@ class RangeEncoder:
             contexts = contexts.tolist()
         if isinstance(bits, np.ndarray):
             bits = bits.tolist()
-        low = self._low
-        high = self._high
-        pending = self._pending
-        out = self._bits
+        state = self._state
+        low = state.low
+        high = state.high
+        pending = state.extra
+        out = self._written()
         append = out.append
         c0s = self.c0
         c1s = self.c1
@@ -301,20 +316,24 @@ class RangeEncoder:
                 c1s[ctx] = c1
         finally:
             # On a length mismatch the pairs before it stay coded.
-            self._low = low
-            self._high = high
-            self._pending = pending
+            state.low = low
+            state.high = high
+            state.extra = pending
+            state.pos = len(out)
 
     def finish(self) -> CodedStream:
         # One more bit, followed by its pending inversions, pins a value
         # inside the final interval; the byte padding after it is zeros,
         # matching what the decoder reads past the end of the payload.
-        bit = 0 if self._low < _QUARTER else 1
-        self._bits.append(bit)
-        self._bits += bytes([bit ^ 1]) * (self._pending + 1)
-        self._pending = 0
-        packed = np.packbits(np.frombuffer(self._bits, dtype=np.uint8)).tobytes()
-        return CodedStream(packed, len(self._bits))
+        state = self._state
+        bits = self._written()
+        bit = 0 if state.low < _QUARTER else 1
+        bits.append(bit)
+        bits += bytes([bit ^ 1]) * (state.extra + 1)
+        state.extra = 0
+        state.pos = len(bits)
+        packed = np.packbits(np.frombuffer(bits, dtype=np.uint8)).tobytes()
+        return CodedStream(packed, len(bits))
 
 
 class RangeDecoder:

@@ -472,9 +472,10 @@ def encode_shells(cloud, max_shells: int) -> tuple[list[tuple[CodedStream, Coded
         recon, _ = sweep_encode(remaining, pair, dims, models, encoder)
         shells.append((surface_stream, encoder.finish()))
         # The points are sorted, so their keys are; every reconstructed point
-        # is one of them.
+        # is one of them. Sorted needles make the search walk forward.
         keep = np.ones(len(remaining), dtype=bool)
-        keep[np.searchsorted(np.ravel_multi_index(remaining.T, dims), np.ravel_multi_index(recon.T, dims))] = False
+        keys = np.ravel_multi_index(remaining.T, dims)
+        keep[np.searchsorted(keys, np.sort(np.ravel_multi_index(recon.T, dims)))] = False
         remaining = remaining[keep]
     return shells, remaining
 

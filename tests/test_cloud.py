@@ -21,6 +21,33 @@ def _ascii_ply(vertices, extra_header="", fmt="ascii"):
     ).encode()
 
 
+def _sorted_set(rows):
+    return [list(p) for p in sorted(set(map(tuple, rows)))]
+
+
+_RNG = np.random.default_rng(12)
+_SORTED = np.array(_sorted_set(_RNG.integers(0, 64, size=(300, 3)).tolist()))
+
+
+@pytest.mark.parametrize("rows", [
+    np.concatenate([_RNG.integers(0, 20, size=(400, 3))] * 2)[_RNG.permutation(800)],
+    _RNG.integers(-30, 30, size=(500, 3)),
+    np.array([[3, -1, 7]]),
+    _SORTED,
+    _SORTED[::-1],
+    # The widest range that packs into 63 bits, and the first that does not.
+    np.array([[0, 5, 1], [(1 << 21) - 1, 0, 0], [0, 5, 1], [7, 7, (1 << 21) - 1]]),
+    np.array([[0, 5, 1], [1 << 21, 0, 0], [0, 5, 1], [7, 7, 1 << 21]]),
+    np.array([[1 << 40, 2, 0], [0, 0, 0], [5, 1 << 40, 9], [0, 0, 0], [5, -(1 << 40), 9]]),
+    np.array([[2**63 - 1, 0, -(2**63)], [-(2**63), 0, 0], [2**63 - 1, 0, -(2**63)], [0, 0, 0]]),
+], ids=["duplicates", "negative", "single", "sorted", "reversed", "widest-packed", "too-wide",
+        "wide-2^40", "int64-extremes"])
+def test_cloud_rows_are_the_sorted_distinct_points(rows):
+    cloud = VoxelCloud((1, 1, 1), rows)
+    assert cloud.to_array().tolist() == _sorted_set(rows.tolist())
+    assert cloud.to_array().dtype == np.int64
+
+
 def test_parse_basic_and_default_dims():
     cloud = parse_ply(_ascii_ply([(0, 0, 0), (1, 2, 3)]))
     assert cloud.dims == (2, 3, 4)

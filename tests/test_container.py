@@ -11,6 +11,7 @@ import pytest
 
 import bvlcodec
 from bvlcodec import (
+    BitstreamError,
     ContainerError,
     EmptyCloudError,
     TruncatedStreamError,
@@ -18,7 +19,8 @@ from bvlcodec import (
     decode_cloud,
     encode_cloud,
 )
-from bvlcodec.container import _FIXED, MAGIC, MAX_PLANE_CELLS, _check_dims
+from bvlcodec.container import _FIXED, MAGIC, MAX_PLANE_CELLS, _assemble, _check_dims
+from bvlcodec.sections import encode_residual, encode_shells
 
 import shapes
 
@@ -149,6 +151,21 @@ def test_max_shells_one_forces_residual():
     assert report.shells == 1
     assert report.residual_bits > 32
     assert decode_cloud(blob) == cloud
+
+
+def test_a_point_decoded_twice_fails_closed():
+    cloud = shapes.nested_hollow_cubes(24, (1, 8))
+    shells, residual = encode_shells(cloud, 1)
+    honest = _assemble(0, cloud.dims, shells, encode_residual(residual, cloud.dims))
+    assert honest == encode_cloud(cloud, permutation=0, max_shells=1)[0]
+    assert decode_cloud(honest) == cloud
+    # A residual that also lists a point the shell reconstructs.
+    in_residual = set(map(tuple, residual.tolist()))
+    shell_point = next(p for p in cloud.to_array().tolist() if tuple(p) not in in_residual)
+    doubled = np.vstack([residual, [shell_point]])
+    forged = _assemble(0, cloud.dims, shells, encode_residual(doubled, cloud.dims))
+    with pytest.raises(BitstreamError):
+        decode_cloud(forged)
 
 
 # Run in a child process whose address space is capped at 1 GiB, so a codec

@@ -31,3 +31,19 @@ def small_clouds(draw):
 def test_small_random_clouds_round_trip(cloud, permutation, max_shells):
     data, _ = encode_cloud(cloud, permutation, max_shells)
     assert decode_cloud(data) == cloud
+
+
+@st.composite
+def row_lists(draw):
+    """Up to 40 triples in a range of 2^0 to 2^45 either side of 0, some repeated, in any order."""
+    bits = draw(st.integers(0, 45))
+    coordinate = st.integers(-(1 << bits), 1 << bits)
+    rows = draw(st.lists(st.tuples(coordinate, coordinate, coordinate), max_size=40))
+    repeats = draw(st.lists(st.sampled_from(rows), max_size=10)) if rows else []
+    return draw(st.permutations(rows + repeats))
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_lists())
+def test_cloud_rows_are_the_sorted_distinct_points(rows):
+    assert VoxelCloud((1, 1, 1), rows).to_array().tolist() == [list(p) for p in sorted(set(rows))]
