@@ -1,12 +1,16 @@
 /* Native loops of the bvlcodec coder, loaded through ctypes by rangecoder.py.
  *
  * The range coder and its count update mirror rangecoder.RangeEncoder and
- * RangeDecoder bit for bit; the loops mirror the Python ones in depthmap.py
- * and sections.py decision for decision, so either side may run in either
- * language. Every buffer is allocated and sized by the caller. A loop that
- * would need more room than it was given stops before touching the cell it
- * is on, saves where it stands and returns NEED_ROOM; the caller grows the
- * buffers and calls it again.
+ * RangeDecoder bit for bit. Besides encode_many, three loops code the
+ * streams, each on both sides: code_mask (the occupancy mask), code_surfaces
+ * (the low surface and thickness) and code_shell (a shell's section sweep).
+ * Each bit is read from the maps and encoded, or decoded and stored. They
+ * mirror the Python loops of depthmap.py and sections.py decision for
+ * decision, so either side may run in either language. Every buffer is
+ * allocated and sized by the caller. An encoding loop that would need more
+ * room than it was given stops before touching the pixel or cell it is on,
+ * saves where it stands and returns NEED_ROOM; the caller grows the buffers
+ * and calls it again.
  */
 #include <stdint.h>
 #include <string.h>
@@ -138,19 +142,50 @@ int64_t encode_many(Coder *c, const int64_t *ctx, const uint8_t *bits, int64_t n
     return i;
 }
 
-/* The occupancy mask, row by row. grid holds nx + 2 rows of ny + 4 zeros:
- * two rows of history above the map and two columns on either side. Bit k
- * of a pixel's context is template term k of depthmap._TEMPLATE. */
-int64_t decode_mask(Coder *c, uint8_t *grid, int64_t nx, int64_t ny) {
+/* Where a depth-map loop stands when it stops for room: the next pixel in
+ * row order, and the low surface and thickness coded last. */
+typedef struct {
+    int64_t pixel, prev_low, prev_thick;
+} Cursor;
+
+/* The room one pixel of the surfaces may need: two residuals of at most
+ * MAX_PREFIX prefix bins, a one and MAX_PREFIX suffix bits each, every
+ * decision writing at most its pending bits plus 18, and encode_many's 64
+ * spare bytes. */
+#define PIXEL_ROOM (64 + 18 * 2 * (2 * MAX_PREFIX + 1))
+
+/* Encode bit under ctx and return it, or decode a bit (TRUNCATED past the end). */
+static inline int code_bit(Coder *c, int64_t encoding, int64_t ctx, int bit) {
+    if (!encoding)
+        return decode_bit(c, ctx);
+    encode_bit(c, ctx, bit);
+    return bit;
+}
+
+/* The occupancy mask, row by row, on either side: each bit is read from the
+ * grid and encoded, or decoded and stored there. grid holds nx + 2 rows of
+ * ny + 4 bytes: two zero rows of history above the map and two zero columns
+ * on either side. Bit k of a pixel's context is template term k of
+ * depthmap._TEMPLATE. A map byte above 1 is BAD_LAYOUT. */
+static inline __attribute__((always_inline)) int64_t mask_loop(Coder *c, Cursor *at, uint8_t *grid, int64_t nx,
+                                                                int64_t ny, int64_t encoding) {
     const int64_t s = ny + 4;
     const int64_t terms[10] = {-2 * s - 1, -2 * s, -2 * s + 1, -s - 2, -s - 1, -s, -s + 1, -s + 2, -2, -1};
-    for (int64_t x = 0; x < nx; x++) {
-        for (int64_t y = 0; y < ny; y++) {
+    if (ny < 1)
+        return DONE;
+    for (int64_t x = at->pixel / ny, y = at->pixel % ny; x < nx; x++, y = 0) {
+        for (; y < ny; y++) {
+            if (encoding && c->pos + c->extra + 64 > c->size) {
+                at->pixel = x * ny + y;
+                return NEED_ROOM;
+            }
             uint8_t *px = grid + (x + 2) * s + y + 2;
+            if (*px > 1)
+                return BAD_LAYOUT;
             int64_t ctx = 0;
             for (int k = 0; k < 10; k++)
                 ctx |= (int64_t)px[terms[k]] << k;
-            int bit = decode_bit(c, ctx);
+            int bit = code_bit(c, encoding, ctx, *px);
             if (bit < 0)
                 return bit;
             *px = (uint8_t)bit;
@@ -159,38 +194,66 @@ int64_t decode_mask(Coder *c, uint8_t *grid, int64_t nx, int64_t ny) {
     return DONE;
 }
 
-/* One zigzag order-0 exp-Golomb residual under the 32 contexts at base. */
-static inline int decode_signed(Coder *c, int64_t base, int64_t *value) {
-    int64_t n = 0, v = 1;
+/* One zigzag order-0 exp-Golomb residual under the 32 contexts at base:
+ * *value is encoded, or decoded into it. A value needing more than
+ * MAX_PREFIX prefix bins is BAD_LAYOUT when encoding and RUNAWAY when
+ * decoding. */
+static inline int code_signed(Coder *c, int64_t encoding, int64_t base, int64_t *value) {
+    uint64_t w = 0;
+    int64_t n = 0, top = -1;
+    if (encoding) {
+        /* The zigzag code plus one; its top bit is the prefix's terminating one. */
+        w = (*value >= 0 ? 2 * (uint64_t)*value : 2 * (uint64_t)(-(*value + 1)) + 1) + 1;
+        top = 63 - __builtin_clzll(w);
+        if (top > MAX_PREFIX)
+            return BAD_LAYOUT;
+    }
     int bit;
-    while ((bit = decode_bit(c, base + (n < 16 ? n : 15))) == 0)
+    while ((bit = code_bit(c, encoding, base + (n < 16 ? n : 15), n == top)) == 0)
         if (++n > MAX_PREFIX)
             return RUNAWAY;
     if (bit < 0)
         return bit;
+    uint64_t v = 1;
     for (int64_t i = n - 1; i >= 0; i--) {
-        bit = decode_bit(c, base + 16 + (i < 16 ? i : 15));
+        bit = code_bit(c, encoding, base + 16 + (i < 16 ? i : 15), (int)((w >> i) & 1));
         if (bit < 0)
             return bit;
-        v = (v << 1) | bit;
+        v = (v << 1) | (uint64_t)bit;
     }
-    int64_t u = v - 1;
-    *value = (u & 1) ? -((u + 1) >> 1) : u >> 1;
+    const uint64_t u = v - 1;
+    *value = (u & 1) ? -(int64_t)((u + 1) >> 1) : (int64_t)(u >> 1);
     return DONE;
 }
 
-/* The low surface and the thickness at the occupied pixels, in row order:
- * depthmap._predict_low and the previous thickness predict them, and every
- * value is range-checked before it is stored. low and high start zeroed. */
-int64_t decode_surfaces(Coder *c, const uint8_t *occ, int32_t *low, int32_t *high,
-                        int64_t nx, int64_t ny, int64_t nz) {
-    int64_t prev_low = nz / 2, prev_thick = 0;
-    for (int64_t x = 0; x < nx; x++) {
-        for (int64_t y = 0; y < ny; y++) {
-            int64_t i = x * ny + y;
+/* The low surface and the thickness at the occupied pixels, in row order, on
+ * either side: depthmap._predict_low and the previous thickness predict them.
+ * The encoder reads each value from low and high; an occupied pixel whose occ
+ * byte is above 1 or whose values break 0 <= low <= high < nz is BAD_LAYOUT.
+ * The decoder range-checks each value and stores it in low and high, which
+ * start zeroed. */
+static inline __attribute__((always_inline)) int64_t surface_loop(Coder *c, Cursor *at, const uint8_t *occ,
+                                                                   int32_t *low, int32_t *high, int64_t nx,
+                                                                   int64_t ny, int64_t nz, int64_t encoding) {
+    int64_t prev_low = at->prev_low, prev_thick = at->prev_thick;
+    if (ny < 1)
+        return DONE;
+    for (int64_t x = at->pixel / ny, y = at->pixel % ny; x < nx; x++, y = 0) {
+        for (; y < ny; y++) {
+            const int64_t i = x * ny + y;
             if (!occ[i])
                 continue;
-            int64_t cand[3], k = 0, pred, r;
+            if (encoding) {
+                if (c->pos + c->extra + PIXEL_ROOM > c->size) {
+                    at->pixel = i;
+                    at->prev_low = prev_low;
+                    at->prev_thick = prev_thick;
+                    return NEED_ROOM;
+                }
+                if (occ[i] != 1 || low[i] < 0 || low[i] > high[i] || high[i] >= nz)
+                    return BAD_LAYOUT;
+            }
+            int64_t cand[3], k = 0, pred;
             if (y && occ[i - 1])
                 cand[k++] = low[i - 1];
             if (x && occ[i - ny])
@@ -206,25 +269,41 @@ int64_t decode_surfaces(Coder *c, const uint8_t *occ, int32_t *low, int32_t *hig
             } else {
                 pred = k ? cand[0] : prev_low;
             }
-            int status = decode_signed(c, MASK_CONTEXTS, &r);
+            int64_t r = low[i] - pred;
+            int status = code_signed(c, encoding, MASK_CONTEXTS, &r);
             if (status)
                 return status;
-            int64_t v = pred + r;
+            const int64_t v = pred + r;
             if (v < 0 || v >= nz)
                 return LOW_RANGE;
-            status = decode_signed(c, MASK_CONTEXTS + RESIDUAL_CONTEXTS, &r);
+            r = high[i] - v - prev_thick;
+            status = code_signed(c, encoding, MASK_CONTEXTS + RESIDUAL_CONTEXTS, &r);
             if (status)
                 return status;
-            int64_t t = prev_thick + r;
+            const int64_t t = prev_thick + r;
             if (t < 0 || v + t >= nz)
                 return THICKNESS_RANGE;
-            low[i] = (int32_t)v;
-            high[i] = (int32_t)(v + t);
+            if (!encoding) {
+                low[i] = (int32_t)v;
+                high[i] = (int32_t)(v + t);
+            }
             prev_low = v;
             prev_thick = t;
         }
     }
     return DONE;
+}
+
+/* The loops above, compiled once per side so that neither pays for the
+ * other's branches. */
+int64_t code_mask(Coder *c, Cursor *at, uint8_t *grid, int64_t nx, int64_t ny, int64_t encoding) {
+    return encoding ? mask_loop(c, at, grid, nx, ny, 1) : mask_loop(c, at, grid, nx, ny, 0);
+}
+
+int64_t code_surfaces(Coder *c, Cursor *at, const uint8_t *occ, int32_t *low, int32_t *high,
+                      int64_t nx, int64_t ny, int64_t nz, int64_t encoding) {
+    return encoding ? surface_loop(c, at, occ, low, high, nx, ny, nz, 1)
+                    : surface_loop(c, at, occ, low, high, nx, ny, nz, 0);
 }
 
 /* The section stream's map from context label to count-table slot: open

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import rangecoder
+from . import depthmap, rangecoder
 from .cloud import VoxelCloud, parse_ply, quantize, source_bit_depth, write_ply
 from .container import CSV_COLUMNS, decode_cloud, encode_cloud
 from .contexts import build_norm_tables, check_norm_tables
@@ -168,11 +168,27 @@ def _selftest_coder() -> list[str]:
     return problems
 
 
-def _selftest_end_to_end() -> list[str]:
-    problems = []
+def _selftest_cloud() -> VoxelCloud:
     rng = np.random.default_rng(7)
     pts = np.vstack((rng.integers(0, 32, size=(300, 3)), [(0, 0, 0), (31, 31, 31)]))
-    cloud = VoxelCloud.from_points(pts, (32, 32, 32))
+    return VoxelCloud.from_points(pts, (32, 32, 32))
+
+
+def _selftest_depthmaps() -> list[str]:
+    """With the native kernel, its depth-map stream must equal the Python loops' one."""
+    lib = rangecoder.load_kernel()[0]
+    if lib is None:
+        return []
+    cloud = _selftest_cloud()
+    pair = depthmap.project_array(cloud.to_array(), cloud.dims)
+    if depthmap._encode(pair, cloud.dims[2], lib) != depthmap._encode(pair, cloud.dims[2], None):
+        return ["native and Python depth-map streams differ"]
+    return []
+
+
+def _selftest_end_to_end() -> list[str]:
+    problems = []
+    cloud = _selftest_cloud()
     blob, _ = encode_cloud(cloud, permutation=0)
     if decode_cloud(blob) != cloud:
         problems.append("end-to-end round trip mismatch")
@@ -186,6 +202,7 @@ def _cmd_selftest(_args) -> int:
     checks = (
         ("normalization tables", lambda: check_norm_tables(build_norm_tables())),
         ("arithmetic coder", _selftest_coder),
+        ("depth-map encoder", _selftest_depthmaps),
         ("end-to-end round trip", _selftest_end_to_end),
     )
     failed = False

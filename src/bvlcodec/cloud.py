@@ -135,6 +135,9 @@ class AxisPermutation:
         return AxisPermutation.from_axes(inv)
 
     def apply(self, cloud: VoxelCloud) -> VoxelCloud:
+        """The cloud with its axes relabeled; the identity returns the cloud itself (its array is read-only)."""
+        if self.id == 0:
+            return cloud
         axes = list(self.axes)
         return VoxelCloud(tuple(cloud.dims[a] for a in axes), cloud.to_array()[:, axes])
 

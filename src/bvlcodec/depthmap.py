@@ -19,14 +19,15 @@ context per bin position (32 contexts per surface).
 The stream's contexts are int slots of one count table: the mask contexts
 first, then the low-surface bins, then the thickness bins.
 
-The encoder knows every pixel up front, so it works in blocks of whole rows:
-numpy builds a block's mask contexts, predictors and exp-Golomb bins, and
-the range coder codes the block's contexts and bits in one call. The
-decoder runs two loops in the native kernel (rangecoder.py): the mask pixel
-by pixel, then the surfaces at the occupied pixels. Without the kernel the
-same loops run in Python: the mask by rows, with numpy building the
-template terms from the two rows above once per row and the two same-row
-terms riding in a shift register.
+Both sides run the same two loops: the mask pixel by pixel, then the surfaces
+at the occupied pixels. The encoder reads each bit from the maps and codes
+it; the decoder decodes it and stores it. The loops run in the native kernel
+(rangecoder.py), where an encoding loop stops whenever its bits run short and
+resumes once they have doubled, so the encoder's memory follows its output,
+not the map. Without the kernel the same loops run in Python: the mask by
+rows, with numpy building the template terms from the two rows above once
+per row and the two same-row terms riding in a shift register, and the
+surfaces by rows; the encoder codes each row's bits in one call.
 """
 
 from __future__ import annotations
@@ -37,11 +38,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BitstreamError
-from .rangecoder import CodedStream, RangeDecoder, RangeEncoder, check_status, count_tables, native
+from .rangecoder import (
+    BAD_LAYOUT,
+    NEED_ROOM,
+    CodedStream,
+    RangeDecoder,
+    RangeEncoder,
+    check_status,
+    count_tables,
+    native,
+)
 
 # Causal template around pixel (x, y); rows are x (scan order), columns y.
-# The last two terms lie on the current row: the decoder carries them in a
-# shift register, so they stay (0, -2) then (0, -1).
+# The last two terms lie on the current row: the Python loop carries them in
+# a shift register, so they stay (0, -2) then (0, -1).
 _TEMPLATE = (
     (-2, -1), (-2, 0), (-2, 1),
     (-1, -2), (-1, -1), (-1, 0), (-1, 1), (-1, 2),
@@ -52,9 +62,15 @@ MASK_CONTEXTS = 1 << len(_TEMPLATE)
 RESIDUAL_CONTEXTS = 32
 _CONTEXTS = MASK_CONTEXTS + 2 * RESIDUAL_CONTEXTS
 _MAX_PREFIX = 48
-# The encoder works on blocks of whole rows of about this many pixels, so
-# its temporaries follow the block, not the map.
-_BLOCK_PIXELS = 1 << 12
+# The room in bits that each call into a kernel loop starts with when
+# encoding; the encoder doubles it whenever a loop stops for more.
+_BITS_ROOM = 1 << 16
+
+
+class _Cursor(ctypes.Structure):
+    """Cursor in _kernel.c: where an encoding loop stopped for room."""
+
+    _fields_ = [(name, ctypes.c_int64) for name in ("pixel", "prev_low", "prev_thick")]
 
 
 @dataclass(eq=False)
@@ -85,8 +101,8 @@ def project_array(points: np.ndarray, dims) -> DepthmapPair:
     return DepthmapPair(occ=occ, zmin=zmin, zmax=zmax)
 
 
-def _template_field(padded: np.ndarray, terms: int) -> np.ndarray:
-    """Mask contexts made of the first `terms` template terms, per pixel.
+def _template_field(padded: np.ndarray) -> np.ndarray:
+    """Mask contexts made of the template terms on the two rows above, per pixel.
 
     padded holds two rows of history, then the rows to cover, each row with
     two zero columns on either side; the field covers padded[2:, 2:-2].
@@ -94,91 +110,79 @@ def _template_field(padded: np.ndarray, terms: int) -> np.ndarray:
     nx = padded.shape[0] - 2
     ny = padded.shape[1] - 4
     ctx = np.zeros((nx, ny), dtype=np.int32)
-    for k, (dx, dy) in enumerate(_TEMPLATE[:terms]):
+    for k, (dx, dy) in enumerate(_TEMPLATE[:_ROW_TERMS]):
         ctx |= padded[2 + dx : 2 + dx + nx, 2 + dy : 2 + dy + ny].astype(np.int32) << k
     return ctx
 
 
-def _residuals(pair: DepthmapPair, a: int, b: int, prev_low: int, prev_thick: int):
-    """Low and thickness residuals, interleaved, of the occupied pixels in rows a..b-1.
+def _bit_coder(coder, encoding: bool):
+    """code(context, bit) -> bit and flush() for the Python loops.
 
-    prev_low and prev_thick are the last low and thickness coded before row
-    a; returns the residuals and the last low and thickness up to row b.
+    An encoder buffers each (context, bit) and codes the buffer in one call at
+    each flush; a decoder decodes the bit under the context, ignoring the one
+    given, and has nothing to flush.
     """
-    occ, low, high = pair.occ, pair.zmin, pair.zmax
-    xs, ys = np.nonzero(occ[a:b])
-    if not xs.size:
-        return np.empty(0, dtype=np.int64), prev_low, prev_thick
-    xs += a
-    v = low[xs, ys].astype(np.int64)
-    t = high[xs, ys] - v
-    # West, north and northwest neighbours; an index of -1 wraps around, but
-    # the masks drop it.
-    has_w = (ys > 0) & (occ[xs, ys - 1] != 0)
-    has_n = (xs > 0) & (occ[xs - 1, ys] != 0)
-    has_nw = (xs > 0) & (ys > 0) & (occ[xs - 1, ys - 1] != 0)
-    w = low[xs, ys - 1] * has_w
-    n = low[xs - 1, ys] * has_n
-    nw = low[xs - 1, ys - 1] * has_nw
-    count = has_w.astype(np.int8) + has_n + has_nw
-    total = w.astype(np.int64) + n + nw
-    median = np.maximum(np.minimum(w, n), np.minimum(np.maximum(w, n), nw))
-    previous = np.concatenate(([prev_low], v[:-1]))
-    pred_low = np.select([count == 3, count == 2, count == 1], [median, total // 2, total], previous)
-    residuals = np.empty(2 * v.size, dtype=np.int64)
-    residuals[0::2] = v - pred_low
-    residuals[1::2] = np.diff(t, prepend=prev_thick)
-    return residuals, int(v[-1]), int(t[-1])
+    if not encoding:
+        decode = coder.decode
+        return (lambda ctx, bit: decode(ctx)), (lambda: None)
+    contexts: list[int] = []
+    bits: list[int] = []
+
+    def code(ctx: int, bit: int) -> int:
+        contexts.append(ctx)
+        bits.append(bit)
+        return bit
+
+    def flush() -> None:
+        coder.encode_many_python(contexts, bits)
+        contexts.clear()
+        bits.clear()
+
+    return code, flush
 
 
-def _exp_golomb_bins(values: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Zigzag order-0 exp-Golomb bins of each value: (context, bit) arrays.
+def _code_signed(code, base: int, value: int | None) -> int:
+    """One zigzag order-0 exp-Golomb residual under the 32 contexts at base.
 
+    The encoder passes the value, the decoder None; both get the value back.
     A value whose zigzag code plus one has n + 1 bits gives n prefix zeros, a
     one, then its n low bits from the top. Prefix bin k uses context
-    min(k, 15) and suffix bit i context 16 + min(i, 15), both offset by the
-    value's entry in base.
+    min(k, 15) and suffix bit i context 16 + min(i, 15).
     """
-    w = np.where(values >= 0, 2 * values, -2 * values - 1) + 1
-    n = np.frexp(w)[1] - 1  # exact while w < 2^53
-    lengths = 2 * n + 1
-    n = np.repeat(n, lengths)
-    position = np.arange(n.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    # Bin `position` reads bit 2n - position of w: above the top bit (zeros)
-    # in the prefix, the top bit itself as the terminating one, then the
-    # suffix bits.
-    shift = 2 * n - position
-    bits = (np.repeat(w, lengths) >> np.minimum(shift, 63)) & 1
-    contexts = (
-        np.repeat(base, lengths)
-        + 16 * (position > n)
-        + np.minimum(np.minimum(position, shift), 15)
-    )
-    return contexts, bits
-
-
-def _decode_signed(dec: RangeDecoder, base: int) -> int:
+    w = top = -1
+    if value is not None:
+        w = (2 * value if value >= 0 else -2 * value - 1) + 1
+        top = w.bit_length() - 1
+        if top > _MAX_PREFIX:
+            check_status(BAD_LAYOUT)
     n = 0
-    while dec.decode(base + (n if n < 16 else 15)) == 0:
+    while not code(base + (n if n < 16 else 15), n == top):
         n += 1
         if n > _MAX_PREFIX:
             raise BitstreamError("runaway residual prefix")
-    value = 1
+    v = 1
     for i in range(n - 1, -1, -1):
-        value = (value << 1) | dec.decode(base + 16 + (i if i < 16 else 15))
-    u = value - 1
+        v = (v << 1) | code(base + 16 + (i if i < 16 else 15), (w >> i) & 1)
+    u = v - 1
     return (u >> 1) if (u & 1) == 0 else -((u + 1) >> 1)
 
 
-def _predict_low(occ, low, x: int, y: int, previous: int) -> int:
+def _predict_low(occ, low, y: int, previous: int) -> int:
+    """The low surface's prediction at column y of a row.
+
+    occ and low hold the row above (zeros above the first row), then the row
+    itself: the median of the west, north and northwest low values where all
+    three are occupied, the floor of the mean of two, the one, or else
+    previous.
+    """
+    (occ_n, occ_row), (low_n, low_row) = occ, low
     cands = []
-    if y and occ[x, y - 1]:
-        cands.append(int(low[x, y - 1]))
-    if x:
-        if occ[x - 1, y]:
-            cands.append(int(low[x - 1, y]))
-        if y and occ[x - 1, y - 1]:
-            cands.append(int(low[x - 1, y - 1]))
+    if y and occ_row[y - 1]:
+        cands.append(low_row[y - 1])
+    if occ_n[y]:
+        cands.append(low_n[y])
+    if y and occ_n[y - 1]:
+        cands.append(low_n[y - 1])
     k = len(cands)
     if k == 3:
         return sorted(cands)[1]
@@ -189,70 +193,119 @@ def _predict_low(occ, low, x: int, y: int, previous: int) -> int:
     return previous
 
 
-def encode_depthmaps(pair: DepthmapPair, nz: int) -> CodedStream:
-    """Losslessly code a surface pair; decode_depthmaps inverts exactly."""
-    occ = pair.occ
-    nx, ny = occ.shape
-    step = max(1, _BLOCK_PIXELS // ny)
-    enc = RangeEncoder(*count_tables(_CONTEXTS))
-    padded = np.zeros((nx + 2, ny + 4), dtype=np.uint8)
-    padded[2:, 2 : ny + 2] = occ
-    for a in range(0, nx, step):
-        ctx = _template_field(padded[a : a + step + 2], len(_TEMPLATE))
-        enc.encode_many(ctx.ravel(), occ[a : a + step].ravel())
+def _code_mask_python(code, flush, grid: bytearray, nx: int, ny: int) -> None:
+    """The kernel's code_mask in Python, on the same padded grid."""
+    stride = ny + 4
+    rows = np.frombuffer(grid, dtype=np.uint8).reshape(nx + 2, stride)
+    for x in range(nx):
+        base = (x + 2) * stride + 2
+        # The same-row terms (0, -2) and (0, -1) are context bits 8 and 9.
+        run = 0
+        for y, upper in enumerate(_template_field(rows[x : x + 3]).ravel().tolist()):
+            if grid[base + y] > 1:
+                check_status(BAD_LAYOUT)
+            bit = grid[base + y] = code(upper | run, grid[base + y])
+            run = ((run >> 1) & 256) | (bit << 9)
+        flush()
+
+
+def _code_surfaces_python(code, flush, occ: np.ndarray, low: np.ndarray, high: np.ndarray, nz: int,
+                          encoding: bool) -> None:
+    """The kernel's code_surfaces in Python, row by row."""
+    thick_base = MASK_CONTEXTS + RESIDUAL_CONTEXTS
     prev_low = nz // 2
     prev_thick = 0
-    for a in range(0, nx, step):
-        residuals, prev_low, prev_thick = _residuals(pair, a, a + step, prev_low, prev_thick)
-        # Low residuals and thickness residuals alternate.
-        base = MASK_CONTEXTS + RESIDUAL_CONTEXTS * (np.arange(residuals.size) & 1)
-        contexts, bits = _exp_golomb_bins(residuals, base)
-        enc.encode_many(contexts, bits)
+    occ_n = low_n = [0] * occ.shape[1]
+    for x in range(occ.shape[0]):
+        occ_row = occ[x].tolist()
+        low_row = low[x].tolist()
+        high_row = high[x].tolist()
+        for y in np.flatnonzero(occ[x]).tolist():
+            if encoding and not (occ_row[y] == 1 and 0 <= low_row[y] <= high_row[y] < nz):
+                check_status(BAD_LAYOUT)
+            pred = _predict_low((occ_n, occ_row), (low_n, low_row), y, prev_low)
+            v = pred + _code_signed(code, MASK_CONTEXTS, low_row[y] - pred if encoding else None)
+            if not 0 <= v < nz:
+                raise BitstreamError("decoded low surface out of range")
+            t = prev_thick + _code_signed(code, thick_base, high_row[y] - v - prev_thick if encoding else None)
+            if t < 0 or v + t >= nz:
+                raise BitstreamError("decoded thickness out of range")
+            low_row[y] = v
+            high_row[y] = v + t
+            prev_low = v
+            prev_thick = t
+        flush()
+        if not encoding:
+            low[x] = low_row
+            high[x] = high_row
+        occ_n, low_n = occ_row, low_row
+
+
+def _run(loop, coder, cursor: _Cursor, *args) -> None:
+    """Call a kernel loop until it is done, doubling the room each time it stops for more."""
+    room = _BITS_ROOM
+    status = NEED_ROOM
+    while status == NEED_ROOM:
+        with coder.native_state(room) as state:
+            status = loop(ctypes.byref(state), ctypes.byref(cursor), *args)
+        room *= 2
+    check_status(status)
+
+
+def _code(coder, grid: bytearray, low: np.ndarray, high: np.ndarray, nx: int, ny: int, nz: int,
+          lib) -> np.ndarray:
+    """Code the mask in grid, then the surfaces in low and high, on either side; returns the mask.
+
+    grid is the mask padded as the loops read it (nx + 2 rows of ny + 4
+    bytes, the map at rows 2.., columns 2..ny + 1): the encoder's map, or
+    zeros that the decoder fills. low and high are C-contiguous int32 (nx,
+    ny) arrays: the encoder's maps, or zeros that the decoder fills. The
+    kernel's loops run when lib is the kernel, the Python ones when it is
+    None.
+    """
+    encoding = isinstance(coder, RangeEncoder)
+    rows = np.frombuffer(grid, dtype=np.uint8).reshape(nx + 2, ny + 4)
+    if lib is None:
+        code, flush = _bit_coder(coder, encoding)
+        _code_mask_python(code, flush, grid, nx, ny)
+        occ = rows[2:, 2 : ny + 2].copy()
+        _code_surfaces_python(code, flush, occ, low, high, nz, encoding)
+        return occ
+    cursor = _Cursor(0, nz // 2, 0)
+    _run(lib.code_mask, coder, cursor, rows.ctypes.data, nx, ny, encoding)
+    occ = rows[2:, 2 : ny + 2].copy()
+    cursor.pixel = 0
+    _run(lib.code_surfaces, coder, cursor, occ.ctypes.data, low.ctypes.data, high.ctypes.data, nx, ny, nz,
+         encoding)
+    return occ
+
+
+def encode_depthmaps(pair: DepthmapPair, nz: int) -> CodedStream:
+    """Losslessly code a surface pair; decode_depthmaps inverts exactly.
+
+    Maps of different shapes, an occ byte above 1, or an occupied pixel
+    outside 0 <= zmin <= zmax < nz raise ValueError.
+    """
+    return _encode(pair, nz, native())
+
+
+def _encode(pair: DepthmapPair, nz: int, lib) -> CodedStream:
+    """encode_depthmaps on the kernel's loops, or on the Python ones when lib is None."""
+    occ = pair.occ
+    if occ.ndim != 2 or not occ.shape == pair.zmin.shape == pair.zmax.shape:
+        raise ValueError("depth maps differ in shape")
+    nx, ny = occ.shape
+    grid = bytearray((nx + 2) * (ny + 4))
+    np.frombuffer(grid, dtype=np.uint8).reshape(nx + 2, ny + 4)[2:, 2 : ny + 2] = occ
+    enc = RangeEncoder(*count_tables(_CONTEXTS))
+    _code(enc, grid, np.ascontiguousarray(pair.zmin, dtype=np.int32),
+          np.ascontiguousarray(pair.zmax, dtype=np.int32), nx, ny, nz, lib)
     return enc.finish()
 
 
 def decode_depthmaps(data: bytes, nx: int, ny: int, nz: int) -> DepthmapPair:
     dec = RangeDecoder(data, *count_tables(_CONTEXTS))
-    lib = native()
-    stride = ny + 4
-    grid = bytearray((nx + 2) * stride)
-    rows = np.frombuffer(grid, dtype=np.uint8).reshape(nx + 2, stride)
-    if lib is not None:
-        with dec.native_state() as state:
-            check_status(lib.decode_mask(ctypes.byref(state), rows.ctypes.data, nx, ny))
-    else:
-        decode = dec.decode
-        for x in range(nx):
-            base = (x + 2) * stride + 2
-            # The same-row terms (0, -2) and (0, -1) are context bits 8 and 9.
-            run = 0
-            for y, upper in enumerate(_template_field(rows[x : x + 3], _ROW_TERMS).ravel().tolist()):
-                if decode(upper | run):
-                    grid[base + y] = 1
-                    run = ((run >> 1) & 256) | 512
-                else:
-                    run = (run >> 1) & 256
-    occ = rows[2:, 2 : ny + 2].copy()
     low = np.zeros((nx, ny), dtype=np.int32)
     high = np.zeros((nx, ny), dtype=np.int32)
-    if lib is not None:
-        with dec.native_state() as state:
-            check_status(lib.decode_surfaces(ctypes.byref(state), occ.ctypes.data, low.ctypes.data,
-                                             high.ctypes.data, nx, ny, nz))
-        return DepthmapPair(occ=occ, zmin=low, zmax=high)
-    xs, ys = np.nonzero(occ)
-    thick_base = MASK_CONTEXTS + RESIDUAL_CONTEXTS
-    prev_low = nz // 2
-    prev_thick = 0
-    for x, y in zip(xs.tolist(), ys.tolist()):
-        v = _predict_low(occ, low, x, y, prev_low) + _decode_signed(dec, MASK_CONTEXTS)
-        if not 0 <= v < nz:
-            raise BitstreamError("decoded low surface out of range")
-        t = prev_thick + _decode_signed(dec, thick_base)
-        if t < 0 or v + t >= nz:
-            raise BitstreamError("decoded thickness out of range")
-        low[x, y] = v
-        high[x, y] = v + t
-        prev_low = v
-        prev_thick = t
+    occ = _code(dec, bytearray((nx + 2) * (ny + 4)), low, high, nx, ny, nz, native())
     return DepthmapPair(occ=occ, zmin=low, zmax=high)

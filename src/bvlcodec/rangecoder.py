@@ -20,12 +20,12 @@ np.packbits packs once in finish(), and the decoder indexes the
 np.unpackbits expansion of its payload followed by 64 zero bits. A read past
 those zero bits, possible only on corrupt input, raises TruncatedStreamError.
 
-The coding loops run natively: _kernel.c holds the coder and one loop per
-stream (encode_many, the mask and surface decoders, the shell sweep), and
-load_kernel compiles it with gcc on first use into a per-user cache and loads
-it through ctypes. Where that fails, the same loops run in Python:
-encode_many here, RangeDecoder.decode one decision at a time, and the loops
-of depthmap.py and sections.py. Both paths give the same bits.
+The coding loops run natively: _kernel.c holds the coder, encode_many, and
+one loop per stream that both sides share (code_mask, code_surfaces and
+code_shell), and load_kernel compiles it with gcc on first use into a
+per-user cache and loads it through ctypes. Where that fails, the same loops
+run in Python: encode_many here, RangeDecoder.decode one decision at a time,
+and the loops of depthmap.py and sections.py. Both paths give the same bits.
 """
 
 from __future__ import annotations
@@ -62,20 +62,21 @@ _P = ctypes.c_void_p
 _I = ctypes.c_int64
 _SIGNATURES = {
     "encode_many": (_P, _P, _P, _I),
-    "decode_mask": (_P, _P, _I, _I),
-    "decode_surfaces": (_P, _P, _P, _P, _I, _I, _I),
+    "code_mask": (_P, _P, _P, _I, _I, _I),
+    "code_surfaces": (_P, _P, _P, _P, _P, _I, _I, _I, _I),
     "map_fill": (_P,),
     "code_shell": (_P, _P, _P),
 }
 # Kernel statuses: a loop that ran out of room, the errors of corrupt input,
-# and maps or buffers that break the section layout.
+# and maps or buffers that break their layout (BAD_LAYOUT).
 NEED_ROOM = 1
+BAD_LAYOUT = -5
 _ERRORS = {
     -1: (TruncatedStreamError, "bit stream exhausted"),
     -2: (BitstreamError, "runaway residual prefix"),
     -3: (BitstreamError, "decoded low surface out of range"),
     -4: (BitstreamError, "decoded thickness out of range"),
-    -5: (ValueError, "section maps or buffers do not match their layout"),
+    BAD_LAYOUT: (ValueError, "maps or buffers do not match their layout"),
 }
 
 

@@ -61,6 +61,7 @@ from .contexts import get_norm_lists, get_norm_tables
 from .depthmap import DepthmapPair, decode_depthmaps, encode_depthmaps, project_array
 from .errors import BitstreamError, TruncatedStreamError
 from .rangecoder import (
+    BAD_LAYOUT,
     NEED_ROOM,
     CodedStream,
     RangeDecoder,
@@ -109,7 +110,7 @@ def _section_buffers(pair: DepthmapPair, y: int, nz: int, prev: bytes | None = N
     lo = pair.zmin[xs, y].astype(np.int64)
     hi = pair.zmax[xs, y].astype(np.int64)
     if (occ[xs] != 1).any() or (lo < 0).any() or (lo > hi).any() or (hi >= nz).any():
-        raise ValueError("section maps or buffers do not match their layout")
+        check_status(BAD_LAYOUT)
     low_seeds = (lo + 1) * st + xs + 1
     high_seeds = (hi + 1) * st + xs + 1
     # Column j's band: its low seed, then one row further per cell.

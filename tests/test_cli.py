@@ -5,9 +5,10 @@ import csv
 import numpy as np
 import pytest
 
-from bvlcodec import VoxelCloud, parse_ply, write_ply
+from bvlcodec import VoxelCloud, depthmap, parse_ply, rangecoder, write_ply
 from bvlcodec.cli import main
 from bvlcodec.container import CSV_COLUMNS
+from bvlcodec.rangecoder import CodedStream
 
 import shapes
 
@@ -154,8 +155,22 @@ def test_corrupt_container_is_reported(tmp_path, capsys):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 3
+    assert out.count("PASS") == 4 and "PASS depth-map encoder" in out
     assert "FAIL" not in out
+
+
+def test_selftest_compares_the_depthmap_paths(capsys, monkeypatch):
+    if rangecoder.native() is None:
+        pytest.skip("native kernel unavailable")
+    encode = depthmap._encode
+
+    def spoiled(pair, nz, lib):
+        stream = encode(pair, nz, lib)
+        return stream if lib is not None else CodedStream(stream.data, stream.bit_length + 1)
+
+    monkeypatch.setattr(depthmap, "_encode", spoiled)
+    assert main(["selftest"]) == 1
+    assert "FAIL depth-map encoder" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("option", ["--max-shells", "--bits"])

@@ -212,6 +212,18 @@ def test_permutation_example_and_identity():
     assert zxy.apply(cloud).points == {(3, 1, 2)}
 
 
+def test_identity_permutation_returns_its_argument():
+    cloud = VoxelCloud.from_points({(1, 2, 3), (4, 0, 7)}, (8, 9, 10))
+    ident = AxisPermutation(0)
+    assert ident.apply(cloud) is cloud
+    assert ident.inverse().apply(cloud) is cloud
+    for pid in range(1, PERMUTATION_COUNT):
+        perm = AxisPermutation(pid)
+        permuted = perm.apply(cloud)
+        assert permuted is not cloud and permuted.dims != cloud.dims
+        assert perm.inverse().apply(permuted) == cloud
+
+
 def test_permutation_round_trip_all_six():
     rng = np.random.default_rng(3)
     pts = set(map(tuple, rng.integers(0, 40, size=(1000, 3)).tolist()))

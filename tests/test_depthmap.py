@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bvlcodec import VoxelCloud
+from bvlcodec import VoxelCloud, rangecoder
 from bvlcodec.depthmap import DepthmapPair, decode_depthmaps, encode_depthmaps, project_array
 
 from oracles import brute_force_depthmaps, reference_encode_depthmaps
@@ -156,8 +156,8 @@ def _reference_cases():
     occ[0] = False
     z = np.sort(rng.integers(0, 40, size=(2, 12, 10)), axis=0)
     yield "empty-first-row", _pair_from(occ, z[0], z[1]), 40
-    # Sparse rows over several encoder blocks: pixels without an occupied
-    # neighbour take the last value coded, often in an earlier block.
+    # Sparse rows: pixels without an occupied neighbour take the last value
+    # coded, often rows earlier.
     occ = rng.random((64, 200)) < 0.05
     z = np.sort(rng.integers(0, 90, size=(2, 64, 200)), axis=0)
     yield "sparse-blocks", _pair_from(occ, z[0], z[1]), 90
@@ -166,13 +166,52 @@ def _reference_cases():
     yield "single-pixel", _pair_from(occ, np.full((7, 5), 9), np.full((7, 5), 30)), 33
 
 
-@pytest.mark.parametrize(
-    "pair,nz", [pytest.param(pair, nz, id=name) for name, pair, nz in _reference_cases()]
-)
-def test_encoder_matches_the_scalar_reference(pair, nz):
+_REFERENCE_CASES = [pytest.param(pair, nz, id=name) for name, pair, nz in _reference_cases()]
+
+
+def _force_python(monkeypatch):
+    monkeypatch.setattr(rangecoder, "load_kernel", lambda: (None, "forced by the test"))
+
+
+@pytest.fixture(params=["kernel", "python"])
+def path(request, monkeypatch):
+    """Run the test on the kernel's loops, then on the Python ones."""
+    if request.param == "python":
+        _force_python(monkeypatch)
+    elif rangecoder.native() is None:
+        pytest.skip("native kernel unavailable")
+    return request.param
+
+
+def _assert_matches_reference(pair, nz):
     stream = encode_depthmaps(pair, nz)
     assert stream == reference_encode_depthmaps(pair, nz)
     assert _pairs_equal(pair, decode_depthmaps(stream.data, *pair.occ.shape, nz))
+
+
+@pytest.mark.parametrize("pair,nz", _REFERENCE_CASES)
+def test_encoder_matches_the_scalar_reference(pair, nz):
+    # The kernel's loops, when it loads.
+    _assert_matches_reference(pair, nz)
+
+
+@pytest.mark.parametrize("pair,nz", _REFERENCE_CASES)
+def test_python_loops_match_the_scalar_reference(monkeypatch, pair, nz):
+    _force_python(monkeypatch)
+    _assert_matches_reference(pair, nz)
+
+
+# 2x2 maps that the decoder would refuse or decode to a different mask.
+@pytest.mark.parametrize("occ,zmin,zmax", [
+    ([[1, 1], [0, 1]], [[2, 5], [0, 1]], [[3, 4], [0, 1]]),
+    ([[1, 0], [1, 1]], [[2, 0], [8, 1]], [[3, 0], [8, 1]]),
+    ([[1, 2], [0, 1]], [[2, 3], [0, 1]], [[3, 3], [0, 1]]),
+], ids=["zmax-below-zmin", "zmin-at-nz", "occ-byte-2"])
+def test_encoder_refuses_malformed_maps(path, occ, zmin, zmax):
+    pair = DepthmapPair(*(np.array(a, dtype) for a, dtype in ((occ, np.uint8), (zmin, np.int32),
+                                                                (zmax, np.int32))))
+    with pytest.raises(ValueError, match="layout"):
+        encode_depthmaps(pair, 8)
 
 
 # Traced peak of the pixel-by-pixel encoder on the map below, which built
@@ -196,3 +235,10 @@ def test_encode_peak_memory_follows_the_block_not_the_map():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * _PIXEL_LOOP_PEAK_BYTES
+
+
+def test_encoder_refuses_maps_of_different_shapes():
+    # The kernel reads every map at the mask's shape.
+    pair = DepthmapPair(np.ones((3, 4), np.uint8), np.zeros((3, 4), np.int32), np.zeros((3, 3), np.int32))
+    with pytest.raises(ValueError, match="shape"):
+        encode_depthmaps(pair, 8)

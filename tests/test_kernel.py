@@ -8,7 +8,7 @@ kernel loader.
 import numpy as np
 import pytest
 
-from bvlcodec import CodecError, decode_cloud, encode_cloud, rangecoder, sections
+from bvlcodec import CodecError, decode_cloud, depthmap, encode_cloud, rangecoder, sections
 from bvlcodec.cloud import PERMUTATION_COUNT, AxisPermutation, VoxelCloud
 from bvlcodec.depthmap import DepthmapPair, project_array
 from bvlcodec.rangecoder import RangeDecoder, RangeEncoder, count_tables
@@ -165,3 +165,43 @@ def test_kernel_and_python_sweeps_agree_when_kernel_calls_resume(kernel, monkeyp
         clouds.append(VoxelCloud((8, 12, 8), points))
     for record in _assert_paths_agree(clouds, monkeypatch):
         assert sum(shell[1] for shell in record) > 3 * 7
+
+
+class _StopRecorder:
+    """The kernel, recording the pixel at which each depth-map loop stops for room."""
+
+    def __init__(self, lib):
+        self.lib = lib
+        self.stops = {"code_mask": [], "code_surfaces": []}
+
+    def __getattr__(self, name):
+        loop = getattr(self.lib, name)
+        if name not in self.stops:
+            return loop
+
+        def call(state, cursor, *args):
+            status = loop(state, cursor, *args)
+            if status == rangecoder.NEED_ROOM:
+                self.stops[name].append(cursor._obj.pixel)
+            return status
+
+        return call
+
+
+def test_depthmap_encoder_resumes_mid_map_with_identical_bytes(kernel, monkeypatch):
+    # Half the pixels occupied, with lows and thicknesses spread over 0..999:
+    # with room for one bit per call, both loops stop many times mid-map.
+    rng = np.random.default_rng(5)
+    occ = (rng.random((40, 30)) < 0.5).astype(np.uint8)
+    z = np.sort(rng.integers(0, 1000, size=(2, 40, 30), dtype=np.int32), axis=0) * occ
+    pair = DepthmapPair(occ, z[0], z[1])
+    expected = depthmap.encode_depthmaps(pair, 1000)
+    recorder = _StopRecorder(kernel)
+    monkeypatch.setattr(depthmap, "_BITS_ROOM", 1)
+    monkeypatch.setattr(depthmap, "native", lambda: recorder)
+    assert depthmap.encode_depthmaps(pair, 1000) == expected
+    for name, stops in recorder.stops.items():
+        assert len(stops) > 3, name
+        assert all(0 < pixel < occ.size for pixel in stops), name
+    again = depthmap.decode_depthmaps(expected.data, 40, 30, 1000)
+    assert np.array_equal(again.occ, occ) and np.array_equal(again.zmin, z[0]) and np.array_equal(again.zmax, z[1])
