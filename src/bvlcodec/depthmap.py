@@ -283,10 +283,19 @@ def _code(coder, grid: bytearray, low: np.ndarray, high: np.ndarray, nx: int, ny
 def encode_depthmaps(pair: DepthmapPair, nz: int) -> CodedStream:
     """Losslessly code a surface pair; decode_depthmaps inverts exactly.
 
-    Maps of different shapes, an occ byte above 1, or an occupied pixel
+    Maps of different shapes, values that the coded types (uint8 occ, int32
+    zmin and zmax) cannot hold, an occ byte above 1, or an occupied pixel
     outside 0 <= zmin <= zmax < nz raise ValueError.
     """
     return _encode(pair, nz, native())
+
+
+def _exact(a: np.ndarray, dtype) -> np.ndarray:
+    """a as a C-contiguous array of dtype; a value that dtype cannot hold breaks the layout."""
+    out = np.ascontiguousarray(a, dtype=dtype)
+    if out.dtype != a.dtype and not np.array_equal(out, a):
+        check_status(BAD_LAYOUT)
+    return out
 
 
 def _encode(pair: DepthmapPair, nz: int, lib) -> CodedStream:
@@ -296,10 +305,9 @@ def _encode(pair: DepthmapPair, nz: int, lib) -> CodedStream:
         raise ValueError("depth maps differ in shape")
     nx, ny = occ.shape
     grid = bytearray((nx + 2) * (ny + 4))
-    np.frombuffer(grid, dtype=np.uint8).reshape(nx + 2, ny + 4)[2:, 2 : ny + 2] = occ
+    np.frombuffer(grid, dtype=np.uint8).reshape(nx + 2, ny + 4)[2:, 2 : ny + 2] = _exact(occ, np.uint8)
     enc = RangeEncoder(*count_tables(_CONTEXTS))
-    _code(enc, grid, np.ascontiguousarray(pair.zmin, dtype=np.int32),
-          np.ascontiguousarray(pair.zmax, dtype=np.int32), nx, ny, nz, lib)
+    _code(enc, grid, _exact(pair.zmin, np.int32), _exact(pair.zmax, np.int32), nx, ny, nz, lib)
     return enc.finish()
 
 

@@ -237,6 +237,21 @@ def test_encode_peak_memory_follows_the_block_not_the_map():
     assert peak <= 1.25 * _PIXEL_LOOP_PEAK_BYTES
 
 
+def test_encoder_refuses_values_its_maps_cannot_hold(path):
+    # Cast to uint8 and int32, these would code as an occ byte of 1 and a zmin of 1.
+    occ = np.ones((2, 2), np.int64)
+    z = np.full((2, 2), 3, np.int64)
+    wide_occ = occ.copy()
+    wide_occ[0, 1] = 257
+    wide_z = z.copy()
+    wide_z[1, 0] = (1 << 32) + 1
+    for pair in (DepthmapPair(wide_occ, z, z), DepthmapPair(occ, wide_z, wide_z)):
+        with pytest.raises(ValueError, match="layout"):
+            encode_depthmaps(pair, 8)
+    assert _pairs_equal(DepthmapPair(occ, z, z), decode_depthmaps(encode_depthmaps(DepthmapPair(occ, z, z), 8).data,
+                                                                   2, 2, 8))
+
+
 def test_encoder_refuses_maps_of_different_shapes():
     # The kernel reads every map at the mask's shape.
     pair = DepthmapPair(np.ones((3, 4), np.uint8), np.zeros((3, 4), np.int32), np.zeros((3, 3), np.int32))
