@@ -248,8 +248,8 @@ def test_encoder_refuses_values_its_maps_cannot_hold(path):
     for pair in (DepthmapPair(wide_occ, z, z), DepthmapPair(occ, wide_z, wide_z)):
         with pytest.raises(ValueError, match="layout"):
             encode_depthmaps(pair, 8)
-    assert _pairs_equal(DepthmapPair(occ, z, z), decode_depthmaps(encode_depthmaps(DepthmapPair(occ, z, z), 8).data,
-                                                                   2, 2, 8))
+    narrow = DepthmapPair(occ, z, z)
+    assert _pairs_equal(narrow, decode_depthmaps(encode_depthmaps(narrow, 8).data, 2, 2, 8))
 
 
 def test_encoder_refuses_maps_of_different_shapes():
