@@ -252,6 +252,13 @@ def test_encoder_refuses_values_its_maps_cannot_hold(path):
     assert _pairs_equal(narrow, decode_depthmaps(encode_depthmaps(narrow, 8).data, 2, 2, 8))
 
 
+def test_encoder_refuses_a_residual_longer_than_the_decoder_reads(path):
+    # The first low is predicted as nz // 2: with nz = 2^50 its residual
+    # needs 50 prefix bins, and the decoder stops at 48.
+    with pytest.raises(ValueError, match="layout"):
+        encode_depthmaps(_pair_from(np.ones((1, 1)), [[0]], [[0]]), 1 << 50)
+
+
 def test_encoder_refuses_maps_of_different_shapes():
     # The kernel reads every map at the mask's shape.
     pair = DepthmapPair(np.ones((3, 4), np.uint8), np.zeros((3, 4), np.int32), np.zeros((3, 3), np.int32))

@@ -205,3 +205,13 @@ def test_depthmap_encoder_resumes_mid_map_with_identical_bytes(kernel, monkeypat
         assert all(0 < pixel < occ.size for pixel in stops), name
     again = depthmap.decode_depthmaps(expected.data, 40, 30, 1000)
     assert np.array_equal(again.occ, occ) and np.array_equal(again.zmin, z[0]) and np.array_equal(again.zmax, z[1])
+
+
+def test_kernel_mask_loop_refuses_an_occ_byte_above_1(kernel):
+    # Left in the grid, a byte of 2 would put later pixels' contexts past the
+    # count tables, before the surface loop could refuse the map.
+    grid = np.zeros((4, 6), np.uint8)
+    grid[2, 3] = 2
+    encoder = RangeEncoder(*count_tables(depthmap._CONTEXTS))
+    with pytest.raises(ValueError, match="layout"):
+        depthmap._run(kernel.code_mask, encoder, depthmap._Cursor(0, 4, 0), grid.ctypes.data, 2, 2, 1)
