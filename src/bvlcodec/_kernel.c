@@ -1,16 +1,15 @@
 /* Native loops of the bvlcodec coder, loaded through ctypes by rangecoder.py.
  *
  * The range coder and its count update mirror rangecoder.RangeEncoder and
- * RangeDecoder bit for bit. Besides encode_many, three loops code the
- * streams, each on both sides: code_mask (the occupancy mask), code_surfaces
- * (the low surface and thickness) and code_shell (a shell's section sweep).
- * Each bit is read from the maps and encoded, or decoded and stored. They
- * mirror the Python loops of depthmap.py and sections.py decision for
- * decision, so either side may run in either language. Every buffer is
- * allocated and sized by the caller. An encoding loop that would need more
- * room than it was given stops before touching the pixel or cell it is on,
- * saves where it stands and returns NEED_ROOM; the caller grows the buffers
- * and calls it again.
+ * RangeDecoder bit for bit. Three loops code the streams, each on both
+ * sides: code_mask (the occupancy mask), code_surfaces (the low surface and
+ * thickness) and code_shell (a shell's section sweep). Each bit is read
+ * from the maps and encoded, or decoded and stored. They mirror the Python
+ * loops of depthmap.py and sections.py decision for decision, so either
+ * side may run in either language. Every buffer is allocated and sized by
+ * the caller. An encoding loop that would need more room than it was given
+ * stops before touching the pixel or cell it is on, saves where it stands
+ * and returns NEED_ROOM; the caller grows the buffers and calls it again.
  */
 #include <stdint.h>
 #include <string.h>
@@ -127,31 +126,17 @@ static inline int decode_bit(Coder *c, int64_t ctx) {
     return bit;
 }
 
-/* Code bits[i] under ctx[i] in order; returns how many were coded, fewer
- * than n when the bit buffer runs short or at a context outside the count
- * tables. A decision writes at most its pending bits plus 18 (an interval of
- * at least 2^30 keeps at least 2^-16 of itself), so 64 spare bytes always
- * suffice for the next one. */
-int64_t encode_many(Coder *c, const int64_t *ctx, const uint8_t *bits, int64_t n) {
-    int64_t i;
-    for (i = 0; i < n && c->pos + c->extra + 64 <= c->size; i++) {
-        if ((uint64_t)ctx[i] >= (uint64_t)c->contexts)
-            break;
-        encode_bit(c, ctx[i], bits[i]);
-    }
-    return i;
-}
-
 /* Where a depth-map loop stands when it stops for room: the next pixel in
  * row order, and the low surface and thickness coded last. */
 typedef struct {
     int64_t pixel, prev_low, prev_thick;
 } Cursor;
 
-/* The room one pixel of the surfaces may need: two residuals of at most
- * MAX_PREFIX prefix bins, a one and MAX_PREFIX suffix bits each, every
- * decision writing at most its pending bits plus 18, and encode_many's 64
- * spare bytes. */
+/* An encoded decision writes at most its pending bits plus 18 (an interval
+ * of at least 2^30 keeps at least 2^-16 of itself), so 64 spare bytes
+ * always suffice for the next one. The room one pixel of the surfaces may
+ * need: two residuals of at most MAX_PREFIX prefix bins, a one and
+ * MAX_PREFIX suffix bits each, plus those 64 spare bytes. */
 #define PIXEL_ROOM (64 + 18 * 2 * (2 * MAX_PREFIX + 1))
 
 /* Encode bit under ctx and return it, or decode a bit (TRUNCATED past the end). */
@@ -306,53 +291,6 @@ int64_t code_surfaces(Coder *c, Cursor *at, const uint8_t *occ, int32_t *low, in
                     : surface_loop(c, at, occ, low, high, nx, ny, nz, 0);
 }
 
-/* The section stream's map from context label to count-table slot: open
- * addressing over a power-of-two table (keys -1 when empty), plus the label
- * of every slot (-1 for a slot no label owns). */
-typedef struct {
-    int32_t *keys, *slots;
-    int64_t mask;          /* table size - 1 */
-    int32_t *labels;
-    int64_t count;         /* slots in use */
-} LabelMap;
-
-/* Fibonacci hashing: the top half of the product mixes every bit of the label. */
-static inline uint64_t map_home(const LabelMap *m, int32_t label) {
-    return (((uint64_t)(uint32_t)label * 0x9E3779B97F4A7C15ULL) >> 32) & (uint64_t)m->mask;
-}
-
-static inline void map_put(LabelMap *m, int32_t label, int64_t slot) {
-    uint64_t h = map_home(m, label);
-    while (m->keys[h] >= 0)
-        h = (h + 1) & (uint64_t)m->mask;
-    m->keys[h] = label;
-    m->slots[h] = (int32_t)slot;
-}
-
-/* Insert every owned slot of labels[0 .. count) into an empty table. */
-void map_fill(LabelMap *m) {
-    for (int64_t s = 0; s < m->count; s++)
-        if (m->labels[s] >= 0)
-            map_put(m, m->labels[s], s);
-}
-
-/* The label's slot; a new label takes the next slot with counts of 1. */
-static inline int64_t slot_of(LabelMap *m, Coder *c, int32_t label) {
-    uint64_t h = map_home(m, label);
-    for (;; h = (h + 1) & (uint64_t)m->mask) {
-        if (m->keys[h] == label)
-            return m->slots[h];
-        if (m->keys[h] < 0)
-            break;
-    }
-    int64_t s = m->count++;
-    m->keys[h] = label;
-    m->slots[h] = (int32_t)s;
-    m->labels[s] = label;
-    c->c0[s] = c->c1[s] = 1;
-    return s;
-}
-
 /* A shell: every section of one pair of depth surfaces (see sections.py),
  * and where a resumed call picks up. */
 typedef struct {
@@ -368,8 +306,8 @@ typedef struct {
     int64_t *rows;                 /* nz + 2 zeros: start-list cells per row while a section loads */
     int64_t *out;                  /* (x, y, z) of every reconstructed point */
     int64_t room;                  /* points out can hold */
-    const uint8_t *turn;           /* contexts.NormTables */
-    const int32_t *canonical;
+    const uint8_t *turn;           /* contexts.NormTables: alpha_star, class_index, rotated_binary */
+    const int32_t *classes;
     const int64_t *rotated;
     int64_t section, loaded, head, tail, coded, emitted;
 } Shell;
@@ -495,12 +433,13 @@ static void unload_section(Shell *s, int64_t y) {
  * of a shell, on either side: each bit is decoded, or read from the truth
  * and encoded. Section y reads the reconstruction of section y - 1 (state 2)
  * from the other slab. The reconstructed points go to out: each section's
- * seeds, then its cells coded occupied. The map's table must hold at least
- * twice the coder's contexts, and out room for 2 nx more points before a
+ * seeds, then its cells coded occupied. A cell's context is its label,
+ * class * 512 + rotated binary patch; a label's zero counts become 1 and 1
+ * when it is first coded. out needs room for 2 nx more points before a
  * section loads. A malformed column or true cell, a listed cell whose 3x3
- * crop leaves its slab, or a patch outside the tables (state above 2) means
- * the shell breaks its layout: BAD_LAYOUT. */
-int64_t code_shell(Coder *c, LabelMap *m, Shell *s) {
+ * crop leaves its slab, or a patch or label outside the tables (state
+ * above 2) means the shell breaks its layout: BAD_LAYOUT. */
+int64_t code_shell(Coder *c, Shell *s) {
     const int64_t st = s->nx + 2, size = (s->nz + 2) * st;
     const int64_t push[8] = {-st - 1, -st, -st + 1, -1, 1, st - 1, st, st + 1};
     uint8_t *marked = s->marked;
@@ -519,8 +458,7 @@ int64_t code_shell(Coder *c, LabelMap *m, Shell *s) {
         const uint8_t *prev = s->state + (~y & 1) * size;
         int64_t head = s->head, tail = s->tail, coded = s->coded;
         while (head < tail) {
-            if (m->count >= c->contexts || s->emitted == s->room
-                || (s->cells && c->pos + c->extra + 64 > c->size)) {
+            if (s->emitted == s->room || (s->cells && c->pos + c->extra + 64 > c->size)) {
                 status = NEED_ROOM;
                 break;
             }
@@ -540,13 +478,18 @@ int64_t code_shell(Coder *c, LabelMap *m, Shell *s) {
                 status = BAD_LAYOUT;
                 break;
             }
-            int32_t label = s->canonical[patch] * 512 + (int32_t)s->rotated[s->turn[patch] * 512 + binary];
-            int64_t slot = slot_of(m, c, label);
+            const int64_t label = (int64_t)s->classes[patch] * 512 + s->rotated[s->turn[patch] * 512 + binary];
+            if ((uint64_t)label >= (uint64_t)c->contexts) {
+                status = BAD_LAYOUT;
+                break;
+            }
+            if (!c->c0[label])
+                c->c0[label] = c->c1[label] = 1;
             int bit;
             if (s->cells) {
                 bit = s->truth[idx] != 0;
-                encode_bit(c, slot, bit);
-            } else if ((bit = decode_bit(c, slot)) < 0) {
+                encode_bit(c, label, bit);
+            } else if ((bit = decode_bit(c, label)) < 0) {
                 status = bit;
                 break;
             }

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import depthmap, rangecoder
+from . import depthmap, rangecoder, sections
 from .cloud import VoxelCloud, parse_ply, quantize, source_bit_depth, write_ply
 from .container import CSV_COLUMNS, decode_cloud, encode_cloud
 from .contexts import build_norm_tables, check_norm_tables
@@ -151,21 +151,14 @@ def _cmd_bench(args) -> int:
 
 
 def _selftest_coder() -> list[str]:
-    """Round-trip the coder; with the native kernel, its stream must equal the Python one."""
+    """Round-trip the coder."""
     rng = np.random.default_rng(20240911)
     bits = (rng.random(30000) < 0.2).astype(int).tolist()
     picks = rng.integers(0, 16, size=len(bits)).tolist()
     enc = RangeEncoder(*count_tables(16))
     enc.encode_many(picks, bits)
-    stream = enc.finish()
-    dec = RangeDecoder(stream, *count_tables(16))
-    problems = [] if [dec.decode(pick) for pick in picks] == bits else ["coder round trip mismatch"]
-    if rangecoder.load_kernel()[0] is not None:
-        python = RangeEncoder(*count_tables(16))
-        python.encode_many_python(picks, bits)
-        if python.finish() != stream:
-            problems.append("native and Python coder streams differ")
-    return problems
+    dec = RangeDecoder(enc.finish(), *count_tables(16))
+    return [] if [dec.decode(pick) for pick in picks] == bits else ["coder round trip mismatch"]
 
 
 def _selftest_cloud() -> VoxelCloud:
@@ -186,6 +179,25 @@ def _selftest_depthmaps() -> list[str]:
     return []
 
 
+def _selftest_sections() -> list[str]:
+    """With the native kernel, its section stream must equal the Python loop's one."""
+    if rangecoder.load_kernel()[0] is None:
+        return []
+    cloud = _selftest_cloud()
+    points = cloud.to_array()
+    pair = depthmap.project_array(points, cloud.dims)
+    streams = []
+    for python in (False, True):
+        shell = sections.build_section(pair, cloud.dims, points)
+        if python:
+            shell.buffers = None
+        tables = sections.section_tables()
+        encoder = RangeEncoder(tables.c0, tables.c1)
+        sections.code_section(shell, tables, encoder=encoder)
+        streams.append(encoder.finish())
+    return [] if streams[0] == streams[1] else ["native and Python section streams differ"]
+
+
 def _selftest_end_to_end() -> list[str]:
     problems = []
     cloud = _selftest_cloud()
@@ -203,6 +215,7 @@ def _cmd_selftest(_args) -> int:
         ("normalization tables", lambda: check_norm_tables(build_norm_tables())),
         ("arithmetic coder", _selftest_coder),
         ("depth-map encoder", _selftest_depthmaps),
+        ("section sweep", _selftest_sections),
         ("end-to-end round trip", _selftest_end_to_end),
     )
     failed = False

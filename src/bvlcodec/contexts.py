@@ -12,6 +12,11 @@ base-3 score is applied to the patch, and the same turn is applied to the
 binary patch. The canonical turn and the canonical patch index are
 precomputed for all 3^9 ternary patches, and the rotated index of each of
 the 2^9 binary patches for each turn count, and kept in lookup tables.
+
+The cell being coded is unknown, so its patch has an unknown center and
+falls in one of 1,665 canonical classes. The tables number those classes
+0 .. 1664, which makes class * 512 + rotated binary patch a dense context
+label.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ import numpy as np
 PATCH_COUNT = 3**9  # 19683 ternary patches
 # Ternary 3x3 patches modulo quarter turns (Burnside's lemma).
 CANONICAL_COUNT = 4995
+# Those whose center cell (digit 4) is unknown.
+UNKNOWN_CENTER_CLASSES = 1665
 
 _POW3 = (3 ** np.arange(9)).astype(np.int64)
 _POW2 = (2 ** np.arange(9)).astype(np.int64)
@@ -43,11 +50,15 @@ class NormTables:
     alpha_star[i] is the smallest turn count whose rotation of patch i has
     the maximal rotation score; i_star[i] is the index of that rotated patch.
     rotated_binary[k, b] is the index of binary patch b rotated by k turns.
+    class_index[i] numbers the canonical class of patch i densely, in order
+    of i_star: the classes with an unknown center take 0 .. 1664, the others
+    follow.
     """
 
     alpha_star: np.ndarray
     i_star: np.ndarray
     rotated_binary: np.ndarray
+    class_index: np.ndarray
 
 
 def build_norm_tables() -> NormTables:
@@ -66,7 +77,11 @@ def build_norm_tables() -> NormTables:
         scores[k] = rotated[:, _SCORE_DIGITS] @ _POW3
     alpha = np.argmax(scores, axis=0)  # first (smallest) turn wins ties
     i_star = rotated_index[alpha, indices]
-    return NormTables(alpha.astype(np.uint8), i_star.astype(np.int32), rotated_binary)
+    canonical = np.unique(i_star)
+    # A stable sort on "center known" puts the unknown-center classes first.
+    number = np.empty(PATCH_COUNT, dtype=np.int32)
+    number[canonical[np.argsort(digits[canonical, 4] != 0, kind="stable")]] = np.arange(canonical.size)
+    return NormTables(alpha.astype(np.uint8), i_star.astype(np.int32), rotated_binary, number[i_star])
 
 
 def check_norm_tables(tables: NormTables) -> list[str]:
@@ -82,6 +97,15 @@ def check_norm_tables(tables: NormTables) -> list[str]:
         problems.append("orbit sizes do not sum to the patch count")
     if int((sizes > 0).sum()) != CANONICAL_COUNT:
         problems.append("unexpected number of canonical classes")
+    classes = tables.class_index
+    if not np.array_equal(classes[tables.i_star], classes):
+        problems.append("class index not constant on a canonical class")
+    canonical = np.unique(tables.i_star)
+    if np.unique(classes[canonical]).size != canonical.size:
+        problems.append("canonical classes share a class index")
+    unknown = classes[digits[:, 4] == 0]
+    if unknown.min() < 0 or unknown.max() >= UNKNOWN_CENTER_CLASSES:
+        problems.append(f"unknown-center class index outside 0 .. {UNKNOWN_CENTER_CLASSES - 1}")
     return problems
 
 
@@ -92,7 +116,10 @@ def get_norm_tables() -> NormTables:
 
 @lru_cache(maxsize=1)
 def get_norm_lists() -> tuple[list[int], list[int], list[list[int]]]:
-    """Tables as plain (nested) lists for the per-cell coding loop. Do not mutate."""
+    """alpha_star, class_index and rotated_binary as plain (nested) lists for the per-cell coding loop.
+
+    Do not mutate.
+    """
     tables = get_norm_tables()
-    return tables.alpha_star.tolist(), tables.i_star.tolist(), tables.rotated_binary.tolist()
+    return tables.alpha_star.tolist(), tables.class_index.tolist(), tables.rotated_binary.tolist()
 

@@ -134,7 +134,7 @@ def _bit_coder(coder, encoding: bool):
         return bit
 
     def flush() -> None:
-        coder.encode_many_python(contexts, bits)
+        coder.encode_many(contexts, bits)
         contexts.clear()
         bits.clear()
 

@@ -1,11 +1,14 @@
 """Adaptive binary arithmetic coding, and the native kernel behind it.
 
 Integer range coder with 32-bit interval registers and pending-bit carry
-resolution (Witten/Neal/Cleary style renormalization). A coder owns two
-count tables, c0 and c1: array('H') tables, one entry per context, each
-Laplace-initialized to 1 (count_tables). A binary decision is coded under an
-int context, so p(0) = c0[context] / (c0[context] + c1[context]) adapts as
-symbols are observed. Encoder and decoder apply the identical count update
+resolution (Witten/Neal/Cleary style renormalization). A coder works on two
+count tables, c0 and c1: uint16 tables (array('H'), or memoryviews of
+format 'H'), one entry per context. A context's counts start at 1: either
+every entry is Laplace-initialized (count_tables), or, in the section
+stream's zeroed tables, the section loop sets an entry to 1 when its
+context is first coded. A binary decision is coded under an int context, so
+p(0) = c0[context] / (c0[context] + c1[context]) adapts as symbols are
+observed. Encoder and decoder apply the identical count update
 after each symbol, which keeps both tables bit-for-bit in sync. Counts stay
 at or below RESCALE_LIMIT - 1, so uint16 entries hold them.
 
@@ -20,12 +23,12 @@ np.packbits packs once in finish(), and the decoder indexes the
 np.unpackbits expansion of its payload followed by 64 zero bits. A read past
 those zero bits, possible only on corrupt input, raises TruncatedStreamError.
 
-The coding loops run natively: _kernel.c holds the coder, encode_many, and
-one loop per stream that both sides share (code_mask, code_surfaces and
-code_shell), and load_kernel compiles it with gcc on first use into a
-per-user cache and loads it through ctypes. Where that fails, the same loops
-run in Python: encode_many here, RangeDecoder.decode one decision at a time,
-and the loops of depthmap.py and sections.py. Both paths give the same bits.
+The coding loops run natively: _kernel.c holds the coder and one loop per
+stream that both sides share (code_mask, code_surfaces and code_shell), and
+load_kernel compiles it with gcc on first use into a per-user cache and
+loads it through ctypes. Where that fails, the same loops run in Python
+(depthmap.py and sections.py), coding through RangeEncoder.encode_many and
+RangeDecoder.decode. Both paths give the same bits.
 """
 
 from __future__ import annotations
@@ -61,11 +64,9 @@ _BUILD = ("gcc", "-O2", "-shared", "-fPIC")
 _P = ctypes.c_void_p
 _I = ctypes.c_int64
 _SIGNATURES = {
-    "encode_many": (_P, _P, _P, _I),
     "code_mask": (_P, _P, _P, _I, _I, _I),
     "code_surfaces": (_P, _P, _P, _P, _P, _I, _I, _I, _I),
-    "map_fill": (_P,),
-    "code_shell": (_P, _P, _P),
+    "code_shell": (_P, _P),
 }
 # Kernel statuses: a loop that ran out of room, the errors of corrupt input,
 # and maps or buffers that break their layout (BAD_LAYOUT).
@@ -171,10 +172,10 @@ def count_tables(n: int) -> tuple[array, array]:
     return array("H", [1]) * n, array("H", [1]) * n
 
 
-def _check_tables(c0: array, c1: array) -> None:
-    if not (isinstance(c0, array) and isinstance(c1, array) and c0.typecode == c1.typecode == "H"
-            and len(c0) == len(c1)):
-        raise TypeError("count tables must be two array('H') of one length")
+def _check_tables(c0, c1) -> None:
+    views = [memoryview(t) for t in (c0, c1) if isinstance(t, (array, memoryview))]
+    if not (len(views) == 2 and all(v.format == "H" and not v.readonly for v in views) and len(c0) == len(c1)):
+        raise TypeError("count tables must be two writable uint16 arrays or memoryviews of one length")
 
 
 @dataclass(frozen=True)
@@ -188,19 +189,17 @@ class CodedStream:
 class RangeEncoder:
     """One-shot arithmetic encoder over the count tables c0 and c1.
 
-    The tables are updated in place, so a caller may grow them (one count of
-    1 in each per new context) between calls. Call finish() exactly once at
-    the end.
+    The tables are updated in place, so the coders of successive streams may
+    share them, as the section streams of a cloud's shells do. Call finish()
+    exactly once at the end.
     """
 
-    __slots__ = ("c0", "c1", "slot_map", "_state", "_bits")
+    __slots__ = ("c0", "c1", "_state", "_bits")
 
-    def __init__(self, c0: array, c1: array) -> None:
+    def __init__(self, c0, c1) -> None:
         _check_tables(c0, c1)
         self.c0 = c0
         self.c1 = c1
-        # The section loop's label map for the kernel (sections.py).
-        self.slot_map = None
         # The coder's state is the kernel's struct (extra counts the pending
         # bits); _bits[:pos] are the bits written so far, and the kernel may
         # write up to size bytes. size 0 marks the address stale.
@@ -239,32 +238,11 @@ class RangeEncoder:
     def encode_many(self, contexts: Iterable[int], bits: Iterable[int]) -> None:
         """Code each bit under its context, in order; the counts adapt as they go.
 
-        The two sequences must have the same length (ValueError otherwise,
-        after the pairs before the mismatch are coded). A nonzero bit codes
-        a 1. The whole sequence costs one call into the kernel.
+        The Python loops code through this; the kernel's loops call their
+        own coder. The two sequences must have the same length (ValueError
+        otherwise, after the pairs before the mismatch are coded). A nonzero
+        bit codes a 1.
         """
-        lib = native()
-        if lib is None:
-            self.encode_many_python(contexts, bits)
-            return
-        contexts = np.array(contexts if isinstance(contexts, (np.ndarray, list, tuple)) else list(contexts),
-                            dtype=np.int64)
-        bits = np.array(bits if isinstance(bits, (np.ndarray, list, tuple)) else list(bits), dtype=bool)
-        n = min(contexts.size, bits.size)
-        done = 0
-        if n:
-            at_contexts, at_bits = address(contexts), address(bits)
-        while done < n:
-            # A decision writes at most 18 bits beyond the pending ones.
-            state = self._room(18 * min(n - done, 1 << 16))
-            done += lib.encode_many(ctypes.byref(state), at_contexts + 8 * done, at_bits + done, n - done)
-            if done < n and not 0 <= contexts[done] < len(self.c0):
-                raise IndexError("context outside the count tables")
-        if contexts.size != bits.size:
-            raise ValueError("contexts and bits differ in length")
-
-    def encode_many_python(self, contexts: Iterable[int], bits: Iterable[int]) -> None:
-        """encode_many's Python loop, which runs when the kernel does not."""
         if isinstance(contexts, np.ndarray):
             contexts = contexts.tolist()
         if isinstance(bits, np.ndarray):
@@ -340,13 +318,12 @@ class RangeEncoder:
 class RangeDecoder:
     """Mirror of RangeEncoder; count updates replay the encoder's exactly."""
 
-    __slots__ = ("c0", "c1", "slot_map", "_bits", "_pos", "_low", "_high", "_code")
+    __slots__ = ("c0", "c1", "_bits", "_pos", "_low", "_high", "_code")
 
-    def __init__(self, data: bytes | CodedStream, c0: array, c1: array) -> None:
+    def __init__(self, data: bytes | CodedStream, c0, c1) -> None:
         _check_tables(c0, c1)
         self.c0 = c0
         self.c1 = c1
-        self.slot_map = None
         if isinstance(data, CodedStream):
             data = data.data
         packed = np.frombuffer(data, dtype=np.uint8)

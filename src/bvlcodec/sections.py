@@ -21,10 +21,13 @@ exactly the cells the encoder coded: the points 8-connected, section by
 section, to the surface seeds. Points no shell reaches are written raw,
 fixed width.
 
-A context label (canonical ternary patch * 512 + rotated binary patch) is
-mapped to an int slot of the coder's count tables by a dict shared across
-shells; a label's first touch gives it the next slot and appends a count of
-1 to each table.
+A cell's context is its label, class * 512 + rotated binary patch, where
+class numbers the canonical class of its ternary patch among the 1,665 whose
+center is unknown (contexts.py). The label indexes the coder's count tables
+directly: SectionTables holds one entry per label, 852,480 each, and both
+sides share one pair across shells. The tables are zeroed anonymous
+mappings, so only the pages of coded labels become resident; a label's
+first touch sets its counts to 1 and 1.
 
 Both sides code a whole shell in one call. build_section prepares it once:
 the depth maps, read in place; the slab cells of the encoder's points,
@@ -39,9 +42,8 @@ cleared again. So the set-up follows the occupied columns and the coded
 cells, never a slab's area. The reconstructed points, each section's seeds
 then its cells coded occupied, go to an output array as they are found.
 
-The loop runs in the native kernel (rangecoder.py), which keeps the dict's
-labels in a hash table of its own. Without the kernel it runs in Python,
-section by section, on buffers that numpy sets up per section
+The loop runs in the native kernel (rangecoder.py). Without the kernel it
+runs in Python, section by section, on buffers that numpy sets up per section
 (_section_buffers), and the encoder codes each section's contexts and bits
 in one call.
 
@@ -53,12 +55,13 @@ list.
 from __future__ import annotations
 
 import ctypes
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
-from .contexts import get_norm_lists, get_norm_tables
-from .depthmap import DepthmapPair, decode_depthmaps, encode_depthmaps, project_array
+from .contexts import UNKNOWN_CENTER_CLASSES, get_norm_lists, get_norm_tables
+from .depthmap import DepthmapPair, _exact, decode_depthmaps, encode_depthmaps, project_array
 from .errors import BitstreamError, TruncatedStreamError
 from .rangecoder import (
     BAD_LAYOUT,
@@ -67,15 +70,39 @@ from .rangecoder import (
     RangeDecoder,
     RangeEncoder,
     check_status,
-    count_tables,
     native,
 )
 
 _STEPS = np.array([-1, 0, 1], dtype=np.int64)
-# The room each call into the kernel's shell loop starts with: coded bits,
-# and count-table slots (at least twice the slots in use).
+# The coded bits each call into the kernel's shell loop has room for.
 _BITS_ROOM = 1 << 16
-_SLOTS_ROOM = 1 << 10
+# Every context label: class * 512 + rotated binary patch.
+SECTION_CONTEXTS = UNKNOWN_CENTER_CLASSES * 512
+
+
+@dataclass(frozen=True, eq=False)
+class SectionTables:
+    """The section stream's count tables, c0 and c1, indexed by context label.
+
+    An entry is zero until its label is first coded, and never zero after.
+    """
+
+    c0: memoryview
+    c1: memoryview
+
+    def __len__(self) -> int:
+        """The number of labels coded so far."""
+        return int(np.count_nonzero(np.frombuffer(self.c0, dtype=np.uint16)))
+
+
+def section_tables() -> SectionTables:
+    """Zeroed tables of SECTION_CONTEXTS entries, as private anonymous mappings.
+
+    Their pages read as zero without being resident; a page becomes resident
+    once a label in it is coded.
+    """
+    return SectionTables(*(memoryview(mmap.mmap(-1, 2 * SECTION_CONTEXTS, flags=mmap.MAP_PRIVATE)).cast("H")
+                           for _ in range(2)))
 
 
 @dataclass
@@ -139,25 +166,24 @@ def _section_buffers(pair: DepthmapPair, y: int, nz: int, prev: bytes | None = N
     )
 
 
-def _code_buffers(buf: SectionBuffers, models: dict, coder, truth: bytes | None = None) -> int:
+def _code_buffers(buf: SectionBuffers, coder, truth: bytes | None = None) -> int:
     """Code the unknown cells the work list reaches in one section, in Python.
 
-    Returns the number of coded bits. With truth, the section's true
-    occupancy in the layout of buf.state, each bit is read from it and the
-    coder encodes the section's contexts and bits in one call at the end;
-    without, each bit is decoded. Afterwards buf.state holds the
-    reconstruction.
+    The coder's tables are indexed by label (SectionTables). Returns the
+    number of coded bits. With truth, the section's true occupancy in the
+    layout of buf.state, each bit is read from it and the coder encodes the
+    section's contexts and bits in one call at the end; without, each bit is
+    decoded. Afterwards buf.state holds the reconstruction.
     """
-    turn_by_patch, canonical_by_patch, rotated = get_norm_lists()
+    turn_by_patch, class_by_patch, rotated = get_norm_lists()
     state = buf.state
     marked = buf.marked
     prev = buf.prev
     st = buf.stride
-    get_slot = models.get
     c0 = coder.c0
     c1 = coder.c1
     decode = None if truth is not None else coder.decode
-    slots: list[int] = []
+    labels: list[int] = []
     bits: list[int] = []
     # Every listed cell is unknown until it is coded, so the FIFO is a list
     # that the loop walks while it grows.
@@ -178,22 +204,19 @@ def _code_buffers(buf: SectionBuffers, models: dict, coder, truth: bytes | None 
             + 27 * state[n] + 243 * state[s]
             + 729 * state[ne] + 2187 * state[e] + 6561 * state[se]
         )
-        label = canonical_by_patch[patch] * 512 + rotated[turn_by_patch[patch]][
+        label = class_by_patch[patch] * 512 + rotated[turn_by_patch[patch]][
             prev[nw] + 2 * prev[w] + 4 * prev[sw]
             + 8 * prev[n] + 16 * prev[idx] + 32 * prev[s]
             + 64 * prev[ne] + 128 * prev[e] + 256 * prev[se]
         ]
-        slot = get_slot(label)
-        if slot is None:
-            slot = models[label] = len(c0)
-            c0.append(1)
-            c1.append(1)
+        if not c0[label]:
+            c0[label] = c1[label] = 1
         if decode is None:
             bit = truth[idx]
-            slots.append(slot)
+            labels.append(label)
             bits.append(bit)
         else:
-            bit = decode(slot)
+            bit = decode(label)
         state[idx] = 1 + bit
         if bit:
             if state[nw] == 0 and marked[nw] == 0:
@@ -221,15 +244,8 @@ def _code_buffers(buf: SectionBuffers, models: dict, coder, truth: bytes | None 
                 marked[se] = 1
                 push(se)
     if decode is None:
-        coder.encode_many(slots, bits)
+        coder.encode_many(labels, bits)
     return len(queue)
-
-
-class _LabelMap(ctypes.Structure):
-    """LabelMap in _kernel.c."""
-
-    _fields_ = [("keys", ctypes.c_void_p), ("slots", ctypes.c_void_p), ("mask", ctypes.c_int64),
-                ("labels", ctypes.c_void_p), ("count", ctypes.c_int64)]
 
 
 class _Shell(ctypes.Structure):
@@ -240,7 +256,7 @@ class _Shell(ctypes.Structure):
     ] + [(name, ctypes.c_void_p) for name in (
         "cells", "offsets", "state", "marked", "truth", "fifo", "columns", "rows", "out")] + [
         ("room", ctypes.c_int64)
-    ] + [(name, ctypes.c_void_p) for name in ("turn", "canonical", "rotated")] + [
+    ] + [(name, ctypes.c_void_p) for name in ("turn", "classes", "rotated")] + [
         (name, ctypes.c_int64) for name in ("section", "loaded", "head", "tail", "coded", "emitted")
     ]
 
@@ -294,7 +310,7 @@ class _ShellBuffers:
             cells, offsets, self.state.ctypes.data, self.marked.ctypes.data,
             None if self.truth is None else self.truth.ctypes.data, self.fifo.ctypes.data,
             self.columns.ctypes.data, self.rows.ctypes.data, self.out.ctypes.data, len(self.out),
-            tables.alpha_star.ctypes.data, tables.i_star.ctypes.data, tables.rotated_binary.ctypes.data)
+            tables.alpha_star.ctypes.data, tables.class_index.ctypes.data, tables.rotated_binary.ctypes.data)
 
     def grow(self, room: int) -> None:
         """Give out room for `room` points, keeping the ones emitted."""
@@ -309,16 +325,13 @@ class _ShellBuffers:
 def build_section(pair: DepthmapPair, dims, points: np.ndarray | None = None) -> Shell:
     """Prepare the sweep of one shell; code_section codes it.
 
-    The maps are used in place when they already have the layout of Shell.
-    The encoder passes the shell's (N, 3) points, which give each section's
-    true occupancy.
+    The maps are used in place when they already have the layout of Shell;
+    a value that the coded types (uint8 occ, int32 zmin and zmax) cannot hold
+    raises ValueError. The encoder passes the shell's (N, 3) points, which
+    give each section's true occupancy.
     """
     nx, ny, nz = dims
-    pair = DepthmapPair(
-        np.ascontiguousarray(pair.occ, dtype=np.uint8),
-        np.ascontiguousarray(pair.zmin, dtype=np.int32),
-        np.ascontiguousarray(pair.zmax, dtype=np.int32),
-    )
+    pair = DepthmapPair(_exact(pair.occ, np.uint8), _exact(pair.zmin, np.int32), _exact(pair.zmax, np.int32))
     if not pair.occ.shape == pair.zmin.shape == pair.zmax.shape == (nx, ny):
         raise ValueError("depth maps do not match the dims")
     cells = offsets = None
@@ -337,23 +350,27 @@ def build_section(pair: DepthmapPair, dims, points: np.ndarray | None = None) ->
 
 def code_section(
     shell: Shell,
-    models: dict,
+    tables: SectionTables,
     *,
     encoder: RangeEncoder | None = None,
     decoder: RangeDecoder | None = None,
 ) -> tuple[np.ndarray, int]:
     """Code every section of a shell, in y order; returns (reconstructed points, decision count).
 
-    models maps each context label seen so far to its slot in the coder's
-    count tables. Pass exactly one of encoder/decoder; encoding needs a
-    shell built with its points. A shell is coded once.
+    Pass exactly one of encoder/decoder, built on tables; encoding needs a
+    shell built with its points. Tables of fewer than SECTION_CONTEXTS
+    entries, or a coder on other tables, raise ValueError before anything
+    is coded. A shell is coded once.
     """
     if (encoder is None) == (decoder is None):
         raise ValueError("pass exactly one of encoder or decoder")
     if encoder is not None and shell.cells is None:
         raise ValueError("encoding requires the shell's points")
+    coder = encoder or decoder
+    if coder.c0 is not tables.c0 or coder.c1 is not tables.c1 or len(tables.c0) < SECTION_CONTEXTS:
+        raise ValueError("the coder must be built on tables that span every section context")
     if shell.buffers is not None:
-        return _code_native(native(), shell, models, encoder or decoder, encoder is not None)
+        return _code_native(native(), shell, coder, encoder is not None)
     nx, ny, nz = shell.dims
     st = nx + 2
     chunks = [np.empty((0, 3), dtype=np.int64)]
@@ -366,7 +383,7 @@ def code_section(
         if encoder is not None:
             truth = bytearray(len(buf.state))
             np.frombuffer(truth, dtype=np.uint8)[shell.cells[shell.offsets[y] : shell.offsets[y + 1]]] = 1
-        coded += _code_buffers(buf, models, encoder or decoder, truth)
+        coded += _code_buffers(buf, coder, truth)
         occupied = np.frombuffer(buf.state, dtype=np.uint8) == 2
         zs, xs = np.divmod(np.flatnonzero(occupied), st)
         chunks.append(np.column_stack((xs - 1, np.full(xs.size, y), zs - 1)))
@@ -375,61 +392,25 @@ def code_section(
     return np.concatenate(chunks), coded
 
 
-class _SlotMap:
-    """A models dict as the kernel's LabelMap, with room for `capacity` slots.
-
-    labels[slot] is the label that owns each of the first `slots` slots of
-    the coder's count tables (-1 for none); the hash table is twice the
-    capacity or more, so it never fills.
-    """
-
-    def __init__(self, lib, models: dict, slots: int, capacity: int) -> None:
-        self.models = models
-        self.labels = np.full(capacity, -1, dtype=np.int32)
-        self.labels[np.fromiter(models.values(), np.int64, len(models))] = np.fromiter(
-            models.keys(), np.int64, len(models))
-        size = 1 << (2 * capacity - 1).bit_length()
-        self.keys = np.full(size, -1, dtype=np.int32)
-        self.slots = np.empty(size, dtype=np.int32)
-        self.struct = _LabelMap(self.keys.ctypes.data, self.slots.ctypes.data, size - 1,
-                                self.labels.ctypes.data, slots)
-        lib.map_fill(ctypes.byref(self.struct))
-
-
-def _code_native(lib, shell: Shell, models: dict, coder, encoding: bool) -> tuple[np.ndarray, int]:
-    """code_section in the kernel; the coder's slot_map keeps models' labels across calls."""
+def _code_native(lib, shell: Shell, coder, encoding: bool) -> tuple[np.ndarray, int]:
+    """code_section in the kernel."""
     buffers = shell.buffers
     sweep = buffers.struct
     if not encoding:
         sweep.cells = None
     nx = shell.dims[0]
-    c0 = coder.c0
-    c1 = coder.c1
     status = NEED_ROOM
     while status == NEED_ROOM:
-        slots = len(c0)
-        slot_map = coder.slot_map
-        # A new dict or new tables, or a full map: rebuild it from models.
-        if (slot_map is None or slot_map.models is not models or slot_map.struct.count != slots
-                or slots == len(slot_map.labels)):
-            slot_map = coder.slot_map = _SlotMap(lib, models, slots, max(_SLOTS_ROOM, 2 * slots))
-        spare = len(slot_map.labels) - slots
-        c0.frombytes(bytes(2 * spare))
-        c1.frombytes(bytes(2 * spare))
         # A section loads only with room for two seeds per column.
         if sweep.room - sweep.emitted <= 2 * nx:
             buffers.grow(max(2 * sweep.room, sweep.emitted + 2 * nx + 1))
         with coder.native_state(_BITS_ROOM) as state:
-            status = lib.code_shell(ctypes.byref(state), ctypes.byref(slot_map.struct), ctypes.byref(sweep))
-        count = slot_map.struct.count
-        models.update(zip(slot_map.labels[slots:count].tolist(), range(slots, count)))
-        del c0[count:]
-        del c1[count:]
+            status = lib.code_shell(ctypes.byref(state), ctypes.byref(sweep))
     check_status(status)
     return buffers.out[: sweep.emitted], sweep.coded
 
 
-def _sweep(pair: DepthmapPair, dims, models: dict, points: np.ndarray | None = None,
+def _sweep(pair: DepthmapPair, dims, tables: SectionTables, points: np.ndarray | None = None,
            encoder: RangeEncoder | None = None,
            decoder: RangeDecoder | None = None) -> tuple[np.ndarray, int]:
     """Code all sections of one shell; returns (reconstructed points, decision count).
@@ -437,19 +418,19 @@ def _sweep(pair: DepthmapPair, dims, models: dict, points: np.ndarray | None = N
     The encoder also passes the points, which give each section's true occupancy.
     """
     shell = build_section(pair, dims, points)
-    return code_section(shell, models, encoder=encoder, decoder=decoder)
+    return code_section(shell, tables, encoder=encoder, decoder=decoder)
 
 
-def sweep_encode(points: np.ndarray, pair: DepthmapPair, dims, models: dict,
+def sweep_encode(points: np.ndarray, pair: DepthmapPair, dims, tables: SectionTables,
                  encoder: RangeEncoder) -> tuple[np.ndarray, int]:
-    """Encode all sections; returns (reconstructed points, decision count)."""
-    return _sweep(pair, dims, models, points, encoder=encoder)
+    """Encode all sections with an encoder built on tables; returns (reconstructed points, decision count)."""
+    return _sweep(pair, dims, tables, points, encoder=encoder)
 
 
-def sweep_decode(pair: DepthmapPair, dims, models: dict,
+def sweep_decode(pair: DepthmapPair, dims, tables: SectionTables,
                  decoder: RangeDecoder) -> tuple[np.ndarray, int]:
     """Decode all sections; mirrors sweep_encode decision for decision."""
-    return _sweep(pair, dims, models, decoder=decoder)
+    return _sweep(pair, dims, tables, decoder=decoder)
 
 
 def encode_shells(cloud, max_shells: int) -> tuple[list[tuple[CodedStream, CodedStream]], np.ndarray]:
@@ -457,20 +438,19 @@ def encode_shells(cloud, max_shells: int) -> tuple[list[tuple[CodedStream, Coded
 
     Each pass reconstructs the points reachable from its own depth surfaces;
     the next pass runs on whatever is left. Returns the per-shell payload
-    pairs and the sorted points no shell reached. Section context labels and
-    their counts persist across shells.
+    pairs and the sorted points no shell reached. The section count tables
+    persist across shells.
     """
     dims = cloud.dims
     nz = dims[2]
-    models: dict = {}
-    c0, c1 = count_tables(0)
+    tables = section_tables()
     remaining = cloud.to_array()
     shells: list[tuple[CodedStream, CodedStream]] = []
     while len(remaining) and len(shells) < max_shells:
         pair = project_array(remaining, dims)
         surface_stream = encode_depthmaps(pair, nz)
-        encoder = RangeEncoder(c0, c1)
-        recon, _ = sweep_encode(remaining, pair, dims, models, encoder)
+        encoder = RangeEncoder(tables.c0, tables.c1)
+        recon, _ = sweep_encode(remaining, pair, dims, tables, encoder)
         shells.append((surface_stream, encoder.finish()))
         # The points are sorted, so their keys are; every reconstructed point
         # is one of them. Sorted needles make the search walk forward.
@@ -484,12 +464,11 @@ def encode_shells(cloud, max_shells: int) -> tuple[list[tuple[CodedStream, Coded
 def decode_shells(shell_blobs: list[tuple[bytes, bytes]], dims) -> np.ndarray:
     """Decode every shell's payload pair; returns their points, shell after shell."""
     nx, ny, nz = dims
-    models: dict = {}
-    c0, c1 = count_tables(0)
+    tables = section_tables()
     chunks = [np.empty((0, 3), dtype=np.int64)]
     for surface_blob, section_blob in shell_blobs:
         pair = decode_depthmaps(surface_blob, nx, ny, nz)
-        recon, _ = sweep_decode(pair, dims, models, RangeDecoder(section_blob, c0, c1))
+        recon, _ = sweep_decode(pair, dims, tables, RangeDecoder(section_blob, tables.c0, tables.c1))
         chunks.append(recon)
     return np.concatenate(chunks)
 

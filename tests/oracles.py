@@ -194,6 +194,11 @@ def reference_build_section(pair, y0: int, nz: int):
     return bytearray(state.tobytes()), bytearray(listed.tobytes()), queue
 
 
+def table_bytes(tables) -> tuple[bytes, bytes]:
+    """Both count tables of a section table pair, as bytes."""
+    return bytes(tables.c0), bytes(tables.c1)
+
+
 def occupied_cells(buf) -> set[tuple[int, int]]:
     """(z, x) cells of a section buffer currently reconstructed as occupied."""
     arr = np.frombuffer(buf.state, dtype=np.uint8)
@@ -206,17 +211,19 @@ def unknown_count(buf) -> int:
     return buf.state.count(0)
 
 
-def reference_encode_section(buf, models: dict, encoder, true_section, coded_cells=None) -> int:
+def reference_encode_section(buf, encoder, true_section, coded_cells=None, labels=None) -> int:
     """Cell-by-cell section encoder: the list-driven loop, coding as it goes.
 
     Pops the work list one cell at a time, builds each context from the
     section state as it stands, and pushes the unknown neighbours of every
     cell coded occupied; the section's contexts and bits go to the coder in
-    one call. models maps each label to its slot in the encoder's count
-    tables; a new label gets the next slot. Returns the number of coded
-    cells; afterwards buf.state holds the reconstruction.
+    one call. The encoder's count tables are indexed by label and start at
+    zero; a label's first use sets its counts to 1. Every coded cell is
+    appended to coded_cells and every coded label added to labels, when
+    given. Returns the number of coded cells; afterwards buf.state holds the
+    reconstruction.
     """
-    turn_by_patch, canonical_by_patch, _ = get_norm_lists()
+    turn_by_patch, class_by_patch, _ = get_norm_lists()
     rotated = rotated_binary_lists()
     state = buf.state
     marked = buf.marked
@@ -225,7 +232,7 @@ def reference_encode_section(buf, models: dict, encoder, true_section, coded_cel
     st = buf.stride
     pop = queue.popleft
     push = queue.append
-    coded_slots = []
+    coded_labels = []
     coded_bits = []
     while queue:
         idx = pop()
@@ -249,31 +256,31 @@ def reference_encode_section(buf, models: dict, encoder, true_section, coded_cel
             prev[nw] + 2 * prev[w] + 4 * prev[sw] + 8 * prev[n] + 16 * prev[idx]
             + 32 * prev[s] + 64 * prev[ne] + 128 * prev[e] + 256 * prev[se]
         )
-        label = canonical_by_patch[patch] * 512 + rotated[turn_by_patch[patch]][b]
-        if label not in models:
-            models[label] = len(encoder.c0)
-            encoder.c0.append(1)
-            encoder.c1.append(1)
+        label = class_by_patch[patch] * 512 + rotated[turn_by_patch[patch]][b]
+        if encoder.c0[label] == 0:
+            encoder.c0[label] = encoder.c1[label] = 1
         bit = true_section[idx]
-        coded_slots.append(models[label])
+        coded_labels.append(label)
         coded_bits.append(bit)
         if coded_cells is not None:
             coded_cells.append(idx)
+        if labels is not None:
+            labels.add(label)
         state[idx] = 1 + bit
         if bit:
             for c in (nw, n, ne, w, e, sw, s, se):
                 if state[c] == 0 and marked[c] == 0:
                     marked[c] = 1
                     push(c)
-    encoder.encode_many(coded_slots, coded_bits)
+    encoder.encode_many(coded_labels, coded_bits)
     return len(coded_bits)
 
 
-def reference_sweep_encode(points, pair, dims, models: dict, encoder):
+def reference_sweep_encode(points, pair, dims, encoder, labels=None):
     """Section-by-section sweep encoder over reference_encode_section.
 
-    Same arguments and result as sections.sweep_encode: (reconstructed
-    points, decision count).
+    The result of sections.sweep_encode: (reconstructed points, decision
+    count); every coded label is added to labels, when given.
     """
     nx, ny, nz = dims
     st = nx + 2
@@ -290,7 +297,7 @@ def reference_sweep_encode(points, pair, dims, models: dict, encoder):
         section = bytearray(size)
         here = points[points[:, 1] == y0]
         np.frombuffer(section, dtype=np.uint8)[(here[:, 2] + 1) * st + here[:, 0] + 1] = 1
-        decisions += reference_encode_section(buf, models, encoder, section)
+        decisions += reference_encode_section(buf, encoder, section, labels=labels)
         state = np.frombuffer(buf.state, dtype=np.uint8)
         occupied = np.flatnonzero(state == 2)
         zs, xs = np.divmod(occupied, st)

@@ -15,7 +15,7 @@ from bvlcodec import decode_cloud, encode_cloud, parse_ply
 from bvlcodec.contexts import PATCH_COUNT, build_norm_tables, check_norm_tables
 from bvlcodec.depthmap import DepthmapPair
 from bvlcodec.rangecoder import RangeDecoder, RangeEncoder, count_tables
-from bvlcodec.sections import _code_buffers, _section_buffers, build_section, code_section
+from bvlcodec.sections import _code_buffers, _section_buffers, build_section, code_section, section_tables
 
 import shapes
 from oracles import (
@@ -24,6 +24,7 @@ from oracles import (
     reference_encode_section,
     rotation_orbit_count,
     section_flood_fill,
+    table_bytes,
 )
 
 _SUITE = None
@@ -165,23 +166,28 @@ def test_criterion_5_section_oracle_equivalence():
             # With a previous section, the Python section loop decodes; without
             # one, the section is a whole shell, decoded in one code_section call.
             for previous in (prev, None):
-                enc = RangeEncoder(*count_tables(0))
+                enc_tables = section_tables()
+                enc = RangeEncoder(enc_tables.c0, enc_tables.c1)
                 enc_buf = _section_buffers(pair, 0, nz, previous)
                 cells: list = []
-                n_enc = reference_encode_section(enc_buf, {}, enc, bytes(true_bytes), coded_cells=cells)
+                labels: set = set()
+                n_enc = reference_encode_section(enc_buf, enc, bytes(true_bytes), coded_cells=cells, labels=labels)
                 stream = enc.finish()
-                decoder = RangeDecoder(stream, *count_tables(0))
+                dec_tables = section_tables()
+                decoder = RangeDecoder(stream, dec_tables.c0, dec_tables.c1)
                 if previous is None:
-                    recon, n_dec = code_section(build_section(pair, (nx, 1, nz)), {}, decoder=decoder)
+                    recon, n_dec = code_section(build_section(pair, (nx, 1, nz)), dec_tables, decoder=decoder)
                     occupied = {(z, x) for x, _, z in recon.tolist()}
                 else:
                     dec_buf = _section_buffers(pair, 0, nz, previous)
-                    n_dec = _code_buffers(dec_buf, {}, decoder)
+                    n_dec = _code_buffers(dec_buf, decoder)
                     occupied = occupied_cells(dec_buf)
                 coded_set = {((i // st) - 1, (i % st) - 1) for i in cells}
                 assert coded_set == oracle_coded
                 assert n_enc == n_dec == len(oracle_coded)
                 assert occupied == oracle_occupied
+                assert len(dec_tables) == len(labels)
+                assert table_bytes(dec_tables) == table_bytes(enc_tables)
             checked += 1
         print(f"  verified {checked} random sections")
 

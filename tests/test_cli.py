@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from bvlcodec import VoxelCloud, depthmap, parse_ply, rangecoder, write_ply
+from bvlcodec import VoxelCloud, depthmap, parse_ply, rangecoder, sections, write_ply
 from bvlcodec.cli import main
 from bvlcodec.container import CSV_COLUMNS
 from bvlcodec.rangecoder import CodedStream
@@ -155,7 +155,7 @@ def test_corrupt_container_is_reported(tmp_path, capsys):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 4 and "PASS depth-map encoder" in out
+    assert out.count("PASS") == 5 and "PASS depth-map encoder" in out and "PASS section sweep" in out
     assert "FAIL" not in out
 
 
@@ -171,6 +171,23 @@ def test_selftest_compares_the_depthmap_paths(capsys, monkeypatch):
     monkeypatch.setattr(depthmap, "_encode", spoiled)
     assert main(["selftest"]) == 1
     assert "FAIL depth-map encoder" in capsys.readouterr().out
+
+
+def test_selftest_compares_the_section_paths(capsys, monkeypatch):
+    if rangecoder.native() is None:
+        pytest.skip("native kernel unavailable")
+    code_buffers = sections._code_buffers
+
+    def spoiled(buf, coder, truth=None):
+        # The Python loop alone codes the first listed cell of each section wrong.
+        if truth is not None and len(buf.queue):
+            truth[buf.queue[0]] ^= 1
+        return code_buffers(buf, coder, truth)
+
+    monkeypatch.setattr(sections, "_code_buffers", spoiled)
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL section sweep" in out and "PASS end-to-end round trip" in out
 
 
 @pytest.mark.parametrize("option", ["--max-shells", "--bits"])

@@ -6,6 +6,7 @@ import numpy as np
 
 from bvlcodec.contexts import (
     PATCH_COUNT,
+    UNKNOWN_CENTER_CLASSES,
     NormTables,
     build_norm_tables,
     check_norm_tables,
@@ -157,6 +158,37 @@ def test_table_checker_passes_the_tables_and_reports_a_corrupted_i_star():
     assert any("turns" in problem for problem in problems)
 
 
+def test_table_checker_reports_a_corrupted_class_index():
+    tables = build_norm_tables()
+    # Patch 1 alone moved to patch 2's class: its rotations keep their own.
+    classes = tables.class_index.copy()
+    classes[1] = classes[2]
+    problems = check_norm_tables(dataclasses.replace(tables, class_index=classes))
+    assert any("constant" in problem for problem in problems)
+    # Two whole classes merged: every orbit keeps one number, but two share it.
+    classes = tables.class_index.copy()
+    classes[classes == classes[2]] = classes[1]
+    problems = check_norm_tables(dataclasses.replace(tables, class_index=classes))
+    assert any("share" in problem for problem in problems)
+    # A whole unknown-center class moved past the section contexts.
+    classes = tables.class_index.copy()
+    classes[classes == classes[1]] = UNKNOWN_CENTER_CLASSES + 5000
+    problems = check_norm_tables(dataclasses.replace(tables, class_index=classes))
+    assert any("unknown-center" in problem for problem in problems)
+
+
+def test_class_index_numbers_the_unknown_center_classes_densely():
+    tables = get_norm_tables()
+    center_unknown = (np.arange(PATCH_COUNT) // 81) % 3 == 0
+    numbers = tables.class_index[center_unknown]
+    assert np.array_equal(np.unique(numbers), np.arange(UNKNOWN_CENTER_CLASSES))
+    assert tables.class_index[~center_unknown].min() == UNKNOWN_CENTER_CLASSES
+    # One number per canonical patch, in order of its index.
+    canonical = np.unique(tables.i_star[center_unknown])
+    assert np.array_equal(tables.class_index[canonical], np.arange(UNKNOWN_CENTER_CLASSES))
+    assert get_norm_lists()[1] == tables.class_index.tolist()
+
+
 def test_indices_are_bijections_exhaustively():
     pow3 = 3 ** np.arange(9, dtype=np.int64)
     indices = np.arange(PATCH_COUNT, dtype=np.int64)
@@ -179,4 +211,5 @@ def test_tables_cacheable_and_typed():
     assert isinstance(tables, NormTables)
     assert tables.alpha_star.shape == (PATCH_COUNT,)
     assert tables.i_star.shape == (PATCH_COUNT,)
+    assert tables.class_index.shape == (PATCH_COUNT,)
     assert tables.alpha_star.max() <= 3

@@ -12,9 +12,10 @@ from bvlcodec import CodecError, decode_cloud, depthmap, encode_cloud, rangecode
 from bvlcodec.cloud import PERMUTATION_COUNT, AxisPermutation, VoxelCloud
 from bvlcodec.depthmap import DepthmapPair, project_array
 from bvlcodec.rangecoder import RangeDecoder, RangeEncoder, count_tables
-from bvlcodec.sections import build_section, code_section, sweep_decode, sweep_encode
+from bvlcodec.sections import build_section, code_section, section_tables, sweep_decode, sweep_encode
 
 import shapes
+from oracles import table_bytes
 
 
 @pytest.fixture
@@ -71,9 +72,13 @@ def test_containers_are_byte_identical_on_both_paths(kernel, monkeypatch):
         assert a == b, name
 
 
+def _decode_zeros(shell):
+    tables = section_tables()
+    return code_section(shell, tables, decoder=RangeDecoder(bytes(8), tables.c0, tables.c1))
+
+
 def _decode_shell(pair, nz):
-    shell = build_section(pair, (pair.occ.shape[0], pair.occ.shape[1], nz))
-    return code_section(shell, {}, decoder=RangeDecoder(bytes(8), *count_tables(0)))
+    return _decode_zeros(build_section(pair, (pair.occ.shape[0], pair.occ.shape[1], nz)))
 
 
 def _column_pair(*columns):
@@ -91,7 +96,7 @@ def test_kernel_refuses_section_buffers_that_break_their_layout(kernel):
         shell = build_section(pair, (4, 1, 6))
         shell.buffers.state[:] = fill
         with pytest.raises(ValueError, match="layout"):
-            code_section(shell, {}, decoder=RangeDecoder(bytes(8), *count_tables(0)))
+            _decode_zeros(shell)
 
 
 # Each malformed column follows a valid section, so the kernel has coded
@@ -109,38 +114,41 @@ def test_kernel_accepts_the_valid_column_the_malformed_ones_spoil(kernel):
 
 
 def _sweep_record(cloud, shells=2):
-    """Per shell, encoder then decoder: section bytes, decisions, sorted reconstruction, models and count tables."""
+    """Per shell, encoder then decoder: section bytes, decisions and sorted reconstruction; then both sides' tables.
+
+    The tables carry their counts from shell to shell, so those of the last
+    shell hold every shell's updates.
+    """
     dims = cloud.dims
-    enc_models: dict = {}
-    dec_models: dict = {}
-    enc_tables = count_tables(0)
-    dec_tables = count_tables(0)
+    enc_tables = section_tables()
+    dec_tables = section_tables()
     remaining = cloud.to_array()
     record = []
     for _ in range(shells):
         if not len(remaining):
             break
         pair = project_array(remaining, dims)
-        enc = RangeEncoder(*enc_tables)
-        recon, n = sweep_encode(remaining, pair, dims, enc_models, enc)
+        enc = RangeEncoder(enc_tables.c0, enc_tables.c1)
+        recon, n = sweep_encode(remaining, pair, dims, enc_tables, enc)
         stream = enc.finish()
-        dec = RangeDecoder(stream.data, *dec_tables)
-        dec_recon, dec_n = sweep_decode(pair, dims, dec_models, dec)
-        record.append((
-            stream, n, np.unique(recon, axis=0).tolist(), dict(enc_models), enc.c0.tolist(), enc.c1.tolist(),
-            dec_n, np.unique(dec_recon, axis=0).tolist(), dict(dec_models), dec.c0.tolist(), dec.c1.tolist(),
-        ))
+        dec = RangeDecoder(stream.data, dec_tables.c0, dec_tables.c1)
+        dec_recon, dec_n = sweep_decode(pair, dims, dec_tables, dec)
+        record.append((stream, n, np.unique(recon, axis=0).tolist(), dec_n, np.unique(dec_recon, axis=0).tolist()))
         keys = np.ravel_multi_index(remaining.T, dims)
         remaining = remaining[~np.isin(keys, np.ravel_multi_index(recon.T, dims))]
-    return record
+    return record, table_bytes(enc_tables), table_bytes(dec_tables)
 
 
 def _assert_paths_agree(clouds, monkeypatch):
-    native = [_sweep_record(cloud) for cloud in clouds]
-    _force_python(monkeypatch)
+    """Each cloud's record on the kernel, then on the Python loops; returns each cloud's decisions."""
+    decisions = []
     for k, cloud in enumerate(clouds):
-        assert _sweep_record(cloud) == native[k], f"cloud {k}"
-    return native
+        native = _sweep_record(cloud)
+        with monkeypatch.context() as patch:
+            _force_python(patch)
+            assert _sweep_record(cloud) == native, f"cloud {k}"
+        decisions.append(sum(shell[1] for shell in native[0]))
+    return decisions
 
 
 def test_kernel_and_python_sweeps_agree_on_fuzz_suite_in_every_permutation(kernel, monkeypatch):
@@ -150,10 +158,9 @@ def test_kernel_and_python_sweeps_agree_on_fuzz_suite_in_every_permutation(kerne
 
 
 def test_kernel_and_python_sweeps_agree_when_kernel_calls_resume(kernel, monkeypatch):
-    # Room for 7 bits and one slot: the kernel's calls resume inside and
-    # across sections, on both sides; section 3 of each cloud is empty.
+    # Room for 7 bits: the kernel's encoding calls resume inside and across
+    # sections; section 3 of each cloud is empty.
     monkeypatch.setattr(sections, "_BITS_ROOM", 7)
-    monkeypatch.setattr(sections, "_SLOTS_ROOM", 1)
     rng = np.random.default_rng(79)
     clouds = []
     for _ in range(4):
@@ -163,8 +170,8 @@ def test_kernel_and_python_sweeps_agree_when_kernel_calls_resume(kernel, monkeyp
                 lo, hi = sorted(rng.integers(0, 8, size=2).tolist())
                 points += [(x, y, z) for z in range(lo, hi + 1) if z in (lo, hi) or rng.random() < 0.7]
         clouds.append(VoxelCloud((8, 12, 8), points))
-    for record in _assert_paths_agree(clouds, monkeypatch):
-        assert sum(shell[1] for shell in record) > 3 * 7
+    for decisions in _assert_paths_agree(clouds, monkeypatch):
+        assert decisions > 3 * 7
 
 
 class _StopRecorder:

@@ -3,18 +3,21 @@
 import numpy as np
 import pytest
 
-from bvlcodec import sections
+from bvlcodec import rangecoder, sections
 from bvlcodec.cloud import PERMUTATION_COUNT, AxisPermutation, VoxelCloud
 from bvlcodec.depthmap import DepthmapPair, project_array
 from bvlcodec.errors import BitstreamError, TruncatedStreamError
-from bvlcodec.rangecoder import RangeDecoder, RangeEncoder, count_tables
+from bvlcodec.rangecoder import RangeDecoder, RangeEncoder
 from bvlcodec.sections import (
+    SECTION_CONTEXTS,
+    SectionTables,
     build_section,
     code_section,
     decode_residual,
     decode_shells,
     encode_residual,
     encode_shells,
+    section_tables,
     sweep_decode,
     sweep_encode,
 )
@@ -26,8 +29,26 @@ from oracles import (
     reference_encode_section,
     reference_sweep_encode,
     section_flood_fill,
+    table_bytes,
     unknown_count,
 )
+
+
+@pytest.fixture(params=["kernel", "python"])
+def path(request, monkeypatch):
+    """Run a test on the native kernel (skipped where it does not load), then on the Python loops."""
+    if request.param == "python":
+        monkeypatch.setattr(rangecoder, "load_kernel", lambda: (None, "forced by the test"))
+    elif rangecoder.native() is None:
+        pytest.skip("native kernel unavailable")
+    return request.param
+
+
+def _coder(tables, stream=None):
+    """An encoder on tables, or a decoder of stream on them."""
+    if stream is None:
+        return RangeEncoder(tables.c0, tables.c1)
+    return RangeDecoder(stream, tables.c0, tables.c1)
 
 
 def _single_section_pair(nz, nx, columns) -> DepthmapPair:
@@ -138,19 +159,17 @@ def _run_both_sides(pair, nz, true_cells, prev=None):
     build_section and code_section (in the kernel when it loads) must agree.
     """
     nx = pair.occ.shape[0]
-    enc = RangeEncoder(*count_tables(0))
+    enc = _coder(section_tables())
     enc_buf = sections._section_buffers(pair, 0, nz, prev)
     enc_cells: list = []
-    enc_models: dict = {}
-    coded_enc = reference_encode_section(
-        enc_buf, enc_models, enc, _true_bytes(true_cells, nz, nx), coded_cells=enc_cells,
-    )
+    coded_enc = reference_encode_section(enc_buf, enc, _true_bytes(true_cells, nz, nx), coded_cells=enc_cells)
     stream = enc.finish()
     dec_buf = sections._section_buffers(pair, 0, nz, prev)
-    coded_dec = sections._code_buffers(dec_buf, {}, RangeDecoder(stream, *count_tables(0)))
+    coded_dec = sections._code_buffers(dec_buf, _coder(section_tables(), stream))
     if prev is None:
         shell = build_section(pair, (nx, 1, nz))
-        recon, coded = code_section(shell, {}, decoder=RangeDecoder(stream, *count_tables(0)))
+        tables = section_tables()
+        recon, coded = code_section(shell, tables, decoder=_coder(tables, stream))
         assert coded == coded_dec
         assert {(z, x) for x, _, z in recon.tolist()} == occupied_cells(dec_buf)
     return enc_buf, dec_buf, enc_cells, coded_enc, coded_dec, stream
@@ -229,16 +248,14 @@ def _point_set(points):
     return set(map(tuple, points.tolist()))
 
 
-def _sweep_round_trip(cloud, models_enc=None, models_dec=None):
+def _sweep_round_trip(cloud):
     pair = project_array(cloud.to_array(), cloud.dims)
-    enc = RangeEncoder(*count_tables(0))
-    recon_enc, n_enc = sweep_encode(
-        cloud.to_array(), pair, cloud.dims, {} if models_enc is None else models_enc, enc
-    )
+    tables = section_tables()
+    enc = _coder(tables)
+    recon_enc, n_enc = sweep_encode(cloud.to_array(), pair, cloud.dims, tables, enc)
     stream = enc.finish()
-    recon_dec, n_dec = sweep_decode(
-        pair, cloud.dims, {} if models_dec is None else models_dec, RangeDecoder(stream, *count_tables(0))
-    )
+    tables = section_tables()
+    recon_dec, n_dec = sweep_decode(pair, cloud.dims, tables, _coder(tables, stream))
     assert n_enc == n_dec
     enc_set = _point_set(recon_enc)
     dec_set = _point_set(recon_dec)
@@ -273,48 +290,42 @@ def test_sweep_hollow_sphere_exact_in_one_shell():
     assert recon == set(cloud.points)
 
 
-def _model_counts(models, coder):
-    return {label: (coder.c0[slot], coder.c1[slot]) for label, slot in models.items()}
-
-
 def _assert_sweep_matches_reference(cloud, shells=2):
     """sweep_encode against the cell-by-cell reference, and sweep_decode against both.
 
-    Each side keeps one models dict and one pair of count tables across the
-    shells, as encode_shells and decode_shells do; each shell must give the
-    same section bytes, decision count, reconstruction and model counts.
+    Each side keeps one pair of section tables across the shells, as
+    encode_shells and decode_shells do. Each shell must give the same
+    section bytes, decision count and reconstruction, and the encoder's
+    tables must count the distinct labels the reference coded; the three
+    pairs of tables, which carry their counts across shells, must end equal.
     """
     dims = cloud.dims
-    models: dict = {}
-    ref_models: dict = {}
-    dec_models: dict = {}
-    tables = count_tables(0)
-    ref_tables = count_tables(0)
-    dec_tables = count_tables(0)
+    tables = section_tables()
+    ref_tables = section_tables()
+    dec_tables = section_tables()
+    labels: set = set()
     remaining = cloud.to_array()
     decisions = 0
     for _ in range(shells):
         if not len(remaining):
             break
         pair = project_array(remaining, dims)
-        enc, ref_enc = RangeEncoder(*tables), RangeEncoder(*ref_tables)
-        recon, n = sweep_encode(remaining, pair, dims, models, enc)
-        ref_recon, ref_n = reference_sweep_encode(remaining, pair, dims, ref_models, ref_enc)
+        enc = _coder(tables)
+        recon, n = sweep_encode(remaining, pair, dims, tables, enc)
+        ref_enc = _coder(ref_tables)
+        ref_recon, ref_n = reference_sweep_encode(remaining, pair, dims, ref_enc, labels)
         stream = enc.finish()
         assert stream == ref_enc.finish()
         assert n == ref_n
         assert _point_set(recon) == _point_set(ref_recon)
-        assert len(models) == len(ref_models)
-        assert _model_counts(models, enc) == _model_counts(ref_models, ref_enc)
-        dec = RangeDecoder(stream.data, *dec_tables)
-        dec_recon, dec_n = sweep_decode(pair, dims, dec_models, dec)
+        assert len(tables) == len(labels) and all(tables.c0[label] for label in labels)
+        dec_recon, dec_n = sweep_decode(pair, dims, dec_tables, _coder(dec_tables, stream.data))
         assert dec_n == n
         assert _point_set(dec_recon) == _point_set(recon)
-        # The tables are compared label by label, so slot order is free.
-        assert _model_counts(dec_models, dec) == _model_counts(models, enc)
         decisions += n
         keys = np.ravel_multi_index(remaining.T, dims)
         remaining = remaining[~np.isin(keys, np.ravel_multi_index(recon.T, dims))]
+    assert table_bytes(tables) == table_bytes(ref_tables) == table_bytes(dec_tables)
     return decisions
 
 
@@ -339,11 +350,9 @@ def _layered_cloud(rng, nx, ny, nz, empty_ys):
 
 def test_sweep_encode_matches_reference_when_kernel_calls_resume(monkeypatch):
     # Slabs of 10 x 10 cells; section 3 is empty, so section 4 reads a blank
-    # previous section. With room for 7 bits and one slot, the kernel's shell
-    # loop stops every few decisions and at every new label, so its calls
-    # resume inside and across sections.
+    # previous section. With room for 7 bits, the kernel's shell loop stops
+    # every few decisions, so its calls resume inside and across sections.
     monkeypatch.setattr(sections, "_BITS_ROOM", 7)
-    monkeypatch.setattr(sections, "_SLOTS_ROOM", 1)
     rng = np.random.default_rng(77)
     for _ in range(4):
         cloud = _layered_cloud(rng, 8, 12, 8, {3})
@@ -359,6 +368,40 @@ def test_sweep_encode_matches_reference_with_no_decisions():
     rng = np.random.default_rng(5)
     cloud = shapes.thin_pair_cloud(12, 12, 24, rng)
     assert _assert_sweep_matches_reference(cloud) == 0
+
+
+@pytest.mark.parametrize("field,value", [("occ", 257), ("zmin", 2**32 + 1)])
+def test_sweep_refuses_map_values_the_coded_types_cannot_hold(path, field, value):
+    # Cast to uint8 and int32, both values would wrap to 1 and give a valid
+    # map that codes the wrong value.
+    maps = {"occ": np.ones((2, 2), np.int64), "zmin": np.zeros((2, 2), np.int64), "zmax": np.full((2, 2), 3, np.int64)}
+    maps[field][0, 0] = value
+    points = np.array([(x, y, z) for x in range(2) for y in range(2) for z in (0, 3)])
+    tables = section_tables()
+    encoder = _coder(tables)
+    with pytest.raises(ValueError, match="layout"):
+        sweep_encode(points, DepthmapPair(**maps), (2, 2, 4), tables, encoder)
+    assert len(tables) == 0
+
+
+def test_code_section_refuses_tables_that_do_not_span_the_section_contexts(path):
+    cloud = shapes.solid_cube(16, 2, 14)
+    points = cloud.to_array()
+    pair = project_array(points, cloud.dims)
+    short = SectionTables(*(memoryview(bytearray(2 * (SECTION_CONTEXTS - 1))).cast("H") for _ in range(2)))
+    other = section_tables()
+    # Tables one label short, and a coder on tables other than the ones given.
+    for tables, coded_on in ((short, short), (other, section_tables())):
+        encoder = _coder(coded_on)
+        with pytest.raises(ValueError, match="span"):
+            code_section(build_section(pair, cloud.dims, points), tables, encoder=encoder)
+        with pytest.raises(ValueError, match="span"):
+            code_section(build_section(pair, cloud.dims), tables, decoder=_coder(coded_on, bytes(8)))
+        assert len(tables) == len(coded_on) == 0
+        assert encoder.finish() == _coder(section_tables()).finish()
+    # The same shell codes on tables that span the contexts.
+    tables = section_tables()
+    assert code_section(build_section(pair, cloud.dims, points), tables, encoder=_coder(tables))[1] > 0
 
 
 def test_shells_connected_object_single_shell():
