@@ -77,10 +77,13 @@ def build_norm_tables() -> NormTables:
         scores[k] = rotated[:, _SCORE_DIGITS] @ _POW3
     alpha = np.argmax(scores, axis=0)  # first (smallest) turn wins ties
     i_star = rotated_index[alpha, indices]
+    # Freed before the class table is allocated, which could otherwise land
+    # above them on the heap and keep their pages resident.
+    del digits, rotated, rotated_index, scores
     canonical = np.unique(i_star)
-    # A stable sort on "center known" puts the unknown-center classes first.
+    # A stable sort on "center (digit 4) known" puts the unknown-center classes first.
     number = np.empty(PATCH_COUNT, dtype=np.int32)
-    number[canonical[np.argsort(digits[canonical, 4] != 0, kind="stable")]] = np.arange(canonical.size)
+    number[canonical[np.argsort(canonical // 81 % 3 != 0, kind="stable")]] = np.arange(canonical.size)
     return NormTables(alpha.astype(np.uint8), i_star.astype(np.int32), rotated_binary, number[i_star])
 
 
