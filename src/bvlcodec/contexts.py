@@ -80,7 +80,8 @@ def build_norm_tables() -> NormTables:
     # Freed before the class table is allocated, which could otherwise land
     # above them on the heap and keep their pages resident.
     del digits, rotated, rotated_index, scores
-    canonical = np.unique(i_star)
+    # A canonical patch is its own canonical rotation.
+    canonical = np.flatnonzero(i_star == indices)
     # A stable sort on "center (digit 4) known" puts the unknown-center classes first.
     number = np.empty(PATCH_COUNT, dtype=np.int32)
     number[canonical[np.argsort(canonical // 81 % 3 != 0, kind="stable")]] = np.arange(canonical.size)
