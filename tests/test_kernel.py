@@ -113,6 +113,16 @@ def test_kernel_accepts_the_valid_column_the_malformed_ones_spoil(kernel):
     assert decisions > 0
 
 
+def test_kernel_refuses_a_label_past_the_coders_tables(kernel):
+    # code_section refuses such tables before the kernel runs; called
+    # directly, the kernel's own bound check refuses the first label.
+    short = sections.SectionTables(*(memoryview(bytearray(2)).cast("H") for _ in range(2)))
+    shell = build_section(_column_pair((1, 0, 5)), (1, 1, 6))
+    with pytest.raises(ValueError, match="layout"):
+        sections._code_native(kernel, shell, RangeDecoder(bytes(8), short.c0, short.c1), False)
+    assert bytes(short.c0) == bytes(short.c1) == bytes(2)
+
+
 def _sweep_record(cloud, shells=2):
     """Per shell, encoder then decoder: section bytes, decisions and sorted reconstruction; then both sides' tables.
 
