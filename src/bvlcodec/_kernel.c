@@ -10,6 +10,8 @@
  * the caller. An encoding loop that would need more room than it was given
  * stops before touching the pixel or cell it is on, saves where it stands
  * and returns NEED_ROOM; the caller grows the buffers and calls it again.
+ * code_shell's slabs are column-major (stride nz + 2), so a column's band
+ * is contiguous and loading or clearing it is one memset.
  */
 #include <stdint.h>
 #include <string.h>
@@ -292,14 +294,16 @@ int64_t code_surfaces(Coder *c, Cursor *at, const uint8_t *occ, int32_t *low, in
 }
 
 /* A shell: every section of one pair of depth surfaces (see sections.py),
- * and where a resumed call picks up. */
+ * and where a resumed call picks up. The slabs are column-major: cell (z, x)
+ * of a section sits at (x + 1) * (nz + 2) + z + 1, inside a one-cell border
+ * ring, so a column's band is contiguous and one memset loads or clears it. */
 typedef struct {
     const uint8_t *occ;            /* the (nx, ny) depth surfaces, row-major, read in place */
     const int32_t *zmin, *zmax;
     int64_t nx, ny, nz;
-    const int64_t *cells;          /* encoding: the true cells' slab indices, sorted by section; NULL decoding */
+    const int64_t *cells;          /* encoding: the true cells' slab indices, grouped by section; NULL decoding */
     const int64_t *offsets;        /* section y's true cells: cells[offsets[y] .. offsets[y + 1]) */
-    uint8_t *state;                /* two slabs: section y codes in slab y % 2 */
+    uint8_t *state;                /* two slabs of stride nz + 2: section y codes in slab y % 2 */
     uint8_t *marked, *truth;       /* one slab each, all zero between sections */
     int32_t *fifo;                 /* room for one slab of cells */
     int32_t *columns;              /* room for nx: the section's occupied columns */
@@ -333,11 +337,11 @@ static inline void emit_point(Shell *s, int64_t x, int64_t y, int64_t z) {
 /* Mark each unknown, unmarked cell of the 3x3 crops around the section's
  * seeds with `mark`, in column order, low seed first; count pass (fifo NULL)
  * or place pass. Within a row the columns come in increasing order and each
- * crop visits x - 1, x, x + 1, so a row's cells arrive sorted and a counting
- * sort by row orders the whole list. */
+ * crop visits x - 1, x, x + 1, so a row's cells arrive in row-major order and
+ * a counting sort by row orders the whole list. */
 static int64_t list_starts(Shell *s, uint8_t *state, int64_t y, int64_t n, uint8_t want, uint8_t mark,
                            int32_t *fifo, int64_t total) {
-    const int64_t st = s->nx + 2;
+    const int64_t st = s->nz + 2;
     uint8_t *marked = s->marked;
     int64_t *rows = s->rows, listed = 0;
     for (int64_t j = 0; j < n; j++) {
@@ -345,7 +349,7 @@ static int64_t list_starts(Shell *s, uint8_t *state, int64_t y, int64_t n, uint8
         const int64_t seeds[2] = {s->zmin[i] + 1, s->zmax[i] + 1};
         for (int k = 0; k < 1 + (seeds[1] != seeds[0]); k++) {
             for (int64_t r = seeds[k] - 1; r <= seeds[k] + 1; r++) {
-                for (int64_t cell = r * st + x; cell <= r * st + x + 2; cell++) {
+                for (int64_t cell = x * st + r; cell <= (x + 2) * st + r; cell += st) {
                     if (state[cell] || marked[cell] != want)
                         continue;
                     marked[cell] = mark;
@@ -368,17 +372,17 @@ static int64_t list_starts(Shell *s, uint8_t *state, int64_t y, int64_t n, uint8
  * write the bands (unknown) and seeds (occupied) of the occupied columns,
  * emit the seeds, list the unknown cells around the seeds sorted row-major
  * into the fifo, and mark the true cells when encoding. The work follows the
- * columns and the listed cells, never the slab's area. */
+ * columns and the listed cells, never the slab's area; each band is one
+ * memset. */
 static int64_t load_section(Shell *s, int64_t y) {
-    const int64_t st = s->nx + 2, size = (s->nz + 2) * st;
+    const int64_t st = s->nz + 2, size = (s->nx + 2) * st;
     uint8_t *state = s->state + (y & 1) * size;
     int64_t lo, hi, k, n = 0, first = s->nz + 2, last = -1;
     for (int64_t x = 0; y >= 2 && x < s->nx; x++) {
         if ((k = column(s, x, y - 2, &lo, &hi)) < 0)
             return k;
         if (k)
-            for (int64_t z = lo; z <= hi; z++)
-                state[(z + 1) * st + x + 1] = 1;
+            memset(state + (x + 1) * st + lo + 1, 1, (size_t)(hi - lo + 1));
     }
     for (int64_t x = 0; x < s->nx; x++) {
         if ((k = column(s, x, y, &lo, &hi)) <= 0) {
@@ -386,10 +390,9 @@ static int64_t load_section(Shell *s, int64_t y) {
                 return k;
             continue;
         }
-        uint8_t *cell = state + (lo + 1) * st + x + 1;
-        for (int64_t z = lo; z <= hi; z++)
-            cell[(z - lo) * st] = 0;
-        cell[0] = cell[(hi - lo) * st] = 2;
+        uint8_t *cell = state + (x + 1) * st + lo + 1;
+        memset(cell, 0, (size_t)(hi - lo + 1));
+        cell[0] = cell[hi - lo] = 2;
         emit_point(s, x, y, lo);
         if (hi > lo)
             emit_point(s, x, y, hi);
@@ -440,8 +443,9 @@ static void unload_section(Shell *s, int64_t y) {
  * crop leaves its slab, or a patch or label outside the tables (state
  * above 2) means the shell breaks its layout: BAD_LAYOUT. */
 int64_t code_shell(Coder *c, Shell *s) {
-    const int64_t st = s->nx + 2, size = (s->nz + 2) * st;
-    const int64_t push[8] = {-st - 1, -st, -st + 1, -1, 1, st - 1, st, st + 1};
+    const int64_t st = s->nz + 2, size = (s->nx + 2) * st;
+    /* The 8-neighbours in the Python loop's order: nw, n, ne, w, e, sw, s, se. */
+    const int64_t push[8] = {-st - 1, -1, st - 1, -st, st, -st + 1, 1, st + 1};
     uint8_t *marked = s->marked;
     int32_t *fifo = s->fifo;
     int64_t status = DONE;
@@ -469,11 +473,11 @@ int64_t code_shell(Coder *c, Shell *s) {
             }
             const uint8_t *q = state + idx, *p = prev + idx;
             /* Base-3 column-scan patch index; the center cell is unknown (0). */
-            int64_t patch = q[-st - 1] + 3 * q[-1] + 9 * q[st - 1] + 27 * q[-st] + 243 * q[st]
-                            + 729 * q[-st + 1] + 2187 * q[1] + 6561 * q[st + 1];
-            int64_t binary = (p[-st - 1] >> 1) + 2 * (p[-1] >> 1) + 4 * (p[st - 1] >> 1) + 8 * (p[-st] >> 1)
-                             + 16 * (p[0] >> 1) + 32 * (p[st] >> 1) + 64 * (p[-st + 1] >> 1)
-                             + 128 * (p[1] >> 1) + 256 * (p[st + 1] >> 1);
+            int64_t patch = q[-st - 1] + 3 * q[-st] + 9 * q[-st + 1] + 27 * q[-1] + 243 * q[1]
+                            + 729 * q[st - 1] + 2187 * q[st] + 6561 * q[st + 1];
+            int64_t binary = (p[-st - 1] >> 1) + 2 * (p[-st] >> 1) + 4 * (p[-st + 1] >> 1) + 8 * (p[-1] >> 1)
+                             + 16 * (p[0] >> 1) + 32 * (p[1] >> 1) + 64 * (p[st - 1] >> 1)
+                             + 128 * (p[st] >> 1) + 256 * (p[st + 1] >> 1);
             if (patch >= 19683 || binary >= 512) {
                 status = BAD_LAYOUT;
                 break;
@@ -497,7 +501,7 @@ int64_t code_shell(Coder *c, Shell *s) {
             coded++;
             state[idx] = (uint8_t)(1 + bit);
             if (bit) {
-                emit_point(s, idx % st - 1, y, idx / st - 1);
+                emit_point(s, idx / st - 1, y, idx % st - 1);
                 for (int k = 0; k < 8; k++) {
                     int64_t j = idx + push[k];
                     if (state[j] == 0 && marked[j] == 0) {

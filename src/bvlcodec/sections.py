@@ -49,7 +49,10 @@ in one call.
 
 Slabs are flat byte buffers with a one-cell border ring so the 3x3 crops
 never bounds-check; border cells read as known empty and never enter the
-list.
+list. The kernel's slabs are column-major, cell (z, x) at
+(x + 1) * (nz + 2) + z + 1, so each band is contiguous and one memset writes
+or clears it; Shell.cells uses that layout. The Python loop's SectionBuffers
+stay row-major, cell (z, x) at (z + 1) * (nx + 2) + x + 1.
 """
 
 from __future__ import annotations
@@ -266,8 +269,9 @@ class Shell:
     """One shell's sweep, prepared by build_section and coded by code_section.
 
     The maps are C-contiguous (nx, ny) arrays: occ as uint8, zmin and zmax
-    as int32. When encoding, cells holds the slab index of each true point,
-    grouped by section: section y's are cells[offsets[y] : offsets[y + 1]].
+    as int32. When encoding, cells holds the kernel's (column-major) slab
+    index of each true point, grouped by section: section y's are
+    cells[offsets[y] : offsets[y + 1]].
     buffers holds what the kernel codes in, or None when the Python loop
     runs.
     """
@@ -283,9 +287,11 @@ class _ShellBuffers:
     """The kernel's Shell struct over buffers this object keeps alive.
 
     Two state slabs (known empty), one slab each of marks and true cells
-    (zero), a slab of work-list room, a section's occupied columns, the
-    per-row counts of its start list, and room for the reconstructed points,
-    which code_section grows as needed.
+    (zero), all column-major with stride nz + 2; a slab of work-list room, a
+    section's occupied columns, the per-row counts of its start list, and
+    room for the reconstructed points. The encoder emits only true points, so
+    its room comes from them and never grows; the decoder's room starts at
+    two seeds per occupied column and code_section doubles it as needed.
     """
 
     def __init__(self, shell: Shell) -> None:
@@ -299,7 +305,8 @@ class _ShellBuffers:
         self.columns = np.empty(nx, dtype=np.int32)
         self.rows = np.zeros(nz + 2, dtype=np.int64)
         # Every occupied column gives one or two seeds.
-        self.out = np.empty((2 * np.count_nonzero(pair.occ) + 2 * nx + 1, 3), dtype=np.int64)
+        room = 2 * np.count_nonzero(pair.occ) if shell.cells is None else len(shell.cells)
+        self.out = np.empty((room + 2 * nx + 1, 3), dtype=np.int64)
         self.tables = tables = get_norm_tables()
         cells = offsets = None
         if shell.cells is not None:
@@ -340,7 +347,7 @@ def build_section(pair: DepthmapPair, dims, points: np.ndarray | None = None) ->
         # stable sort.
         keys = points[:, 1].astype(np.min_scalar_type(ny))
         order = np.argsort(keys, kind="stable")
-        cells = ((points[:, 2] + 1) * (nx + 2) + points[:, 0] + 1).astype(np.int64, copy=False)[order]
+        cells = ((points[:, 0] + 1) * (nz + 2) + points[:, 2] + 1).astype(np.int64, copy=False)[order]
         offsets = np.searchsorted(keys[order], np.arange(ny + 1))
     shell = Shell(pair, (nx, ny, nz), cells, offsets, None)
     if native() is not None:
@@ -382,7 +389,9 @@ def code_section(
         truth = None
         if encoder is not None:
             truth = bytearray(len(buf.state))
-            np.frombuffer(truth, dtype=np.uint8)[shell.cells[shell.offsets[y] : shell.offsets[y + 1]]] = 1
+            # From the kernel's column-major cells to this loop's row-major slab.
+            xs, zs = np.divmod(shell.cells[shell.offsets[y] : shell.offsets[y + 1]], nz + 2)
+            np.frombuffer(truth, dtype=np.uint8)[zs * st + xs] = 1
         coded += _code_buffers(buf, coder, truth)
         occupied = np.frombuffer(buf.state, dtype=np.uint8) == 2
         zs, xs = np.divmod(np.flatnonzero(occupied), st)

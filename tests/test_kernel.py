@@ -5,6 +5,8 @@ passes without running it. The Python path is forced by replacing the
 kernel loader.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,33 @@ def test_kernel_and_python_sweeps_agree_when_kernel_calls_resume(kernel, monkeyp
         clouds.append(VoxelCloud((8, 12, 8), points))
     for decisions in _assert_paths_agree(clouds, monkeypatch):
         assert decisions > 3 * 7
+
+
+def test_encoder_room_for_points_never_grows(kernel, monkeypatch):
+    # The encoder emits only true points, so their count is room enough; the
+    # decoder of a solid starts at two seeds per column and has to grow.
+    grown = []
+    grow = sections._ShellBuffers.grow
+    monkeypatch.setattr(sections._ShellBuffers, "grow", lambda self, room: (grown.append(room), grow(self, room)))
+    blob, _ = encode_cloud(shapes.solid_sphere(24, 10), permutation=0)
+    assert not grown
+    decode_cloud(blob)
+    assert grown
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (1, 9, 40), (40, 9, 1), (2, 5, 33), (33, 5, 2), (3, 1, 17),
+                                  (17, 4, 3)], ids=lambda dims: "x".join(map(str, dims)))
+def test_kernel_and_python_sweeps_agree_on_thin_dims(kernel, monkeypatch, dims):
+    # Every order of the dims. The first and last columns of each section
+    # hold full-depth bands, 0 .. nz - 1, so bands meet the slab's border
+    # ring at both ends; the other cells are filled at random.
+    rng = np.random.default_rng(sum(dims))
+    clouds = []
+    for nx, ny, nz in itertools.permutations(dims):
+        points = [(x, y, z) for x in {0, nx - 1} for y in range(ny) for z in {0, nz - 1}]
+        points += np.argwhere(rng.random((nx, ny, nz)) < 0.4).tolist()
+        clouds.append(VoxelCloud((nx, ny, nz), points))
+    _assert_paths_agree(clouds, monkeypatch)
 
 
 class _StopRecorder:
