@@ -301,7 +301,7 @@ typedef struct {
     const uint8_t *occ;            /* the (nx, ny) depth surfaces, row-major, read in place */
     const int32_t *zmin, *zmax;
     int64_t nx, ny, nz;
-    const int64_t *cells;          /* encoding: the true cells' slab indices, grouped by section; NULL decoding */
+    const int64_t *cells;          /* encoding: the true cells' slab indices, sorted by section; NULL decoding */
     const int64_t *offsets;        /* section y's true cells: cells[offsets[y] .. offsets[y + 1]) */
     uint8_t *state;                /* two slabs of stride nz + 2: section y codes in slab y % 2 */
     uint8_t *marked, *truth;       /* one slab each, all zero between sections */
@@ -372,8 +372,7 @@ static int64_t list_starts(Shell *s, uint8_t *state, int64_t y, int64_t n, uint8
  * write the bands (unknown) and seeds (occupied) of the occupied columns,
  * emit the seeds, list the unknown cells around the seeds sorted row-major
  * into the fifo, and mark the true cells when encoding. The work follows the
- * columns and the listed cells, never the slab's area; each band is one
- * memset. */
+ * columns and the listed cells, never the slab's area. */
 static int64_t load_section(Shell *s, int64_t y) {
     const int64_t st = s->nz + 2, size = (s->nx + 2) * st;
     uint8_t *state = s->state + (y & 1) * size;

@@ -304,7 +304,6 @@ class _ShellBuffers:
         self.fifo = np.empty(slab, dtype=np.int32)
         self.columns = np.empty(nx, dtype=np.int32)
         self.rows = np.zeros(nz + 2, dtype=np.int64)
-        # Every occupied column gives one or two seeds.
         room = 2 * np.count_nonzero(pair.occ) if shell.cells is None else len(shell.cells)
         self.out = np.empty((room + 2 * nx + 1, 3), dtype=np.int64)
         self.tables = tables = get_norm_tables()
