@@ -251,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="encode/decode every .ply in a directory")
     p.add_argument("directory")
-    p.add_argument("--output", "-o", default=None, help="CSV output path")
+    p.add_argument("--output", "-o", default=None, help="CSV output path (needs --report csv)")
     _add_encode_options(p)
     p.set_defaults(func=_cmd_bench)
 
@@ -261,7 +261,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "bench" and args.output is not None and args.report != "csv":
+        parser.error("bench --output needs --report csv")
     try:
         return args.func(args)
     except (OSError, CodecError) as exc:

@@ -49,10 +49,9 @@ in one call.
 
 Slabs are flat byte buffers with a one-cell border ring so the 3x3 crops
 never bounds-check; border cells read as known empty and never enter the
-list. The kernel's slabs are column-major, cell (z, x) at
-(x + 1) * (nz + 2) + z + 1, so each band is contiguous and one memset writes
-or clears it; Shell.cells uses that layout. The Python loop's SectionBuffers
-stay row-major, cell (z, x) at (z + 1) * (nx + 2) + x + 1.
+list. The kernel and the Python loop share one slab layout, column-major:
+cell (z, x) sits at (x + 1) * (nz + 2) + z + 1, and Shell.cells indexes it.
+Each band is contiguous, so the kernel writes or clears it with one memset.
 """
 
 from __future__ import annotations
@@ -76,7 +75,9 @@ from .rangecoder import (
     native,
 )
 
-_STEPS = np.array([-1, 0, 1], dtype=np.int64)
+# The z and x offsets of a 3x3 crop's cells.
+_DZ = np.repeat(np.array([-1, 0, 1], dtype=np.int64), 3)
+_DX = np.tile(np.array([-1, 0, 1], dtype=np.int64), 3)
 # The coded bits each call into the kernel's shell loop has room for.
 _BITS_ROOM = 1 << 16
 # Every context label: class * 512 + rotated binary patch.
@@ -112,15 +113,14 @@ def section_tables() -> SectionTables:
 class SectionBuffers:
     """Mutable coding state of one section in the Python loop.
 
-    A padded slab has a row per z of stride nx + 2 cells.
+    A padded slab has a column per x of stride nz + 2 cells, the kernel's layout.
     """
 
-    nz: int
     stride: int
     state: bytearray    # 0 unknown, 1 known empty, 2 known occupied
     marked: bytearray   # 1 once a cell has entered the work list
     prev: bytearray     # the reconstruction of the section before, 0/1
-    queue: np.ndarray   # the start of the work list: unknown cells, row-major
+    queue: np.ndarray   # the start of the work list: unknown cells, sorted row-major
 
 
 def _section_buffers(pair: DepthmapPair, y: int, nz: int, prev: bytes | None = None) -> SectionBuffers:
@@ -132,8 +132,8 @@ def _section_buffers(pair: DepthmapPair, y: int, nz: int, prev: bytes | None = N
     """
     occ = pair.occ[:, y]
     nx = occ.shape[0]
-    st = nx + 2
-    size = (nz + 2) * st
+    st = nz + 2
+    size = (nx + 2) * st
     state = bytearray(b"\x01") * size
     marked = bytearray(size)
     xs = np.flatnonzero(occ)
@@ -141,26 +141,27 @@ def _section_buffers(pair: DepthmapPair, y: int, nz: int, prev: bytes | None = N
     hi = pair.zmax[xs, y].astype(np.int64)
     if (occ[xs] != 1).any() or (lo < 0).any() or (lo > hi).any() or (hi >= nz).any():
         check_status(BAD_LAYOUT)
-    low_seeds = (lo + 1) * st + xs + 1
-    high_seeds = (hi + 1) * st + xs + 1
-    # Column j's band: its low seed, then one row further per cell.
+    low_seeds = (xs + 1) * st + lo + 1
+    high_seeds = (xs + 1) * st + hi + 1
+    # Column j's band: the contiguous cells from its low seed to its high seed.
     lengths = hi - lo + 1
     starts = np.cumsum(lengths) - lengths
-    band = np.repeat(low_seeds - st * starts, lengths) + st * np.arange(int(lengths.sum()))
+    band = np.repeat(low_seeds - starts, lengths) + np.arange(int(lengths.sum()))
     view = np.frombuffer(state, dtype=np.uint8)
     view[band] = 0
     view[low_seeds] = 2
     view[high_seeds] = 2
     # Work list: the unknown cells among the seeds' 3x3 neighbours, sorted
-    # row-major and deduplicated. Seeds and the border ring are known, so
-    # each seed's neighbours stay inside the padded slab.
-    cells = (np.concatenate((low_seeds, high_seeds))[:, None] + (st * _STEPS[:, None] + _STEPS).ravel()).ravel()
-    cells = cells[view[cells] == 0]
-    cells.sort()
-    cells = cells[np.diff(cells, prepend=-1) != 0]
+    # row-major (z, then x) and deduplicated. Seeds and the border ring are
+    # known, so each seed's neighbours stay inside the padded slab.
+    rows = np.concatenate((lo, hi))[:, None] + 1 + _DZ
+    cols = np.tile(xs, 2)[:, None] + 1 + _DX
+    cells = (cols * st + rows).ravel()
+    unknown = view[cells] == 0
+    _, first = np.unique((rows * (nx + 2) + cols).ravel()[unknown], return_index=True)
+    cells = cells[unknown][first]
     np.frombuffer(marked, dtype=np.uint8)[cells] = 1
     return SectionBuffers(
-        nz=nz,
         stride=st,
         state=state,
         marked=marked,
@@ -194,13 +195,13 @@ def _code_buffers(buf: SectionBuffers, coder, truth: bytes | None = None) -> int
     push = queue.append
     for idx in queue:
         nw = idx - st - 1
-        n = nw + 1
-        ne = n + 1
-        w = idx - 1
-        e = idx + 1
-        sw = idx + st - 1
-        s = sw + 1
-        se = s + 1
+        w = nw + 1
+        sw = w + 1
+        n = idx - 1
+        s = idx + 1
+        ne = idx + st - 1
+        e = ne + 1
+        se = e + 1
         # Base-3 column-scan patch index; the center cell is unknown (0).
         patch = (
             state[nw] + 3 * state[w] + 9 * state[sw]
@@ -378,7 +379,6 @@ def code_section(
     if shell.buffers is not None:
         return _code_native(native(), shell, coder, encoder is not None)
     nx, ny, nz = shell.dims
-    st = nx + 2
     chunks = [np.empty((0, 3), dtype=np.int64)]
     coded = 0
     prev = None
@@ -388,12 +388,10 @@ def code_section(
         truth = None
         if encoder is not None:
             truth = bytearray(len(buf.state))
-            # From the kernel's column-major cells to this loop's row-major slab.
-            xs, zs = np.divmod(shell.cells[shell.offsets[y] : shell.offsets[y + 1]], nz + 2)
-            np.frombuffer(truth, dtype=np.uint8)[zs * st + xs] = 1
+            np.frombuffer(truth, dtype=np.uint8)[shell.cells[shell.offsets[y] : shell.offsets[y + 1]]] = 1
         coded += _code_buffers(buf, coder, truth)
         occupied = np.frombuffer(buf.state, dtype=np.uint8) == 2
-        zs, xs = np.divmod(np.flatnonzero(occupied), st)
+        xs, zs = np.nonzero(occupied.reshape(nx + 2, nz + 2))
         chunks.append(np.column_stack((xs - 1, np.full(xs.size, y), zs - 1)))
         prev = occupied.tobytes()
         last = y
@@ -418,27 +416,16 @@ def _code_native(lib, shell: Shell, coder, encoding: bool) -> tuple[np.ndarray, 
     return buffers.out[: sweep.emitted], sweep.coded
 
 
-def _sweep(pair: DepthmapPair, dims, tables: SectionTables, points: np.ndarray | None = None,
-           encoder: RangeEncoder | None = None,
-           decoder: RangeDecoder | None = None) -> tuple[np.ndarray, int]:
-    """Code all sections of one shell; returns (reconstructed points, decision count).
-
-    The encoder also passes the points, which give each section's true occupancy.
-    """
-    shell = build_section(pair, dims, points)
-    return code_section(shell, tables, encoder=encoder, decoder=decoder)
-
-
 def sweep_encode(points: np.ndarray, pair: DepthmapPair, dims, tables: SectionTables,
                  encoder: RangeEncoder) -> tuple[np.ndarray, int]:
     """Encode all sections with an encoder built on tables; returns (reconstructed points, decision count)."""
-    return _sweep(pair, dims, tables, points, encoder=encoder)
+    return code_section(build_section(pair, dims, points), tables, encoder=encoder)
 
 
 def sweep_decode(pair: DepthmapPair, dims, tables: SectionTables,
                  decoder: RangeDecoder) -> tuple[np.ndarray, int]:
     """Decode all sections; mirrors sweep_encode decision for decision."""
-    return _sweep(pair, dims, tables, decoder=decoder)
+    return code_section(build_section(pair, dims), tables, decoder=decoder)
 
 
 def encode_shells(cloud, max_shells: int) -> tuple[list[tuple[CodedStream, CodedStream]], np.ndarray]:

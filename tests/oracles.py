@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from functools import lru_cache
 
 import numpy as np
 
-from bvlcodec.contexts import get_norm_lists
+from bvlcodec.contexts import get_norm_tables
 from bvlcodec.rangecoder import RangeEncoder, count_tables
-from bvlcodec.sections import _section_buffers
+from bvlcodec.sections import section_tables
 
 _POW2 = 2 ** np.arange(9, dtype=np.int64)
 _POW3 = 3 ** np.arange(9, dtype=np.int64)
@@ -42,10 +41,12 @@ def section_flood_fill(nz, nx, columns, true_cells):
     """Reference coding-front for one section, as plain set arithmetic.
 
     columns maps x to that column's (low, high) depth pair; true_cells is the
-    set of occupied (z, x) cells. Returns (coded cells, reconstructed
-    occupied cells). A cell gets coded when it is feasible, not a seed, and
-    either belongs to the dilation of the seed set or 8-neighbors a coded
-    occupied cell.
+    set of occupied (z, x) cells. Returns (coded cells in coding order,
+    reconstructed occupied cells). A cell gets coded when it is feasible, not
+    a seed, and either belongs to the dilation of the seed set or 8-neighbors
+    a coded occupied cell. Cells are coded first in, first out: the dilation
+    in row-major order, then each cell coded occupied appends its neighbours
+    z-major, from (z - 1, x - 1) to (z + 1, x + 1).
     """
     seeds = set()
     feasible = set()
@@ -68,12 +69,14 @@ def section_flood_fill(nz, nx, columns, true_cells):
     queue = deque(sorted(start))
     enqueued = set(queue)
     coded = set()
+    order = []
     occupied = set(seeds)
     while queue:
         cell = queue.popleft()
         if cell in coded or not unknown(cell):
             continue
         coded.add(cell)
+        order.append(cell)
         if cell in true_cells:
             occupied.add(cell)
             z, x = cell
@@ -90,7 +93,45 @@ def section_flood_fill(nz, nx, columns, true_cells):
                 ):
                     enqueued.add(c)
                     queue.append(c)
-    return coded, occupied
+    return order, occupied
+
+
+def flood_fill_labels(columns, true_cells, order, previous) -> list[int]:
+    """The context label of each cell of order, coded in that order.
+
+    order is section_flood_fill's; previous is the set of (z, x) cells
+    occupied in the section before. A cell's ternary patch reads the section
+    as it stands when the cell is coded: seeds occupied, cells coded before
+    it as coded, the rest of the bands unknown and everything else known
+    empty. The label is class * 512 + the co-rotated binary patch of previous.
+    """
+    tables = get_norm_tables()
+    state = {}
+    for x, (lo, hi) in columns.items():
+        state.update({(z, x): 0 for z in range(lo + 1, hi)})
+        state[lo, x] = state[hi, x] = 2
+    steps = (-1, 0, 1)
+    labels = []
+    for z, x in order:
+        current = [[state.get((z + dz, x + dx), 1) for dx in steps] for dz in steps]
+        before = [[int((z + dz, x + dx) in previous) for dx in steps] for dz in steps]
+        canonical, binary = normalized_context(current, before, tables)
+        labels.append(int(tables.class_index[canonical]) * 512 + binary)
+        state[z, x] = 2 if (z, x) in true_cells else 1
+    return labels
+
+
+def encode_section_decisions(labels, bits):
+    """(stream, tables): the (label, bit) decisions coded on fresh section tables.
+
+    Each label's counts start at 1 and 1.
+    """
+    tables = section_tables()
+    for label in set(labels):
+        tables.c0[label] = tables.c1[label] = 1
+    encoder = RangeEncoder(tables.c0, tables.c1)
+    encoder.encode_many(labels, bits)
+    return encoder.finish(), tables
 
 
 def rotation_orbit_count() -> int:
@@ -141,19 +182,6 @@ def rot90(patch, turns: int) -> np.ndarray:
     return np.rot90(np.asarray(patch), turns % 4)
 
 
-@lru_cache(maxsize=1)
-def rotated_binary_lists() -> list[list[int]]:
-    """[turns][b]: binary_index of binary patch b rotated by `turns`, patch by patch."""
-    out = []
-    for turns in range(4):
-        row = []
-        for b in range(512):
-            patch = np.array([(b >> d) & 1 for d in range(9)]).reshape(3, 3, order="F")
-            row.append(binary_index(rot90(patch, turns)))
-        out.append(row)
-    return out
-
-
 def normalized_context(current_patch, previous_patch, tables) -> tuple[int, int]:
     """Context label: canonical ternary index plus co-rotated binary index."""
     ia = ternary_index(current_patch)
@@ -164,15 +192,16 @@ def normalized_context(current_patch, previous_patch, tables) -> tuple[int, int]
 def reference_build_section(pair, y0: int, nz: int):
     """Full-array section set-up: (state, marked, queue) for section y0.
 
-    Fills the whole padded (nz + 2) x (nx + 2) section, dilates the seed
-    bitmap with a 9-way OR and keeps its unknown cells as the work list, in
-    row-major order; marked holds exactly the listed cells.
+    Fills the whole padded (nz + 2) x (nx + 2) section, indexed (z, x),
+    dilates the seed bitmap with a 9-way OR and keeps its unknown cells as
+    the work list, in row-major order; marked holds exactly the listed cells.
+    The slabs and the list's cell indices are column-major: cell (z, x) at
+    (x + 1) * (nz + 2) + z + 1.
     """
     occ_col = pair.occ[:, y0]
     nx = occ_col.shape[0]
-    st = nx + 2
-    state = np.ones((nz + 2, st), dtype=np.uint8)
-    seeds = np.zeros((nz + 2, st), dtype=np.uint8)
+    state = np.ones((nz + 2, nx + 2), dtype=np.uint8)
+    seeds = np.zeros((nz + 2, nx + 2), dtype=np.uint8)
     xs = np.flatnonzero(occ_col)
     if xs.size:
         lo = pair.zmin[xs, y0].astype(np.int64)
@@ -190,8 +219,9 @@ def reference_build_section(pair, y0: int, nz: int):
         | seeds[2:, :-2] | seeds[2:, 1:-1] | seeds[2:, 2:]
     )
     listed = dilated & (state == 0)
-    queue = [int(i) for i in np.flatnonzero(listed)]
-    return bytearray(state.tobytes()), bytearray(listed.tobytes()), queue
+    zs, xs = np.nonzero(listed)
+    queue = (xs * (nz + 2) + zs).tolist()
+    return bytearray(state.tobytes(order="F")), bytearray(listed.tobytes(order="F")), queue
 
 
 def table_bytes(tables) -> tuple[bytes, bytes]:
@@ -199,111 +229,25 @@ def table_bytes(tables) -> tuple[bytes, bytes]:
     return bytes(tables.c0), bytes(tables.c1)
 
 
+def slab_cells(mask, stride: int) -> set[tuple[int, int]]:
+    """(z, x) cells set in a flat column-major padded slab of the given stride."""
+    xs, zs = np.nonzero(np.asarray(mask).reshape(-1, stride))
+    return set(zip((zs - 1).tolist(), (xs - 1).tolist()))
+
+
 def occupied_cells(buf) -> set[tuple[int, int]]:
     """(z, x) cells of a section buffer currently reconstructed as occupied."""
-    arr = np.frombuffer(buf.state, dtype=np.uint8)
-    st = buf.stride
-    return {(int(i) // st - 1, int(i) % st - 1) for i in np.flatnonzero(arr == 2)}
+    return slab_cells(np.frombuffer(buf.state, dtype=np.uint8) == 2, buf.stride)
+
+
+def marked_cells(buf) -> set[tuple[int, int]]:
+    """(z, x) cells of a section buffer that entered its work list."""
+    return slab_cells(np.frombuffer(buf.marked, dtype=np.uint8), buf.stride)
 
 
 def unknown_count(buf) -> int:
     """Cells of a section buffer still unknown."""
     return buf.state.count(0)
-
-
-def reference_encode_section(buf, encoder, true_section, coded_cells=None, labels=None) -> int:
-    """Cell-by-cell section encoder: the list-driven loop, coding as it goes.
-
-    Pops the work list one cell at a time, builds each context from the
-    section state as it stands, and pushes the unknown neighbours of every
-    cell coded occupied; the section's contexts and bits go to the coder in
-    one call. The encoder's count tables are indexed by label and start at
-    zero; a label's first use sets its counts to 1. Every coded cell is
-    appended to coded_cells and every coded label added to labels, when
-    given. Returns the number of coded cells; afterwards buf.state holds the
-    reconstruction.
-    """
-    turn_by_patch, class_by_patch, _ = get_norm_lists()
-    rotated = rotated_binary_lists()
-    state = buf.state
-    marked = buf.marked
-    prev = buf.prev
-    queue = deque(buf.queue.tolist())
-    st = buf.stride
-    pop = queue.popleft
-    push = queue.append
-    coded_labels = []
-    coded_bits = []
-    while queue:
-        idx = pop()
-        if state[idx]:
-            continue
-        nw = idx - st - 1
-        n = nw + 1
-        ne = n + 1
-        w = idx - 1
-        e = idx + 1
-        sw = idx + st - 1
-        s = sw + 1
-        se = s + 1
-        # Base-3 column-scan patch index; the center cell is unknown (0).
-        patch = (
-            state[nw] + 3 * state[w] + 9 * state[sw]
-            + 27 * state[n] + 243 * state[s]
-            + 729 * state[ne] + 2187 * state[e] + 6561 * state[se]
-        )
-        b = (
-            prev[nw] + 2 * prev[w] + 4 * prev[sw] + 8 * prev[n] + 16 * prev[idx]
-            + 32 * prev[s] + 64 * prev[ne] + 128 * prev[e] + 256 * prev[se]
-        )
-        label = class_by_patch[patch] * 512 + rotated[turn_by_patch[patch]][b]
-        if encoder.c0[label] == 0:
-            encoder.c0[label] = encoder.c1[label] = 1
-        bit = true_section[idx]
-        coded_labels.append(label)
-        coded_bits.append(bit)
-        if coded_cells is not None:
-            coded_cells.append(idx)
-        if labels is not None:
-            labels.add(label)
-        state[idx] = 1 + bit
-        if bit:
-            for c in (nw, n, ne, w, e, sw, s, se):
-                if state[c] == 0 and marked[c] == 0:
-                    marked[c] = 1
-                    push(c)
-    encoder.encode_many(coded_labels, coded_bits)
-    return len(coded_bits)
-
-
-def reference_sweep_encode(points, pair, dims, encoder, labels=None):
-    """Section-by-section sweep encoder over reference_encode_section.
-
-    The result of sections.sweep_encode: (reconstructed points, decision
-    count); every coded label is added to labels, when given.
-    """
-    nx, ny, nz = dims
-    st = nx + 2
-    size = (nz + 2) * st
-    prev = bytes(size)
-    chunks = [np.empty((0, 3), dtype=np.int64)]
-    decisions = 0
-    has_any = pair.occ.any(axis=0)
-    for y0 in range(ny):
-        if not has_any[y0]:
-            prev = bytes(size)
-            continue
-        buf = _section_buffers(pair, y0, nz, prev)
-        section = bytearray(size)
-        here = points[points[:, 1] == y0]
-        np.frombuffer(section, dtype=np.uint8)[(here[:, 2] + 1) * st + here[:, 0] + 1] = 1
-        decisions += reference_encode_section(buf, encoder, section, labels=labels)
-        state = np.frombuffer(buf.state, dtype=np.uint8)
-        occupied = np.flatnonzero(state == 2)
-        zs, xs = np.divmod(occupied, st)
-        chunks.append(np.column_stack((xs - 1, np.full(xs.size, y0), zs - 1)))
-        prev = (state == 2).astype(np.uint8).tobytes()
-    return np.concatenate(chunks), decisions
 
 
 _MASK_TEMPLATE = (

@@ -20,10 +20,13 @@ from bvlcodec.sections import _code_buffers, _section_buffers, build_section, co
 import shapes
 from oracles import (
     binary_entropy,
+    encode_section_decisions,
+    flood_fill_labels,
+    marked_cells,
     occupied_cells,
-    reference_encode_section,
     rotation_orbit_count,
     section_flood_fill,
+    slab_cells,
     table_bytes,
 )
 
@@ -157,22 +160,23 @@ def test_criterion_5_section_oracle_equivalence():
             for x, (lo, hi) in columns.items():
                 occ[x, 0], zmin[x, 0], zmax[x, 0] = 1, lo, hi
             pair = DepthmapPair(occ=occ, zmin=zmin, zmax=zmax)
-            st = nx + 2
-            prev = (rng.random((nz + 2) * st) < 0.25).astype(np.uint8).tobytes()
-            true_bytes = bytearray((nz + 2) * st)
+            st = nz + 2
+            noise = (rng.random((nx + 2) * st) < 0.25).astype(np.uint8)
+            true_bytes = bytearray((nx + 2) * st)
             for z, x in true_cells:
-                true_bytes[(z + 1) * st + x + 1] = 1
-            oracle_coded, oracle_occupied = section_flood_fill(nz, nx, columns, true_cells)
+                true_bytes[(x + 1) * st + z + 1] = 1
+            order, oracle_occupied = section_flood_fill(nz, nx, columns, true_cells)
+            bits = [int(cell in true_cells) for cell in order]
             # With a previous section, the Python section loop decodes; without
             # one, the section is a whole shell, decoded in one code_section call.
-            for previous in (prev, None):
+            for previous, previous_cells in ((noise.tobytes(), slab_cells(noise, st)), (None, set())):
                 enc_tables = section_tables()
                 enc = RangeEncoder(enc_tables.c0, enc_tables.c1)
                 enc_buf = _section_buffers(pair, 0, nz, previous)
-                cells: list = []
-                labels: set = set()
-                n_enc = reference_encode_section(enc_buf, enc, bytes(true_bytes), coded_cells=cells, labels=labels)
+                n_enc = _code_buffers(enc_buf, enc, bytes(true_bytes))
                 stream = enc.finish()
+                labels = flood_fill_labels(columns, true_cells, order, previous_cells)
+                oracle_stream, oracle_tables = encode_section_decisions(labels, bits)
                 dec_tables = section_tables()
                 decoder = RangeDecoder(stream, dec_tables.c0, dec_tables.c1)
                 if previous is None:
@@ -182,12 +186,13 @@ def test_criterion_5_section_oracle_equivalence():
                     dec_buf = _section_buffers(pair, 0, nz, previous)
                     n_dec = _code_buffers(dec_buf, decoder)
                     occupied = occupied_cells(dec_buf)
-                coded_set = {((i // st) - 1, (i % st) - 1) for i in cells}
-                assert coded_set == oracle_coded
-                assert n_enc == n_dec == len(oracle_coded)
+                # Every listed cell is coded once: the marked cells are the coded ones.
+                assert marked_cells(enc_buf) == set(order)
+                assert n_enc == n_dec == len(order)
                 assert occupied == oracle_occupied
-                assert len(dec_tables) == len(labels)
-                assert table_bytes(dec_tables) == table_bytes(enc_tables)
+                assert stream == oracle_stream
+                assert len(enc_tables) == len(set(labels))
+                assert table_bytes(enc_tables) == table_bytes(oracle_tables) == table_bytes(dec_tables)
             checked += 1
         print(f"  verified {checked} random sections")
 

@@ -97,6 +97,18 @@ def test_bench_text(tmp_path, capsys):
     assert "average bpv" in out
 
 
+def test_bench_output_needs_csv_report(tmp_path, capsys):
+    # The text report goes to stdout, so an output path would be dropped unwritten.
+    _write_cloud(tmp_path / "one.ply", shapes.solid_cube(8, 1, 7))
+    report = tmp_path / "report.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", str(tmp_path), "-o", str(report), "--permutation", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--report csv" in err
+    assert not report.exists()
+
+
 def test_binary_ply_decode_output(tmp_path):
     cloud = shapes.solid_cube(8, 2, 6)
     src = tmp_path / "c.ply"

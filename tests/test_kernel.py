@@ -166,7 +166,9 @@ def _assert_paths_agree(clouds, monkeypatch):
 def test_kernel_and_python_sweeps_agree_on_fuzz_suite_in_every_permutation(kernel, monkeypatch):
     clouds = [AxisPermutation(pid).apply(cloud) for _, cloud in shapes.fuzz_suite()
               for pid in range(PERMUTATION_COUNT)]
-    _assert_paths_agree(clouds, monkeypatch)
+    # A solid sphere's shell makes more decisions than any fuzz-suite shell.
+    clouds.append(shapes.solid_sphere(48, 20))
+    assert _assert_paths_agree(clouds, monkeypatch)[-1] > 2 * (1 << 14)
 
 
 def test_kernel_and_python_sweeps_agree_when_kernel_calls_resume(kernel, monkeypatch):

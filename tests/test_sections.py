@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bvlcodec import rangecoder, sections
-from bvlcodec.cloud import PERMUTATION_COUNT, AxisPermutation, VoxelCloud
 from bvlcodec.depthmap import DepthmapPair, project_array
 from bvlcodec.errors import BitstreamError, TruncatedStreamError
 from bvlcodec.rangecoder import RangeDecoder, RangeEncoder
@@ -24,11 +23,13 @@ from bvlcodec.sections import (
 
 import shapes
 from oracles import (
+    encode_section_decisions,
+    flood_fill_labels,
+    marked_cells,
     occupied_cells,
     reference_build_section,
-    reference_encode_section,
-    reference_sweep_encode,
     section_flood_fill,
+    slab_cells,
     table_bytes,
     unknown_count,
 )
@@ -63,10 +64,10 @@ def _single_section_pair(nz, nx, columns) -> DepthmapPair:
 
 
 def _true_bytes(true_cells, nz, nx):
-    st = nx + 2
-    t = bytearray((nz + 2) * st)
+    st = nz + 2
+    t = bytearray((nx + 2) * st)
     for z, x in true_cells:
-        t[(z + 1) * st + x + 1] = 1
+        t[(x + 1) * st + z + 1] = 1
     return bytes(t)
 
 
@@ -76,14 +77,14 @@ def test_build_section_empty_column():
     st = buf.stride
     # column 3 has no occupancy: everything there is known empty
     for z in range(8):
-        assert buf.state[(z + 1) * st + 3 + 1] == 1
+        assert buf.state[(3 + 1) * st + z + 1] == 1
 
 
 def test_build_section_single_cell_interval():
     pair = _single_section_pair(8, 4, {2: (5, 5)})
     buf = sections._section_buffers(pair, 0, 8)
     st = buf.stride
-    assert buf.state[(5 + 1) * st + 2 + 1] == 2
+    assert buf.state[(2 + 1) * st + 5 + 1] == 2
     assert unknown_count(buf) == 0
     assert occupied_cells(buf) == {(5, 2)}
 
@@ -92,10 +93,10 @@ def test_build_section_interval_counts():
     pair = _single_section_pair(16, 4, {1: (2, 9)})
     buf = sections._section_buffers(pair, 0, 16)
     st = buf.stride
-    assert buf.state[(2 + 1) * st + 1 + 1] == 2
-    assert buf.state[(9 + 1) * st + 1 + 1] == 2
+    assert buf.state[(1 + 1) * st + 2 + 1] == 2
+    assert buf.state[(1 + 1) * st + 9 + 1] == 2
     for z in range(3, 9):
-        assert buf.state[(z + 1) * st + 1 + 1] == 0
+        assert buf.state[(1 + 1) * st + z + 1] == 0
     assert unknown_count(buf) == 6
 
 
@@ -105,7 +106,7 @@ def test_build_section_list_is_row_major_dilation():
     pair = _single_section_pair(8, 8, columns)
     buf = sections._section_buffers(pair, 0, 8)
     st = buf.stride
-    cells = [((i // st) - 1, (i % st) - 1) for i in buf.queue]
+    cells = [((i % st) - 1, (i // st) - 1) for i in buf.queue]
     seeds = {(z, x) for x, band in columns.items() for z in band}
     unknown = {(z, x) for x, (lo, hi) in columns.items() for z in range(lo + 1, hi)}
     expected = sorted(
@@ -119,7 +120,7 @@ def test_build_section_list_is_row_major_dilation():
     )
     assert {x for _, x in expected} == {0, 1, 2}
     assert cells == expected
-    assert np.flatnonzero(buf.marked).tolist() == list(buf.queue)
+    assert marked_cells(buf) == set(cells)
 
 
 def _assert_matches_reference(pair, nz):
@@ -153,44 +154,52 @@ def test_build_section_matches_reference_at_borders():
 
 
 def _run_both_sides(pair, nz, true_cells, prev=None):
-    """Encode one section with the reference loop and decode it with the Python one.
+    """Encode one section with the Python loop and decode it again; both sides must agree.
 
-    Without prev the section is also a whole shell, whose decode through
-    build_section and code_section (in the kernel when it loads) must agree.
+    Every listed cell is coded once, so each side's coded cells are its
+    marked ones. Without prev the section is also a whole shell, whose
+    decode through build_section and code_section (in the kernel when it
+    loads) must agree too. Returns (encoder's buffers, decoder's buffers,
+    decision count, stream, encoder's tables).
     """
     nx = pair.occ.shape[0]
-    enc = _coder(section_tables())
+    tables = section_tables()
+    enc = _coder(tables)
     enc_buf = sections._section_buffers(pair, 0, nz, prev)
-    enc_cells: list = []
-    coded_enc = reference_encode_section(enc_buf, enc, _true_bytes(true_cells, nz, nx), coded_cells=enc_cells)
+    coded = sections._code_buffers(enc_buf, enc, _true_bytes(true_cells, nz, nx))
     stream = enc.finish()
+    dec_tables = section_tables()
     dec_buf = sections._section_buffers(pair, 0, nz, prev)
-    coded_dec = sections._code_buffers(dec_buf, _coder(section_tables(), stream))
+    assert sections._code_buffers(dec_buf, _coder(dec_tables, stream)) == coded
+    assert marked_cells(dec_buf) == marked_cells(enc_buf)
+    assert occupied_cells(dec_buf) == occupied_cells(enc_buf)
+    assert table_bytes(dec_tables) == table_bytes(tables)
     if prev is None:
         shell = build_section(pair, (nx, 1, nz))
-        tables = section_tables()
-        recon, coded = code_section(shell, tables, decoder=_coder(tables, stream))
-        assert coded == coded_dec
+        shell_tables = section_tables()
+        recon, shell_coded = code_section(shell, shell_tables, decoder=_coder(shell_tables, stream))
+        assert shell_coded == coded
         assert {(z, x) for x, _, z in recon.tolist()} == occupied_cells(dec_buf)
-    return enc_buf, dec_buf, enc_cells, coded_enc, coded_dec, stream
+    return enc_buf, dec_buf, coded, stream, tables
 
 
 def test_all_seed_section_codes_nothing():
     pair = _single_section_pair(8, 6, {0: (1, 2), 2: (4, 4), 5: (0, 1)})
     true_cells = {(1, 0), (2, 0), (4, 2), (0, 5), (1, 5)}
-    _, _, cells, ce, cd, stream = _run_both_sides(pair, 8, true_cells)
-    assert ce == cd == 0
-    assert cells == []
+    enc_buf, _, coded, stream, tables = _run_both_sides(pair, 8, true_cells)
+    assert coded == 0
+    assert marked_cells(enc_buf) == set()
     assert stream.bit_length <= 8
+    assert len(tables) == 0
 
 
 def test_full_solid_column_codes_interior_once():
     nz = 8
     pair = _single_section_pair(nz, 1, {0: (0, nz - 1)})
     true_cells = {(z, 0) for z in range(nz)}
-    enc_buf, dec_buf, cells, ce, cd, _ = _run_both_sides(pair, nz, true_cells)
-    assert ce == cd == nz - 2
-    assert len(cells) == len(set(cells))
+    enc_buf, dec_buf, coded, _, _ = _run_both_sides(pair, nz, true_cells)
+    assert coded == nz - 2
+    assert marked_cells(enc_buf) == {(z, 0) for z in range(1, nz - 1)}
     assert occupied_cells(enc_buf) == true_cells
     assert occupied_cells(dec_buf) == true_cells
 
@@ -217,28 +226,29 @@ def test_section_coder_matches_flood_fill_oracle():
             continue
         pair = _single_section_pair(nz, nx, columns)
         prev = None
+        previous = set()
         if rng.random() < 0.5:
-            st = nx + 2
-            noise = (rng.random((nz + 2) * st) < 0.2).astype(np.uint8)
+            noise = (rng.random((nz + 2) * (nx + 2)) < 0.2).astype(np.uint8)
             prev = noise.tobytes()
-        enc_buf, dec_buf, cells, ce, cd, _ = _run_both_sides(pair, nz, true_cells, prev)
-        st = enc_buf.stride
-        coded_set = {((i // st) - 1, (i % st) - 1) for i in cells}
-        oracle_coded, oracle_occupied = section_flood_fill(nz, nx, columns, true_cells)
-        assert coded_set == oracle_coded
-        assert len(cells) == len(set(cells))
-        assert ce == cd == len(oracle_coded)
+            previous = slab_cells(noise, nz + 2)
+        enc_buf, dec_buf, coded, stream, tables = _run_both_sides(pair, nz, true_cells, prev)
+        order, oracle_occupied = section_flood_fill(nz, nx, columns, true_cells)
+        assert marked_cells(enc_buf) == set(order)
+        assert coded == len(order)
         assert occupied_cells(enc_buf) == oracle_occupied
-        assert occupied_cells(dec_buf) == oracle_occupied
+        # The oracle's decisions, in its coding order, give the same bytes and counts.
+        labels = flood_fill_labels(columns, true_cells, order, previous)
+        oracle_stream, oracle_tables = encode_section_decisions(labels, [int(c in true_cells) for c in order])
+        assert stream == oracle_stream
+        assert len(tables) == len(set(labels))
+        assert table_bytes(tables) == table_bytes(oracle_tables)
 
 
 def test_infeasible_cells_never_touched():
     pair = _single_section_pair(16, 6, {2: (3, 10)})
     true_cells = {(3, 2), (10, 2)} | {(z, 2) for z in range(4, 10, 2)}
-    enc_buf, _, cells, _, _, _ = _run_both_sides(pair, 16, true_cells)
-    st = enc_buf.stride
-    for i in cells:
-        z, x = (i // st) - 1, (i % st) - 1
+    enc_buf, _, _, _, _ = _run_both_sides(pair, 16, true_cells)
+    for z, x in marked_cells(enc_buf):
         assert x == 2 and 3 <= z <= 10
     for (z, x) in occupied_cells(enc_buf):
         assert x == 2 and 3 <= z <= 10
@@ -288,86 +298,6 @@ def test_sweep_hollow_sphere_exact_in_one_shell():
     cloud = shapes.hollow_sphere(64, 20)
     recon, _, _ = _sweep_round_trip(cloud)
     assert recon == set(cloud.points)
-
-
-def _assert_sweep_matches_reference(cloud, shells=2):
-    """sweep_encode against the cell-by-cell reference, and sweep_decode against both.
-
-    Each side keeps one pair of section tables across the shells, as
-    encode_shells and decode_shells do. Each shell must give the same
-    section bytes, decision count and reconstruction, and the encoder's
-    tables must count the distinct labels the reference coded; the three
-    pairs of tables, which carry their counts across shells, must end equal.
-    """
-    dims = cloud.dims
-    tables = section_tables()
-    ref_tables = section_tables()
-    dec_tables = section_tables()
-    labels: set = set()
-    remaining = cloud.to_array()
-    decisions = 0
-    for _ in range(shells):
-        if not len(remaining):
-            break
-        pair = project_array(remaining, dims)
-        enc = _coder(tables)
-        recon, n = sweep_encode(remaining, pair, dims, tables, enc)
-        ref_enc = _coder(ref_tables)
-        ref_recon, ref_n = reference_sweep_encode(remaining, pair, dims, ref_enc, labels)
-        stream = enc.finish()
-        assert stream == ref_enc.finish()
-        assert n == ref_n
-        assert _point_set(recon) == _point_set(ref_recon)
-        assert len(tables) == len(labels) and all(tables.c0[label] for label in labels)
-        dec_recon, dec_n = sweep_decode(pair, dims, dec_tables, _coder(dec_tables, stream.data))
-        assert dec_n == n
-        assert _point_set(dec_recon) == _point_set(recon)
-        decisions += n
-        keys = np.ravel_multi_index(remaining.T, dims)
-        remaining = remaining[~np.isin(keys, np.ravel_multi_index(recon.T, dims))]
-    assert table_bytes(tables) == table_bytes(ref_tables) == table_bytes(dec_tables)
-    return decisions
-
-
-def test_sweep_encode_matches_reference_on_fuzz_suite_in_every_permutation():
-    for _, cloud in shapes.fuzz_suite():
-        for pid in range(PERMUTATION_COUNT):
-            _assert_sweep_matches_reference(AxisPermutation(pid).apply(cloud))
-
-
-def _layered_cloud(rng, nx, ny, nz, empty_ys):
-    """Random thick layers per section, some sections left empty."""
-    points = []
-    for y in range(ny):
-        if y in empty_ys:
-            continue
-        for x in range(nx):
-            lo, hi = sorted(rng.integers(0, nz, size=2).tolist())
-            zs = [z for z in range(lo, hi + 1) if z in (lo, hi) or rng.random() < 0.7]
-            points += [(x, y, z) for z in zs]
-    return VoxelCloud((nx, ny, nz), points)
-
-
-def test_sweep_encode_matches_reference_when_kernel_calls_resume(monkeypatch):
-    # Slabs of 10 x 10 cells; section 3 is empty, so section 4 reads a blank
-    # previous section. With room for 7 bits, the kernel's shell loop stops
-    # every few decisions, so its calls resume inside and across sections.
-    monkeypatch.setattr(sections, "_BITS_ROOM", 7)
-    rng = np.random.default_rng(77)
-    for _ in range(4):
-        cloud = _layered_cloud(rng, 8, 12, 8, {3})
-        assert _assert_sweep_matches_reference(cloud) > 3 * 7
-
-
-def test_sweep_encode_matches_reference_over_many_blocks():
-    cloud = shapes.solid_sphere(48, 20)
-    assert _assert_sweep_matches_reference(cloud) > 2 * (1 << 14)
-
-
-def test_sweep_encode_matches_reference_with_no_decisions():
-    rng = np.random.default_rng(5)
-    cloud = shapes.thin_pair_cloud(12, 12, 24, rng)
-    assert _assert_sweep_matches_reference(cloud) == 0
 
 
 @pytest.mark.parametrize("field,value", [("occ", 257), ("zmin", 2**32 + 1)])
