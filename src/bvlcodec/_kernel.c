@@ -1,17 +1,19 @@
 /* Native loops of the bvlcodec coder, loaded through ctypes by rangecoder.py.
  *
  * The range coder and its count update mirror rangecoder.RangeEncoder and
- * RangeDecoder bit for bit. Three loops code the streams, each on both
- * sides: code_mask (the occupancy mask), code_surfaces (the low surface and
- * thickness) and code_shell (a shell's section sweep). Each bit is read
- * from the maps and encoded, or decoded and stored. They mirror the Python
- * loops of depthmap.py and sections.py decision for decision, so either
- * side may run in either language. Every buffer is allocated and sized by
- * the caller. An encoding loop that would need more room than it was given
- * stops before touching the pixel or cell it is on, saves where it stands
- * and returns NEED_ROOM; the caller grows the buffers and calls it again.
- * code_shell's slabs are column-major (stride nz + 2), so a column's band
- * is contiguous and loading or clearing it is one memset.
+ * RangeDecoder bit for bit, first-use rule included: a zero count codes as
+ * 1, so the zeroed tables of rangecoder.count_tables need no set-up. Three
+ * loops code the streams, each on both sides: code_mask (the occupancy
+ * mask), code_surfaces (the low surface and thickness) and code_shell (a
+ * shell's section sweep). Each bit is read from the maps and encoded, or
+ * decoded and stored. They mirror the Python loops of depthmap.py and
+ * sections.py decision for decision, so either side may run in either
+ * language. Every buffer is allocated and sized by the caller. An encoding
+ * loop that would need more room than it was given stops before touching
+ * the pixel or cell it is on, saves where it stands and returns NEED_ROOM;
+ * rangecoder.run grows the buffers and calls it again. code_shell's slabs
+ * are column-major (stride nz + 2), so a column's band is contiguous and
+ * loading or clearing it is one memset.
  */
 #include <stdint.h>
 #include <string.h>
@@ -33,7 +35,7 @@ typedef struct {
     int64_t low, high, extra, pos;
     uint8_t *bits;
     int64_t size;          /* bytes readable (decoder) or writable (encoder) at bits */
-    uint16_t *c0, *c1;
+    uint16_t *c0, *c1;     /* a zero count codes as 1 */
     int64_t contexts;      /* entries of c0 and c1 */
 } Coder;
 
@@ -45,7 +47,7 @@ static inline void emit(Coder *c, int bit) {
 }
 
 static inline void encode_bit(Coder *c, int64_t ctx, int bit) {
-    int64_t c0 = c->c0[ctx], c1 = c->c1[ctx], total = c0 + c1;
+    int64_t c0 = c->c0[ctx] ? c->c0[ctx] : 1, c1 = c->c1[ctx] ? c->c1[ctx] : 1, total = c0 + c1;
     int64_t low = c->low, high = c->high;
     int64_t split = low + c0 * (high - low + 1) / total;
     if (bit) {
@@ -84,7 +86,7 @@ static inline void encode_bit(Coder *c, int64_t ctx, int bit) {
 
 /* The decoded bit, or TRUNCATED once the reads pass the end of the bits. */
 static inline int decode_bit(Coder *c, int64_t ctx) {
-    int64_t c0 = c->c0[ctx], c1 = c->c1[ctx], total = c0 + c1;
+    int64_t c0 = c->c0[ctx] ? c->c0[ctx] : 1, c1 = c->c1[ctx] ? c->c1[ctx] : 1, total = c0 + c1;
     int64_t low = c->low, high = c->high, code = c->extra, pos = c->pos;
     int64_t split = low + c0 * (high - low + 1) / total;
     int bit = code >= split;
@@ -436,11 +438,10 @@ static void unload_section(Shell *s, int64_t y) {
  * and encoded. Section y reads the reconstruction of section y - 1 (state 2)
  * from the other slab. The reconstructed points go to out: each section's
  * seeds, then its cells coded occupied. A cell's context is its label,
- * class * 512 + rotated binary patch; a label's zero counts become 1 and 1
- * when it is first coded. out needs room for 2 nx more points before a
- * section loads. A malformed column or true cell, a listed cell whose 3x3
- * crop leaves its slab, or a patch or label outside the tables (state
- * above 2) means the shell breaks its layout: BAD_LAYOUT. */
+ * class * 512 + rotated binary patch. out needs room for 2 nx more points
+ * before a section loads. A malformed column or true cell, a listed cell
+ * whose 3x3 crop leaves its slab, or a patch or label outside the tables
+ * (state above 2) means the shell breaks its layout: BAD_LAYOUT. */
 int64_t code_shell(Coder *c, Shell *s) {
     const int64_t st = s->nz + 2, size = (s->nx + 2) * st;
     /* The 8-neighbours in the Python loop's order: nw, n, ne, w, e, sw, s, se. */
@@ -486,8 +487,6 @@ int64_t code_shell(Coder *c, Shell *s) {
                 status = BAD_LAYOUT;
                 break;
             }
-            if (!c->c0[label])
-                c->c0[label] = c->c1[label] = 1;
             int bit;
             if (s->cells) {
                 bit = s->truth[idx] != 0;

@@ -155,9 +155,9 @@ def _selftest_coder() -> list[str]:
     rng = np.random.default_rng(20240911)
     bits = (rng.random(30000) < 0.2).astype(int).tolist()
     picks = rng.integers(0, 16, size=len(bits)).tolist()
-    enc = RangeEncoder(*count_tables(16))
+    enc = RangeEncoder(count_tables(16))
     enc.encode_many(picks, bits)
-    dec = RangeDecoder(enc.finish(), *count_tables(16))
+    dec = RangeDecoder(enc.finish(), count_tables(16))
     return [] if [dec.decode(pick) for pick in picks] == bits else ["coder round trip mismatch"]
 
 
@@ -191,8 +191,8 @@ def _selftest_sections() -> list[str]:
         shell = sections.build_section(pair, cloud.dims, points)
         if python:
             shell.buffers = None
-        tables = sections.section_tables()
-        encoder = RangeEncoder(tables.c0, tables.c1)
+        tables = count_tables(sections.SECTION_CONTEXTS)
+        encoder = RangeEncoder(tables)
         sections.code_section(shell, tables, encoder=encoder)
         streams.append(encoder.finish())
     return [] if streams[0] == streams[1] else ["native and Python section streams differ"]

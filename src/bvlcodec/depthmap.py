@@ -16,17 +16,17 @@ Coding scheme (self-contained, fully adaptive):
 Residuals are zigzag-mapped and binarized as order-0 exp-Golomb, one adaptive
 context per bin position (32 contexts per surface).
 
-The stream's contexts are int slots of one count table: the mask contexts
-first, then the low-surface bins, then the thickness bins.
+The stream's contexts are int slots of one CountTables pair: the mask
+contexts first, then the low-surface bins, then the thickness bins.
 
 Both sides run the same two loops: the mask pixel by pixel, then the surfaces
 at the occupied pixels. The encoder reads each bit from the maps and codes
 it; the decoder decodes it and stores it. The loops run in the native kernel
-(rangecoder.py), where an encoding loop stops whenever its bits run short and
-resumes once they have doubled, so the encoder's memory follows its output,
-not the map. Without the kernel the same loops run in Python: the mask by
-rows, with numpy building the template terms from the two rows above once
-per row and the two same-row terms riding in a shift register, and the
+through rangecoder.run, where an encoding loop stops whenever its bits run
+short and resumes once they have doubled, so the encoder's memory follows its
+output, not the map. Without the kernel the same loops run in Python: the
+mask by rows, with numpy building the template terms from the two rows above
+once per row and the two same-row terms riding in a shift register, and the
 surfaces by rows; the encoder codes each row's bits in one call.
 """
 
@@ -40,13 +40,13 @@ import numpy as np
 from .errors import BitstreamError
 from .rangecoder import (
     BAD_LAYOUT,
-    NEED_ROOM,
     CodedStream,
     RangeDecoder,
     RangeEncoder,
     check_status,
     count_tables,
     native,
+    run,
 )
 
 # Causal template around pixel (x, y); rows are x (scan order), columns y.
@@ -62,9 +62,6 @@ MASK_CONTEXTS = 1 << len(_TEMPLATE)
 RESIDUAL_CONTEXTS = 32
 _CONTEXTS = MASK_CONTEXTS + 2 * RESIDUAL_CONTEXTS
 _MAX_PREFIX = 48
-# The room in bits that each call into a kernel loop starts with when
-# encoding; the encoder doubles it whenever a loop stops for more.
-_BITS_ROOM = 1 << 16
 
 
 class _Cursor(ctypes.Structure):
@@ -241,17 +238,6 @@ def _code_surfaces_python(code, flush, occ: np.ndarray, low: np.ndarray, high: n
         occ_n, low_n = occ_row, low_row
 
 
-def _run(loop, coder, cursor: _Cursor, *args) -> None:
-    """Call a kernel loop until it is done, doubling the room each time it stops for more."""
-    room = _BITS_ROOM
-    status = NEED_ROOM
-    while status == NEED_ROOM:
-        with coder.native_state(room) as state:
-            status = loop(ctypes.byref(state), ctypes.byref(cursor), *args)
-        room *= 2
-    check_status(status)
-
-
 def _code(coder, grid: bytearray, low: np.ndarray, high: np.ndarray, nx: int, ny: int, nz: int,
           lib) -> np.ndarray:
     """Code the mask in grid, then the surfaces in low and high, on either side; returns the mask.
@@ -272,11 +258,11 @@ def _code(coder, grid: bytearray, low: np.ndarray, high: np.ndarray, nx: int, ny
         _code_surfaces_python(code, flush, occ, low, high, nz, encoding)
         return occ
     cursor = _Cursor(0, nz // 2, 0)
-    _run(lib.code_mask, coder, cursor, rows.ctypes.data, nx, ny, encoding)
+    run(lib.code_mask, coder, ctypes.byref(cursor), rows.ctypes.data, nx, ny, encoding)
     occ = rows[2:, 2 : ny + 2].copy()
     cursor.pixel = 0
-    _run(lib.code_surfaces, coder, cursor, occ.ctypes.data, low.ctypes.data, high.ctypes.data, nx, ny, nz,
-         encoding)
+    run(lib.code_surfaces, coder, ctypes.byref(cursor), occ.ctypes.data, low.ctypes.data, high.ctypes.data,
+        nx, ny, nz, encoding)
     return occ
 
 
@@ -306,13 +292,13 @@ def _encode(pair: DepthmapPair, nz: int, lib) -> CodedStream:
     nx, ny = occ.shape
     grid = bytearray((nx + 2) * (ny + 4))
     np.frombuffer(grid, dtype=np.uint8).reshape(nx + 2, ny + 4)[2:, 2 : ny + 2] = _exact(occ, np.uint8)
-    enc = RangeEncoder(*count_tables(_CONTEXTS))
+    enc = RangeEncoder(count_tables(_CONTEXTS))
     _code(enc, grid, _exact(pair.zmin, np.int32), _exact(pair.zmax, np.int32), nx, ny, nz, lib)
     return enc.finish()
 
 
 def decode_depthmaps(data: bytes, nx: int, ny: int, nz: int) -> DepthmapPair:
-    dec = RangeDecoder(data, *count_tables(_CONTEXTS))
+    dec = RangeDecoder(data, count_tables(_CONTEXTS))
     low = np.zeros((nx, ny), dtype=np.int32)
     high = np.zeros((nx, ny), dtype=np.int32)
     occ = _code(dec, bytearray((nx + 2) * (ny + 4)), low, high, nx, ny, nz, native())

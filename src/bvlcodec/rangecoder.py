@@ -1,16 +1,17 @@
 """Adaptive binary arithmetic coding, and the native kernel behind it.
 
 Integer range coder with 32-bit interval registers and pending-bit carry
-resolution (Witten/Neal/Cleary style renormalization). A coder works on two
-count tables, c0 and c1: uint16 tables (array('H'), or memoryviews of
-format 'H'), one entry per context. A context's counts start at 1: either
-every entry is Laplace-initialized (count_tables), or, in the section
-stream's zeroed tables, the section loop sets an entry to 1 when its
-context is first coded. A binary decision is coded under an int context, so
-p(0) = c0[context] / (c0[context] + c1[context]) adapts as symbols are
-observed. Encoder and decoder apply the identical count update
-after each symbol, which keeps both tables bit-for-bit in sync. Counts stay
-at or below RESCALE_LIMIT - 1, so uint16 entries hold them.
+resolution (Witten/Neal/Cleary style renormalization). A coder works on one
+CountTables pair, c0 and c1: uint16 views with one entry per context, zeroed
+private anonymous mappings whose pages become resident only as their
+contexts are coded. Every stream uses them. A binary decision is coded under
+an int context, so p(0) = c0[context] / (c0[context] + c1[context]) adapts as
+symbols are observed. One first-use rule serves every stream: a zero entry
+codes as a count of 1, so a context's first estimate is 1/2, as if its
+counts had started at 1 and 1, and after its first decision neither count
+is zero. Encoder and decoder apply the identical count update after each
+symbol, which keeps both tables bit-for-bit in sync. Counts stay at or below
+RESCALE_LIMIT - 1, so uint16 entries hold them.
 
 Termination: finish() emits a single disambiguating bit (plus any pending
 carry bits) and zero-pads the last byte. The decoder treats reads past the
@@ -26,19 +27,21 @@ those zero bits, possible only on corrupt input, raises TruncatedStreamError.
 The coding loops run natively: _kernel.c holds the coder and one loop per
 stream that both sides share (code_mask, code_surfaces and code_shell), and
 load_kernel compiles it with gcc on first use into a per-user cache and
-loads it through ctypes. Where that fails, the same loops run in Python
-(depthmap.py and sections.py), coding through RangeEncoder.encode_many and
-RangeDecoder.decode. Both paths give the same bits.
+loads it through ctypes. run() drives each loop, calling it again with more
+room whenever it stops for some. Where the kernel fails to load, the same
+loops run in Python (depthmap.py and sections.py), coding through
+RangeEncoder.encode_many and RangeDecoder.decode. Both paths give the same
+bits.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import mmap
 import os
 import tempfile
 import zlib
-from array import array
 from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -68,6 +71,9 @@ _SIGNATURES = {
     "code_surfaces": (_P, _P, _P, _P, _P, _I, _I, _I, _I),
     "code_shell": (_P, _P),
 }
+# The room in bits that each call into a kernel loop starts with when
+# encoding; run() doubles it whenever a loop stops for more.
+_BITS_ROOM = 1 << 16
 # Kernel statuses: a loop that ran out of room, the errors of corrupt input,
 # and maps or buffers that break their layout (BAD_LAYOUT).
 NEED_ROOM = 1
@@ -152,9 +158,7 @@ def check_status(status: int) -> None:
 
 
 def address(buffer) -> int:
-    """Address of the first item of an array or a non-empty writable buffer; valid until it is resized."""
-    if isinstance(buffer, array):
-        return buffer.buffer_info()[0]
+    """Address of the first item of a non-empty writable buffer; valid until it is resized."""
     return ctypes.addressof(ctypes.c_char.from_buffer(buffer))
 
 
@@ -167,15 +171,61 @@ class _Coder(ctypes.Structure):
     ]
 
 
-def count_tables(n: int) -> tuple[array, array]:
-    """Count tables c0 and c1 of n contexts each, every count 1."""
-    return array("H", [1]) * n, array("H", [1]) * n
+@dataclass(frozen=True, eq=False)
+class CountTables:
+    """A stream's count tables, c0 and c1, one uint16 entry per context.
+
+    An entry is zero until its context is first coded, and never zero
+    after. Anything but two writable, contiguous 'H' memoryviews of one
+    length raises TypeError, since the kernel indexes both up to len(c0).
+    """
+
+    c0: memoryview
+    c1: memoryview
+
+    def __post_init__(self) -> None:
+        views = (self.c0, self.c1)
+        if not (all(isinstance(v, memoryview) and v.format == "H" and v.ndim == 1 and v.c_contiguous
+                    and not v.readonly for v in views) and len(self.c0) == len(self.c1)):
+            raise TypeError("count tables must be two writable uint16 memoryviews of one length")
+
+    def __len__(self) -> int:
+        """The number of contexts coded so far."""
+        return int(np.count_nonzero(np.frombuffer(self.c0, dtype=np.uint16)))
 
 
-def _check_tables(c0, c1) -> None:
-    views = [memoryview(t) for t in (c0, c1) if isinstance(t, (array, memoryview))]
-    if not (len(views) == 2 and all(v.format == "H" and not v.readonly for v in views) and len(c0) == len(c1)):
-        raise TypeError("count tables must be two writable uint16 arrays or memoryviews of one length")
+def count_tables(n: int) -> CountTables:
+    """Zeroed tables of n contexts each, as private anonymous mappings.
+
+    Their pages read as zero without being resident; a page becomes resident
+    once a context in it is coded.
+    """
+    return CountTables(*(memoryview(mmap.mmap(-1, 2 * n, flags=mmap.MAP_PRIVATE)).cast("H") for _ in range(2)))
+
+
+def _coder_state(tables: CountTables, *registers) -> _Coder:
+    """The kernel's struct of a coder on tables, from its registers low, high, extra, pos, bits and size."""
+    if not isinstance(tables, CountTables):
+        raise TypeError("a coder needs CountTables")
+    return _Coder(*registers, address(tables.c0), address(tables.c1), len(tables.c0))
+
+
+def run(loop, coder, *args, grow=None) -> None:
+    """Call a kernel loop on the coder's state and args until it is done.
+
+    Each time the loop stops for room (NEED_ROOM), the room for bits doubles;
+    grow, when given, is called before every call to make room in the loop's
+    own buffers. A negative status raises its error.
+    """
+    room = _BITS_ROOM
+    status = NEED_ROOM
+    while status == NEED_ROOM:
+        if grow is not None:
+            grow()
+        with coder.native_state(room) as state:
+            status = loop(ctypes.byref(state), *args)
+        room *= 2
+    check_status(status)
 
 
 @dataclass(frozen=True)
@@ -187,27 +237,25 @@ class CodedStream:
 
 
 class RangeEncoder:
-    """One-shot arithmetic encoder over the count tables c0 and c1.
+    """One-shot arithmetic encoder over CountTables.
 
     The tables are updated in place, so the coders of successive streams may
     share them, as the section streams of a cloud's shells do. Call finish()
     exactly once at the end.
     """
 
-    __slots__ = ("c0", "c1", "_state", "_bits")
+    __slots__ = ("tables", "_state", "_bits")
 
-    def __init__(self, c0, c1) -> None:
-        _check_tables(c0, c1)
-        self.c0 = c0
-        self.c1 = c1
+    def __init__(self, tables: CountTables) -> None:
         # The coder's state is the kernel's struct (extra counts the pending
         # bits); _bits[:pos] are the bits written so far, and the kernel may
         # write up to size bytes. size 0 marks the address stale.
+        self._state = _coder_state(tables, 0, _FULL - 1, 0, 0, None, 0)
+        self.tables = tables
         self._bits = bytearray()
-        self._state = _Coder(0, _FULL - 1, 0, 0, None, 0, None, None, 0)
 
     def _room(self, room: int) -> _Coder:
-        """The state, with room for `room` bits beyond the pending ones and the tables' current addresses."""
+        """The state, with room for `room` bits beyond the pending ones."""
         state = self._state
         need = state.pos + state.extra + 64 + room
         if need > state.size:
@@ -216,9 +264,6 @@ class RangeEncoder:
             bits += bytes(max(need, 2 * len(bits)) - len(bits))
             state.bits = address(bits)
             state.size = len(bits)
-        state.c0 = address(self.c0)
-        state.c1 = address(self.c1)
-        state.contexts = len(self.c0)
         return state
 
     def _written(self) -> bytearray:
@@ -253,12 +298,12 @@ class RangeEncoder:
         pending = state.extra
         out = self._written()
         append = out.append
-        c0s = self.c0
-        c1s = self.c1
+        c0s = self.tables.c0
+        c1s = self.tables.c1
         try:
             for ctx, bit in zip(contexts, bits, strict=True):
-                c0 = c0s[ctx]
-                c1 = c1s[ctx]
+                c0 = c0s[ctx] or 1
+                c1 = c1s[ctx] or 1
                 total = c0 + c1
                 split = low + c0 * (high - low + 1) // total
                 if bit:
@@ -318,12 +363,9 @@ class RangeEncoder:
 class RangeDecoder:
     """Mirror of RangeEncoder; count updates replay the encoder's exactly."""
 
-    __slots__ = ("c0", "c1", "_bits", "_pos", "_low", "_high", "_code")
+    __slots__ = ("tables", "_state", "_bits", "_pos", "_low", "_high", "_code")
 
-    def __init__(self, data: bytes | CodedStream, c0, c1) -> None:
-        _check_tables(c0, c1)
-        self.c0 = c0
-        self.c1 = c1
+    def __init__(self, data: bytes | CodedStream, tables: CountTables) -> None:
         if isinstance(data, CodedStream):
             data = data.data
         packed = np.frombuffer(data, dtype=np.uint8)
@@ -336,6 +378,9 @@ class RangeDecoder:
         for bit in self._bits[:_STATE_BITS]:
             code = (code << 1) | bit
         self._code = code
+        # The registers live in the attributes above; native_state copies them in and out.
+        self._state = _coder_state(tables, 0, 0, 0, 0, address(self._bits), len(self._bits))
+        self.tables = tables
 
     @contextmanager
     def native_state(self, room: int = 0):
@@ -343,8 +388,8 @@ class RangeDecoder:
 
         The kernel's changes to the state come back when the block ends.
         """
-        state = _Coder(self._low, self._high, self._code, self._pos, address(self._bits),
-                       len(self._bits), address(self.c0), address(self.c1), len(self.c0))
+        state = self._state
+        state.low, state.high, state.extra, state.pos = self._low, self._high, self._code, self._pos
         try:
             yield state
         finally:
@@ -352,10 +397,10 @@ class RangeDecoder:
 
     def decode(self, ctx: int) -> int:
         """Decode one decision in Python; the kernel's loops decode whole streams."""
-        c0s = self.c0
-        c1s = self.c1
-        c0 = c0s[ctx]
-        c1 = c1s[ctx]
+        c0s = self.tables.c0
+        c1s = self.tables.c1
+        c0 = c0s[ctx] or 1
+        c1 = c1s[ctx] or 1
         total = c0 + c1
         low = self._low
         high = self._high

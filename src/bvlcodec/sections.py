@@ -23,11 +23,10 @@ fixed width.
 
 A cell's context is its label, class * 512 + rotated binary patch, where
 class numbers the canonical class of its ternary patch among the 1,665 whose
-center is unknown (contexts.py). The label indexes the coder's count tables
-directly: SectionTables holds one entry per label, 852,480 each, and both
+center is unknown (contexts.py). The label indexes the coder's CountTables
+directly, count_tables(SECTION_CONTEXTS) with 852,480 entries each, and both
 sides share one pair across shells. The tables are zeroed anonymous
-mappings, so only the pages of coded labels become resident; a label's
-first touch sets its counts to 1 and 1.
+mappings, so only the pages of coded labels become resident.
 
 Both sides code a whole shell in one call. build_section prepares it once:
 the depth maps, read in place; the slab cells of the encoder's points,
@@ -42,7 +41,7 @@ cleared again. So the set-up follows the occupied columns and the coded
 cells, never a slab's area. The reconstructed points, each section's seeds
 then its cells coded occupied, go to an output array as they are found.
 
-The loop runs in the native kernel (rangecoder.py). Without the kernel it
+The loop runs in the native kernel (rangecoder.run). Without the kernel it
 runs in Python, section by section, on buffers that numpy sets up per section
 (_section_buffers), and the encoder codes each section's contexts and bits
 in one call.
@@ -57,7 +56,6 @@ Each band is contiguous, so the kernel writes or clears it with one memset.
 from __future__ import annotations
 
 import ctypes
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,46 +65,21 @@ from .depthmap import DepthmapPair, _exact, decode_depthmaps, encode_depthmaps, 
 from .errors import BitstreamError, TruncatedStreamError
 from .rangecoder import (
     BAD_LAYOUT,
-    NEED_ROOM,
     CodedStream,
+    CountTables,
     RangeDecoder,
     RangeEncoder,
     check_status,
+    count_tables,
     native,
+    run,
 )
 
 # The z and x offsets of a 3x3 crop's cells.
 _DZ = np.repeat(np.array([-1, 0, 1], dtype=np.int64), 3)
 _DX = np.tile(np.array([-1, 0, 1], dtype=np.int64), 3)
-# The coded bits each call into the kernel's shell loop has room for.
-_BITS_ROOM = 1 << 16
 # Every context label: class * 512 + rotated binary patch.
 SECTION_CONTEXTS = UNKNOWN_CENTER_CLASSES * 512
-
-
-@dataclass(frozen=True, eq=False)
-class SectionTables:
-    """The section stream's count tables, c0 and c1, indexed by context label.
-
-    An entry is zero until its label is first coded, and never zero after.
-    """
-
-    c0: memoryview
-    c1: memoryview
-
-    def __len__(self) -> int:
-        """The number of labels coded so far."""
-        return int(np.count_nonzero(np.frombuffer(self.c0, dtype=np.uint16)))
-
-
-def section_tables() -> SectionTables:
-    """Zeroed tables of SECTION_CONTEXTS entries, as private anonymous mappings.
-
-    Their pages read as zero without being resident; a page becomes resident
-    once a label in it is coded.
-    """
-    return SectionTables(*(memoryview(mmap.mmap(-1, 2 * SECTION_CONTEXTS, flags=mmap.MAP_PRIVATE)).cast("H")
-                           for _ in range(2)))
 
 
 @dataclass
@@ -173,19 +146,17 @@ def _section_buffers(pair: DepthmapPair, y: int, nz: int, prev: bytes | None = N
 def _code_buffers(buf: SectionBuffers, coder, truth: bytes | None = None) -> int:
     """Code the unknown cells the work list reaches in one section, in Python.
 
-    The coder's tables are indexed by label (SectionTables). Returns the
-    number of coded bits. With truth, the section's true occupancy in the
-    layout of buf.state, each bit is read from it and the coder encodes the
-    section's contexts and bits in one call at the end; without, each bit is
-    decoded. Afterwards buf.state holds the reconstruction.
+    The coder's tables are indexed by label. Returns the number of coded
+    bits. With truth, the section's true occupancy in the layout of
+    buf.state, each bit is read from it and the coder encodes the section's
+    contexts and bits in one call at the end; without, each bit is decoded.
+    Afterwards buf.state holds the reconstruction.
     """
     turn_by_patch, class_by_patch, rotated = get_norm_lists()
     state = buf.state
     marked = buf.marked
     prev = buf.prev
     st = buf.stride
-    c0 = coder.c0
-    c1 = coder.c1
     decode = None if truth is not None else coder.decode
     labels: list[int] = []
     bits: list[int] = []
@@ -213,8 +184,6 @@ def _code_buffers(buf: SectionBuffers, coder, truth: bytes | None = None) -> int
             + 8 * prev[n] + 16 * prev[idx] + 32 * prev[s]
             + 64 * prev[ne] + 128 * prev[e] + 256 * prev[se]
         ]
-        if not c0[label]:
-            c0[label] = c1[label] = 1
         if decode is None:
             bit = truth[idx]
             labels.append(label)
@@ -292,7 +261,7 @@ class _ShellBuffers:
     section's occupied columns, the per-row counts of its start list, and
     room for the reconstructed points. The encoder emits only true points, so
     its room comes from them and never grows; the decoder's room starts at
-    two seeds per occupied column and code_section doubles it as needed.
+    two seeds per occupied column and grow() doubles it as needed.
     """
 
     def __init__(self, shell: Shell) -> None:
@@ -319,14 +288,18 @@ class _ShellBuffers:
             self.columns.ctypes.data, self.rows.ctypes.data, self.out.ctypes.data, len(self.out),
             tables.alpha_star.ctypes.data, tables.class_index.ctypes.data, tables.rotated_binary.ctypes.data)
 
-    def grow(self, room: int) -> None:
-        """Give out room for `room` points, keeping the ones emitted."""
+    def grow(self) -> None:
+        """Make sure out has room for a section's seeds, two per column, keeping the points emitted."""
+        sweep = self.struct
+        emitted = sweep.emitted
+        if sweep.room - emitted > 2 * sweep.nx:
+            return
+        room = max(2 * sweep.room, emitted + 2 * sweep.nx + 1)
         out = np.empty((room, 3), dtype=np.int64)
-        emitted = self.struct.emitted
         out[:emitted] = self.out[:emitted]
         self.out = out
-        self.struct.out = out.ctypes.data
-        self.struct.room = room
+        sweep.out = out.ctypes.data
+        sweep.room = room
 
 
 def build_section(pair: DepthmapPair, dims, points: np.ndarray | None = None) -> Shell:
@@ -357,7 +330,7 @@ def build_section(pair: DepthmapPair, dims, points: np.ndarray | None = None) ->
 
 def code_section(
     shell: Shell,
-    tables: SectionTables,
+    tables: CountTables,
     *,
     encoder: RangeEncoder | None = None,
     decoder: RangeDecoder | None = None,
@@ -374,10 +347,15 @@ def code_section(
     if encoder is not None and shell.cells is None:
         raise ValueError("encoding requires the shell's points")
     coder = encoder or decoder
-    if coder.c0 is not tables.c0 or coder.c1 is not tables.c1 or len(tables.c0) < SECTION_CONTEXTS:
+    if coder.tables is not tables or len(tables.c0) < SECTION_CONTEXTS:
         raise ValueError("the coder must be built on tables that span every section context")
-    if shell.buffers is not None:
-        return _code_native(native(), shell, coder, encoder is not None)
+    buffers = shell.buffers
+    if buffers is not None:
+        sweep = buffers.struct
+        if encoder is None:
+            sweep.cells = None
+        run(native().code_shell, coder, ctypes.byref(sweep), grow=buffers.grow)
+        return buffers.out[: sweep.emitted], sweep.coded
     nx, ny, nz = shell.dims
     chunks = [np.empty((0, 3), dtype=np.int64)]
     coded = 0
@@ -398,31 +376,13 @@ def code_section(
     return np.concatenate(chunks), coded
 
 
-def _code_native(lib, shell: Shell, coder, encoding: bool) -> tuple[np.ndarray, int]:
-    """code_section in the kernel."""
-    buffers = shell.buffers
-    sweep = buffers.struct
-    if not encoding:
-        sweep.cells = None
-    nx = shell.dims[0]
-    status = NEED_ROOM
-    while status == NEED_ROOM:
-        # A section loads only with room for two seeds per column.
-        if sweep.room - sweep.emitted <= 2 * nx:
-            buffers.grow(max(2 * sweep.room, sweep.emitted + 2 * nx + 1))
-        with coder.native_state(_BITS_ROOM) as state:
-            status = lib.code_shell(ctypes.byref(state), ctypes.byref(sweep))
-    check_status(status)
-    return buffers.out[: sweep.emitted], sweep.coded
-
-
-def sweep_encode(points: np.ndarray, pair: DepthmapPair, dims, tables: SectionTables,
+def sweep_encode(points: np.ndarray, pair: DepthmapPair, dims, tables: CountTables,
                  encoder: RangeEncoder) -> tuple[np.ndarray, int]:
     """Encode all sections with an encoder built on tables; returns (reconstructed points, decision count)."""
     return code_section(build_section(pair, dims, points), tables, encoder=encoder)
 
 
-def sweep_decode(pair: DepthmapPair, dims, tables: SectionTables,
+def sweep_decode(pair: DepthmapPair, dims, tables: CountTables,
                  decoder: RangeDecoder) -> tuple[np.ndarray, int]:
     """Decode all sections; mirrors sweep_encode decision for decision."""
     return code_section(build_section(pair, dims), tables, decoder=decoder)
@@ -438,13 +398,13 @@ def encode_shells(cloud, max_shells: int) -> tuple[list[tuple[CodedStream, Coded
     """
     dims = cloud.dims
     nz = dims[2]
-    tables = section_tables()
+    tables = count_tables(SECTION_CONTEXTS)
     remaining = cloud.to_array()
     shells: list[tuple[CodedStream, CodedStream]] = []
     while len(remaining) and len(shells) < max_shells:
         pair = project_array(remaining, dims)
         surface_stream = encode_depthmaps(pair, nz)
-        encoder = RangeEncoder(tables.c0, tables.c1)
+        encoder = RangeEncoder(tables)
         recon, _ = sweep_encode(remaining, pair, dims, tables, encoder)
         shells.append((surface_stream, encoder.finish()))
         # The points are sorted, so their keys are; every reconstructed point
@@ -459,11 +419,11 @@ def encode_shells(cloud, max_shells: int) -> tuple[list[tuple[CodedStream, Coded
 def decode_shells(shell_blobs: list[tuple[bytes, bytes]], dims) -> np.ndarray:
     """Decode every shell's payload pair; returns their points, shell after shell."""
     nx, ny, nz = dims
-    tables = section_tables()
+    tables = count_tables(SECTION_CONTEXTS)
     chunks = [np.empty((0, 3), dtype=np.int64)]
     for surface_blob, section_blob in shell_blobs:
         pair = decode_depthmaps(surface_blob, nx, ny, nz)
-        recon, _ = sweep_decode(pair, dims, tables, RangeDecoder(section_blob, tables.c0, tables.c1))
+        recon, _ = sweep_decode(pair, dims, tables, RangeDecoder(section_blob, tables))
         chunks.append(recon)
     return np.concatenate(chunks)
 

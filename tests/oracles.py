@@ -9,7 +9,7 @@ import numpy as np
 
 from bvlcodec.contexts import get_norm_tables
 from bvlcodec.rangecoder import RangeEncoder, count_tables
-from bvlcodec.sections import section_tables
+from bvlcodec.sections import SECTION_CONTEXTS
 
 _POW2 = 2 ** np.arange(9, dtype=np.int64)
 _POW3 = 3 ** np.arange(9, dtype=np.int64)
@@ -122,14 +122,9 @@ def flood_fill_labels(columns, true_cells, order, previous) -> list[int]:
 
 
 def encode_section_decisions(labels, bits):
-    """(stream, tables): the (label, bit) decisions coded on fresh section tables.
-
-    Each label's counts start at 1 and 1.
-    """
-    tables = section_tables()
-    for label in set(labels):
-        tables.c0[label] = tables.c1[label] = 1
-    encoder = RangeEncoder(tables.c0, tables.c1)
+    """(stream, tables): the (label, bit) decisions coded on fresh section tables."""
+    tables = count_tables(SECTION_CONTEXTS)
+    encoder = RangeEncoder(tables)
     encoder.encode_many(labels, bits)
     return encoder.finish(), tables
 
@@ -225,7 +220,7 @@ def reference_build_section(pair, y0: int, nz: int):
 
 
 def table_bytes(tables) -> tuple[bytes, bytes]:
-    """Both count tables of a section table pair, as bytes."""
+    """Both count tables of a CountTables pair, as bytes."""
     return bytes(tables.c0), bytes(tables.c1)
 
 
@@ -319,6 +314,6 @@ def reference_encode_depthmaps(pair, nz: int):
         decisions += _reference_signed_bins(1024 + 32, t - predicted)
         prev_low = v
         prev_thick = t
-    enc = RangeEncoder(*count_tables(1024 + 2 * 32))
+    enc = RangeEncoder(count_tables(1024 + 2 * 32))
     enc.encode_many([c for c, _ in decisions], [b for _, b in decisions])
     return enc.finish()

@@ -15,7 +15,7 @@ from bvlcodec import decode_cloud, encode_cloud, parse_ply
 from bvlcodec.contexts import PATCH_COUNT, build_norm_tables, check_norm_tables
 from bvlcodec.depthmap import DepthmapPair
 from bvlcodec.rangecoder import RangeDecoder, RangeEncoder, count_tables
-from bvlcodec.sections import _code_buffers, _section_buffers, build_section, code_section, section_tables
+from bvlcodec.sections import SECTION_CONTEXTS, _code_buffers, _section_buffers, build_section, code_section
 
 import shapes
 from oracles import (
@@ -94,7 +94,7 @@ def test_criterion_3_coder_rate():
         for p, seed in ((0.5, 11), (0.1, 22), (0.01, 33)):
             rng = np.random.default_rng(seed)
             bits = (rng.random(n) < p).astype(int).tolist()
-            enc = RangeEncoder(*count_tables(1))
+            enc = RangeEncoder(count_tables(1))
             enc.encode_many([0] * n, bits)
             rate = enc.finish().bit_length / n
             target = binary_entropy(p)
@@ -170,15 +170,15 @@ def test_criterion_5_section_oracle_equivalence():
             # With a previous section, the Python section loop decodes; without
             # one, the section is a whole shell, decoded in one code_section call.
             for previous, previous_cells in ((noise.tobytes(), slab_cells(noise, st)), (None, set())):
-                enc_tables = section_tables()
-                enc = RangeEncoder(enc_tables.c0, enc_tables.c1)
+                enc_tables = count_tables(SECTION_CONTEXTS)
+                enc = RangeEncoder(enc_tables)
                 enc_buf = _section_buffers(pair, 0, nz, previous)
                 n_enc = _code_buffers(enc_buf, enc, bytes(true_bytes))
                 stream = enc.finish()
                 labels = flood_fill_labels(columns, true_cells, order, previous_cells)
                 oracle_stream, oracle_tables = encode_section_decisions(labels, bits)
-                dec_tables = section_tables()
-                decoder = RangeDecoder(stream, dec_tables.c0, dec_tables.c1)
+                dec_tables = count_tables(SECTION_CONTEXTS)
+                decoder = RangeDecoder(stream, dec_tables)
                 if previous is None:
                     recon, n_dec = code_section(build_section(pair, (nx, 1, nz)), dec_tables, decoder=decoder)
                     occupied = {(z, x) for x, _, z in recon.tolist()}

@@ -5,6 +5,7 @@ passes without running it. The Python path is forced by replacing the
 kernel loader.
 """
 
+import ctypes
 import itertools
 
 import numpy as np
@@ -14,7 +15,7 @@ from bvlcodec import CodecError, decode_cloud, depthmap, encode_cloud, rangecode
 from bvlcodec.cloud import PERMUTATION_COUNT, AxisPermutation, VoxelCloud
 from bvlcodec.depthmap import DepthmapPair, project_array
 from bvlcodec.rangecoder import RangeDecoder, RangeEncoder, count_tables
-from bvlcodec.sections import build_section, code_section, section_tables, sweep_decode, sweep_encode
+from bvlcodec.sections import SECTION_CONTEXTS, build_section, code_section, sweep_decode, sweep_encode
 
 import shapes
 from oracles import table_bytes
@@ -75,8 +76,8 @@ def test_containers_are_byte_identical_on_both_paths(kernel, monkeypatch):
 
 
 def _decode_zeros(shell):
-    tables = section_tables()
-    return code_section(shell, tables, decoder=RangeDecoder(bytes(8), tables.c0, tables.c1))
+    tables = count_tables(SECTION_CONTEXTS)
+    return code_section(shell, tables, decoder=RangeDecoder(bytes(8), tables))
 
 
 def _decode_shell(pair, nz):
@@ -118,10 +119,11 @@ def test_kernel_accepts_the_valid_column_the_malformed_ones_spoil(kernel):
 def test_kernel_refuses_a_label_past_the_coders_tables(kernel):
     # code_section refuses such tables before the kernel runs; called
     # directly, the kernel's own bound check refuses the first label.
-    short = sections.SectionTables(*(memoryview(bytearray(2)).cast("H") for _ in range(2)))
+    short = count_tables(1)
     shell = build_section(_column_pair((1, 0, 5)), (1, 1, 6))
     with pytest.raises(ValueError, match="layout"):
-        sections._code_native(kernel, shell, RangeDecoder(bytes(8), short.c0, short.c1), False)
+        rangecoder.run(kernel.code_shell, RangeDecoder(bytes(8), short), ctypes.byref(shell.buffers.struct),
+                       grow=shell.buffers.grow)
     assert bytes(short.c0) == bytes(short.c1) == bytes(2)
 
 
@@ -132,18 +134,18 @@ def _sweep_record(cloud, shells=2):
     shell hold every shell's updates.
     """
     dims = cloud.dims
-    enc_tables = section_tables()
-    dec_tables = section_tables()
+    enc_tables = count_tables(SECTION_CONTEXTS)
+    dec_tables = count_tables(SECTION_CONTEXTS)
     remaining = cloud.to_array()
     record = []
     for _ in range(shells):
         if not len(remaining):
             break
         pair = project_array(remaining, dims)
-        enc = RangeEncoder(enc_tables.c0, enc_tables.c1)
+        enc = RangeEncoder(enc_tables)
         recon, n = sweep_encode(remaining, pair, dims, enc_tables, enc)
         stream = enc.finish()
-        dec = RangeDecoder(stream.data, dec_tables.c0, dec_tables.c1)
+        dec = RangeDecoder(stream.data, dec_tables)
         dec_recon, dec_n = sweep_decode(pair, dims, dec_tables, dec)
         record.append((stream, n, np.unique(recon, axis=0).tolist(), dec_n, np.unique(dec_recon, axis=0).tolist()))
         keys = np.ravel_multi_index(remaining.T, dims)
@@ -172,9 +174,9 @@ def test_kernel_and_python_sweeps_agree_on_fuzz_suite_in_every_permutation(kerne
 
 
 def test_kernel_and_python_sweeps_agree_when_kernel_calls_resume(kernel, monkeypatch):
-    # Room for 7 bits: the kernel's encoding calls resume inside and across
-    # sections; section 3 of each cloud is empty.
-    monkeypatch.setattr(sections, "_BITS_ROOM", 7)
+    # Room for 7 bits at first: the kernel's encoding calls resume inside and
+    # across sections; section 3 of each cloud is empty.
+    monkeypatch.setattr(rangecoder, "_BITS_ROOM", 7)
     rng = np.random.default_rng(79)
     clouds = []
     for _ in range(4):
@@ -193,7 +195,14 @@ def test_encoder_room_for_points_never_grows(kernel, monkeypatch):
     # decoder of a solid starts at two seeds per column and has to grow.
     grown = []
     grow = sections._ShellBuffers.grow
-    monkeypatch.setattr(sections._ShellBuffers, "grow", lambda self, room: (grown.append(room), grow(self, room)))
+
+    def recording_grow(self):
+        room = self.struct.room
+        grow(self)
+        if self.struct.room != room:
+            grown.append(self.struct.room)
+
+    monkeypatch.setattr(sections._ShellBuffers, "grow", recording_grow)
     blob, _ = encode_cloud(shapes.solid_sphere(24, 10), permutation=0)
     assert not grown
     decode_cloud(blob)
@@ -245,7 +254,7 @@ def test_depthmap_encoder_resumes_mid_map_with_identical_bytes(kernel, monkeypat
     pair = DepthmapPair(occ, z[0], z[1])
     expected = depthmap.encode_depthmaps(pair, 1000)
     recorder = _StopRecorder(kernel)
-    monkeypatch.setattr(depthmap, "_BITS_ROOM", 1)
+    monkeypatch.setattr(rangecoder, "_BITS_ROOM", 1)
     monkeypatch.setattr(depthmap, "native", lambda: recorder)
     assert depthmap.encode_depthmaps(pair, 1000) == expected
     for name, stops in recorder.stops.items():
@@ -260,6 +269,6 @@ def test_kernel_mask_loop_refuses_an_occ_byte_above_1(kernel):
     # count tables, before the surface loop could refuse the map.
     grid = np.zeros((4, 6), np.uint8)
     grid[2, 3] = 2
-    encoder = RangeEncoder(*count_tables(depthmap._CONTEXTS))
+    encoder = RangeEncoder(count_tables(depthmap._CONTEXTS))
     with pytest.raises(ValueError, match="layout"):
-        depthmap._run(kernel.code_mask, encoder, depthmap._Cursor(0, 4, 0), grid.ctypes.data, 2, 2, 1)
+        rangecoder.run(kernel.code_mask, encoder, ctypes.byref(depthmap._Cursor(0, 4, 0)), grid.ctypes.data, 2, 2, 1)

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from bvlcodec.errors import TruncatedStreamError
-from bvlcodec.rangecoder import RESCALE_LIMIT, RangeDecoder, RangeEncoder, count_tables
+from bvlcodec.rangecoder import RESCALE_LIMIT, CountTables, RangeDecoder, RangeEncoder, count_tables
 
-from oracles import binary_entropy
+from oracles import binary_entropy, table_bytes
 
 
 def _round_trip(bits, picks, n_contexts):
-    enc = RangeEncoder(*count_tables(n_contexts))
+    enc = RangeEncoder(count_tables(n_contexts))
     enc.encode_many(picks, bits)
     stream = enc.finish()
-    dec = RangeDecoder(stream, *count_tables(n_contexts))
+    dec = RangeDecoder(stream, count_tables(n_contexts))
     decoded = [dec.decode(pick) for pick in picks]
-    assert (enc.c0, enc.c1) == (dec.c0, dec.c1)
+    assert table_bytes(enc.tables) == table_bytes(dec.tables)
     return decoded, stream
 
 
@@ -49,7 +49,7 @@ def test_rate_tracks_entropy(p, tol):
     rng = np.random.default_rng(2024)
     n = 200_000
     bits = (rng.random(n) < p).astype(int).tolist()
-    enc = RangeEncoder(*count_tables(1))
+    enc = RangeEncoder(count_tables(1))
     enc.encode_many([0] * n, bits)
     rate = enc.finish().bit_length / n
     target = binary_entropy(p)
@@ -60,10 +60,10 @@ def test_model_counts_stay_bounded():
     n = 300_000
     skewed = (np.random.default_rng(9).random(n) < 0.02).astype(int).tolist()
     for bits in (skewed, [1] * n, [0] * n):
-        enc = RangeEncoder(*count_tables(1))
+        enc = RangeEncoder(count_tables(1))
         for bit in bits:
             enc.encode_many((0,), (bit,))
-            c0, c1 = enc.c0[0], enc.c1[0]
+            c0, c1 = enc.tables.c0[0], enc.tables.c1[0]
             assert c0 >= 1 and c1 >= 1
             assert c0 + c1 <= RESCALE_LIMIT
             # Each count fits a uint16 table entry.
@@ -74,24 +74,24 @@ def test_model_counts_stay_bounded():
 def test_model_states_sync_after_every_symbol():
     rng = np.random.default_rng(31)
     bits = (rng.random(4000) < 0.3).astype(int).tolist()
-    enc = RangeEncoder(*count_tables(1))
+    enc = RangeEncoder(count_tables(1))
     enc.encode_many([0] * len(bits), bits)
     stream = enc.finish()
-    replay = RangeEncoder(*count_tables(1))
-    dec = RangeDecoder(stream, *count_tables(1))
+    replay = RangeEncoder(count_tables(1))
+    dec = RangeDecoder(stream, count_tables(1))
     for bit in bits:
         replay.encode_many((0,), (bit,))
         assert dec.decode(0) == bit
-        assert (dec.c0, dec.c1) == (replay.c0, replay.c1)
+        assert table_bytes(dec.tables) == table_bytes(replay.tables)
 
 
 def test_truncated_stream_raises():
     rng = np.random.default_rng(3)
     bits = (rng.random(5000) < 0.5).astype(int).tolist()
-    enc = RangeEncoder(*count_tables(1))
+    enc = RangeEncoder(count_tables(1))
     enc.encode_many([0] * len(bits), bits)
     stream = enc.finish()
-    dec = RangeDecoder(stream.data[: len(stream.data) // 4], *count_tables(1))
+    dec = RangeDecoder(stream.data[: len(stream.data) // 4], count_tables(1))
     with pytest.raises(TruncatedStreamError):
         for _ in bits:
             dec.decode(0)
@@ -100,7 +100,7 @@ def test_truncated_stream_raises():
 def test_coded_stream_pads_to_whole_bytes():
     rng = np.random.default_rng(11)
     for n in (0, 1, 7, 100, 1001):
-        enc = RangeEncoder(*count_tables(1))
+        enc = RangeEncoder(count_tables(1))
         enc.encode_many([0] * n, (rng.random(n) < 0.3).astype(int).tolist())
         stream = enc.finish()
         assert len(stream.data) == (stream.bit_length + 7) // 8
@@ -110,18 +110,18 @@ def test_coded_stream_pads_to_whole_bytes():
 
 @pytest.mark.parametrize("size", [0, 1, 5])
 def test_range_decoder_reads_64_zero_bits_past_the_payload(size):
-    # On an all-zero stream, a context with fresh (1, 1) counts decodes 0
-    # and consumes exactly one bit, so the decode count measures the bits
+    # On an all-zero stream, a fresh context, whose zero counts code as 1
+    # and 1, decodes 0 and consumes exactly one bit, so the decode count measures the bits
     # available.
     available = 8 * size + 64 - 32
-    dec = RangeDecoder(bytes(size), *count_tables(available + 1))
+    dec = RangeDecoder(bytes(size), count_tables(available + 1))
     assert [dec.decode(k) for k in range(available)] == [0] * available
     with pytest.raises(TruncatedStreamError):
         dec.decode(available)
 
 
 def test_empty_payload_decodes():
-    dec = RangeDecoder(b"", *count_tables(1))
+    dec = RangeDecoder(b"", count_tables(1))
     assert [dec.decode(0) for _ in range(10)] == [0] * 10
 
 
@@ -130,24 +130,85 @@ def test_split_sequence_codes_like_one_call():
     n = 20_000
     bits = (rng.random(n) < 0.25).astype(int).tolist()
     picks = rng.integers(0, 8, size=n).tolist()
-    whole = RangeEncoder(*count_tables(8))
+    whole = RangeEncoder(count_tables(8))
     whole.encode_many(picks, bits)
-    split = RangeEncoder(*count_tables(8))
+    split = RangeEncoder(count_tables(8))
     cuts = [0, 0, 1, 1, 777, 777, 5000, 19_999, n, n]
     for a, b in zip(cuts, cuts[1:]):
         split.encode_many(iter(picks[a:b]), iter(bits[a:b]))
     assert split.finish() == whole.finish()
-    assert (split.c0, split.c1) == (whole.c0, whole.c1)
+    assert table_bytes(split.tables) == table_bytes(whole.tables)
 
 
 @pytest.mark.parametrize("n_contexts,n_bits", [(3, 2), (2, 3), (0, 1), (1, 0)])
 def test_encode_many_rejects_a_length_mismatch(n_contexts, n_bits):
-    enc = RangeEncoder(*count_tables(1))
+    enc = RangeEncoder(count_tables(1))
     with pytest.raises(ValueError):
         enc.encode_many([0] * n_contexts, [1] * n_bits)
     # The pairs before the mismatch stay coded.
-    ref = RangeEncoder(*count_tables(1))
+    ref = RangeEncoder(count_tables(1))
     prefix = min(n_contexts, n_bits)
     ref.encode_many([0] * prefix, [1] * prefix)
-    assert (enc.c0, enc.c1) == (ref.c0, ref.c1)
+    assert table_bytes(enc.tables) == table_bytes(ref.tables)
     assert enc.finish() == ref.finish()
+
+
+def test_count_tables_count_each_coded_context_once():
+    tables = count_tables(8)
+    assert len(tables) == 0
+    enc = RangeEncoder(tables)
+    enc.encode_many([3, 3, 5, 3, 5], [1, 0, 1, 1, 0])
+    assert len(tables) == 2
+    dec_tables = count_tables(8)
+    dec = RangeDecoder(enc.finish(), dec_tables)
+    assert [dec.decode(ctx) for ctx in (3, 3, 5, 3, 5)] == [1, 0, 1, 1, 0]
+    assert len(dec_tables) == 2
+
+
+def _tables_of_ones(n):
+    return CountTables(*(memoryview(np.ones(n, dtype=np.uint16)) for _ in range(2)))
+
+
+def test_zeroed_tables_code_like_tables_of_ones():
+    # A zero entry codes as a count of 1, so zeroed tables give every context
+    # the first estimate that Laplace-initialised ones do.
+    rng = np.random.default_rng(23)
+    n = 50_000
+    picks = rng.integers(0, 64, size=n).tolist()
+    bits = (rng.random(n) < 0.2).astype(int).tolist()
+    zeroed = RangeEncoder(count_tables(96))
+    ones = RangeEncoder(_tables_of_ones(96))
+    zeroed.encode_many(picks, bits)
+    ones.encode_many(picks, bits)
+    stream = zeroed.finish()
+    assert stream == ones.finish()
+    dec = RangeDecoder(stream, count_tables(96))
+    assert [dec.decode(pick) for pick in picks] == bits
+    coded = np.zeros(96, dtype=bool)
+    coded[picks] = True
+    for table in (zeroed.tables, dec.tables):
+        for counts, reference in ((table.c0, ones.tables.c0), (table.c1, ones.tables.c1)):
+            counts = np.frombuffer(counts, dtype=np.uint16)
+            assert np.array_equal(counts[coded], np.frombuffer(reference, dtype=np.uint16)[coded])
+            assert not counts[~coded].any() and counts[coded].all()
+
+
+@pytest.mark.parametrize("c0, c1", [
+    (memoryview(bytearray(8)).cast("H"), memoryview(bytearray(6)).cast("H")),
+    (memoryview(bytes(8)).cast("H"), memoryview(bytearray(8)).cast("H")),
+    (memoryview(bytearray(8)).cast("H"), memoryview(bytearray(8)).cast("I")),
+    (memoryview(bytearray(8)), memoryview(bytearray(8))),
+    (memoryview(bytearray(16)).cast("H")[::2], memoryview(bytearray(8)).cast("H")),
+    (np.zeros(4, np.uint16), np.zeros(4, np.uint16)),
+], ids=["lengths-differ", "read-only", "uint32", "bytes", "strided", "not-views"])
+def test_count_tables_refuse_views_the_kernel_could_overrun(c0, c1):
+    with pytest.raises(TypeError):
+        CountTables(c0, c1)
+
+
+def test_coders_refuse_anything_but_count_tables():
+    c0, c1 = count_tables(4).c0, count_tables(4).c1
+    with pytest.raises(TypeError):
+        RangeEncoder((c0, c1))
+    with pytest.raises(TypeError):
+        RangeDecoder(bytes(4), (c0, c1))

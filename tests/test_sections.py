@@ -6,17 +6,15 @@ import pytest
 from bvlcodec import rangecoder, sections
 from bvlcodec.depthmap import DepthmapPair, project_array
 from bvlcodec.errors import BitstreamError, TruncatedStreamError
-from bvlcodec.rangecoder import RangeDecoder, RangeEncoder
+from bvlcodec.rangecoder import RangeDecoder, RangeEncoder, count_tables
 from bvlcodec.sections import (
     SECTION_CONTEXTS,
-    SectionTables,
     build_section,
     code_section,
     decode_residual,
     decode_shells,
     encode_residual,
     encode_shells,
-    section_tables,
     sweep_decode,
     sweep_encode,
 )
@@ -48,8 +46,8 @@ def path(request, monkeypatch):
 def _coder(tables, stream=None):
     """An encoder on tables, or a decoder of stream on them."""
     if stream is None:
-        return RangeEncoder(tables.c0, tables.c1)
-    return RangeDecoder(stream, tables.c0, tables.c1)
+        return RangeEncoder(tables)
+    return RangeDecoder(stream, tables)
 
 
 def _single_section_pair(nz, nx, columns) -> DepthmapPair:
@@ -163,12 +161,12 @@ def _run_both_sides(pair, nz, true_cells, prev=None):
     decision count, stream, encoder's tables).
     """
     nx = pair.occ.shape[0]
-    tables = section_tables()
+    tables = count_tables(SECTION_CONTEXTS)
     enc = _coder(tables)
     enc_buf = sections._section_buffers(pair, 0, nz, prev)
     coded = sections._code_buffers(enc_buf, enc, _true_bytes(true_cells, nz, nx))
     stream = enc.finish()
-    dec_tables = section_tables()
+    dec_tables = count_tables(SECTION_CONTEXTS)
     dec_buf = sections._section_buffers(pair, 0, nz, prev)
     assert sections._code_buffers(dec_buf, _coder(dec_tables, stream)) == coded
     assert marked_cells(dec_buf) == marked_cells(enc_buf)
@@ -176,7 +174,7 @@ def _run_both_sides(pair, nz, true_cells, prev=None):
     assert table_bytes(dec_tables) == table_bytes(tables)
     if prev is None:
         shell = build_section(pair, (nx, 1, nz))
-        shell_tables = section_tables()
+        shell_tables = count_tables(SECTION_CONTEXTS)
         recon, shell_coded = code_section(shell, shell_tables, decoder=_coder(shell_tables, stream))
         assert shell_coded == coded
         assert {(z, x) for x, _, z in recon.tolist()} == occupied_cells(dec_buf)
@@ -260,11 +258,11 @@ def _point_set(points):
 
 def _sweep_round_trip(cloud):
     pair = project_array(cloud.to_array(), cloud.dims)
-    tables = section_tables()
+    tables = count_tables(SECTION_CONTEXTS)
     enc = _coder(tables)
     recon_enc, n_enc = sweep_encode(cloud.to_array(), pair, cloud.dims, tables, enc)
     stream = enc.finish()
-    tables = section_tables()
+    tables = count_tables(SECTION_CONTEXTS)
     recon_dec, n_dec = sweep_decode(pair, cloud.dims, tables, _coder(tables, stream))
     assert n_enc == n_dec
     enc_set = _point_set(recon_enc)
@@ -307,7 +305,7 @@ def test_sweep_refuses_map_values_the_coded_types_cannot_hold(path, field, value
     maps = {"occ": np.ones((2, 2), np.int64), "zmin": np.zeros((2, 2), np.int64), "zmax": np.full((2, 2), 3, np.int64)}
     maps[field][0, 0] = value
     points = np.array([(x, y, z) for x in range(2) for y in range(2) for z in (0, 3)])
-    tables = section_tables()
+    tables = count_tables(SECTION_CONTEXTS)
     encoder = _coder(tables)
     with pytest.raises(ValueError, match="layout"):
         sweep_encode(points, DepthmapPair(**maps), (2, 2, 4), tables, encoder)
@@ -318,19 +316,19 @@ def test_code_section_refuses_tables_that_do_not_span_the_section_contexts(path)
     cloud = shapes.solid_cube(16, 2, 14)
     points = cloud.to_array()
     pair = project_array(points, cloud.dims)
-    short = SectionTables(*(memoryview(bytearray(2 * (SECTION_CONTEXTS - 1))).cast("H") for _ in range(2)))
-    other = section_tables()
+    short = count_tables(SECTION_CONTEXTS - 1)
+    other = count_tables(SECTION_CONTEXTS)
     # Tables one label short, and a coder on tables other than the ones given.
-    for tables, coded_on in ((short, short), (other, section_tables())):
+    for tables, coded_on in ((short, short), (other, count_tables(SECTION_CONTEXTS))):
         encoder = _coder(coded_on)
         with pytest.raises(ValueError, match="span"):
             code_section(build_section(pair, cloud.dims, points), tables, encoder=encoder)
         with pytest.raises(ValueError, match="span"):
             code_section(build_section(pair, cloud.dims), tables, decoder=_coder(coded_on, bytes(8)))
         assert len(tables) == len(coded_on) == 0
-        assert encoder.finish() == _coder(section_tables()).finish()
+        assert encoder.finish() == _coder(count_tables(SECTION_CONTEXTS)).finish()
     # The same shell codes on tables that span the contexts.
-    tables = section_tables()
+    tables = count_tables(SECTION_CONTEXTS)
     assert code_section(build_section(pair, cloud.dims, points), tables, encoder=_coder(tables))[1] > 0
 
 
