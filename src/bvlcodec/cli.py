@@ -39,7 +39,8 @@ def _add_encode_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--permutation", type=_permutation, default="auto",
                    help="axis ordering: auto (try all 6, keep the smallest) or 0..5")
     p.add_argument("--max-shells", type=_positive_int, default=2, metavar="N",
-                   help="surface+section passes before raw-coding leftovers (default 2)")
+                   help="surface+section passes before raw-coding leftovers, "
+                        "at most 255 (default 2)")
     p.add_argument("--bits", type=_positive_int, default=None, metavar="N",
                    help="quantize coordinates to N bits per axis before encoding")
     p.add_argument("--report", choices=("text", "csv"), default="text")

@@ -243,70 +243,52 @@ def _parse_header(header: str):
     return fmt, elements, comment_dims
 
 
-def _coordinate_columns(props) -> tuple[int, int, int]:
-    names = [name for _, name in props]
-    try:
-        return names.index("x"), names.index("y"), names.index("z")
-    except ValueError as exc:
-        raise PlyError("vertex element lacks x, y, z properties") from exc
+def _vertex_columns(binary: bool, body: bytes, elements) -> list[np.ndarray]:
+    """The x, y and z columns of the first vertex element, as stored or as parsed.
 
-
-def _vertices_ascii(body: bytes, elements) -> np.ndarray:
-    lines = [ln for ln in body.decode("ascii", errors="replace").splitlines() if ln.strip()]
+    Elements before it are skipped: in binary by their byte size, which a
+    list property leaves unknown, and in ASCII by their count of non-blank
+    lines. ASCII tokens parse as int() does, or as float() does for a float
+    property whatever its declared size, so no digit is lost on the way.
+    """
+    if not binary:
+        lines = [ln for ln in body.decode("ascii", errors="replace").splitlines() if ln.strip()]
     at = 0
     for element in elements:
+        props, count = element["props"], element["count"]
+        has_list = any(kind == "list" for kind, _ in props)
         if element["name"] != "vertex":
-            at += element["count"]
-            continue
-        if any(kind == "list" for kind, _ in element["props"]):
-            raise PlyError("list property in vertex element is unsupported")
-        cx, cy, cz = _coordinate_columns(element["props"])
-        codes = [kind for kind, _ in element["props"]]
-        if at + element["count"] > len(lines):
-            raise PlyError("truncated vertex data")
-        out = np.empty((element["count"], 3), dtype=np.int64)
-        for row, line in enumerate(lines[at : at + element["count"]]):
-            tokens = line.split()
-            if len(tokens) < len(codes):
-                raise PlyError(f"short vertex line: {line!r}")
-            try:
-                for k, col in enumerate((cx, cy, cz)):
-                    value = float(tokens[col]) if codes[col] in _FLOAT_CODES else int(tokens[col])
-                    if value != int(value):
-                        raise PlyError(f"non-integral coordinate {tokens[col]}")
-                    out[row, k] = int(value)
-            except (ValueError, OverflowError) as exc:
-                raise PlyError(f"bad coordinate in vertex line {line!r}") from exc
-        return out
-    raise PlyError("no vertex element")
-
-
-def _vertices_binary(body: bytes, elements) -> np.ndarray:
-    offset = 0
-    for element in elements:
-        has_list = any(kind == "list" for kind, _ in element["props"])
-        if element["name"] != "vertex":
-            if has_list:
+            if not binary:
+                at += count
+            elif has_list:
                 raise PlyError("cannot skip a list-typed element before vertex")
-            itemsize = sum(np.dtype("<" + code).itemsize for code, _ in element["props"])
-            offset += element["count"] * itemsize
+            else:
+                at += count * sum(np.dtype("<" + code).itemsize for code, _ in props)
             continue
         if has_list:
             raise PlyError("list property in vertex element is unsupported")
-        cx, cy, cz = _coordinate_columns(element["props"])
-        dtype = np.dtype([(f"f{i}", "<" + code) for i, (code, _) in enumerate(element["props"])])
-        if offset + element["count"] * dtype.itemsize > len(body):
+        names = [name for _, name in props]
+        try:
+            cols = [names.index(axis) for axis in "xyz"]
+        except ValueError as exc:
+            raise PlyError("vertex element lacks x, y, z properties") from exc
+        if binary:
+            dtype = np.dtype([(f"f{i}", "<" + code) for i, (code, _) in enumerate(props)])
+            if at + count * dtype.itemsize > len(body):
+                raise PlyError("truncated vertex data")
+            table = np.frombuffer(body, dtype=dtype, count=count, offset=at)
+            return [table[f"f{col}"] for col in cols]
+        if at + count > len(lines):
             raise PlyError("truncated vertex data")
-        table = np.frombuffer(body, dtype=dtype, count=element["count"], offset=offset)
-        out = np.empty((element["count"], 3), dtype=np.int64)
-        for k, col in enumerate((cx, cy, cz)):
-            values = table[f"f{col}"]
-            if element["props"][col][0] in _FLOAT_CODES:
-                # abs() < limit is also false for nan and inf, so no value wraps in the cast
-                if not (np.all(np.abs(values) < 2.0**63) and np.array_equal(values, np.floor(values))):
-                    raise PlyError("non-integral or out-of-range coordinate in binary vertex data")
-            out[:, k] = values.astype(np.int64)
-        return out
+        rows = [line.split() for line in lines[at : at + count]]
+        if any(len(row) < len(props) for row in rows):
+            raise PlyError("short vertex line")
+        try:
+            return [np.array([row[col] for row in rows],
+                             dtype=np.float64 if props[col][0] in _FLOAT_CODES else np.int64)
+                    for col in cols]
+        except (ValueError, OverflowError) as exc:
+            raise PlyError("bad coordinate in ASCII vertex data") from exc
     raise PlyError("no vertex element")
 
 
@@ -316,15 +298,20 @@ def parse_ply(data: bytes, dims: tuple[int, int, int] | None = None) -> VoxelClo
     Other vertex properties and other elements are ignored. Duplicate
     vertices collapse to one voxel. dims defaults to max coordinate + 1 per
     axis; an explicit argument wins, then a `comment voxel_dims` header line.
+    A negative coordinate or one outside dims raises PlyError, as does a
+    float coordinate that is not an integer in int64's range.
     """
     header, body = _split_header(data)
     fmt, elements, comment_dims = _parse_header(header)
-    if fmt == "ascii":
-        coords = _vertices_ascii(body, elements)
-    else:
-        coords = _vertices_binary(body, elements)
-    if coords.size and coords.min() < 0:
-        raise PlyError("negative coordinate")
+    columns = _vertex_columns(fmt != "ascii", body, elements)
+    coords = np.empty((len(columns[0]), 3), dtype=np.int64)
+    for k, values in enumerate(columns):
+        # abs() < limit is also false for nan and inf, so no value wraps in the cast
+        if values.dtype.kind == "f" and not (
+            np.all(np.abs(values) < 2.0**63) and np.array_equal(values, np.floor(values))
+        ):
+            raise PlyError("non-integral or out-of-range coordinate")
+        coords[:, k] = values
     if dims is None:
         dims = comment_dims
     try:

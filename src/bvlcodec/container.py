@@ -27,6 +27,8 @@ from .sections import decode_residual, decode_shells, encode_residual, encode_sh
 MAGIC = b"BVL1"
 FORMAT_VERSION = 1
 _FIXED = struct.Struct("<4sHBB3I")
+# The shell count is one byte of the fixed header.
+MAX_SHELLS = 255
 MAX_PLANE_CELLS = 1 << 26
 
 CSV_COLUMNS = (
@@ -105,6 +107,8 @@ def encode_cloud(cloud: VoxelCloud, permutation: int | str = "auto",
 
     permutation "auto" encodes all 6 axis orderings and keeps the smallest
     total payload (ties to the smallest id); an integer pins the ordering.
+    At most max_shells passes run, and at most 255 whatever it says; the
+    points no pass reaches go to the raw residual.
     """
     start = time.perf_counter()
     count = len(cloud.to_array())
@@ -123,7 +127,7 @@ def encode_cloud(cloud: VoxelCloud, permutation: int | str = "auto",
     totals = []
     for pid in perm_ids:
         permuted = AxisPermutation(pid).apply(cloud)
-        shells, residual = encode_shells(permuted, max_shells)
+        shells, residual = encode_shells(permuted, min(max_shells, MAX_SHELLS))
         residual_stream = encode_residual(residual, permuted.dims)
         total_bits = (
             sum(p.bit_length for pair in shells for p in pair)

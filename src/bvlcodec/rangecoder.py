@@ -288,10 +288,6 @@ class RangeEncoder:
         otherwise, after the pairs before the mismatch are coded). A nonzero
         bit codes a 1.
         """
-        if isinstance(contexts, np.ndarray):
-            contexts = contexts.tolist()
-        if isinstance(bits, np.ndarray):
-            bits = bits.tolist()
         state = self._state
         low = state.low
         high = state.high

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from bvlcodec import VoxelCloud, depthmap, parse_ply, rangecoder, sections, write_ply
+from bvlcodec import VoxelCloud, decode_cloud, depthmap, parse_ply, rangecoder, sections, write_ply
 from bvlcodec.cli import main
 from bvlcodec.container import CSV_COLUMNS
 from bvlcodec.rangecoder import CodedStream
@@ -211,3 +211,14 @@ def test_encode_rejects_non_positive_integer_options(tmp_path, capsys, option):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and option in err
+
+
+def test_encode_caps_max_shells_at_the_header_byte(tmp_path, capsys):
+    cloud = VoxelCloud.from_points([(0, 0, z) for z in range(0, 1200, 2)], (1, 1, 1200))
+    src = tmp_path / "column.ply"
+    _write_cloud(src, cloud)
+    packed = tmp_path / "column.bvl"
+    args = ["encode", str(src), "-o", str(packed), "--permutation", "0", "--max-shells", "300"]
+    assert main(args) == 0
+    assert "shells:         255" in capsys.readouterr().out
+    assert decode_cloud(packed.read_bytes()) == cloud

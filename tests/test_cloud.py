@@ -255,3 +255,110 @@ def test_invalid_inputs():
     bad = VoxelCloud((2, 2, 2), frozenset({(5, 0, 0)}))
     with pytest.raises(ValueError):
         bad.validate()
+
+
+_DTYPES = {"int": "<i4", "uchar": "u1", "float": "<f4", "double": "<f8"}
+
+
+def _ascii_and_binary(props, rows, before=()):
+    """One vertex table as an ASCII and as a binary PLY with the same declared types.
+
+    `before` lists (name, count, props) elements written ahead of the vertices.
+    """
+    elements = [*before, ("vertex", len(rows), props)]
+    head = "".join(
+        f"element {name} {count}\n" + "".join(f"property {kind} {prop}\n" for kind, prop in ps)
+        for name, count, ps in elements
+    )
+    plys = []
+    for fmt in ("ascii", "binary_little_endian"):
+        data = f"ply\nformat {fmt} 1.0\n{head}end_header\n".encode()
+        for _, count, ps in elements:
+            table = [tuple(rows[i]) if ps is props else (0,) * len(ps) for i in range(count)]
+            if fmt == "ascii":
+                data += "".join(" ".join(map(str, row)) + "\n" for row in table).encode()
+            else:
+                dtype = np.dtype([(f"f{i}", _DTYPES[kind]) for i, (kind, _) in enumerate(ps)])
+                data += np.array(table, dtype=dtype).tobytes()
+        plys.append(data)
+    return plys
+
+
+_XYZ = {kind: [(kind, "x"), (kind, "y"), (kind, "z")] for kind in ("int", "float", "double")}
+_INF, _NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("props, rows, expected", [
+    (_XYZ["double"], [(2.0, 3.0, 4.0), (0.0, -0.0, 1.0)], {(2, 3, 4), (0, 0, 1)}),
+    (_XYZ["float"], [(16777216.0, 5.0, 0.0)], {(16777216, 5, 0)}),
+    (_XYZ["double"], [(1.0, 0.5, 2.0)], PlyError),
+    (_XYZ["float"], [(0.0, 0.0, 0.5)], PlyError),
+    (_XYZ["double"], [(_INF, 0.0, 0.0)], PlyError),
+    (_XYZ["float"], [(0.0, -_INF, 0.0)], PlyError),
+    (_XYZ["double"], [(0.0, 0.0, _NAN)], PlyError),
+    (_XYZ["double"], [(1e20, 0.0, 0.0)], PlyError),
+    (_XYZ["float"], [(0.0, 1e20, 0.0)], PlyError),
+    (_XYZ["int"], [(3, -1, 0)], PlyError),
+    (_XYZ["double"], [(0.0, 0.0, -2.0)], PlyError),
+    ([("int", "x"), ("float", "y"), ("double", "z")], [(7, 8.0, 9.0), (1, 2.0, 3.0)],
+     {(7, 8, 9), (1, 2, 3)}),
+    ([("int", "x"), ("float", "y"), ("double", "z")], [(7, 8.5, 9.0)], PlyError),
+    ([("uchar", "red"), ("int", "z"), ("int", "y"), ("int", "x"), ("uchar", "alpha")],
+     [(255, 1, 2, 3, 0), (0, 6, 5, 4, 9)], {(3, 2, 1), (4, 5, 6)}),
+], ids=["integral-floats", "float-2^24", "half", "float-half", "inf", "minus-inf", "nan",
+        "1e20", "float-1e20", "negative-int", "negative-float", "mixed", "mixed-half",
+        "extra-uchar"])
+def test_ascii_and_binary_vertices_parse_alike(props, rows, expected):
+    for data in _ascii_and_binary(props, rows):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a wrapping cast would warn first
+            if expected is PlyError:
+                with pytest.raises(PlyError):
+                    parse_ply(data)
+            else:
+                assert parse_ply(data).points == expected
+
+
+def test_elements_before_the_vertices_are_skipped():
+    faces = ("face", 2, [("int", "a"), ("uchar", "b")])
+    for data in _ascii_and_binary(_XYZ["int"], [(1, 2, 3)], before=[faces]):
+        assert parse_ply(data).points == {(1, 2, 3)}
+
+
+def test_ascii_float_coordinate_keeps_every_digit():
+    # float32 would round 2^24 + 1 to 2^24; ASCII tokens parse as float64.
+    assert parse_ply(_ascii_ply([(16777217, 0, 0)])).points == {(16777217, 0, 0)}
+
+
+def _mutated(rng, data):
+    data = bytearray(data)
+    for _ in range(int(rng.integers(1, 4))):
+        op, at = int(rng.integers(3)), int(rng.integers(len(data)))
+        if op == 0:
+            data[at] ^= 1 << int(rng.integers(8))
+        elif op == 1:
+            del data[at]
+        else:
+            data.insert(at, int(rng.choice([0x20, 0x0A, 0x2D, 0x2E, 0x30, 0x65, rng.integers(256)])))
+    return bytes(data)
+
+
+def test_mutated_plys_parse_or_raise_ply_error():
+    rng = np.random.default_rng(2024)
+    rows = rng.integers(0, 40, size=(8, 3)).tolist()
+    bases = [
+        *_ascii_and_binary(_XYZ["int"] + [("uchar", "red")], [(*row, 9) for row in rows]),
+        *_ascii_and_binary(_XYZ["float"], rows, before=[("edge", 2, [("int", "a")])]),
+        *_ascii_and_binary(_XYZ["double"], rows),
+    ]
+    parsed = 0
+    for i in range(2000):
+        data = _mutated(rng, bases[i % len(bases)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                parse_ply(data)
+                parsed += 1
+            except PlyError:
+                pass
+    assert 0 < parsed < 2000

@@ -19,7 +19,7 @@ from bvlcodec import (
     decode_cloud,
     encode_cloud,
 )
-from bvlcodec.container import _FIXED, MAGIC, MAX_PLANE_CELLS, _assemble, _check_dims
+from bvlcodec.container import _FIXED, MAGIC, MAX_PLANE_CELLS, MAX_SHELLS, _assemble, _check_dims
 from bvlcodec.sections import encode_residual, encode_shells
 
 import shapes
@@ -150,6 +150,17 @@ def test_max_shells_one_forces_residual():
     blob, report = encode_cloud(cloud, permutation=0, max_shells=1)
     assert report.shells == 1
     assert report.residual_bits > 32
+    assert decode_cloud(blob) == cloud
+
+
+def test_shell_passes_stop_at_the_header_byte():
+    # 600 points at even z in one column: each pass peels the lowest and the
+    # highest, so 300 are needed.
+    cloud = VoxelCloud.from_points([(0, 0, z) for z in range(0, 1200, 2)], (1, 1, 1200))
+    blob, report = encode_cloud(cloud, permutation=0, max_shells=300)
+    assert report.shells == MAX_SHELLS == 255
+    assert report.residual_bits == 32 + 90 * 11  # 90 points left, 11 bits of z each
+    assert blob == encode_cloud(cloud, permutation=0, max_shells=MAX_SHELLS)[0]
     assert decode_cloud(blob) == cloud
 
 
