@@ -1,11 +1,12 @@
 /* Native loops of the bvlcodec coder, loaded through ctypes by rangecoder.py.
  *
  * The range coder and its count update mirror rangecoder.RangeEncoder and
- * RangeDecoder bit for bit, first-use rule included: a zero count codes as
- * 1, so the zeroed tables of rangecoder.count_tables need no set-up. Three
- * loops code the streams, each on both sides: code_mask (the occupancy
- * mask), code_surfaces (the low surface and thickness) and code_shell (a
- * shell's section sweep). Each bit is read from the maps and encoded, or
+ * RangeDecoder bit for bit, first-use rule included. A stream's counts live
+ * in one table of c0 | c1 << 16 entries, one uint32 per context, and a zero
+ * entry codes as FIRST_USE, counts 1 and 1, so the zeroed table of
+ * rangecoder.count_tables needs no set-up. Three loops code the streams,
+ * each on both sides: code_mask (the occupancy mask), code_surfaces (the
+ * low surface and thickness) and code_shell (a shell's section sweep). Each bit is read from the maps and encoded, or
  * decoded and stored. They mirror the Python loops of depthmap.py and
  * sections.py decision for decision, so either side may run in either
  * language. Every buffer is allocated and sized by the caller. An encoding
@@ -22,6 +23,7 @@
 #define QUARTER 0x40000000LL
 #define THREE_QUARTER 0xC0000000LL
 #define RESCALE_LIMIT 65536
+#define FIRST_USE 0x10001u
 #define MASK_CONTEXTS 1024
 #define RESIDUAL_CONTEXTS 32
 #define MAX_PREFIX 48
@@ -35,8 +37,8 @@ typedef struct {
     int64_t low, high, extra, pos;
     uint8_t *bits;
     int64_t size;          /* bytes readable (decoder) or writable (encoder) at bits */
-    uint16_t *c0, *c1;     /* a zero count codes as 1 */
-    int64_t contexts;      /* entries of c0 and c1 */
+    uint32_t *counts;      /* one c0 | c1 << 16 entry per context; a zero entry codes as FIRST_USE */
+    int64_t contexts;      /* entries of counts */
 } Coder;
 
 static inline void emit(Coder *c, int bit) {
@@ -47,7 +49,8 @@ static inline void emit(Coder *c, int bit) {
 }
 
 static inline void encode_bit(Coder *c, int64_t ctx, int bit) {
-    int64_t c0 = c->c0[ctx] ? c->c0[ctx] : 1, c1 = c->c1[ctx] ? c->c1[ctx] : 1, total = c0 + c1;
+    const uint32_t stored = c->counts[ctx], entry = stored ? stored : FIRST_USE;
+    int64_t c0 = entry & 0xFFFF, c1 = entry >> 16, total = c0 + c1;
     int64_t low = c->low, high = c->high;
     int64_t split = low + c0 * (high - low + 1) / total;
     if (bit) {
@@ -78,15 +81,15 @@ static inline void encode_bit(Coder *c, int64_t ctx, int bit) {
         c0 = (c0 + 1) >> 1;
         c1 = (c1 + 1) >> 1;
     }
-    c->c0[ctx] = (uint16_t)c0;
-    c->c1[ctx] = (uint16_t)c1;
+    c->counts[ctx] = (uint32_t)(c0 | c1 << 16);
     c->low = low;
     c->high = high;
 }
 
 /* The decoded bit, or TRUNCATED once the reads pass the end of the bits. */
 static inline int decode_bit(Coder *c, int64_t ctx) {
-    int64_t c0 = c->c0[ctx] ? c->c0[ctx] : 1, c1 = c->c1[ctx] ? c->c1[ctx] : 1, total = c0 + c1;
+    const uint32_t stored = c->counts[ctx], entry = stored ? stored : FIRST_USE;
+    int64_t c0 = entry & 0xFFFF, c1 = entry >> 16, total = c0 + c1;
     int64_t low = c->low, high = c->high, code = c->extra, pos = c->pos;
     int64_t split = low + c0 * (high - low + 1) / total;
     int bit = code >= split;
@@ -121,8 +124,7 @@ static inline int decode_bit(Coder *c, int64_t ctx) {
         c0 = (c0 + 1) >> 1;
         c1 = (c1 + 1) >> 1;
     }
-    c->c0[ctx] = (uint16_t)c0;
-    c->c1[ctx] = (uint16_t)c1;
+    c->counts[ctx] = (uint32_t)(c0 | c1 << 16);
     c->low = low;
     c->high = high;
     c->extra = code;

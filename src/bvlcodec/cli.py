@@ -210,7 +210,7 @@ def _selftest_end_to_end() -> list[str]:
 
 def _cmd_selftest(_args) -> int:
     lib, where = rangecoder.load_kernel()
-    # The Python path decodes about 10x slower, so say which one runs.
+    # The Python path runs tens of times slower (README, Performance), so say which one runs.
     print(f"coder: native kernel {where}" if lib is not None else f"coder: Python fallback ({where})")
     checks = (
         ("normalization tables", lambda: check_norm_tables(build_norm_tables())),

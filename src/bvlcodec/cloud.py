@@ -77,10 +77,10 @@ class VoxelCloud:
 
     @classmethod
     def from_points(cls, points, dims: tuple[int, int, int] | None = None) -> "VoxelCloud":
-        """Build a cloud; dims default to max coordinate + 1 per axis."""
+        """Build a cloud; dims default to max coordinate + 1 per axis, and at least 1."""
         cloud = cls((1, 1, 1) if dims is None else dims, points)
         if dims is None and len(cloud._array):
-            cloud.dims = tuple((cloud._array.max(axis=0) + 1).tolist())
+            cloud.dims = tuple(np.maximum(cloud._array.max(axis=0) + 1, 1).tolist())
         return cloud
 
     @cached_property

@@ -16,8 +16,9 @@ Coding scheme (self-contained, fully adaptive):
 Residuals are zigzag-mapped and binarized as order-0 exp-Golomb, one adaptive
 context per bin position (32 contexts per surface).
 
-The stream's contexts are int slots of one CountTables pair: the mask
-contexts first, then the low-surface bins, then the thickness bins.
+The stream's contexts are int slots of one CountTables, one table of
+c0 | c1 << 16 entries: the mask contexts first, then the low-surface bins,
+then the thickness bins.
 
 Both sides run the same two loops: the mask pixel by pixel, then the surfaces
 at the occupied pixels. The encoder reads each bit from the maps and codes

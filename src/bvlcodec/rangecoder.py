@@ -2,16 +2,17 @@
 
 Integer range coder with 32-bit interval registers and pending-bit carry
 resolution (Witten/Neal/Cleary style renormalization). A coder works on one
-CountTables pair, c0 and c1: uint16 views with one entry per context, zeroed
-private anonymous mappings whose pages become resident only as their
-contexts are coded. Every stream uses them. A binary decision is coded under
-an int context, so p(0) = c0[context] / (c0[context] + c1[context]) adapts as
-symbols are observed. One first-use rule serves every stream: a zero entry
-codes as a count of 1, so a context's first estimate is 1/2, as if its
-counts had started at 1 and 1, and after its first decision neither count
+CountTables, one table of c0 | c1 << 16 entries: a native uint32 view with
+one entry per context that holds both of the context's counts, c0 in the low
+half and c1 in the high half, in a zeroed private anonymous mapping whose
+pages become resident only as their contexts are coded. Every stream uses
+one. A binary decision is coded under an int context, so p(0) = c0 / (c0 +
+c1) of its entry adapts as symbols are observed. One first-use rule serves
+every stream: a zero entry codes as FIRST_USE, counts of 1 and 1, so a
+context's first estimate is 1/2, and after its first decision neither count
 is zero. Encoder and decoder apply the identical count update after each
 symbol, which keeps both tables bit-for-bit in sync. Counts stay at or below
-RESCALE_LIMIT - 1, so uint16 entries hold them.
+RESCALE_LIMIT - 1, so each half of an entry holds its count exactly.
 
 Termination: finish() emits a single disambiguating bit (plus any pending
 carry bits) and zero-pads the last byte. The decoder treats reads past the
@@ -61,6 +62,8 @@ _THREE_QUARTER = _HALF + _QUARTER
 # the estimator responsive on nonstationary data. Must stay far below the
 # minimum interval width (2^30) so every symbol keeps a nonempty subinterval.
 RESCALE_LIMIT = 1 << 16
+# The entry a zero entry codes as: counts c0 = 1 and c1 = 1.
+FIRST_USE = 0x10001
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _BUILD = ("gcc", "-O2", "-shared", "-fPIC")
@@ -167,47 +170,47 @@ class _Coder(ctypes.Structure):
 
     _fields_ = [
         ("low", _I), ("high", _I), ("extra", _I), ("pos", _I),
-        ("bits", _P), ("size", _I), ("c0", _P), ("c1", _P), ("contexts", _I),
+        ("bits", _P), ("size", _I), ("counts", _P), ("contexts", _I),
     ]
 
 
 @dataclass(frozen=True, eq=False)
 class CountTables:
-    """A stream's count tables, c0 and c1, one uint16 entry per context.
+    """A stream's count table: one uint32 entry c0 | c1 << 16 per context.
 
     An entry is zero until its context is first coded, and never zero
-    after. Anything but two writable, contiguous 'H' memoryviews of one
-    length raises TypeError, since the kernel indexes both up to len(c0).
+    after. Anything but a writable, 1-D, contiguous 'I' memoryview of
+    4-byte items raises TypeError, since the kernel indexes it as uint32
+    up to len(counts).
     """
 
-    c0: memoryview
-    c1: memoryview
+    counts: memoryview
 
     def __post_init__(self) -> None:
-        views = (self.c0, self.c1)
-        if not (all(isinstance(v, memoryview) and v.format == "H" and v.ndim == 1 and v.c_contiguous
-                    and not v.readonly for v in views) and len(self.c0) == len(self.c1)):
-            raise TypeError("count tables must be two writable uint16 memoryviews of one length")
+        v = self.counts
+        if not (isinstance(v, memoryview) and v.format == "I" and v.itemsize == 4 and v.ndim == 1
+                and v.c_contiguous and not v.readonly):
+            raise TypeError("a count table must be a writable, contiguous uint32 memoryview")
 
     def __len__(self) -> int:
         """The number of contexts coded so far."""
-        return int(np.count_nonzero(np.frombuffer(self.c0, dtype=np.uint16)))
+        return int(np.count_nonzero(np.frombuffer(self.counts, dtype=np.uint32)))
 
 
 def count_tables(n: int) -> CountTables:
-    """Zeroed tables of n contexts each, as private anonymous mappings.
+    """A zeroed table of n contexts, as a private anonymous mapping.
 
-    Their pages read as zero without being resident; a page becomes resident
+    Its pages read as zero without being resident; a page becomes resident
     once a context in it is coded.
     """
-    return CountTables(*(memoryview(mmap.mmap(-1, 2 * n, flags=mmap.MAP_PRIVATE)).cast("H") for _ in range(2)))
+    return CountTables(memoryview(mmap.mmap(-1, 4 * n, flags=mmap.MAP_PRIVATE)).cast("I"))
 
 
 def _coder_state(tables: CountTables, *registers) -> _Coder:
     """The kernel's struct of a coder on tables, from its registers low, high, extra, pos, bits and size."""
     if not isinstance(tables, CountTables):
         raise TypeError("a coder needs CountTables")
-    return _Coder(*registers, address(tables.c0), address(tables.c1), len(tables.c0))
+    return _Coder(*registers, address(tables.counts), len(tables.counts))
 
 
 def run(loop, coder, *args, grow=None) -> None:
@@ -294,12 +297,11 @@ class RangeEncoder:
         pending = state.extra
         out = self._written()
         append = out.append
-        c0s = self.tables.c0
-        c1s = self.tables.c1
+        counts = self.tables.counts
         try:
             for ctx, bit in zip(contexts, bits, strict=True):
-                c0 = c0s[ctx] or 1
-                c1 = c1s[ctx] or 1
+                entry = counts[ctx] or FIRST_USE
+                c0, c1 = entry & 0xFFFF, entry >> 16
                 total = c0 + c1
                 split = low + c0 * (high - low + 1) // total
                 if bit:
@@ -332,8 +334,7 @@ class RangeEncoder:
                 if total >= RESCALE_LIMIT:
                     c0 = (c0 + 1) >> 1
                     c1 = (c1 + 1) >> 1
-                c0s[ctx] = c0
-                c1s[ctx] = c1
+                counts[ctx] = c0 | c1 << 16
         finally:
             # On a length mismatch the pairs before it stay coded.
             state.low = low
@@ -393,10 +394,9 @@ class RangeDecoder:
 
     def decode(self, ctx: int) -> int:
         """Decode one decision in Python; the kernel's loops decode whole streams."""
-        c0s = self.tables.c0
-        c1s = self.tables.c1
-        c0 = c0s[ctx] or 1
-        c1 = c1s[ctx] or 1
+        counts = self.tables.counts
+        entry = counts[ctx] or FIRST_USE
+        c0, c1 = entry & 0xFFFF, entry >> 16
         total = c0 + c1
         low = self._low
         high = self._high
@@ -441,6 +441,5 @@ class RangeDecoder:
         if total + 1 > RESCALE_LIMIT:
             c0 = (c0 + 1) >> 1
             c1 = (c1 + 1) >> 1
-        c0s[ctx] = c0
-        c1s[ctx] = c1
+        counts[ctx] = c0 | c1 << 16
         return bit

@@ -24,9 +24,10 @@ fixed width.
 A cell's context is its label, class * 512 + rotated binary patch, where
 class numbers the canonical class of its ternary patch among the 1,665 whose
 center is unknown (contexts.py). The label indexes the coder's CountTables
-directly, count_tables(SECTION_CONTEXTS) with 852,480 entries each, and both
-sides share one pair across shells. The tables are zeroed anonymous
-mappings, so only the pages of coded labels become resident.
+directly: count_tables(SECTION_CONTEXTS), one table of c0 | c1 << 16
+entries, 852,480 uint32 entries that each hold both counts of a label. Both
+sides share one table across shells. It is a zeroed anonymous mapping, so
+only the pages of coded labels become resident.
 
 Both sides code a whole shell in one call. build_section prepares it once:
 the depth maps, read in place; the slab cells of the encoder's points,
@@ -146,7 +147,7 @@ def _section_buffers(pair: DepthmapPair, y: int, nz: int, prev: bytes | None = N
 def _code_buffers(buf: SectionBuffers, coder, truth: bytes | None = None) -> int:
     """Code the unknown cells the work list reaches in one section, in Python.
 
-    The coder's tables are indexed by label. Returns the number of coded
+    The coder's count table is indexed by label. Returns the number of coded
     bits. With truth, the section's true occupancy in the layout of
     buf.state, each bit is read from it and the coder encodes the section's
     contexts and bits in one call at the end; without, each bit is decoded.
@@ -347,7 +348,7 @@ def code_section(
     if encoder is not None and shell.cells is None:
         raise ValueError("encoding requires the shell's points")
     coder = encoder or decoder
-    if coder.tables is not tables or len(tables.c0) < SECTION_CONTEXTS:
+    if coder.tables is not tables or len(tables.counts) < SECTION_CONTEXTS:
         raise ValueError("the coder must be built on tables that span every section context")
     buffers = shell.buffers
     if buffers is not None:
@@ -393,8 +394,8 @@ def encode_shells(cloud, max_shells: int) -> tuple[list[tuple[CodedStream, Coded
 
     Each pass reconstructs the points reachable from its own depth surfaces;
     the next pass runs on whatever is left. Returns the per-shell payload
-    pairs and the sorted points no shell reached. The section count tables
-    persist across shells.
+    pairs and the sorted points no shell reached. The section count table
+    persists across shells.
     """
     dims = cloud.dims
     nz = dims[2]

@@ -219,9 +219,9 @@ def reference_build_section(pair, y0: int, nz: int):
     return bytearray(state.tobytes(order="F")), bytearray(listed.tobytes(order="F")), queue
 
 
-def table_bytes(tables) -> tuple[bytes, bytes]:
-    """Both count tables of a CountTables pair, as bytes."""
-    return bytes(tables.c0), bytes(tables.c1)
+def table_bytes(tables) -> bytes:
+    """The count table of a CountTables, as bytes."""
+    return bytes(tables.counts)
 
 
 def slab_cells(mask, stride: int) -> set[tuple[int, int]]:

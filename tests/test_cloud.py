@@ -64,6 +64,15 @@ def test_parse_negative_coordinate_rejected():
         parse_ply(_ascii_ply([(-1, 0, 0)]))
 
 
+def test_default_dims_are_at_least_one_so_validate_names_the_point():
+    cloud = VoxelCloud.from_points([(-1, 5, -2)])
+    assert cloud.dims == (1, 6, 1)
+    with pytest.raises(ValueError, match=r"point \(-1, 5, -2\) outside dims \(1, 6, 1\)"):
+        cloud.validate()
+    with pytest.raises(PlyError, match=r"outside dims \(1, 1, 1\)"):
+        parse_ply(_ascii_ply([(-1, 0, 0)]))
+
+
 def test_parse_non_integral_float_rejected():
     with pytest.raises(PlyError):
         parse_ply(_ascii_ply([(0.5, 0, 0)]))

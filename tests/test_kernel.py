@@ -124,7 +124,7 @@ def test_kernel_refuses_a_label_past_the_coders_tables(kernel):
     with pytest.raises(ValueError, match="layout"):
         rangecoder.run(kernel.code_shell, RangeDecoder(bytes(8), short), ctypes.byref(shell.buffers.struct),
                        grow=shell.buffers.grow)
-    assert bytes(short.c0) == bytes(short.c1) == bytes(2)
+    assert bytes(short.counts) == bytes(4)
 
 
 def _sweep_record(cloud, shells=2):

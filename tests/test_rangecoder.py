@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bvlcodec.errors import TruncatedStreamError
-from bvlcodec.rangecoder import RESCALE_LIMIT, CountTables, RangeDecoder, RangeEncoder, count_tables
+from bvlcodec.rangecoder import FIRST_USE, RESCALE_LIMIT, CountTables, RangeDecoder, RangeEncoder, count_tables
 
 from oracles import binary_entropy, table_bytes
 
@@ -63,11 +63,13 @@ def test_model_counts_stay_bounded():
         enc = RangeEncoder(count_tables(1))
         for bit in bits:
             enc.encode_many((0,), (bit,))
-            c0, c1 = enc.tables.c0[0], enc.tables.c1[0]
+            # Both halves of the entry: c0 low, c1 high.
+            entry = enc.tables.counts[0]
+            c0, c1 = entry & 0xFFFF, entry >> 16
             assert c0 >= 1 and c1 >= 1
             assert c0 + c1 <= RESCALE_LIMIT
-            # Each count fits a uint16 table entry.
-            assert max(c0, c1) <= 65_535
+            # Each count fits its 16-bit half, so neither spills into the other.
+            assert entry < 1 << 32 and max(c0, c1) <= 65_535
         enc.finish()
 
 
@@ -166,12 +168,12 @@ def test_count_tables_count_each_coded_context_once():
 
 
 def _tables_of_ones(n):
-    return CountTables(*(memoryview(np.ones(n, dtype=np.uint16)) for _ in range(2)))
+    return CountTables(memoryview(np.full(n, FIRST_USE, dtype=np.uint32)))
 
 
 def test_zeroed_tables_code_like_tables_of_ones():
-    # A zero entry codes as a count of 1, so zeroed tables give every context
-    # the first estimate that Laplace-initialised ones do.
+    # A zero entry codes as FIRST_USE, counts of 1 and 1, so a zeroed table
+    # gives every context the first estimate that a Laplace-initialised one does.
     rng = np.random.default_rng(23)
     n = 50_000
     picks = rng.integers(0, 64, size=n).tolist()
@@ -186,29 +188,42 @@ def test_zeroed_tables_code_like_tables_of_ones():
     assert [dec.decode(pick) for pick in picks] == bits
     coded = np.zeros(96, dtype=bool)
     coded[picks] = True
+    reference = np.frombuffer(ones.tables.counts, dtype=np.uint32)
+    assert (reference[~coded] == FIRST_USE).all()
     for table in (zeroed.tables, dec.tables):
-        for counts, reference in ((table.c0, ones.tables.c0), (table.c1, ones.tables.c1)):
-            counts = np.frombuffer(counts, dtype=np.uint16)
-            assert np.array_equal(counts[coded], np.frombuffer(reference, dtype=np.uint16)[coded])
-            assert not counts[~coded].any() and counts[coded].all()
+        counts = np.frombuffer(table.counts, dtype=np.uint32)
+        assert np.array_equal(counts[coded], reference[coded])
+        assert not counts[~coded].any() and counts[coded].all()
 
 
-@pytest.mark.parametrize("c0, c1", [
-    (memoryview(bytearray(8)).cast("H"), memoryview(bytearray(6)).cast("H")),
-    (memoryview(bytes(8)).cast("H"), memoryview(bytearray(8)).cast("H")),
-    (memoryview(bytearray(8)).cast("H"), memoryview(bytearray(8)).cast("I")),
-    (memoryview(bytearray(8)), memoryview(bytearray(8))),
-    (memoryview(bytearray(16)).cast("H")[::2], memoryview(bytearray(8)).cast("H")),
-    (np.zeros(4, np.uint16), np.zeros(4, np.uint16)),
-], ids=["lengths-differ", "read-only", "uint32", "bytes", "strided", "not-views"])
-def test_count_tables_refuse_views_the_kernel_could_overrun(c0, c1):
+def test_entry_holds_c0_low_and_c1_high():
+    # Zero codes as 1 and 1; 0, 0, 1 then count 1 + 2 zeros and 1 + 1 ones.
+    enc = RangeEncoder(count_tables(2))
+    enc.encode_many([0, 0, 0], [0, 0, 1])
+    assert enc.tables.counts.tolist() == [3 | 2 << 16, 0]
+    dec = RangeDecoder(enc.finish(), count_tables(2))
+    assert [dec.decode(0) for _ in range(3)] == [0, 0, 1]
+    assert dec.tables.counts.tolist() == [3 | 2 << 16, 0]
+
+
+@pytest.mark.parametrize("counts", [
+    memoryview(bytes(8)).cast("I"),
+    memoryview(bytearray(8)).cast("H"),
+    memoryview(bytearray(8)).cast("i"),
+    memoryview(bytearray(8)),
+    memoryview(bytearray(16)).cast("I")[::2],
+    np.zeros(4, np.uint32),
+], ids=["read-only", "uint16", "int32", "bytes", "strided", "not-views"])
+def test_count_tables_refuse_views_the_kernel_could_overrun(counts):
     with pytest.raises(TypeError):
-        CountTables(c0, c1)
+        CountTables(counts)
+    # Each case fails on its view, not on the number of arguments.
+    CountTables(memoryview(bytearray(8)).cast("I"))
 
 
 def test_coders_refuse_anything_but_count_tables():
-    c0, c1 = count_tables(4).c0, count_tables(4).c1
+    counts = count_tables(4).counts
     with pytest.raises(TypeError):
-        RangeEncoder((c0, c1))
+        RangeEncoder(counts)
     with pytest.raises(TypeError):
-        RangeDecoder(bytes(4), (c0, c1))
+        RangeDecoder(bytes(4), counts)
