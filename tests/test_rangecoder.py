@@ -63,13 +63,12 @@ def test_model_counts_stay_bounded():
         enc = RangeEncoder(count_tables(1))
         for bit in bits:
             enc.encode_many((0,), (bit,))
-            # Both halves of the entry: c0 low, c1 high.
+            # Both halves of the entry, c0 low and c1 high. A count that
+            # spilled out of its half would leave c0 at zero.
             entry = enc.tables.counts[0]
             c0, c1 = entry & 0xFFFF, entry >> 16
             assert c0 >= 1 and c1 >= 1
             assert c0 + c1 <= RESCALE_LIMIT
-            # Each count fits its 16-bit half, so neither spills into the other.
-            assert entry < 1 << 32 and max(c0, c1) <= 65_535
         enc.finish()
 
 
