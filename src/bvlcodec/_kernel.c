@@ -300,19 +300,22 @@ int64_t code_surfaces(Coder *c, Cursor *at, const uint8_t *occ, int32_t *low, in
 /* A shell: every section of one pair of depth surfaces (see sections.py),
  * and where a resumed call picks up. The slabs are column-major: cell (z, x)
  * of a section sits at (x + 1) * (nz + 2) + z + 1, inside a one-cell border
- * ring, so a column's band is contiguous and one memset loads or clears it. */
+ * ring, so a column's band is contiguous and one memset loads or clears it.
+ * The encoder emits no points: it flags which of its true cells the sweep
+ * reached, and out, room and emitted serve the decoder alone. */
 typedef struct {
     const uint8_t *occ;            /* the (nx, ny) depth surfaces, row-major, read in place */
     const int32_t *zmin, *zmax;
     int64_t nx, ny, nz;
     const int64_t *cells;          /* encoding: the true cells' slab indices, sorted by section; NULL decoding */
     const int64_t *offsets;        /* section y's true cells: cells[offsets[y] .. offsets[y + 1]) */
+    uint8_t *reached;              /* encoding: one byte per entry of cells, 1 once its section reconstructs it */
     uint8_t *state;                /* two slabs of stride nz + 2: section y codes in slab y % 2 */
     uint8_t *marked, *truth;       /* one slab each, all zero between sections */
     int32_t *fifo;                 /* room for one slab of cells */
     int32_t *columns;              /* room for nx: the section's occupied columns */
     int64_t *rows;                 /* nz + 2 zeros: start-list cells per row while a section loads */
-    int64_t *out;                  /* (x, y, z) of every reconstructed point */
+    int64_t *out;                  /* decoding: (x, y, z) of every reconstructed point; unused encoding */
     int64_t room;                  /* points out can hold */
     const uint8_t *turn;           /* contexts.NormTables: alpha_star, class_index, rotated_binary */
     const int32_t *classes;
@@ -374,10 +377,10 @@ static int64_t list_starts(Shell *s, uint8_t *state, int64_t y, int64_t n, uint8
 
 /* Set up section y in its slab: clear the bands section y - 2 left there,
  * write the bands (unknown) and seeds (occupied) of the occupied columns,
- * emit the seeds, list the unknown cells around the seeds sorted row-major
- * into the fifo, and mark the true cells when encoding. The work follows the
- * columns and the listed cells, never the slab's area. */
-static int64_t load_section(Shell *s, int64_t y) {
+ * emit the seeds when decoding, list the unknown cells around the seeds
+ * sorted row-major into the fifo, and mark the true cells when encoding. The
+ * work follows the columns and the listed cells, never the slab's area. */
+static inline __attribute__((always_inline)) int64_t load_section(Shell *s, int64_t y, int64_t encoding) {
     const int64_t st = s->nz + 2, size = (s->nx + 2) * st;
     uint8_t *state = s->state + (y & 1) * size;
     int64_t lo, hi, k, n = 0, first = s->nz + 2, last = -1;
@@ -396,9 +399,11 @@ static int64_t load_section(Shell *s, int64_t y) {
         uint8_t *cell = state + (x + 1) * st + lo + 1;
         memset(cell, 0, (size_t)(hi - lo + 1));
         cell[0] = cell[hi - lo] = 2;
-        emit_point(s, x, y, lo);
-        if (hi > lo)
-            emit_point(s, x, y, hi);
+        if (!encoding) {
+            emit_point(s, x, y, lo);
+            if (hi > lo)
+                emit_point(s, x, y, hi);
+        }
         s->columns[n++] = x;
         /* The seeds' crops cover rows lo .. hi + 2 of the padded slab. */
         first = lo < first ? lo : first;
@@ -418,7 +423,7 @@ static int64_t load_section(Shell *s, int64_t y) {
         s->rows[r] = 0;
     s->head = 0;
     s->tail = total;
-    for (int64_t i = s->cells ? s->offsets[y] : 0; s->cells && i < s->offsets[y + 1]; i++) {
+    for (int64_t i = encoding ? s->offsets[y] : 0; encoding && i < s->offsets[y + 1]; i++) {
         if ((uint64_t)s->cells[i] >= (uint64_t)size)
             return BAD_LAYOUT;
         s->truth[s->cells[i]] = 1;
@@ -426,25 +431,30 @@ static int64_t load_section(Shell *s, int64_t y) {
     return DONE;
 }
 
-/* Clear the marks and true cells section y set; its bands stay for section
- * y + 1 to read. */
-static void unload_section(Shell *s, int64_t y) {
+/* Clear the marks section y set in its slab, state. When encoding, first
+ * flag each true cell of the section that state holds occupied as reached,
+ * then clear the true cells; the bands stay for section y + 1 to read. */
+static inline __attribute__((always_inline)) void unload_section(Shell *s, const uint8_t *state, int64_t y,
+                                                                int64_t encoding) {
     for (int64_t i = 0; i < s->tail; i++)
         s->marked[s->fifo[i]] = 0;
-    for (int64_t i = s->cells ? s->offsets[y] : 0; s->cells && i < s->offsets[y + 1]; i++)
+    for (int64_t i = encoding ? s->offsets[y] : 0; encoding && i < s->offsets[y + 1]; i++) {
+        s->reached[i] = state[s->cells[i]] == 2;
         s->truth[s->cells[i]] = 0;
+    }
 }
 
 /* The list-driven section loop of sections.code_section over every section
  * of a shell, on either side: each bit is decoded, or read from the truth
  * and encoded. Section y reads the reconstruction of section y - 1 (state 2)
- * from the other slab. The reconstructed points go to out: each section's
- * seeds, then its cells coded occupied. A cell's context is its label,
- * class * 512 + rotated binary patch. out needs room for 2 nx more points
- * before a section loads. A malformed column or true cell, a listed cell
- * whose 3x3 crop leaves its slab, or a patch or label outside the tables
- * (state above 2) means the shell breaks its layout: BAD_LAYOUT. */
-int64_t code_shell(Coder *c, Shell *s) {
+ * from the other slab. The decoder's reconstructed points go to out: each
+ * section's seeds, then its cells coded occupied; out needs room for 2 nx
+ * more points before a section loads. The encoder emits nothing; unloading
+ * a section flags its reached true cells. A cell's context is its label,
+ * class * 512 + rotated binary patch. A malformed column or true cell, a
+ * listed cell whose 3x3 crop leaves its slab, or a patch or label outside
+ * the tables (state above 2) means the shell breaks its layout: BAD_LAYOUT. */
+static inline __attribute__((always_inline)) int64_t shell_loop(Coder *c, Shell *s, int64_t encoding) {
     const int64_t st = s->nz + 2, size = (s->nx + 2) * st;
     /* The 8-neighbours in the Python loop's order: nw, n, ne, w, e, sw, s, se. */
     const int64_t push[8] = {-st - 1, -1, st - 1, -st, st, -st + 1, 1, st + 1};
@@ -454,9 +464,9 @@ int64_t code_shell(Coder *c, Shell *s) {
     for (; s->section < s->ny; s->section++) {
         const int64_t y = s->section;
         if (!s->loaded) {
-            if (s->emitted + 2 * s->nx > s->room)
+            if (!encoding && s->emitted + 2 * s->nx > s->room)
                 return NEED_ROOM;
-            if ((status = load_section(s, y)) < 0)
+            if ((status = load_section(s, y, encoding)) < 0)
                 return status;
             s->loaded = 1;
         }
@@ -464,7 +474,7 @@ int64_t code_shell(Coder *c, Shell *s) {
         const uint8_t *prev = s->state + (~y & 1) * size;
         int64_t head = s->head, tail = s->tail, coded = s->coded;
         while (head < tail) {
-            if (s->emitted == s->room || (s->cells && c->pos + c->extra + 64 > c->size)) {
+            if (encoding ? c->pos + c->extra + 64 > c->size : s->emitted == s->room) {
                 status = NEED_ROOM;
                 break;
             }
@@ -490,7 +500,7 @@ int64_t code_shell(Coder *c, Shell *s) {
                 break;
             }
             int bit;
-            if (s->cells) {
+            if (encoding) {
                 bit = s->truth[idx] != 0;
                 encode_bit(c, label, bit);
             } else if ((bit = decode_bit(c, label)) < 0) {
@@ -501,7 +511,8 @@ int64_t code_shell(Coder *c, Shell *s) {
             coded++;
             state[idx] = (uint8_t)(1 + bit);
             if (bit) {
-                emit_point(s, idx / st - 1, y, idx % st - 1);
+                if (!encoding)
+                    emit_point(s, idx / st - 1, y, idx % st - 1);
                 for (int k = 0; k < 8; k++) {
                     int64_t j = idx + push[k];
                     if (state[j] == 0 && marked[j] == 0) {
@@ -516,8 +527,14 @@ int64_t code_shell(Coder *c, Shell *s) {
         s->coded = coded;
         if (status != DONE)
             return status;
-        unload_section(s, y);
+        unload_section(s, state, y, encoding);
         s->loaded = 0;
     }
     return DONE;
+}
+
+/* A shell on either side; cells is NULL when decoding. The side is decided
+ * once per call, so neither side's loop tests for the other's work. */
+int64_t code_shell(Coder *c, Shell *s) {
+    return s->cells ? shell_loop(c, s, 1) : shell_loop(c, s, 0);
 }

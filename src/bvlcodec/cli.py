@@ -181,22 +181,26 @@ def _selftest_depthmaps() -> list[str]:
 
 
 def _selftest_sections() -> list[str]:
-    """With the native kernel, its section stream must equal the Python loop's one."""
+    """With the native kernel, its section stream and reached points must equal the Python loop's."""
     if rangecoder.load_kernel()[0] is None:
         return []
     cloud = _selftest_cloud()
     points = cloud.to_array()
     pair = depthmap.project_array(points, cloud.dims)
     streams = []
+    reached = []
     for python in (False, True):
         shell = sections.build_section(pair, cloud.dims, points)
         if python:
             shell.buffers = None
         tables = count_tables(sections.SECTION_CONTEXTS)
         encoder = RangeEncoder(tables)
-        sections.code_section(shell, tables, encoder=encoder)
+        reached.append(sections.code_section(shell, tables, encoder=encoder)[0])
         streams.append(encoder.finish())
-    return [] if streams[0] == streams[1] else ["native and Python section streams differ"]
+    problems = [] if streams[0] == streams[1] else ["native and Python section streams differ"]
+    if not np.array_equal(*reached):
+        problems.append("native and Python reached points differ")
+    return problems
 
 
 def _selftest_end_to_end() -> list[str]:

@@ -18,8 +18,9 @@ coded, so no pop is a no-op.
 
 Both sides code the same cells in the same order, so the decoder recovers
 exactly the cells the encoder coded: the points 8-connected, section by
-section, to the surface seeds. Points no shell reaches are written raw,
-fixed width.
+section, to the surface seeds. The encoder flags which of its points the
+sweep reached, and the next shell codes the rest. Points no shell reaches are
+written raw, fixed width.
 
 A cell's context is its label, class * 512 + rotated binary patch, where
 class numbers the canonical class of its ternary patch among the 1,665 whose
@@ -31,16 +32,19 @@ only the pages of coded labels become resident.
 
 Both sides code a whole shell in one call. build_section prepares it once:
 the depth maps, read in place; the slab cells of the encoder's points,
-grouped by section; and the coding buffers. code_section then walks the
-sections in y order. Section y codes in state slab y % 2 and reads the
-reconstruction of section y - 1 (state 2) from the other slab, which an
-empty section leaves blank. Loading a section first clears the bands that
-section y - 2 left in its slab, then writes its own bands and seeds, lists
-the unknown cells around the seeds (sorted row-major, deduplicated) and
-marks the encoder's true cells; afterwards the marks and true cells are
-cleared again. So the set-up follows the occupied columns and the coded
-cells, never a slab's area. The reconstructed points, each section's seeds
-then its cells coded occupied, go to an output array as they are found.
+grouped by section by a stable sort whose order it keeps; and the coding
+buffers. code_section then walks the sections in y order. Section y codes in
+state slab y % 2 and reads the reconstruction of section y - 1 (state 2) from
+the other slab, which an empty section leaves blank. Loading a section first
+clears the bands that section y - 2 left in its slab, then writes its own
+bands and seeds, lists the unknown cells around the seeds (sorted row-major,
+deduplicated) and marks the encoder's true cells. Afterwards the encoder
+flags each true cell that the section's state holds occupied as reached, one
+byte per point in sorted order, and the marks and true cells are cleared
+again. So the set-up follows the occupied columns and the coded cells, never
+a slab's area. The encoder emits no points; the decoder's reconstructed
+points, each section's seeds then its cells coded occupied, go to an output
+array as they are found.
 
 The loop runs in the native kernel (rangecoder.run). Without the kernel it
 runs in Python, section by section, on buffers that numpy sets up per section
@@ -228,7 +232,7 @@ class _Shell(ctypes.Structure):
     _fields_ = [(name, ctypes.c_void_p) for name in ("occ", "zmin", "zmax")] + [
         (name, ctypes.c_int64) for name in ("nx", "ny", "nz")
     ] + [(name, ctypes.c_void_p) for name in (
-        "cells", "offsets", "state", "marked", "truth", "fifo", "columns", "rows", "out")] + [
+        "cells", "offsets", "reached", "state", "marked", "truth", "fifo", "columns", "rows", "out")] + [
         ("room", ctypes.c_int64)
     ] + [(name, ctypes.c_void_p) for name in ("turn", "classes", "rotated")] + [
         (name, ctypes.c_int64) for name in ("section", "loaded", "head", "tail", "coded", "emitted")
@@ -242,8 +246,9 @@ class Shell:
     The maps are C-contiguous (nx, ny) arrays: occ as uint8, zmin and zmax
     as int32. When encoding, cells holds the kernel's (column-major) slab
     index of each true point, grouped by section: section y's are
-    cells[offsets[y] : offsets[y + 1]].
-    buffers holds what the kernel codes in, or None when the Python loop
+    cells[offsets[y] : offsets[y + 1]]. Entry i of cells is row order[i] of
+    the points, and reached[i], uint8, becomes 1 once the sweep reconstructs
+    it. buffers holds what the kernel codes in, or None when the Python loop
     runs.
     """
 
@@ -251,6 +256,8 @@ class Shell:
     dims: tuple[int, int, int]
     cells: np.ndarray | None
     offsets: np.ndarray | None
+    order: np.ndarray | None
+    reached: np.ndarray | None
     buffers: _ShellBuffers | None
 
 
@@ -260,8 +267,8 @@ class _ShellBuffers:
     Two state slabs (known empty), one slab each of marks and true cells
     (zero), all column-major with stride nz + 2; a slab of work-list room, a
     section's occupied columns, the per-row counts of its start list, and
-    room for the reconstructed points. The encoder emits only true points, so
-    its room comes from them and never grows; the decoder's room starts at
+    room for the reconstructed points. The encoder emits no points, only the
+    shell's reached flags, so it gets no room; the decoder's room starts at
     two seeds per occupied column and grow() doubles it as needed.
     """
 
@@ -275,22 +282,23 @@ class _ShellBuffers:
         self.fifo = np.empty(slab, dtype=np.int32)
         self.columns = np.empty(nx, dtype=np.int32)
         self.rows = np.zeros(nz + 2, dtype=np.int64)
-        room = 2 * np.count_nonzero(pair.occ) if shell.cells is None else len(shell.cells)
-        self.out = np.empty((room + 2 * nx + 1, 3), dtype=np.int64)
+        room = 0 if shell.cells is not None else 2 * np.count_nonzero(pair.occ) + 2 * nx + 1
+        self.out = np.empty((room, 3), dtype=np.int64)
         self.tables = tables = get_norm_tables()
-        cells = offsets = None
+        cells = offsets = reached = None
         if shell.cells is not None:
             cells = shell.cells.ctypes.data
             offsets = shell.offsets.ctypes.data
+            reached = shell.reached.ctypes.data
         self.struct = _Shell(
             pair.occ.ctypes.data, pair.zmin.ctypes.data, pair.zmax.ctypes.data, nx, ny, nz,
-            cells, offsets, self.state.ctypes.data, self.marked.ctypes.data,
+            cells, offsets, reached, self.state.ctypes.data, self.marked.ctypes.data,
             None if self.truth is None else self.truth.ctypes.data, self.fifo.ctypes.data,
             self.columns.ctypes.data, self.rows.ctypes.data, self.out.ctypes.data, len(self.out),
             tables.alpha_star.ctypes.data, tables.class_index.ctypes.data, tables.rotated_binary.ctypes.data)
 
     def grow(self) -> None:
-        """Make sure out has room for a section's seeds, two per column, keeping the points emitted."""
+        """Make sure the decoder's out has room for a section's seeds, two per column, keeping the points emitted."""
         sweep = self.struct
         emitted = sweep.emitted
         if sweep.room - emitted > 2 * sweep.nx:
@@ -309,13 +317,14 @@ def build_section(pair: DepthmapPair, dims, points: np.ndarray | None = None) ->
     The maps are used in place when they already have the layout of Shell;
     a value that the coded types (uint8 occ, int32 zmin and zmax) cannot hold
     raises ValueError. The encoder passes the shell's (N, 3) points, which
-    give each section's true occupancy.
+    give each section's true occupancy; the shell keeps the stable order by
+    section that it sorted them in, to name the rows the sweep reached.
     """
     nx, ny, nz = dims
     pair = DepthmapPair(_exact(pair.occ, np.uint8), _exact(pair.zmin, np.int32), _exact(pair.zmax, np.int32))
     if not pair.occ.shape == pair.zmin.shape == pair.zmax.shape == (nx, ny):
         raise ValueError("depth maps do not match the dims")
-    cells = offsets = None
+    cells = offsets = order = reached = None
     if points is not None:
         # numpy sorts integers of 16 bits or fewer by radix when asked for a
         # stable sort.
@@ -323,7 +332,8 @@ def build_section(pair: DepthmapPair, dims, points: np.ndarray | None = None) ->
         order = np.argsort(keys, kind="stable")
         cells = ((points[:, 0] + 1) * (nz + 2) + points[:, 2] + 1).astype(np.int64, copy=False)[order]
         offsets = np.searchsorted(keys[order], np.arange(ny + 1))
-    shell = Shell(pair, (nx, ny, nz), cells, offsets, None)
+        reached = np.zeros(len(cells), dtype=np.uint8)
+    shell = Shell(pair, (nx, ny, nz), cells, offsets, order, reached, None)
     if native() is not None:
         shell.buffers = _ShellBuffers(shell)
     return shell
@@ -336,12 +346,14 @@ def code_section(
     encoder: RangeEncoder | None = None,
     decoder: RangeDecoder | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Code every section of a shell, in y order; returns (reconstructed points, decision count).
+    """Code every section of a shell, in y order; returns (reached, decision count).
 
     Pass exactly one of encoder/decoder, built on tables; encoding needs a
-    shell built with its points. Tables of fewer than SECTION_CONTEXTS
-    entries, or a coder on other tables, raise ValueError before anything
-    is coded. A shell is coded once.
+    shell built with its points. Decoding, reached is the (N, 3)
+    reconstructed points; encoding, it is the row indices of the points the
+    sweep reconstructed, grouped by section. Tables of fewer than
+    SECTION_CONTEXTS entries, or a coder on other tables, raise ValueError
+    before anything is coded. A shell is coded once.
     """
     if (encoder is None) == (decoder is None):
         raise ValueError("pass exactly one of encoder or decoder")
@@ -355,8 +367,10 @@ def code_section(
         sweep = buffers.struct
         if encoder is None:
             sweep.cells = None
-        run(native().code_shell, coder, ctypes.byref(sweep), grow=buffers.grow)
-        return buffers.out[: sweep.emitted], sweep.coded
+            run(native().code_shell, coder, ctypes.byref(sweep), grow=buffers.grow)
+            return buffers.out[: sweep.emitted], sweep.coded
+        run(native().code_shell, coder, ctypes.byref(sweep))
+        return shell.order[shell.reached.view(bool)], sweep.coded
     nx, ny, nz = shell.dims
     chunks = [np.empty((0, 3), dtype=np.int64)]
     coded = 0
@@ -366,26 +380,38 @@ def code_section(
         buf = _section_buffers(shell.pair, y, nz, prev if last == y - 1 else None)
         truth = None
         if encoder is not None:
+            section = shell.cells[shell.offsets[y] : shell.offsets[y + 1]]
             truth = bytearray(len(buf.state))
-            np.frombuffer(truth, dtype=np.uint8)[shell.cells[shell.offsets[y] : shell.offsets[y + 1]]] = 1
+            np.frombuffer(truth, dtype=np.uint8)[section] = 1
         coded += _code_buffers(buf, coder, truth)
         occupied = np.frombuffer(buf.state, dtype=np.uint8) == 2
-        xs, zs = np.nonzero(occupied.reshape(nx + 2, nz + 2))
-        chunks.append(np.column_stack((xs - 1, np.full(xs.size, y), zs - 1)))
+        if encoder is not None:
+            shell.reached[shell.offsets[y] : shell.offsets[y + 1]] = occupied[section]
+        else:
+            xs, zs = np.nonzero(occupied.reshape(nx + 2, nz + 2))
+            chunks.append(np.column_stack((xs - 1, np.full(xs.size, y), zs - 1)))
         prev = occupied.tobytes()
         last = y
+    if encoder is not None:
+        return shell.order[shell.reached.view(bool)], coded
     return np.concatenate(chunks), coded
 
 
 def sweep_encode(points: np.ndarray, pair: DepthmapPair, dims, tables: CountTables,
                  encoder: RangeEncoder) -> tuple[np.ndarray, int]:
-    """Encode all sections with an encoder built on tables; returns (reconstructed points, decision count)."""
+    """Encode all sections with an encoder built on tables; returns (rows of points reached, decision count).
+
+    The rows index points; the decoder reconstructs exactly those points.
+    """
     return code_section(build_section(pair, dims, points), tables, encoder=encoder)
 
 
 def sweep_decode(pair: DepthmapPair, dims, tables: CountTables,
                  decoder: RangeDecoder) -> tuple[np.ndarray, int]:
-    """Decode all sections; mirrors sweep_encode decision for decision."""
+    """Decode all sections; mirrors sweep_encode decision for decision.
+
+    Returns (reconstructed points, decision count).
+    """
     return code_section(build_section(pair, dims), tables, decoder=decoder)
 
 
@@ -406,14 +432,9 @@ def encode_shells(cloud, max_shells: int) -> tuple[list[tuple[CodedStream, Coded
         pair = project_array(remaining, dims)
         surface_stream = encode_depthmaps(pair, nz)
         encoder = RangeEncoder(tables)
-        recon, _ = sweep_encode(remaining, pair, dims, tables, encoder)
+        reached, _ = sweep_encode(remaining, pair, dims, tables, encoder)
         shells.append((surface_stream, encoder.finish()))
-        # The points are sorted, so their keys are; every reconstructed point
-        # is one of them. Sorted needles make the search walk forward.
-        keep = np.ones(len(remaining), dtype=bool)
-        keys = np.ravel_multi_index(remaining.T, dims)
-        keep[np.searchsorted(keys, np.sort(np.ravel_multi_index(recon.T, dims)))] = False
-        remaining = remaining[keep]
+        remaining = np.delete(remaining, reached, axis=0)
     return shells, remaining
 
 

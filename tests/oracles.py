@@ -8,8 +8,9 @@ from collections import deque
 import numpy as np
 
 from bvlcodec.contexts import get_norm_tables
-from bvlcodec.rangecoder import RangeEncoder, count_tables
-from bvlcodec.sections import SECTION_CONTEXTS
+from bvlcodec.depthmap import project_array
+from bvlcodec.rangecoder import RangeDecoder, RangeEncoder, count_tables
+from bvlcodec.sections import SECTION_CONTEXTS, sweep_decode, sweep_encode
 
 _POW2 = 2 ** np.arange(9, dtype=np.int64)
 _POW3 = 3 ** np.arange(9, dtype=np.int64)
@@ -217,6 +218,31 @@ def reference_build_section(pair, y0: int, nz: int):
     zs, xs = np.nonzero(listed)
     queue = (xs * (nz + 2) + zs).tolist()
     return bytearray(state.tobytes(order="F")), bytearray(listed.tobytes(order="F")), queue
+
+
+def reference_leftovers(cloud, max_shells: int) -> np.ndarray:
+    """The sorted points that up to max_shells shells leave to the residual, found by key.
+
+    Each shell decodes its own section stream, and the points whose keys
+    its reconstruction holds are dropped: the points are sorted, so their
+    keys are, and sorted needles make searchsorted walk forward.
+    """
+    dims = cloud.dims
+    enc_tables = count_tables(SECTION_CONTEXTS)
+    dec_tables = count_tables(SECTION_CONTEXTS)
+    remaining = cloud.to_array()
+    for _ in range(max_shells):
+        if not len(remaining):
+            break
+        pair = project_array(remaining, dims)
+        encoder = RangeEncoder(enc_tables)
+        sweep_encode(remaining, pair, dims, enc_tables, encoder)
+        recon, _ = sweep_decode(pair, dims, dec_tables, RangeDecoder(encoder.finish().data, dec_tables))
+        keep = np.ones(len(remaining), dtype=bool)
+        keys = np.ravel_multi_index(remaining.T, dims)
+        keep[np.searchsorted(keys, np.sort(np.ravel_multi_index(recon.T, dims)))] = False
+        remaining = remaining[keep]
+    return remaining
 
 
 def table_bytes(tables) -> bytes:

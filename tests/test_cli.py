@@ -202,6 +202,23 @@ def test_selftest_compares_the_section_paths(capsys, monkeypatch):
     assert "FAIL section sweep" in out and "PASS end-to-end round trip" in out
 
 
+def test_selftest_compares_the_reached_points(capsys, monkeypatch):
+    if rangecoder.native() is None:
+        pytest.skip("native kernel unavailable")
+    code_section = sections.code_section
+
+    def spoiled(shell, tables, **coders):
+        # The Python loop alone reports one reached point too few; its stream is right.
+        reached, coded = code_section(shell, tables, **coders)
+        return (reached[1:] if shell.buffers is None else reached), coded
+
+    monkeypatch.setattr(sections, "code_section", spoiled)
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL section sweep: native and Python reached points differ" in out
+    assert "section streams differ" not in out and "PASS end-to-end round trip" in out
+
+
 @pytest.mark.parametrize("option", ["--max-shells", "--bits"])
 def test_encode_rejects_non_positive_integer_options(tmp_path, capsys, option):
     src = tmp_path / "tiny.ply"

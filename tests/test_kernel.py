@@ -7,6 +7,7 @@ kernel loader.
 
 import ctypes
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -130,8 +131,10 @@ def test_kernel_refuses_a_label_past_the_coders_tables(kernel):
 def _sweep_record(cloud, shells=2):
     """Per shell, encoder then decoder: section bytes, decisions and sorted reconstruction; then both sides' tables.
 
-    The tables carry their counts from shell to shell, so those of the last
-    shell hold every shell's updates.
+    The encoder's reconstruction is the rows it reports reached, which must
+    be the decoder's reconstruction as a point set. The tables carry their
+    counts from shell to shell, so those of the last shell hold every
+    shell's updates.
     """
     dims = cloud.dims
     enc_tables = count_tables(SECTION_CONTEXTS)
@@ -143,13 +146,14 @@ def _sweep_record(cloud, shells=2):
             break
         pair = project_array(remaining, dims)
         enc = RangeEncoder(enc_tables)
-        recon, n = sweep_encode(remaining, pair, dims, enc_tables, enc)
+        reached, n = sweep_encode(remaining, pair, dims, enc_tables, enc)
         stream = enc.finish()
         dec = RangeDecoder(stream.data, dec_tables)
         dec_recon, dec_n = sweep_decode(pair, dims, dec_tables, dec)
-        record.append((stream, n, np.unique(recon, axis=0).tolist(), dec_n, np.unique(dec_recon, axis=0).tolist()))
-        keys = np.ravel_multi_index(remaining.T, dims)
-        remaining = remaining[~np.isin(keys, np.ravel_multi_index(recon.T, dims))]
+        recon = np.unique(remaining[reached], axis=0).tolist()
+        assert len(recon) == len(reached) and recon == np.unique(dec_recon, axis=0).tolist()
+        record.append((stream, n, recon, dec_n, np.unique(dec_recon, axis=0).tolist()))
+        remaining = np.delete(remaining, reached, axis=0)
     return record, table_bytes(enc_tables), table_bytes(dec_tables)
 
 
@@ -175,8 +179,18 @@ def test_kernel_and_python_sweeps_agree_on_fuzz_suite_in_every_permutation(kerne
 
 def test_kernel_and_python_sweeps_agree_when_kernel_calls_resume(kernel, monkeypatch):
     # Room for 7 bits at first: the kernel's encoding calls resume inside and
-    # across sections; section 3 of each cloud is empty.
+    # across sections; section 3 of each cloud is empty. Each shell's reached
+    # rows still equal its decoded points (_sweep_record).
     monkeypatch.setattr(rangecoder, "_BITS_ROOM", 7)
+    stops = []
+
+    def code_shell(state, shell):
+        status = kernel.code_shell(state, shell)
+        if status == rangecoder.NEED_ROOM and shell._obj.cells:
+            stops.append((shell._obj.section, shell._obj.head))
+        return status
+
+    monkeypatch.setattr(sections, "native", lambda: rangecoder.native() and SimpleNamespace(code_shell=code_shell))
     rng = np.random.default_rng(79)
     clouds = []
     for _ in range(4):
@@ -188,11 +202,12 @@ def test_kernel_and_python_sweeps_agree_when_kernel_calls_resume(kernel, monkeyp
         clouds.append(VoxelCloud((8, 12, 8), points))
     for decisions in _assert_paths_agree(clouds, monkeypatch):
         assert decisions > 3 * 7
+    assert any(head for _, head in stops) and len({section for section, _ in stops}) > 1
 
 
 def test_encoder_room_for_points_never_grows(kernel, monkeypatch):
-    # The encoder emits only true points, so their count is room enough; the
-    # decoder of a solid starts at two seeds per column and has to grow.
+    # The encoder emits no points, so it has no room to grow; the decoder of
+    # a solid starts at two seeds per column and has to grow.
     grown = []
     grow = sections._ShellBuffers.grow
 

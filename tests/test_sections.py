@@ -26,6 +26,7 @@ from oracles import (
     marked_cells,
     occupied_cells,
     reference_build_section,
+    reference_leftovers,
     section_flood_fill,
     slab_cells,
     table_bytes,
@@ -260,12 +261,12 @@ def _sweep_round_trip(cloud):
     pair = project_array(cloud.to_array(), cloud.dims)
     tables = count_tables(SECTION_CONTEXTS)
     enc = _coder(tables)
-    recon_enc, n_enc = sweep_encode(cloud.to_array(), pair, cloud.dims, tables, enc)
+    reached, n_enc = sweep_encode(cloud.to_array(), pair, cloud.dims, tables, enc)
     stream = enc.finish()
     tables = count_tables(SECTION_CONTEXTS)
     recon_dec, n_dec = sweep_decode(pair, cloud.dims, tables, _coder(tables, stream))
     assert n_enc == n_dec
-    enc_set = _point_set(recon_enc)
+    enc_set = _point_set(cloud.to_array()[reached])
     dec_set = _point_set(recon_dec)
     assert enc_set == dec_set
     return enc_set, n_enc, stream
@@ -368,6 +369,20 @@ def test_shells_are_disjoint_point_sets():
     assert first <= both
     second = both - first
     assert first.isdisjoint(second) and second
+
+
+def test_shell_leftovers_match_the_key_search(path):
+    # Every cloud gets two shells; about a quarter of the fuzz suite takes
+    # both, some with a residual.
+    clouds = [cloud for _, cloud in shapes.fuzz_suite()]
+    clouds += [shapes.nested_hollow_spheres(48, (20, 12, 5)), shapes.nested_hollow_cubes(32, (2, 9))]
+    two_shells = residuals = 0
+    for cloud in clouds:
+        streams, residual = encode_shells(cloud, 2)
+        assert np.array_equal(residual, reference_leftovers(cloud, 2))
+        two_shells += len(streams) == 2
+        residuals += len(streams) == 2 and len(residual) > 0
+    assert two_shells > 40 and residuals > 10
 
 
 def test_each_shell_is_built_and_coded_in_one_call_each(monkeypatch):
