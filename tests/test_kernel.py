@@ -151,8 +151,9 @@ def _sweep_record(cloud, shells=2):
         dec = RangeDecoder(stream.data, dec_tables)
         dec_recon, dec_n = sweep_decode(pair, dims, dec_tables, dec)
         recon = np.unique(remaining[reached], axis=0).tolist()
-        assert len(recon) == len(reached) and recon == np.unique(dec_recon, axis=0).tolist()
-        record.append((stream, n, recon, dec_n, np.unique(dec_recon, axis=0).tolist()))
+        dec_points = np.unique(dec_recon, axis=0).tolist()
+        assert len(recon) == len(reached) and recon == dec_points
+        record.append((stream, n, recon, dec_n, dec_points))
         remaining = np.delete(remaining, reached, axis=0)
     return record, table_bytes(enc_tables), table_bytes(dec_tables)
 

@@ -372,8 +372,8 @@ def test_shells_are_disjoint_point_sets():
 
 
 def test_shell_leftovers_match_the_key_search(path):
-    # Every cloud gets two shells; about a quarter of the fuzz suite takes
-    # both, some with a residual.
+    # Each cloud may take up to two shells; about a quarter of the fuzz suite
+    # takes both, some of those with a residual.
     clouds = [cloud for _, cloud in shapes.fuzz_suite()]
     clouds += [shapes.nested_hollow_spheres(48, (20, 12, 5)), shapes.nested_hollow_cubes(32, (2, 9))]
     two_shells = residuals = 0
