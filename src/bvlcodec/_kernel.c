@@ -6,15 +6,22 @@
  * entry codes as FIRST_USE, counts 1 and 1, so the zeroed table of
  * rangecoder.count_tables needs no set-up. Three loops code the streams,
  * each on both sides: code_mask (the occupancy mask), code_surfaces (the
- * low surface and thickness) and code_shell (a shell's section sweep). Each bit is read from the maps and encoded, or
- * decoded and stored. They mirror the Python loops of depthmap.py and
- * sections.py decision for decision, so either side may run in either
- * language. Every buffer is allocated and sized by the caller. An encoding
- * loop that would need more room than it was given stops before touching
- * the pixel or cell it is on, saves where it stands and returns NEED_ROOM;
- * rangecoder.run grows the buffers and calls it again. code_shell's slabs
- * are column-major (stride nz + 2), so a column's band is contiguous and
- * loading or clearing it is one memset.
+ * low surface and thickness) and code_shell (a shell's section sweep). Each
+ * bit is read from the maps and encoded, or decoded and stored. They mirror
+ * the Python loops of depthmap.py and sections.py decision for decision, so
+ * either side may run in either language. Every buffer is allocated and
+ * sized by the caller. An encoding loop that would need more room than it
+ * was given stops before touching the pixel or cell it is on, saves where it
+ * stands and returns NEED_ROOM; rangecoder.run grows the buffers and calls
+ * it again. code_shell's slabs are column-major (stride nz + 2), so a
+ * column's band is contiguous and loading or clearing it is one memset.
+ *
+ * Three more loops prepare and retire each of the encoder's shells, one pass
+ * over its (N, 3) int64 rows each, and mirror the numpy code they replace:
+ * project_rows (depthmap.project_array), group_rows (sections.build_section)
+ * and leftover_rows (the rows sections.encode_shells hands to the next
+ * shell). Each fills every byte of its outputs, and returns BAD_LAYOUT
+ * before it would write outside them.
  */
 #include <stdint.h>
 #include <string.h>
@@ -537,4 +544,84 @@ static inline __attribute__((always_inline)) int64_t shell_loop(Coder *c, Shell 
  * once per call, so neither side's loop tests for the other's work. */
 int64_t code_shell(Coder *c, Shell *s) {
     return s->cells ? shell_loop(c, s, 1) : shell_loop(c, s, 0);
+}
+
+/* 1 when row p lies inside the dims; a negative coordinate wraps past them. */
+static inline int inside(const int64_t *p, int64_t nx, int64_t ny, int64_t nz) {
+    return (uint64_t)p[0] < (uint64_t)nx && (uint64_t)p[1] < (uint64_t)ny && (uint64_t)p[2] < (uint64_t)nz;
+}
+
+/* The (nx, ny) depth maps of n rows strictly increasing in (x, y, z): the
+ * first row of each (x, y) run sets occ and zmin, its last row zmax, and
+ * every other pixel reads zero. A row outside the dims or not above the row
+ * before is BAD_LAYOUT. */
+int64_t project_rows(const int64_t *pts, int64_t n, int64_t nx, int64_t ny, int64_t nz, uint8_t *occ,
+                     int32_t *zmin, int32_t *zmax) {
+    memset(occ, 0, (size_t)(nx * ny));
+    memset(zmin, 0, (size_t)(nx * ny) * sizeof *zmin);
+    memset(zmax, 0, (size_t)(nx * ny) * sizeof *zmax);
+    int64_t last = -1, last_z = 0;
+    for (const int64_t *p = pts; p < pts + 3 * n; p += 3) {
+        if (!inside(p, nx, ny, nz))
+            return BAD_LAYOUT;
+        /* Inside the dims, the pixel index orders rows as (x, y) does. */
+        const int64_t px = p[0] * ny + p[1];
+        if (px < last || (px == last && p[2] <= last_z))
+            return BAD_LAYOUT;
+        if (px != last) {
+            occ[px] = 1;
+            zmin[px] = (int32_t)p[2];
+        }
+        zmax[px] = (int32_t)p[2];
+        last = px;
+        last_z = p[2];
+    }
+    return DONE;
+}
+
+/* The slab cells of n rows grouped by section, by a counting sort on y that
+ * keeps the rows' order within a section: section y's cells are
+ * cells[offsets[y] .. offsets[y + 1]), and cells[j] is row order[j]. offsets
+ * holds ny + 1 entries. A row outside the dims is BAD_LAYOUT. */
+int64_t group_rows(const int64_t *pts, int64_t n, int64_t nx, int64_t ny, int64_t nz, int64_t *offsets,
+                   int64_t *cells, int64_t *order) {
+    const int64_t st = nz + 2;
+    memset(offsets, 0, (size_t)(ny + 1) * sizeof *offsets);
+    for (const int64_t *p = pts; p < pts + 3 * n; p += 3) {
+        if (!inside(p, nx, ny, nz))
+            return BAD_LAYOUT;
+        offsets[p[1] + 1]++;
+    }
+    /* offsets[y] becomes section y's first position; placing a cell moves it on. */
+    for (int64_t y = 0; y < ny; y++)
+        offsets[y + 1] += offsets[y];
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t *p = pts + 3 * i, j = offsets[p[1]]++;
+        cells[j] = (p[0] + 1) * st + p[2] + 1;
+        order[j] = i;
+    }
+    /* Each offsets[y] now ends section y: shift them back to the starts. */
+    memmove(offsets + 1, offsets, (size_t)ny * sizeof *offsets);
+    offsets[0] = 0;
+    return DONE;
+}
+
+/* The n - k rows of pts that rows does not list, in their order, into out;
+ * dropped is n bytes of room. A listed row outside 0 .. n - 1 or listed
+ * twice is BAD_LAYOUT, found before out is written. */
+int64_t leftover_rows(const int64_t *pts, int64_t n, const int64_t *rows, int64_t k, uint8_t *dropped,
+                      int64_t *out) {
+    memset(dropped, 0, (size_t)n);
+    for (int64_t j = 0; j < k; j++) {
+        if ((uint64_t)rows[j] >= (uint64_t)n || dropped[rows[j]])
+            return BAD_LAYOUT;
+        dropped[rows[j]] = 1;
+    }
+    for (int64_t i = 0; i < n; i++) {
+        if (!dropped[i]) {
+            memcpy(out, pts + 3 * i, 3 * sizeof *out);
+            out += 3;
+        }
+    }
+    return DONE;
 }

@@ -169,24 +169,33 @@ def _selftest_cloud() -> VoxelCloud:
 
 
 def _selftest_depthmaps() -> list[str]:
-    """With the native kernel, its depth-map stream must equal the Python loops' one."""
+    """With the native kernel, its projection and depth-map stream must equal numpy's and the Python loops'."""
     lib = rangecoder.load_kernel()[0]
     if lib is None:
         return []
     cloud = _selftest_cloud()
-    pair = depthmap.project_array(cloud.to_array(), cloud.dims)
+    pair = depthmap._project(cloud.to_array(), cloud.dims, lib)
+    reference = depthmap._project(cloud.to_array(), cloud.dims, None)
+    problems = []
+    if not all(np.array_equal(getattr(pair, name), getattr(reference, name)) for name in ("occ", "zmin", "zmax")):
+        problems.append("native and numpy projections differ")
     if depthmap._encode(pair, cloud.dims[2], lib) != depthmap._encode(pair, cloud.dims[2], None):
-        return ["native and Python depth-map streams differ"]
-    return []
+        problems.append("native and Python depth-map streams differ")
+    return problems
 
 
 def _selftest_sections() -> list[str]:
-    """With the native kernel, its section stream and reached points must equal the Python loop's."""
-    if rangecoder.load_kernel()[0] is None:
+    """With the native kernel, its grouping, section stream, reached points and leftovers must equal the fallback's."""
+    lib = rangecoder.load_kernel()[0]
+    if lib is None:
         return []
     cloud = _selftest_cloud()
     points = cloud.to_array()
     pair = depthmap.project_array(points, cloud.dims)
+    problems = []
+    groups = [sections._group(points, cloud.dims, side) for side in (lib, None)]
+    if not all(map(np.array_equal, *groups)):
+        problems.append("native and numpy section groupings differ")
     streams = []
     reached = []
     for python in (False, True):
@@ -197,9 +206,12 @@ def _selftest_sections() -> list[str]:
         encoder = RangeEncoder(tables)
         reached.append(sections.code_section(shell, tables, encoder=encoder)[0])
         streams.append(encoder.finish())
-    problems = [] if streams[0] == streams[1] else ["native and Python section streams differ"]
+    if streams[0] != streams[1]:
+        problems.append("native and Python section streams differ")
     if not np.array_equal(*reached):
         problems.append("native and Python reached points differ")
+    if not np.array_equal(*(sections._leftovers(points, reached[0], side) for side in (lib, None))):
+        problems.append("native and numpy leftovers differ")
     return problems
 
 

@@ -1,7 +1,8 @@
 """Voxelized point clouds: construction, PLY I/O, quantization, permutation.
 
-A VoxelCloud stores its voxels as one read-only (N, 3) int64 array, sorted by
-(x, y, z) and free of duplicates; `points` derives a frozenset on request.
+A VoxelCloud stores its voxels as one read-only, C-contiguous (N, 3) int64
+array, sorted by (x, y, z) and free of duplicates; `points` derives a
+frozenset on request.
 The constructor reaches that order through one int64 key per row, the three
 coordinates less the array's minimum packed side by side: one sort of the
 keys, a neighbour test for duplicates, and shifts and masks back to rows.
@@ -66,7 +67,9 @@ class VoxelCloud:
         if len(dims) != 3 or any(d < 1 for d in dims):
             raise ValueError(f"invalid dims {dims!r}")
         self.dims = (int(dims[0]), int(dims[1]), int(dims[2]))
-        arr = np.array(points if isinstance(points, np.ndarray) else list(points), dtype=np.int64)
+        # C order: a column selection such as AxisPermutation.apply's is
+        # Fortran-ordered, and the kernel reads the rows where they lie.
+        arr = np.array(points if isinstance(points, np.ndarray) else list(points), dtype=np.int64, order="C")
         if arr.size == 0:
             arr = arr.reshape(0, 3)
         if arr.ndim != 2 or arr.shape[1] != 3:
@@ -89,7 +92,7 @@ class VoxelCloud:
         return frozenset(map(tuple, self._array.tolist()))
 
     def to_array(self) -> np.ndarray:
-        """The stored (N, 3) int64 array: sorted by (x, y, z), unique, read-only."""
+        """The stored (N, 3) int64 array: C-contiguous, sorted by (x, y, z), unique, read-only."""
         return self._array
 
     def __eq__(self, other) -> bool:

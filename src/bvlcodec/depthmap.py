@@ -1,7 +1,8 @@
 """Min/max depth surfaces over the xy plane and their lossless coding.
 
 The projection keeps, per occupied (x, y) pixel, the lowest and highest z of
-the cloud. An explicit occupancy mask travels with the surfaces so a real
+the cloud, in one pass over its sorted points in the native kernel (numpy
+without it). An explicit occupancy mask travels with the surfaces so a real
 point at z = 0 is never confused with an empty pixel.
 
 Coding scheme (self-contained, fully adaptive):
@@ -81,16 +82,50 @@ class DepthmapPair:
 
 
 def project_array(points: np.ndarray, dims) -> DepthmapPair:
-    """Exact per-pixel z extrema of (N, 3) points sorted by (x, y, z).
+    """Exact per-pixel z extrema of (N, 3) points strictly increasing in (x, y, z).
 
     Each occupied pixel's points form one run of the sorted array: zmin is
-    the z of its first point, zmax the z of its last.
+    the z of its first point, zmax the z of its last. The kernel's
+    project_rows does it in one pass over the rows, numpy without it. A
+    point outside the dims, or one not above the point before, raises
+    ValueError.
     """
+    return _project(points, dims, native())
+
+
+def _rows(points) -> np.ndarray:
+    """points as C-contiguous (N, 3) int64 rows, the layout the kernel's row passes read."""
+    rows = _exact(points, np.int64)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValueError(f"points must have shape (N, 3), not {rows.shape}")
+    return rows
+
+
+def _check_inside(rows: np.ndarray, dims) -> None:
+    """The numpy paths' refusal of a row outside the dims, which the kernel's passes make as they go."""
+    if len(rows) and ((rows < 0).any() or (rows >= np.asarray(dims)).any()):
+        check_status(BAD_LAYOUT)
+
+
+def _project(points, dims, lib) -> DepthmapPair:
+    """project_array in the kernel, or in numpy when lib is None."""
     nx, ny, nz = dims
+    points = _rows(points)
+    if lib is not None:
+        occ = np.empty((nx, ny), dtype=np.uint8)
+        zmin = np.empty((nx, ny), dtype=np.int32)
+        zmax = np.empty((nx, ny), dtype=np.int32)
+        check_status(lib.project_rows(points.ctypes.data, len(points), nx, ny, nz, occ.ctypes.data,
+                                      zmin.ctypes.data, zmax.ctypes.data))
+        return DepthmapPair(occ=occ, zmin=zmin, zmax=zmax)
+    _check_inside(points, dims)
     occ = np.zeros((nx, ny), dtype=np.uint8)
     zmin = np.zeros((nx, ny), dtype=np.int32)
     zmax = np.zeros((nx, ny), dtype=np.int32)
     pixels = points[:, 0] * ny + points[:, 1]
+    step = np.diff(pixels)
+    if (step < 0).any() or ((step == 0) & (np.diff(points[:, 2]) <= 0)).any():
+        check_status(BAD_LAYOUT)
     first = np.flatnonzero(np.diff(pixels, prepend=-1))
     last = np.flatnonzero(np.diff(pixels, append=-1))
     occ.ravel()[pixels[first]] = 1

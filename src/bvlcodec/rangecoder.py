@@ -26,13 +26,15 @@ np.unpackbits expansion of its payload followed by 64 zero bits. A read past
 those zero bits, possible only on corrupt input, raises TruncatedStreamError.
 
 The coding loops run natively: _kernel.c holds the coder and one loop per
-stream that both sides share (code_mask, code_surfaces and code_shell), and
-load_kernel compiles it with gcc on first use into a per-user cache and
-loads it through ctypes. run() drives each loop, calling it again with more
-room whenever it stops for some. Where the kernel fails to load, the same
-loops run in Python (depthmap.py and sections.py), coding through
-RangeEncoder.encode_many and RangeDecoder.decode. Both paths give the same
-bits.
+stream that both sides share (code_mask, code_surfaces and code_shell),
+plus the encoder's three passes over a shell's rows (project_rows,
+group_rows and leftover_rows), and load_kernel compiles it with gcc on
+first use into a per-user cache and loads it through ctypes. run() drives
+each coding loop, calling it again with more room whenever it stops for
+some. Where the kernel fails to load, the same loops run in Python
+(depthmap.py and sections.py), coding through RangeEncoder.encode_many and
+RangeDecoder.decode, and numpy does the row passes. Both paths give the
+same bits.
 """
 
 from __future__ import annotations
@@ -73,6 +75,9 @@ _SIGNATURES = {
     "code_mask": (_P, _P, _P, _I, _I, _I),
     "code_surfaces": (_P, _P, _P, _P, _P, _I, _I, _I, _I),
     "code_shell": (_P, _P),
+    "project_rows": (_P, _I, _I, _I, _I, _P, _P, _P),
+    "group_rows": (_P, _I, _I, _I, _I, _P, _P, _P),
+    "leftover_rows": (_P, _I, _P, _I, _P, _P),
 }
 # The room in bits that each call into a kernel loop starts with when
 # encoding; run() doubles it whenever a loop stops for more.

@@ -19,8 +19,8 @@ coded, so no pop is a no-op.
 Both sides code the same cells in the same order, so the decoder recovers
 exactly the cells the encoder coded: the points 8-connected, section by
 section, to the surface seeds. The encoder flags which of its points the
-sweep reached, and the next shell codes the rest. Points no shell reaches are
-written raw, fixed width.
+sweep reached, and the next shell codes the rest, copied in their sorted
+order. Points no shell reaches are written raw, fixed width.
 
 A cell's context is its label, class * 512 + rotated binary patch, where
 class numbers the canonical class of its ternary patch among the 1,665 whose
@@ -32,24 +32,27 @@ only the pages of coded labels become resident.
 
 Both sides code a whole shell in one call. build_section prepares it once:
 the depth maps, read in place; the slab cells of the encoder's points,
-grouped by section by a stable sort whose order it keeps; and the coding
-buffers. code_section then walks the sections in y order. Section y codes in
-state slab y % 2 and reads the reconstruction of section y - 1 (state 2) from
-the other slab, which an empty section leaves blank. Loading a section first
-clears the bands that section y - 2 left in its slab, then writes its own
-bands and seeds, lists the unknown cells around the seeds (sorted row-major,
-deduplicated) and marks the encoder's true cells. Afterwards the encoder
-flags each true cell that the section's state holds occupied as reached, one
-byte per point in sorted order, and the marks and true cells are cleared
-again. So the set-up follows the occupied columns and the coded cells, never
-a slab's area. The encoder emits no points; the decoder's reconstructed
+grouped by section by a stable counting sort on y whose order it keeps; and
+the coding buffers. code_section then walks the sections in y order. Section
+y codes in state slab y % 2 and reads the reconstruction of section y - 1
+(state 2) from the other slab, which an empty section leaves blank. Loading
+a section first clears the bands that section y - 2 left in its slab, then
+writes its own bands and seeds, lists the unknown cells around the seeds
+(sorted row-major, deduplicated) and marks the encoder's true cells.
+Afterwards the encoder flags each true cell that the section's state holds
+occupied as reached, one byte per point in sorted order, and the marks and
+true cells are cleared again. So the set-up follows the occupied columns and
+the coded cells, never a slab's area. The encoder emits no points; the decoder's reconstructed
 points, each section's seeds then its cells coded occupied, go to an output
 array as they are found.
 
-The loop runs in the native kernel (rangecoder.run). Without the kernel it
-runs in Python, section by section, on buffers that numpy sets up per section
-(_section_buffers), and the encoder codes each section's contexts and bits
-in one call.
+The loop runs in the native kernel (rangecoder.run), and so do the
+encoder's passes over a shell's rows, one pass each: their projection
+(depthmap.project_array), their grouping by section (_group) and the copy
+of the rows the sweep left (_leftovers). Without the kernel the loop runs in Python,
+section by section, on buffers that numpy sets up per section
+(_section_buffers), the encoder codes each section's contexts and bits in
+one call, and numpy does the row passes.
 
 Slabs are flat byte buffers with a one-cell border ring so the 3x3 crops
 never bounds-check; border cells read as known empty and never enter the
@@ -66,7 +69,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contexts import UNKNOWN_CENTER_CLASSES, get_norm_lists, get_norm_tables
-from .depthmap import DepthmapPair, _exact, decode_depthmaps, encode_depthmaps, project_array
+from .depthmap import (
+    DepthmapPair,
+    _check_inside,
+    _exact,
+    _rows,
+    decode_depthmaps,
+    encode_depthmaps,
+    project_array,
+)
 from .errors import BitstreamError, TruncatedStreamError
 from .rangecoder import (
     BAD_LAYOUT,
@@ -317,26 +328,77 @@ def build_section(pair: DepthmapPair, dims, points: np.ndarray | None = None) ->
     The maps are used in place when they already have the layout of Shell;
     a value that the coded types (uint8 occ, int32 zmin and zmax) cannot hold
     raises ValueError. The encoder passes the shell's (N, 3) points, which
-    give each section's true occupancy; the shell keeps the stable order by
-    section that it sorted them in, to name the rows the sweep reached.
+    give each section's true occupancy: _group sorts them by section, stably,
+    and the shell keeps that order to name the rows the sweep reached. A
+    point outside the dims raises ValueError.
     """
     nx, ny, nz = dims
     pair = DepthmapPair(_exact(pair.occ, np.uint8), _exact(pair.zmin, np.int32), _exact(pair.zmax, np.int32))
     if not pair.occ.shape == pair.zmin.shape == pair.zmax.shape == (nx, ny):
         raise ValueError("depth maps do not match the dims")
+    lib = native()
     cells = offsets = order = reached = None
     if points is not None:
-        # numpy sorts integers of 16 bits or fewer by radix when asked for a
-        # stable sort.
-        keys = points[:, 1].astype(np.min_scalar_type(ny))
-        order = np.argsort(keys, kind="stable")
-        cells = ((points[:, 0] + 1) * (nz + 2) + points[:, 2] + 1).astype(np.int64, copy=False)[order]
-        offsets = np.searchsorted(keys[order], np.arange(ny + 1))
+        cells, offsets, order = _group(points, (nx, ny, nz), lib)
         reached = np.zeros(len(cells), dtype=np.uint8)
     shell = Shell(pair, (nx, ny, nz), cells, offsets, order, reached, None)
-    if native() is not None:
+    if lib is not None:
         shell.buffers = _ShellBuffers(shell)
     return shell
+
+
+def _group(points, dims, lib) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The slab cells of (N, 3) points grouped by section; returns (cells, offsets, order).
+
+    Section y's cells are cells[offsets[y] : offsets[y + 1]], and cells[j]
+    is row order[j] of the points, in the stable order by y: the kernel's
+    group_rows by a counting sort, numpy without it (lib None) by argsort. A
+    point outside the dims raises ValueError.
+    """
+    nx, ny, nz = dims
+    points = _rows(points)
+    if lib is not None:
+        n = len(points)
+        cells = np.empty(n, dtype=np.int64)
+        offsets = np.empty(ny + 1, dtype=np.int64)
+        order = np.empty(n, dtype=np.int64)
+        check_status(lib.group_rows(points.ctypes.data, n, nx, ny, nz, offsets.ctypes.data, cells.ctypes.data,
+                                    order.ctypes.data))
+        return cells, offsets, order
+    _check_inside(points, dims)
+    # numpy sorts integers of 16 bits or fewer by radix when asked for a
+    # stable sort.
+    keys = points[:, 1].astype(np.min_scalar_type(ny))
+    order = np.argsort(keys, kind="stable")
+    cells = ((points[:, 0] + 1) * (nz + 2) + points[:, 2] + 1)[order]
+    return cells, np.searchsorted(keys[order], np.arange(ny + 1)), order
+
+
+def _leftovers(points, reached, lib) -> np.ndarray:
+    """The rows of (N, 3) points that reached does not list, in their order.
+
+    The kernel's leftover_rows copies them in one pass, numpy without it
+    (lib None). A row index outside 0 .. N - 1 or listed twice raises
+    ValueError.
+    """
+    points = _rows(points)
+    reached = _exact(reached, np.int64)
+    n, k = len(points), len(reached)
+    if lib is not None:
+        # More indices than rows must repeat one, which the kernel refuses
+        # before it writes out.
+        out = np.empty((max(n - k, 0), 3), dtype=np.int64)
+        dropped = np.empty(n, dtype=np.uint8)
+        check_status(lib.leftover_rows(points.ctypes.data, n, reached.ctypes.data, k, dropped.ctypes.data,
+                                       out.ctypes.data))
+        return out
+    keep = np.ones(n, dtype=bool)
+    if k and (reached.min() < 0 or reached.max() >= n):
+        check_status(BAD_LAYOUT)
+    keep[reached] = False
+    if np.count_nonzero(keep) != n - k:
+        check_status(BAD_LAYOUT)
+    return points[keep]
 
 
 def code_section(
@@ -419,9 +481,10 @@ def encode_shells(cloud, max_shells: int) -> tuple[list[tuple[CodedStream, Coded
     """Encode up to max_shells surface+section passes over the cloud.
 
     Each pass reconstructs the points reachable from its own depth surfaces;
-    the next pass runs on whatever is left. Returns the per-shell payload
-    pairs and the sorted points no shell reached. The section count table
-    persists across shells.
+    the next pass runs on the rows its sweep did not reach, copied in their
+    sorted order (_leftovers). Returns the per-shell payload pairs and the
+    sorted points no shell reached. The section count table persists across
+    shells.
     """
     dims = cloud.dims
     nz = dims[2]
@@ -434,7 +497,7 @@ def encode_shells(cloud, max_shells: int) -> tuple[list[tuple[CodedStream, Coded
         encoder = RangeEncoder(tables)
         reached, _ = sweep_encode(remaining, pair, dims, tables, encoder)
         shells.append((surface_stream, encoder.finish()))
-        remaining = np.delete(remaining, reached, axis=0)
+        remaining = _leftovers(remaining, reached, native())
     return shells, remaining
 
 

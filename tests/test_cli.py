@@ -8,6 +8,7 @@ import pytest
 from bvlcodec import VoxelCloud, decode_cloud, depthmap, parse_ply, rangecoder, sections, write_ply
 from bvlcodec.cli import main
 from bvlcodec.container import CSV_COLUMNS
+from bvlcodec.depthmap import DepthmapPair
 from bvlcodec.rangecoder import CodedStream
 
 import shapes
@@ -217,6 +218,29 @@ def test_selftest_compares_the_reached_points(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FAIL section sweep: native and Python reached points differ" in out
     assert "section streams differ" not in out and "PASS end-to-end round trip" in out
+
+
+@pytest.mark.parametrize("module, name, spoil, problem", [
+    (depthmap, "_project", lambda pair: DepthmapPair(pair.occ, pair.zmin, pair.zmax + 1),
+     "FAIL depth-map encoder: native and numpy projections differ"),
+    (sections, "_group", lambda groups: (groups[0], groups[1], groups[2][::-1]),
+     "FAIL section sweep: native and numpy section groupings differ"),
+    (sections, "_leftovers", lambda rows: rows[:-1], "FAIL section sweep: native and numpy leftovers differ"),
+], ids=["projection", "grouping", "leftovers"])
+def test_selftest_compares_the_row_passes(capsys, monkeypatch, module, name, spoil, problem):
+    if rangecoder.native() is None:
+        pytest.skip("native kernel unavailable")
+    real = getattr(module, name)
+
+    def spoiled(*args):
+        # numpy's pass alone goes wrong; the codec runs the kernel's.
+        result = real(*args)
+        return spoil(result) if args[-1] is None else result
+
+    monkeypatch.setattr(module, name, spoiled)
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert problem in out and out.count("FAIL") == 1 and "PASS end-to-end round trip" in out
 
 
 @pytest.mark.parametrize("option", ["--max-shells", "--bits"])

@@ -8,6 +8,8 @@ import pytest
 from bvlcodec import AxisPermutation, PlyError, VoxelCloud, parse_ply, quantize, write_ply
 from bvlcodec.cloud import PERMUTATION_COUNT, source_bit_depth
 
+import shapes
+
 
 def _ascii_ply(vertices, extra_header="", fmt="ascii"):
     body = "".join(f"{v[0]} {v[1]} {v[2]}\n" for v in vertices)
@@ -242,6 +244,15 @@ def test_permutation_round_trip_all_six():
         permuted = perm.apply(cloud)
         assert len(permuted.points) == len(cloud.points)
         assert perm.inverse().apply(permuted) == cloud
+
+
+def test_cloud_arrays_are_c_ordered_in_every_permutation():
+    # A permutation's column selection is Fortran-ordered, and rows it leaves
+    # sorted are kept as they come; the kernel reads each row where it lies.
+    for _, cloud in shapes.fuzz_suite():
+        for pid in range(PERMUTATION_COUNT):
+            assert AxisPermutation(pid).apply(cloud).to_array().flags.c_contiguous
+    assert VoxelCloud((64, 64, 64), np.asfortranarray(_SORTED)).to_array().flags.c_contiguous
 
 
 def test_permutation_dims_follow_axes():

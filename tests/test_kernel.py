@@ -191,7 +191,9 @@ def test_kernel_and_python_sweeps_agree_when_kernel_calls_resume(kernel, monkeyp
             stops.append((shell._obj.section, shell._obj.head))
         return status
 
-    monkeypatch.setattr(sections, "native", lambda: rangecoder.native() and SimpleNamespace(code_shell=code_shell))
+    # The shell's row passes run in the kernel as they are.
+    monkeypatch.setattr(sections, "native", lambda: rangecoder.native() and SimpleNamespace(
+        code_shell=code_shell, group_rows=kernel.group_rows, leftover_rows=kernel.leftover_rows))
     rng = np.random.default_rng(79)
     clouds = []
     for _ in range(4):
@@ -225,19 +227,126 @@ def test_encoder_room_for_points_never_grows(kernel, monkeypatch):
     assert grown
 
 
-@pytest.mark.parametrize("dims", [(1, 1, 1), (1, 9, 40), (40, 9, 1), (2, 5, 33), (33, 5, 2), (3, 1, 17),
-                                  (17, 4, 3)], ids=lambda dims: "x".join(map(str, dims)))
-def test_kernel_and_python_sweeps_agree_on_thin_dims(kernel, monkeypatch, dims):
-    # Every order of the dims. The first and last columns of each section
-    # hold full-depth bands, 0 .. nz - 1, so bands meet the slab's border
-    # ring at both ends; the other cells are filled at random.
+_THIN_DIMS = pytest.mark.parametrize(
+    "dims", [(1, 1, 1), (1, 9, 40), (40, 9, 1), (2, 5, 33), (33, 5, 2), (3, 1, 17), (17, 4, 3)],
+    ids=lambda dims: "x".join(map(str, dims)))
+
+
+def _thin_clouds(dims):
+    """A cloud in every order of the dims.
+
+    The first and last columns of each section hold full-depth bands, 0 ..
+    nz - 1, so bands meet the slab's border ring at both ends; the other
+    cells are filled at random.
+    """
     rng = np.random.default_rng(sum(dims))
     clouds = []
     for nx, ny, nz in itertools.permutations(dims):
         points = [(x, y, z) for x in {0, nx - 1} for y in range(ny) for z in {0, nz - 1}]
         points += np.argwhere(rng.random((nx, ny, nz)) < 0.4).tolist()
         clouds.append(VoxelCloud((nx, ny, nz), points))
-    _assert_paths_agree(clouds, monkeypatch)
+    return clouds
+
+
+@_THIN_DIMS
+def test_kernel_and_python_sweeps_agree_on_thin_dims(kernel, monkeypatch, dims):
+    _assert_paths_agree(_thin_clouds(dims), monkeypatch)
+
+
+def _row_passes(points, dims, reached, lib):
+    """The projection's maps, the grouping's cells, offsets and order, and the leftovers, on lib or numpy (None)."""
+    pair = depthmap._project(points, dims, lib)
+    return [pair.occ, pair.zmin, pair.zmax, *sections._group(points, dims, lib),
+            sections._leftovers(points, reached, lib)]
+
+
+def _assert_row_passes_agree(kernel, clouds):
+    rng = np.random.default_rng(31)
+    for k, cloud in enumerate(clouds):
+        points = cloud.to_array()
+        # Any share of the rows, in any order, as a sweep's reached rows come.
+        reached = rng.permutation(len(points))[: int(rng.integers(len(points) + 1))]
+        for a, b in zip(_row_passes(points, cloud.dims, reached, kernel),
+                        _row_passes(points, cloud.dims, reached, None), strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), f"cloud {k}"
+
+
+def test_kernel_and_numpy_row_passes_agree_on_fuzz_suite_in_every_permutation(kernel):
+    _assert_row_passes_agree(kernel, [AxisPermutation(pid).apply(cloud) for _, cloud in shapes.fuzz_suite()
+                                      for pid in range(PERMUTATION_COUNT)])
+
+
+@_THIN_DIMS
+def test_kernel_and_numpy_row_passes_agree_on_thin_dims(kernel, dims):
+    _assert_row_passes_agree(kernel, _thin_clouds(dims))
+
+
+_GUARD = 64
+
+
+def _guarded(shape, dtype, fill):
+    """An output of shape inside _GUARD bytes on either side, every byte fill; returns (all bytes, the output)."""
+    size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    raw = np.full(size + 2 * _GUARD, fill, dtype=np.uint8)
+    return raw, raw[_GUARD : _GUARD + size].view(dtype).reshape(shape)
+
+
+def _row_loops(kernel, points, dims, reached, fill):
+    """Each row loop's status and outputs, with outputs pre-filled with fill and guarded on both sides."""
+    nx, ny, nz = dims
+    n = len(points)
+    rows = np.ascontiguousarray(points, dtype=np.int64)
+    reached = np.ascontiguousarray(reached, dtype=np.int64)
+    maps = [_guarded((nx, ny), np.uint8, fill), _guarded((nx, ny), np.int32, fill), _guarded((nx, ny), np.int32, fill)]
+    groups = [_guarded((ny + 1,), np.int64, fill), _guarded((n,), np.int64, fill), _guarded((n,), np.int64, fill)]
+    rest = [_guarded((n,), np.uint8, fill), _guarded((max(n - len(reached), 0), 3), np.int64, fill)]
+    statuses = [kernel.project_rows(rows.ctypes.data, n, nx, ny, nz, *(b.ctypes.data for _, b in maps)),
+                kernel.group_rows(rows.ctypes.data, n, nx, ny, nz, *(b.ctypes.data for _, b in groups)),
+                kernel.leftover_rows(rows.ctypes.data, n, reached.ctypes.data, len(reached),
+                                     *(b.ctypes.data for _, b in rest))]
+    for raw, _ in maps + groups + rest:
+        assert (raw[:_GUARD] == fill).all() and (raw[len(raw) - _GUARD :] == fill).all()
+    # In _row_passes' order: group_rows takes offsets before cells, and the
+    # dropped-row flags are leftover_rows' scratch, not an output.
+    (_, offsets), (_, cells), (_, order) = groups
+    return statuses, [out for _, out in maps] + [cells, offsets, order, rest[1][1]]
+
+
+def test_row_loops_fill_every_output_byte_and_write_nothing_past_them(kernel):
+    # Outputs full of 0xA5 come out as zeroed ones do, and as numpy's.
+    cloud = shapes.nested_hollow_spheres(24, (10, 5))
+    points = cloud.to_array()
+    reached = np.random.default_rng(4).permutation(len(points))[: len(points) // 3]
+    expected = _row_passes(points, cloud.dims, reached, None)
+    for fill in (0, 0xA5):
+        statuses, outputs = _row_loops(kernel, points, cloud.dims, reached, fill)
+        assert statuses == [0, 0, 0]
+        for a, b in zip(outputs, expected, strict=True):
+            assert np.array_equal(a, b)
+
+
+_DIMS = (4, 5, 6)
+_ROWS = np.array([[0, 0, 0], [0, 0, 5], [1, 4, 2], [3, 2, 1], [3, 2, 3]])
+
+
+@pytest.mark.parametrize("row, refused", [
+    ((4, 0, 0), "project, group"), ((3, 5, 0), "project, group"), ((3, 4, 6), "project, group"),
+    ((-1, 0, 0), "project, group"), ((3, -1, 0), "project, group"), ((3, 4, -1), "project, group"),
+    ((3, 2, 3), "project"), ((3, 2, 2), "project"), ((3, 1, 5), "project"), ((2, 4, 5), "project"),
+], ids=["x-at-nx", "y-at-ny", "z-at-nz", "x-negative", "y-negative", "z-negative", "repeated", "z-out-of-order",
+        "y-out-of-order", "x-out-of-order"])
+def test_row_loops_refuse_a_bad_row_before_writing_past_their_outputs(kernel, row, refused):
+    # Each bad row comes last, so the loops have written every row before it.
+    points = np.vstack((_ROWS, [row]))
+    statuses, _ = _row_loops(kernel, points, _DIMS, [], 0xA5)
+    assert statuses[:2] == [rangecoder.BAD_LAYOUT if name in refused else 0 for name in ("project", "group")]
+
+
+@pytest.mark.parametrize("reached", [[1, 5], [1, -1], [1, 3, 1], [0, 1, 2, 3, 4, 0]],
+                         ids=["index-at-n", "index-negative", "index-repeated", "more-indices-than-rows"])
+def test_leftover_loop_refuses_a_bad_row_index_before_writing_past_its_output(kernel, reached):
+    statuses, _ = _row_loops(kernel, _ROWS, _DIMS, reached, 0xA5)
+    assert statuses == [0, 0, rangecoder.BAD_LAYOUT]
 
 
 class _StopRecorder:

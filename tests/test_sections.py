@@ -385,6 +385,47 @@ def test_shell_leftovers_match_the_key_search(path):
     assert two_shells > 40 and residuals > 10
 
 
+_DIMS = (4, 5, 6)
+_ROWS = np.array([[0, 0, 0], [0, 0, 5], [1, 4, 2], [3, 2, 1], [3, 2, 3]])
+_OUTSIDE = [(4, 0, 0), (3, 5, 0), (3, 4, 6), (-1, 0, 0), (3, -1, 0), (3, 4, -1)]
+_OUTSIDE_IDS = ["x-at-nx", "y-at-ny", "z-at-nz", "x-negative", "y-negative", "z-negative"]
+
+
+@pytest.mark.parametrize("row", _OUTSIDE + [(3, 2, 3), (3, 2, 2), (3, 1, 5), (2, 4, 5)],
+                         ids=_OUTSIDE_IDS + ["repeated", "z-out-of-order", "y-out-of-order", "x-out-of-order"])
+def test_projection_refuses_a_row_outside_the_dims_or_out_of_order(path, row):
+    with pytest.raises(ValueError, match="layout"):
+        project_array(np.vstack((_ROWS, [row])), _DIMS)
+
+
+@pytest.mark.parametrize("row", _OUTSIDE, ids=_OUTSIDE_IDS)
+def test_grouping_refuses_a_row_outside_the_dims(path, row):
+    pair = project_array(_ROWS, _DIMS)
+    with pytest.raises(ValueError, match="layout"):
+        build_section(pair, _DIMS, np.vstack((_ROWS, [row])))
+
+
+def test_grouping_keeps_repeated_and_unsorted_rows_in_their_order(path):
+    points = np.vstack((_ROWS, [(3, 2, 3), (0, 2, 1)]))
+    shell = build_section(project_array(_ROWS, _DIMS), _DIMS, points)
+    assert shell.order.tolist() == [0, 1, 3, 4, 5, 6, 2]
+    assert shell.offsets.tolist() == [0, 2, 2, 6, 6, 7]
+    assert shell.cells.tolist() == [(x + 1) * 8 + z + 1 for x, _, z in points[shell.order].tolist()]
+
+
+@pytest.mark.parametrize("reached", [[1, 5], [1, -1], [1, 3, 1], [0, 1, 2, 3, 4, 0]],
+                         ids=["index-at-n", "index-negative", "index-repeated", "more-indices-than-rows"])
+def test_leftovers_refuse_a_bad_row_index(path, reached):
+    with pytest.raises(ValueError, match="layout"):
+        sections._leftovers(_ROWS, np.array(reached), sections.native())
+
+
+def test_leftovers_keep_the_unlisted_rows_in_order(path):
+    assert sections._leftovers(_ROWS, np.array([3, 0]), sections.native()).tolist() == _ROWS[[1, 2, 4]].tolist()
+    assert sections._leftovers(_ROWS, np.array([], np.int64), sections.native()).tolist() == _ROWS.tolist()
+    assert sections._leftovers(_ROWS, np.arange(5)[::-1], sections.native()).shape == (0, 3)
+
+
 def test_each_shell_is_built_and_coded_in_one_call_each(monkeypatch):
     calls = []
 
