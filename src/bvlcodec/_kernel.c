@@ -7,17 +7,17 @@
  * rangecoder.count_tables needs no set-up. Three loops code the streams,
  * each on both sides: code_mask (the occupancy mask), code_surfaces (the
  * low surface and thickness) and code_shell (a shell's section sweep). Each
- * bit is read from the maps and encoded, or decoded and stored. They mirror
- * the Python loops of depthmap.py and sections.py decision for decision, so
- * either side may run in either language. Every buffer is allocated and
- * sized by the caller. An encoding loop that would need more room than it
- * was given stops before touching the pixel or cell it is on, saves where it
- * stands and returns NEED_ROOM; rangecoder.run grows the buffers and calls
- * it again. code_shell's slabs are column-major (stride nz + 2), so a
+ * bit is read from the maps and encoded, or decoded and stored. They are
+ * the codec's only coding loops; the Python reference coders of
+ * tests/oracles.py check them decision for decision. Every buffer is
+ * allocated and sized by the caller. An encoding loop that would need more
+ * room than it was given stops before touching the pixel or cell it is on,
+ * saves where it stands and returns NEED_ROOM; rangecoder.run grows the
+ * buffers and calls it again. code_shell's slabs are column-major (stride nz + 2), so a
  * column's band is contiguous and loading or clearing it is one memset.
  *
  * Three more loops prepare and retire each of the encoder's shells, one pass
- * over its (N, 3) int64 rows each, and mirror the numpy code they replace:
+ * over its (N, 3) int64 rows each:
  * project_rows (depthmap.project_array), group_rows (sections.build_section)
  * and leftover_rows (the rows sections.encode_shells hands to the next
  * shell). Each fills every byte of its outputs, and returns BAD_LAYOUT
@@ -463,7 +463,7 @@ static inline __attribute__((always_inline)) void unload_section(Shell *s, const
  * the tables (state above 2) means the shell breaks its layout: BAD_LAYOUT. */
 static inline __attribute__((always_inline)) int64_t shell_loop(Coder *c, Shell *s, int64_t encoding) {
     const int64_t st = s->nz + 2, size = (s->nx + 2) * st;
-    /* The 8-neighbours in the Python loop's order: nw, n, ne, w, e, sw, s, se. */
+    /* The 8-neighbours in the oracle's order: nw, n, ne, w, e, sw, s, se. */
     const int64_t push[8] = {-st - 1, -1, st - 1, -st, st, -st + 1, 1, st + 1};
     uint8_t *marked = s->marked;
     int32_t *fifo = s->fifo;

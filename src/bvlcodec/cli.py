@@ -169,49 +169,44 @@ def _selftest_cloud() -> VoxelCloud:
 
 
 def _selftest_depthmaps() -> list[str]:
-    """With the native kernel, its projection and depth-map stream must equal numpy's and the Python loops'."""
-    lib = rangecoder.load_kernel()[0]
-    if lib is None:
-        return []
+    """The projection holds the points' z extrema, and the depth-map coder gives its maps back exactly."""
     cloud = _selftest_cloud()
-    pair = depthmap._project(cloud.to_array(), cloud.dims, lib)
-    reference = depthmap._project(cloud.to_array(), cloud.dims, None)
+    points = cloud.to_array()
+    nx, ny, nz = cloud.dims
+    pair = depthmap.project_array(points, cloud.dims)
     problems = []
-    if not all(np.array_equal(getattr(pair, name), getattr(reference, name)) for name in ("occ", "zmin", "zmax")):
-        problems.append("native and numpy projections differ")
-    if depthmap._encode(pair, cloud.dims[2], lib) != depthmap._encode(pair, cloud.dims[2], None):
-        problems.append("native and Python depth-map streams differ")
+    # Each point lies in its pixel's band, and each occupied pixel's band ends
+    # at a point on either side: the points are distinct, so at most one per
+    # pixel sits on each end.
+    x, y, z = points.T
+    lows, highs = pair.zmin[x, y], pair.zmax[x, y]
+    ends = np.count_nonzero(pair.occ)
+    if not (pair.occ[x, y].all() and (lows <= z).all() and (z <= highs).all()
+            and np.count_nonzero(z == lows) == ends == np.count_nonzero(z == highs)):
+        problems.append("the projection does not hold the points' z extrema")
+    again = depthmap.decode_depthmaps(depthmap.encode_depthmaps(pair, nz).data, nx, ny, nz)
+    if not all(np.array_equal(getattr(pair, name), getattr(again, name)) for name in ("occ", "zmin", "zmax")):
+        problems.append("the decoded maps differ from the projection")
     return problems
 
 
 def _selftest_sections() -> list[str]:
-    """With the native kernel, its grouping, section stream, reached points and leftovers must equal the fallback's."""
-    lib = rangecoder.load_kernel()[0]
-    if lib is None:
-        return []
+    """The decoder reconstructs the rows the encoder reached, and the leftovers are the other rows."""
     cloud = _selftest_cloud()
     points = cloud.to_array()
     pair = depthmap.project_array(points, cloud.dims)
+    tables = count_tables(sections.SECTION_CONTEXTS)
+    encoder = RangeEncoder(tables)
+    reached, coded = sections.code_section(sections.build_section(pair, cloud.dims, points), tables, encoder=encoder)
+    tables = count_tables(sections.SECTION_CONTEXTS)
+    decoded, decoded_count = sections.code_section(sections.build_section(pair, cloud.dims), tables,
+                                                   decoder=RangeDecoder(encoder.finish(), tables))
     problems = []
-    groups = [sections._group(points, cloud.dims, side) for side in (lib, None)]
-    if not all(map(np.array_equal, *groups)):
-        problems.append("native and numpy section groupings differ")
-    streams = []
-    reached = []
-    for python in (False, True):
-        shell = sections.build_section(pair, cloud.dims, points)
-        if python:
-            shell.buffers = None
-        tables = count_tables(sections.SECTION_CONTEXTS)
-        encoder = RangeEncoder(tables)
-        reached.append(sections.code_section(shell, tables, encoder=encoder)[0])
-        streams.append(encoder.finish())
-    if streams[0] != streams[1]:
-        problems.append("native and Python section streams differ")
-    if not np.array_equal(*reached):
-        problems.append("native and Python reached points differ")
-    if not np.array_equal(*(sections._leftovers(points, reached[0], side) for side in (lib, None))):
-        problems.append("native and numpy leftovers differ")
+    rows = {tuple(row) for row in points[reached].tolist()}
+    if coded != decoded_count or len(rows) != len(reached) or rows != {tuple(p) for p in decoded.tolist()}:
+        problems.append("the decoded points differ from the rows the encoder reached")
+    if not np.array_equal(sections._leftovers(points, reached), np.delete(points, reached, axis=0)):
+        problems.append("the leftovers are not the rows the sweep left")
     return problems
 
 
@@ -225,9 +220,8 @@ def _selftest_end_to_end() -> list[str]:
 
 
 def _cmd_selftest(_args) -> int:
-    lib, where = rangecoder.load_kernel()
-    # The Python path runs tens of times slower (README, Performance), so say which one runs.
-    print(f"coder: native kernel {where}" if lib is not None else f"coder: Python fallback ({where})")
+    rangecoder.native()
+    print(f"coder: native kernel {rangecoder.load_kernel()[1]}")
     checks = (
         ("normalization tables", lambda: check_norm_tables(build_norm_tables())),
         ("arithmetic coder", _selftest_coder),
@@ -237,7 +231,10 @@ def _cmd_selftest(_args) -> int:
     )
     failed = False
     for name, check in checks:
-        problems = check()
+        try:
+            problems = check()
+        except (CodecError, ValueError) as exc:
+            problems = [f"{type(exc).__name__}: {exc}"]
         if problems:
             failed = True
             for problem in problems:

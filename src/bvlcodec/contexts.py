@@ -120,9 +120,10 @@ def get_norm_tables() -> NormTables:
 
 @lru_cache(maxsize=1)
 def get_norm_lists() -> tuple[list[int], list[int], list[list[int]]]:
-    """alpha_star, class_index and rotated_binary as plain (nested) lists for the per-cell coding loop.
+    """alpha_star, class_index and rotated_binary as plain (nested) lists, for indexing per cell in Python.
 
-    Do not mutate.
+    The codec reads the arrays of get_norm_tables; perfbench's set-up probe
+    times this by name. Do not mutate.
     """
     tables = get_norm_tables()
     return tables.alpha_star.tolist(), tables.class_index.tolist(), tables.rotated_binary.tolist()

@@ -31,10 +31,10 @@ plus the encoder's three passes over a shell's rows (project_rows,
 group_rows and leftover_rows), and load_kernel compiles it with gcc on
 first use into a per-user cache and loads it through ctypes. run() drives
 each coding loop, calling it again with more room whenever it stops for
-some. Where the kernel fails to load, the same loops run in Python
-(depthmap.py and sections.py), coding through RangeEncoder.encode_many and
-RangeDecoder.decode, and numpy does the row passes. Both paths give the
-same bits.
+some. The kernel is the codec's only path: where it fails to load,
+native() raises OSError with the reason. RangeEncoder.encode_many and
+RangeDecoder.decode code one decision at a time in Python, for the test
+oracles and the self-test.
 """
 
 from __future__ import annotations
@@ -153,9 +153,12 @@ def load_kernel() -> tuple[ctypes.CDLL | None, str]:
     return None, "; ".join(reasons)
 
 
-def native() -> ctypes.CDLL | None:
-    """The loaded kernel, or None when the Python loops run."""
-    return load_kernel()[0]
+def native() -> ctypes.CDLL:
+    """The loaded kernel; OSError, with load_kernel's reason, when it cannot load."""
+    lib, where = load_kernel()
+    if lib is None:
+        raise OSError(f"no native kernel ({where}); bvlcodec builds its kernel with gcc on first use")
+    return lib
 
 
 def check_status(status: int) -> None:
@@ -291,10 +294,10 @@ class RangeEncoder:
     def encode_many(self, contexts: Iterable[int], bits: Iterable[int]) -> None:
         """Code each bit under its context, in order; the counts adapt as they go.
 
-        The Python loops code through this; the kernel's loops call their
-        own coder. The two sequences must have the same length (ValueError
-        otherwise, after the pairs before the mismatch are coded). A nonzero
-        bit codes a 1.
+        The test oracles and the self-test code through this; the kernel's
+        loops call their own coder. The two sequences must have the same
+        length (ValueError otherwise, after the pairs before the mismatch are
+        coded). A nonzero bit codes a 1.
         """
         state = self._state
         low = state.low

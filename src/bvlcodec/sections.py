@@ -49,29 +49,26 @@ array as they are found.
 The loop runs in the native kernel (rangecoder.run), and so do the
 encoder's passes over a shell's rows, one pass each: their projection
 (depthmap.project_array), their grouping by section (_group) and the copy
-of the rows the sweep left (_leftovers). Without the kernel the loop runs in Python,
-section by section, on buffers that numpy sets up per section
-(_section_buffers), the encoder codes each section's contexts and bits in
-one call, and numpy does the row passes.
+of the rows the sweep left (_leftovers). tests/oracles.py holds a
+set-based Python reference of the same sweep.
 
 Slabs are flat byte buffers with a one-cell border ring so the 3x3 crops
 never bounds-check; border cells read as known empty and never enter the
-list. The kernel and the Python loop share one slab layout, column-major:
-cell (z, x) sits at (x + 1) * (nz + 2) + z + 1, and Shell.cells indexes it.
-Each band is contiguous, so the kernel writes or clears it with one memset.
+list. The layout is column-major: cell (z, x) sits at
+(x + 1) * (nz + 2) + z + 1, and Shell.cells indexes it. Each band is
+contiguous, so the kernel writes or clears it with one memset.
 """
 
 from __future__ import annotations
 
 import ctypes
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contexts import UNKNOWN_CENTER_CLASSES, get_norm_lists, get_norm_tables
+from .contexts import UNKNOWN_CENTER_CLASSES, get_norm_tables
 from .depthmap import (
     DepthmapPair,
-    _check_inside,
     _exact,
     _rows,
     decode_depthmaps,
@@ -80,7 +77,6 @@ from .depthmap import (
 )
 from .errors import BitstreamError, TruncatedStreamError
 from .rangecoder import (
-    BAD_LAYOUT,
     CodedStream,
     CountTables,
     RangeDecoder,
@@ -91,150 +87,8 @@ from .rangecoder import (
     run,
 )
 
-# The z and x offsets of a 3x3 crop's cells.
-_DZ = np.repeat(np.array([-1, 0, 1], dtype=np.int64), 3)
-_DX = np.tile(np.array([-1, 0, 1], dtype=np.int64), 3)
 # Every context label: class * 512 + rotated binary patch.
 SECTION_CONTEXTS = UNKNOWN_CENTER_CLASSES * 512
-
-
-@dataclass
-class SectionBuffers:
-    """Mutable coding state of one section in the Python loop.
-
-    A padded slab has a column per x of stride nz + 2 cells, the kernel's layout.
-    """
-
-    stride: int
-    state: bytearray    # 0 unknown, 1 known empty, 2 known occupied
-    marked: bytearray   # 1 once a cell has entered the work list
-    prev: bytearray     # the reconstruction of the section before, 0/1
-    queue: np.ndarray   # the start of the work list: unknown cells, sorted row-major
-
-
-def _section_buffers(pair: DepthmapPair, y: int, nz: int, prev: bytes | None = None) -> SectionBuffers:
-    """Initialize state, seeds and the start of the work list of section y.
-
-    prev, one slab, is the reconstruction of the section before y; None
-    stands for an empty one. A column whose occ byte is above 1 or whose
-    band leaves 0 .. nz - 1 raises ValueError.
-    """
-    occ = pair.occ[:, y]
-    nx = occ.shape[0]
-    st = nz + 2
-    size = (nx + 2) * st
-    state = bytearray(b"\x01") * size
-    marked = bytearray(size)
-    xs = np.flatnonzero(occ)
-    lo = pair.zmin[xs, y].astype(np.int64)
-    hi = pair.zmax[xs, y].astype(np.int64)
-    if (occ[xs] != 1).any() or (lo < 0).any() or (lo > hi).any() or (hi >= nz).any():
-        check_status(BAD_LAYOUT)
-    low_seeds = (xs + 1) * st + lo + 1
-    high_seeds = (xs + 1) * st + hi + 1
-    # Column j's band: the contiguous cells from its low seed to its high seed.
-    lengths = hi - lo + 1
-    starts = np.cumsum(lengths) - lengths
-    band = np.repeat(low_seeds - starts, lengths) + np.arange(int(lengths.sum()))
-    view = np.frombuffer(state, dtype=np.uint8)
-    view[band] = 0
-    view[low_seeds] = 2
-    view[high_seeds] = 2
-    # Work list: the unknown cells among the seeds' 3x3 neighbours, sorted
-    # row-major (z, then x) and deduplicated. Seeds and the border ring are
-    # known, so each seed's neighbours stay inside the padded slab.
-    rows = np.concatenate((lo, hi))[:, None] + 1 + _DZ
-    cols = np.tile(xs, 2)[:, None] + 1 + _DX
-    cells = (cols * st + rows).ravel()
-    unknown = view[cells] == 0
-    _, first = np.unique((rows * (nx + 2) + cols).ravel()[unknown], return_index=True)
-    cells = cells[unknown][first]
-    np.frombuffer(marked, dtype=np.uint8)[cells] = 1
-    return SectionBuffers(
-        stride=st,
-        state=state,
-        marked=marked,
-        prev=bytearray(size) if prev is None else bytearray(prev),
-        queue=cells,
-    )
-
-
-def _code_buffers(buf: SectionBuffers, coder, truth: bytes | None = None) -> int:
-    """Code the unknown cells the work list reaches in one section, in Python.
-
-    The coder's count table is indexed by label. Returns the number of coded
-    bits. With truth, the section's true occupancy in the layout of
-    buf.state, each bit is read from it and the coder encodes the section's
-    contexts and bits in one call at the end; without, each bit is decoded.
-    Afterwards buf.state holds the reconstruction.
-    """
-    turn_by_patch, class_by_patch, rotated = get_norm_lists()
-    state = buf.state
-    marked = buf.marked
-    prev = buf.prev
-    st = buf.stride
-    decode = None if truth is not None else coder.decode
-    labels: list[int] = []
-    bits: list[int] = []
-    # Every listed cell is unknown until it is coded, so the FIFO is a list
-    # that the loop walks while it grows.
-    queue = buf.queue.tolist()
-    push = queue.append
-    for idx in queue:
-        nw = idx - st - 1
-        w = nw + 1
-        sw = w + 1
-        n = idx - 1
-        s = idx + 1
-        ne = idx + st - 1
-        e = ne + 1
-        se = e + 1
-        # Base-3 column-scan patch index; the center cell is unknown (0).
-        patch = (
-            state[nw] + 3 * state[w] + 9 * state[sw]
-            + 27 * state[n] + 243 * state[s]
-            + 729 * state[ne] + 2187 * state[e] + 6561 * state[se]
-        )
-        label = class_by_patch[patch] * 512 + rotated[turn_by_patch[patch]][
-            prev[nw] + 2 * prev[w] + 4 * prev[sw]
-            + 8 * prev[n] + 16 * prev[idx] + 32 * prev[s]
-            + 64 * prev[ne] + 128 * prev[e] + 256 * prev[se]
-        ]
-        if decode is None:
-            bit = truth[idx]
-            labels.append(label)
-            bits.append(bit)
-        else:
-            bit = decode(label)
-        state[idx] = 1 + bit
-        if bit:
-            if state[nw] == 0 and marked[nw] == 0:
-                marked[nw] = 1
-                push(nw)
-            if state[n] == 0 and marked[n] == 0:
-                marked[n] = 1
-                push(n)
-            if state[ne] == 0 and marked[ne] == 0:
-                marked[ne] = 1
-                push(ne)
-            if state[w] == 0 and marked[w] == 0:
-                marked[w] = 1
-                push(w)
-            if state[e] == 0 and marked[e] == 0:
-                marked[e] = 1
-                push(e)
-            if state[sw] == 0 and marked[sw] == 0:
-                marked[sw] = 1
-                push(sw)
-            if state[s] == 0 and marked[s] == 0:
-                marked[s] = 1
-                push(s)
-            if state[se] == 0 and marked[se] == 0:
-                marked[se] = 1
-                push(se)
-    if decode is None:
-        coder.encode_many(labels, bits)
-    return len(queue)
 
 
 class _Shell(ctypes.Structure):
@@ -259,8 +113,7 @@ class Shell:
     index of each true point, grouped by section: section y's are
     cells[offsets[y] : offsets[y + 1]]. Entry i of cells is row order[i] of
     the points, and reached[i], uint8, becomes 1 once the sweep reconstructs
-    it. buffers holds what the kernel codes in, or None when the Python loop
-    runs.
+    it. buffers holds what the kernel codes in.
     """
 
     pair: DepthmapPair
@@ -269,7 +122,10 @@ class Shell:
     offsets: np.ndarray | None
     order: np.ndarray | None
     reached: np.ndarray | None
-    buffers: _ShellBuffers | None
+    buffers: _ShellBuffers = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.buffers = _ShellBuffers(self)
 
 
 class _ShellBuffers:
@@ -336,69 +192,48 @@ def build_section(pair: DepthmapPair, dims, points: np.ndarray | None = None) ->
     pair = DepthmapPair(_exact(pair.occ, np.uint8), _exact(pair.zmin, np.int32), _exact(pair.zmax, np.int32))
     if not pair.occ.shape == pair.zmin.shape == pair.zmax.shape == (nx, ny):
         raise ValueError("depth maps do not match the dims")
-    lib = native()
     cells = offsets = order = reached = None
     if points is not None:
-        cells, offsets, order = _group(points, (nx, ny, nz), lib)
+        cells, offsets, order = _group(points, (nx, ny, nz))
         reached = np.zeros(len(cells), dtype=np.uint8)
-    shell = Shell(pair, (nx, ny, nz), cells, offsets, order, reached, None)
-    if lib is not None:
-        shell.buffers = _ShellBuffers(shell)
-    return shell
+    return Shell(pair, (nx, ny, nz), cells, offsets, order, reached)
 
 
-def _group(points, dims, lib) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _group(points, dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The slab cells of (N, 3) points grouped by section; returns (cells, offsets, order).
 
     Section y's cells are cells[offsets[y] : offsets[y + 1]], and cells[j]
-    is row order[j] of the points, in the stable order by y: the kernel's
-    group_rows by a counting sort, numpy without it (lib None) by argsort. A
-    point outside the dims raises ValueError.
+    is row order[j] of the points, in the stable order by y, which the
+    kernel's group_rows makes by a counting sort. A point outside the dims
+    raises ValueError.
     """
     nx, ny, nz = dims
     points = _rows(points)
-    if lib is not None:
-        n = len(points)
-        cells = np.empty(n, dtype=np.int64)
-        offsets = np.empty(ny + 1, dtype=np.int64)
-        order = np.empty(n, dtype=np.int64)
-        check_status(lib.group_rows(points.ctypes.data, n, nx, ny, nz, offsets.ctypes.data, cells.ctypes.data,
-                                    order.ctypes.data))
-        return cells, offsets, order
-    _check_inside(points, dims)
-    # numpy sorts integers of 16 bits or fewer by radix when asked for a
-    # stable sort.
-    keys = points[:, 1].astype(np.min_scalar_type(ny))
-    order = np.argsort(keys, kind="stable")
-    cells = ((points[:, 0] + 1) * (nz + 2) + points[:, 2] + 1)[order]
-    return cells, np.searchsorted(keys[order], np.arange(ny + 1)), order
+    n = len(points)
+    cells = np.empty(n, dtype=np.int64)
+    offsets = np.empty(ny + 1, dtype=np.int64)
+    order = np.empty(n, dtype=np.int64)
+    check_status(native().group_rows(points.ctypes.data, n, nx, ny, nz, offsets.ctypes.data, cells.ctypes.data,
+                                     order.ctypes.data))
+    return cells, offsets, order
 
 
-def _leftovers(points, reached, lib) -> np.ndarray:
+def _leftovers(points, reached) -> np.ndarray:
     """The rows of (N, 3) points that reached does not list, in their order.
 
-    The kernel's leftover_rows copies them in one pass, numpy without it
-    (lib None). A row index outside 0 .. N - 1 or listed twice raises
-    ValueError.
+    The kernel's leftover_rows copies them in one pass. A row index outside
+    0 .. N - 1 or listed twice raises ValueError.
     """
     points = _rows(points)
     reached = _exact(reached, np.int64)
     n, k = len(points), len(reached)
-    if lib is not None:
-        # More indices than rows must repeat one, which the kernel refuses
-        # before it writes out.
-        out = np.empty((max(n - k, 0), 3), dtype=np.int64)
-        dropped = np.empty(n, dtype=np.uint8)
-        check_status(lib.leftover_rows(points.ctypes.data, n, reached.ctypes.data, k, dropped.ctypes.data,
-                                       out.ctypes.data))
-        return out
-    keep = np.ones(n, dtype=bool)
-    if k and (reached.min() < 0 or reached.max() >= n):
-        check_status(BAD_LAYOUT)
-    keep[reached] = False
-    if np.count_nonzero(keep) != n - k:
-        check_status(BAD_LAYOUT)
-    return points[keep]
+    # More indices than rows must repeat one, which the kernel refuses
+    # before it writes out.
+    out = np.empty((max(n - k, 0), 3), dtype=np.int64)
+    dropped = np.empty(n, dtype=np.uint8)
+    check_status(native().leftover_rows(points.ctypes.data, n, reached.ctypes.data, k, dropped.ctypes.data,
+                                        out.ctypes.data))
+    return out
 
 
 def code_section(
@@ -425,38 +260,13 @@ def code_section(
     if coder.tables is not tables or len(tables.counts) < SECTION_CONTEXTS:
         raise ValueError("the coder must be built on tables that span every section context")
     buffers = shell.buffers
-    if buffers is not None:
-        sweep = buffers.struct
-        if encoder is None:
-            sweep.cells = None
-            run(native().code_shell, coder, ctypes.byref(sweep), grow=buffers.grow)
-            return buffers.out[: sweep.emitted], sweep.coded
-        run(native().code_shell, coder, ctypes.byref(sweep))
-        return shell.order[shell.reached.view(bool)], sweep.coded
-    nx, ny, nz = shell.dims
-    chunks = [np.empty((0, 3), dtype=np.int64)]
-    coded = 0
-    prev = None
-    last = None
-    for y in np.flatnonzero(shell.pair.occ.any(axis=0)).tolist():
-        buf = _section_buffers(shell.pair, y, nz, prev if last == y - 1 else None)
-        truth = None
-        if encoder is not None:
-            section = shell.cells[shell.offsets[y] : shell.offsets[y + 1]]
-            truth = bytearray(len(buf.state))
-            np.frombuffer(truth, dtype=np.uint8)[section] = 1
-        coded += _code_buffers(buf, coder, truth)
-        occupied = np.frombuffer(buf.state, dtype=np.uint8) == 2
-        if encoder is not None:
-            shell.reached[shell.offsets[y] : shell.offsets[y + 1]] = occupied[section]
-        else:
-            xs, zs = np.nonzero(occupied.reshape(nx + 2, nz + 2))
-            chunks.append(np.column_stack((xs - 1, np.full(xs.size, y), zs - 1)))
-        prev = occupied.tobytes()
-        last = y
-    if encoder is not None:
-        return shell.order[shell.reached.view(bool)], coded
-    return np.concatenate(chunks), coded
+    sweep = buffers.struct
+    if encoder is None:
+        sweep.cells = None
+        run(native().code_shell, coder, ctypes.byref(sweep), grow=buffers.grow)
+        return buffers.out[: sweep.emitted], sweep.coded
+    run(native().code_shell, coder, ctypes.byref(sweep))
+    return shell.order[shell.reached.view(bool)], sweep.coded
 
 
 def sweep_encode(points: np.ndarray, pair: DepthmapPair, dims, tables: CountTables,
@@ -497,7 +307,7 @@ def encode_shells(cloud, max_shells: int) -> tuple[list[tuple[CodedStream, Coded
         encoder = RangeEncoder(tables)
         reached, _ = sweep_encode(remaining, pair, dims, tables, encoder)
         shells.append((surface_stream, encoder.finish()))
-        remaining = _leftovers(remaining, reached, native())
+        remaining = _leftovers(remaining, reached)
     return shells, remaining
 
 

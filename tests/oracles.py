@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 
@@ -106,7 +107,6 @@ def flood_fill_labels(columns, true_cells, order, previous) -> list[int]:
     it as coded, the rest of the bands unknown and everything else known
     empty. The label is class * 512 + the co-rotated binary patch of previous.
     """
-    tables = get_norm_tables()
     state = {}
     for x, (lo, hi) in columns.items():
         state.update({(z, x): 0 for z in range(lo + 1, hi)})
@@ -114,12 +114,19 @@ def flood_fill_labels(columns, true_cells, order, previous) -> list[int]:
     steps = (-1, 0, 1)
     labels = []
     for z, x in order:
-        current = [[state.get((z + dz, x + dx), 1) for dx in steps] for dz in steps]
-        before = [[int((z + dz, x + dx) in previous) for dx in steps] for dz in steps]
-        canonical, binary = normalized_context(current, before, tables)
-        labels.append(int(tables.class_index[canonical]) * 512 + binary)
+        current = tuple(tuple(state.get((z + dz, x + dx), 1) for dx in steps) for dz in steps)
+        before = tuple(tuple(int((z + dz, x + dx) in previous) for dx in steps) for dz in steps)
+        labels.append(_label(current, before))
         state[z, x] = 2 if (z, x) in true_cells else 1
     return labels
+
+
+@functools.cache
+def _label(current, before) -> int:
+    """The label of a ternary patch and the binary patch of the section before, as nested tuples."""
+    tables = get_norm_tables()
+    canonical, binary = normalized_context(current, before, tables)
+    return int(tables.class_index[canonical]) * 512 + binary
 
 
 def encode_section_decisions(labels, bits):
@@ -185,47 +192,69 @@ def normalized_context(current_patch, previous_patch, tables) -> tuple[int, int]
     return int(tables.i_star[ia]), binary_index(rot90(previous_patch, turns))
 
 
-def reference_build_section(pair, y0: int, nz: int):
-    """Full-array section set-up: (state, marked, queue) for section y0.
+def flood_fill_shell(nz, nx, sections):
+    """The flood-fill oracle over sections y = 0, 1, ... of a shell: (labels, bits, reconstructed points).
 
-    Fills the whole padded (nz + 2) x (nx + 2) section, indexed (z, x),
-    dilates the seed bitmap with a 9-way OR and keeps its unknown cells as
-    the work list, in row-major order; marked holds exactly the listed cells.
-    The slabs and the list's cell indices are column-major: cell (z, x) at
-    (x + 1) * (nz + 2) + z + 1.
+    sections lists each section's (columns, true_cells) as section_flood_fill
+    takes them. Each section's previous is the reconstruction of the section
+    before, which is empty when that section has no column. The
+    reconstruction is a set of (x, y, z) points.
     """
-    occ_col = pair.occ[:, y0]
-    nx = occ_col.shape[0]
-    state = np.ones((nz + 2, nx + 2), dtype=np.uint8)
-    seeds = np.zeros((nz + 2, nx + 2), dtype=np.uint8)
-    xs = np.flatnonzero(occ_col)
-    if xs.size:
-        lo = pair.zmin[xs, y0].astype(np.int64)
-        hi = pair.zmax[xs, y0].astype(np.int64)
-        for x, a, b in zip(xs.tolist(), lo.tolist(), hi.tolist()):
-            state[a + 1 : b + 2, x + 1] = 0
-        state[lo + 1, xs + 1] = 2
-        state[hi + 1, xs + 1] = 2
-        seeds[lo + 1, xs + 1] = 1
-        seeds[hi + 1, xs + 1] = 1
-    dilated = np.zeros_like(seeds)
-    dilated[1:-1, 1:-1] = (
-        seeds[:-2, :-2] | seeds[:-2, 1:-1] | seeds[:-2, 2:]
-        | seeds[1:-1, :-2] | seeds[1:-1, 1:-1] | seeds[1:-1, 2:]
-        | seeds[2:, :-2] | seeds[2:, 1:-1] | seeds[2:, 2:]
-    )
-    listed = dilated & (state == 0)
-    zs, xs = np.nonzero(listed)
-    queue = (xs * (nz + 2) + zs).tolist()
-    return bytearray(state.tobytes(order="F")), bytearray(listed.tobytes(order="F")), queue
+    labels, bits, reconstructed = [], [], set()
+    previous = set()
+    for y, (columns, true_cells) in enumerate(sections):
+        order, occupied = section_flood_fill(nz, nx, columns, true_cells)
+        labels += flood_fill_labels(columns, true_cells, order, previous)
+        bits += [int(cell in true_cells) for cell in order]
+        reconstructed.update((x, y, z) for z, x in occupied)
+        previous = occupied
+    return labels, bits, reconstructed
+
+
+def reference_sweep(points, pair, dims, tables):
+    """One shell's sweep by flood_fill_shell: (stream, decisions, reconstructed points).
+
+    The sections come from the maps and the (N, 3) points; every (label,
+    bit) pair is coded on tables, which carry their counts from shell to
+    shell as the codec's do.
+    """
+    nx, ny, nz = dims
+    true_cells = [set() for _ in range(ny)]
+    for x, y, z in np.asarray(points).tolist():
+        true_cells[y].add((z, x))
+    sections = [({x: (int(pair.zmin[x, y]), int(pair.zmax[x, y])) for x in np.flatnonzero(pair.occ[:, y]).tolist()},
+                 true_cells[y]) for y in range(ny)]
+    labels, bits, reconstructed = flood_fill_shell(nz, nx, sections)
+    encoder = RangeEncoder(tables)
+    encoder.encode_many(labels, bits)
+    return encoder.finish(), len(labels), reconstructed
+
+
+def reference_group(points, dims):
+    """sections._group by a stable argsort on y: (cells, offsets, order)."""
+    _, ny, nz = dims
+    order = np.argsort(points[:, 1], kind="stable")
+    rows = points[order]
+    return (rows[:, 0] + 1) * (nz + 2) + rows[:, 2] + 1, np.searchsorted(rows[:, 1], np.arange(ny + 1)), order
+
+
+def drop_by_key(points, dropped, dims) -> np.ndarray:
+    """The rows of sorted, distinct (N, 3) points whose keys the (M, 3) dropped points do not hold.
+
+    The points are sorted, so their keys are, and sorted needles make
+    searchsorted walk forward.
+    """
+    keep = np.ones(len(points), dtype=bool)
+    keys = np.ravel_multi_index(np.asarray(points).T, dims)
+    keep[np.searchsorted(keys, np.sort(np.ravel_multi_index(np.asarray(dropped).reshape(-1, 3).T, dims)))] = False
+    return points[keep]
 
 
 def reference_leftovers(cloud, max_shells: int) -> np.ndarray:
     """The sorted points that up to max_shells shells leave to the residual, found by key.
 
     Each shell decodes its own section stream, and the points whose keys
-    its reconstruction holds are dropped: the points are sorted, so their
-    keys are, and sorted needles make searchsorted walk forward.
+    its reconstruction holds are dropped (drop_by_key).
     """
     dims = cloud.dims
     enc_tables = count_tables(SECTION_CONTEXTS)
@@ -238,37 +267,13 @@ def reference_leftovers(cloud, max_shells: int) -> np.ndarray:
         encoder = RangeEncoder(enc_tables)
         sweep_encode(remaining, pair, dims, enc_tables, encoder)
         recon, _ = sweep_decode(pair, dims, dec_tables, RangeDecoder(encoder.finish().data, dec_tables))
-        keep = np.ones(len(remaining), dtype=bool)
-        keys = np.ravel_multi_index(remaining.T, dims)
-        keep[np.searchsorted(keys, np.sort(np.ravel_multi_index(recon.T, dims)))] = False
-        remaining = remaining[keep]
+        remaining = drop_by_key(remaining, recon, dims)
     return remaining
 
 
 def table_bytes(tables) -> bytes:
     """The count table of a CountTables, as bytes."""
     return bytes(tables.counts)
-
-
-def slab_cells(mask, stride: int) -> set[tuple[int, int]]:
-    """(z, x) cells set in a flat column-major padded slab of the given stride."""
-    xs, zs = np.nonzero(np.asarray(mask).reshape(-1, stride))
-    return set(zip((zs - 1).tolist(), (xs - 1).tolist()))
-
-
-def occupied_cells(buf) -> set[tuple[int, int]]:
-    """(z, x) cells of a section buffer currently reconstructed as occupied."""
-    return slab_cells(np.frombuffer(buf.state, dtype=np.uint8) == 2, buf.stride)
-
-
-def marked_cells(buf) -> set[tuple[int, int]]:
-    """(z, x) cells of a section buffer that entered its work list."""
-    return slab_cells(np.frombuffer(buf.marked, dtype=np.uint8), buf.stride)
-
-
-def unknown_count(buf) -> int:
-    """Cells of a section buffer still unknown."""
-    return buf.state.count(0)
 
 
 _MASK_TEMPLATE = (

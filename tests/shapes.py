@@ -104,6 +104,24 @@ def z_plane_cloud(nx: int, ny: int, z: int, nz: int, rng) -> VoxelCloud:
     return VoxelCloud.from_points(pts, (nx, ny, nz))
 
 
+def random_section(rng, nz: int, nx: int, column_share: float, fill: float):
+    """(columns, true cells) of one section, as oracles.section_flood_fill takes them.
+
+    Each x holds a column with probability column_share: 1 to 5 random true
+    (z, x) cells, whose band runs from the lowest to the highest, and each
+    cell strictly inside the band is true with probability fill.
+    """
+    columns = {}
+    true_cells = set()
+    for x in range(nx):
+        if rng.random() < column_share:
+            zs = sorted(set(int(rng.integers(0, nz)) for _ in range(int(rng.integers(1, 6)))))
+            columns[x] = (zs[0], zs[-1])
+            true_cells.update((z, x) for z in zs)
+            true_cells.update((z, x) for z in range(zs[0] + 1, zs[-1]) if rng.random() < fill)
+    return columns, true_cells
+
+
 def fuzz_suite(seed: int = 20240901) -> list[tuple[str, VoxelCloud]]:
     """At least 200 deterministic clouds covering the tricky regimes."""
     rng = np.random.default_rng(seed)

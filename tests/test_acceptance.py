@@ -15,18 +15,14 @@ from bvlcodec import decode_cloud, encode_cloud, parse_ply
 from bvlcodec.contexts import PATCH_COUNT, build_norm_tables, check_norm_tables
 from bvlcodec.depthmap import DepthmapPair
 from bvlcodec.rangecoder import RangeDecoder, RangeEncoder, count_tables
-from bvlcodec.sections import SECTION_CONTEXTS, _code_buffers, _section_buffers, build_section, code_section
+from bvlcodec.sections import SECTION_CONTEXTS, build_section, code_section
 
 import shapes
 from oracles import (
     binary_entropy,
     encode_section_decisions,
-    flood_fill_labels,
-    marked_cells,
-    occupied_cells,
+    flood_fill_shell,
     rotation_orbit_count,
-    section_flood_fill,
-    slab_cells,
     table_bytes,
 )
 
@@ -141,54 +137,34 @@ def test_criterion_5_section_oracle_equivalence():
         while checked < 50:
             nz = int(rng.integers(4, 33))
             nx = int(rng.integers(4, 33))
-            columns = {}
-            true_cells = set()
-            for x in range(nx):
-                if rng.random() < 0.55:
-                    zs = sorted(set(int(rng.integers(0, nz))
-                                    for _ in range(int(rng.integers(1, 6)))))
-                    columns[x] = (zs[0], zs[-1])
-                    true_cells.update((z, x) for z in zs)
-                    for z in range(zs[0] + 1, zs[-1]):
-                        if rng.random() < 0.4:
-                            true_cells.add((z, x))
-            if not columns:
+            section = shapes.random_section(rng, nz, nx, 0.55, 0.4)
+            if not section[0]:
                 continue
-            occ = np.zeros((nx, 1), np.uint8)
-            zmin = np.zeros((nx, 1), np.int32)
-            zmax = np.zeros((nx, 1), np.int32)
-            for x, (lo, hi) in columns.items():
-                occ[x, 0], zmin[x, 0], zmax[x, 0] = 1, lo, hi
-            pair = DepthmapPair(occ=occ, zmin=zmin, zmax=zmax)
-            st = nz + 2
-            noise = (rng.random((nx + 2) * st) < 0.25).astype(np.uint8)
-            true_bytes = bytearray((nx + 2) * st)
-            for z, x in true_cells:
-                true_bytes[(x + 1) * st + z + 1] = 1
-            order, oracle_occupied = section_flood_fill(nz, nx, columns, true_cells)
-            bits = [int(cell in true_cells) for cell in order]
-            # With a previous section, the Python section loop decodes; without
-            # one, the section is a whole shell, decoded in one code_section call.
-            for previous, previous_cells in ((noise.tobytes(), slab_cells(noise, st)), (None, set())):
+            # The section alone as a shell, then after a random section 0,
+            # whose reconstruction is the previous section of its contexts.
+            for shell in ([section], [shapes.random_section(rng, nz, nx, 0.8, 0.4), section]):
+                occ = np.zeros((nx, len(shell)), np.uint8)
+                zmin = np.zeros(occ.shape, np.int32)
+                zmax = np.zeros(occ.shape, np.int32)
+                for y, (columns, _) in enumerate(shell):
+                    for x, (lo, hi) in columns.items():
+                        occ[x, y], zmin[x, y], zmax[x, y] = 1, lo, hi
+                pair = DepthmapPair(occ=occ, zmin=zmin, zmax=zmax)
+                dims = (nx, len(shell), nz)
+                points = np.array(sorted((x, y, z) for y, (_, cells) in enumerate(shell) for z, x in cells))
+                labels, bits, oracle_occupied = flood_fill_shell(nz, nx, shell)
+                oracle_stream, oracle_tables = encode_section_decisions(labels, bits)
+                # Both sides code the shell in the kernel, in one code_section call each.
                 enc_tables = count_tables(SECTION_CONTEXTS)
                 enc = RangeEncoder(enc_tables)
-                enc_buf = _section_buffers(pair, 0, nz, previous)
-                n_enc = _code_buffers(enc_buf, enc, bytes(true_bytes))
+                reached, n_enc = code_section(build_section(pair, dims, points), enc_tables, encoder=enc)
                 stream = enc.finish()
-                labels = flood_fill_labels(columns, true_cells, order, previous_cells)
-                oracle_stream, oracle_tables = encode_section_decisions(labels, bits)
                 dec_tables = count_tables(SECTION_CONTEXTS)
-                decoder = RangeDecoder(stream, dec_tables)
-                if previous is None:
-                    recon, n_dec = code_section(build_section(pair, (nx, 1, nz)), dec_tables, decoder=decoder)
-                    occupied = {(z, x) for x, _, z in recon.tolist()}
-                else:
-                    dec_buf = _section_buffers(pair, 0, nz, previous)
-                    n_dec = _code_buffers(dec_buf, decoder)
-                    occupied = occupied_cells(dec_buf)
-                # Every listed cell is coded once: the marked cells are the coded ones.
-                assert marked_cells(enc_buf) == set(order)
-                assert n_enc == n_dec == len(order)
+                recon, n_dec = code_section(build_section(pair, dims), dec_tables,
+                                            decoder=RangeDecoder(stream, dec_tables))
+                occupied = set(map(tuple, recon.tolist()))
+                assert set(map(tuple, points[reached].tolist())) == occupied and len(reached) == len(recon)
+                assert n_enc == n_dec == len(labels)
                 assert occupied == oracle_occupied
                 assert stream == oracle_stream
                 assert len(enc_tables) == len(set(labels))

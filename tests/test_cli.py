@@ -5,11 +5,10 @@ import csv
 import numpy as np
 import pytest
 
-from bvlcodec import VoxelCloud, decode_cloud, depthmap, parse_ply, rangecoder, sections, write_ply
+from bvlcodec import VoxelCloud, decode_cloud, depthmap, encode_cloud, parse_ply, rangecoder, sections, write_ply
 from bvlcodec.cli import main
 from bvlcodec.container import CSV_COLUMNS
 from bvlcodec.depthmap import DepthmapPair
-from bvlcodec.rangecoder import CodedStream
 
 import shapes
 
@@ -172,75 +171,50 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_selftest_compares_the_depthmap_paths(capsys, monkeypatch):
-    if rangecoder.native() is None:
-        pytest.skip("native kernel unavailable")
-    encode = depthmap._encode
-
-    def spoiled(pair, nz, lib):
-        stream = encode(pair, nz, lib)
-        return stream if lib is not None else CodedStream(stream.data, stream.bit_length + 1)
-
-    monkeypatch.setattr(depthmap, "_encode", spoiled)
-    assert main(["selftest"]) == 1
-    assert "FAIL depth-map encoder" in capsys.readouterr().out
-
-
-def test_selftest_compares_the_section_paths(capsys, monkeypatch):
-    if rangecoder.native() is None:
-        pytest.skip("native kernel unavailable")
-    code_buffers = sections._code_buffers
-
-    def spoiled(buf, coder, truth=None):
-        # The Python loop alone codes the first listed cell of each section wrong.
-        if truth is not None and len(buf.queue):
-            truth[buf.queue[0]] ^= 1
-        return code_buffers(buf, coder, truth)
-
-    monkeypatch.setattr(sections, "_code_buffers", spoiled)
-    assert main(["selftest"]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL section sweep" in out and "PASS end-to-end round trip" in out
-
-
-def test_selftest_compares_the_reached_points(capsys, monkeypatch):
-    if rangecoder.native() is None:
-        pytest.skip("native kernel unavailable")
-    code_section = sections.code_section
-
-    def spoiled(shell, tables, **coders):
-        # The Python loop alone reports one reached point too few; its stream is right.
-        reached, coded = code_section(shell, tables, **coders)
-        return (reached[1:] if shell.buffers is None else reached), coded
-
-    monkeypatch.setattr(sections, "code_section", spoiled)
-    assert main(["selftest"]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL section sweep: native and Python reached points differ" in out
-    assert "section streams differ" not in out and "PASS end-to-end round trip" in out
+def _spoil_coder_output(side, points):
+    """Spoil code_section's result on one side only: drop a row of its points."""
+    return lambda result, coders: (points(result[0]), result[1]) if side in coders else result
 
 
 @pytest.mark.parametrize("module, name, spoil, problem", [
-    (depthmap, "_project", lambda pair: DepthmapPair(pair.occ, pair.zmin, pair.zmax + 1),
-     "FAIL depth-map encoder: native and numpy projections differ"),
-    (sections, "_group", lambda groups: (groups[0], groups[1], groups[2][::-1]),
-     "FAIL section sweep: native and numpy section groupings differ"),
-    (sections, "_leftovers", lambda rows: rows[:-1], "FAIL section sweep: native and numpy leftovers differ"),
-], ids=["projection", "grouping", "leftovers"])
-def test_selftest_compares_the_row_passes(capsys, monkeypatch, module, name, spoil, problem):
-    if rangecoder.native() is None:
-        pytest.skip("native kernel unavailable")
+    (depthmap, "project_array", lambda pair, _: DepthmapPair(pair.occ, pair.zmin, pair.zmax - (pair.zmax > pair.zmin)),
+     "FAIL depth-map encoder: the projection does not hold the points' z extrema"),
+    (depthmap, "decode_depthmaps", lambda pair, _: DepthmapPair(pair.occ, pair.zmin, pair.zmax + 1),
+     "FAIL depth-map encoder: the decoded maps differ from the projection"),
+    (sections, "code_section", _spoil_coder_output("decoder", lambda points: points[:-1]),
+     "FAIL section sweep: the decoded points differ from the rows the encoder reached"),
+    (sections, "code_section", _spoil_coder_output("encoder", lambda rows: rows[1:]),
+     "FAIL section sweep: the decoded points differ from the rows the encoder reached"),
+    (sections, "_group", lambda groups, _: (groups[0], groups[1], groups[2][::-1]),
+     "FAIL section sweep: the decoded points differ from the rows the encoder reached"),
+    (sections, "_leftovers", lambda rows, _: rows[:-1], "FAIL section sweep: the leftovers are not the rows the sweep left"),
+], ids=["projection", "depthmap-decoder", "section-decoder", "reached-points", "grouping", "leftovers"])
+def test_selftest_reports_a_spoiled_kernel_output(capsys, monkeypatch, module, name, spoil, problem):
     real = getattr(module, name)
 
-    def spoiled(*args):
-        # numpy's pass alone goes wrong; the codec runs the kernel's.
-        result = real(*args)
-        return spoil(result) if args[-1] is None else result
+    def spoiled(*args, **kwargs):
+        return spoil(real(*args, **kwargs), kwargs)
 
     monkeypatch.setattr(module, name, spoiled)
     assert main(["selftest"]) == 1
-    out = capsys.readouterr().out
-    assert problem in out and out.count("FAIL") == 1 and "PASS end-to-end round trip" in out
+    assert problem in capsys.readouterr().out
+
+
+def test_a_kernel_that_cannot_load_ends_in_one_error_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(rangecoder, "load_kernel", lambda: (None, "forced by the test"))
+    cloud = shapes.hollow_sphere(16, 5)
+    with pytest.raises(OSError, match="forced by the test"):
+        encode_cloud(cloud)
+    src = tmp_path / "sphere.ply"
+    _write_cloud(src, cloud)
+    for args in (["encode", str(src)], ["selftest"]):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        errors = captured.err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error:"), args
+        assert "forced by the test" in errors[0] and "gcc" in errors[0]
+        assert "Traceback" not in captured.err + captured.out
+    assert not (tmp_path / "sphere.ply.bvl").exists()
 
 
 @pytest.mark.parametrize("option", ["--max-shells", "--bits"])

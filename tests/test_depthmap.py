@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bvlcodec import VoxelCloud, rangecoder
+from bvlcodec import VoxelCloud
 from bvlcodec.depthmap import DepthmapPair, decode_depthmaps, encode_depthmaps, project_array
 
 from oracles import brute_force_depthmaps, reference_encode_depthmaps
@@ -48,6 +48,14 @@ def test_project_matches_brute_force_oracle():
         assert pair.zmax[x, y] == v
     mask = pair.occ.astype(bool)
     assert np.all(pair.zmin[mask] <= pair.zmax[mask])
+
+
+def test_project_refuses_depths_the_int32_maps_cannot_hold():
+    # Stored in the int32 maps, z = 2^32 + 1 would read back as 1.
+    with pytest.raises(ValueError, match="int32"):
+        project_array(np.array([[0, 0, 2**32 + 1]]), (1, 1, 2**33))
+    pair = project_array(np.array([[0, 0, 2**31 - 1]]), (1, 1, 2**31))
+    assert pair.zmin[0, 0] == pair.zmax[0, 0] == 2**31 - 1
 
 
 def test_project_is_order_independent():
@@ -169,36 +177,11 @@ def _reference_cases():
 _REFERENCE_CASES = [pytest.param(pair, nz, id=name) for name, pair, nz in _reference_cases()]
 
 
-def _force_python(monkeypatch):
-    monkeypatch.setattr(rangecoder, "load_kernel", lambda: (None, "forced by the test"))
-
-
-@pytest.fixture(params=["kernel", "python"])
-def path(request, monkeypatch):
-    """Run the test on the kernel's loops, then on the Python ones."""
-    if request.param == "python":
-        _force_python(monkeypatch)
-    elif rangecoder.native() is None:
-        pytest.skip("native kernel unavailable")
-    return request.param
-
-
-def _assert_matches_reference(pair, nz):
+@pytest.mark.parametrize("pair,nz", _REFERENCE_CASES)
+def test_encoder_matches_the_scalar_reference(pair, nz):
     stream = encode_depthmaps(pair, nz)
     assert stream == reference_encode_depthmaps(pair, nz)
     assert _pairs_equal(pair, decode_depthmaps(stream.data, *pair.occ.shape, nz))
-
-
-@pytest.mark.parametrize("pair,nz", _REFERENCE_CASES)
-def test_encoder_matches_the_scalar_reference(pair, nz):
-    # The kernel's loops, when it loads.
-    _assert_matches_reference(pair, nz)
-
-
-@pytest.mark.parametrize("pair,nz", _REFERENCE_CASES)
-def test_python_loops_match_the_scalar_reference(monkeypatch, pair, nz):
-    _force_python(monkeypatch)
-    _assert_matches_reference(pair, nz)
 
 
 # 2x2 maps that the decoder would refuse or decode to a different mask.
@@ -207,7 +190,7 @@ def test_python_loops_match_the_scalar_reference(monkeypatch, pair, nz):
     ([[1, 0], [1, 1]], [[2, 0], [8, 1]], [[3, 0], [8, 1]]),
     ([[1, 2], [0, 1]], [[2, 3], [0, 1]], [[3, 3], [0, 1]]),
 ], ids=["zmax-below-zmin", "zmin-at-nz", "occ-byte-2"])
-def test_encoder_refuses_malformed_maps(path, occ, zmin, zmax):
+def test_encoder_refuses_malformed_maps(occ, zmin, zmax):
     pair = DepthmapPair(*(np.array(a, dtype) for a, dtype in ((occ, np.uint8), (zmin, np.int32),
                                                                 (zmax, np.int32))))
     with pytest.raises(ValueError, match="layout"):
@@ -237,7 +220,7 @@ def test_encode_peak_memory_follows_the_block_not_the_map():
     assert peak <= 1.25 * _PIXEL_LOOP_PEAK_BYTES
 
 
-def test_encoder_refuses_values_its_maps_cannot_hold(path):
+def test_encoder_refuses_values_its_maps_cannot_hold():
     # Cast to uint8 and int32, these would code as an occ byte of 1 and a zmin of 1.
     occ = np.ones((2, 2), np.int64)
     z = np.full((2, 2), 3, np.int64)
@@ -252,7 +235,7 @@ def test_encoder_refuses_values_its_maps_cannot_hold(path):
     assert _pairs_equal(narrow, decode_depthmaps(encode_depthmaps(narrow, 8).data, 2, 2, 8))
 
 
-def test_encoder_refuses_a_residual_longer_than_the_decoder_reads(path):
+def test_encoder_refuses_a_residual_longer_than_the_decoder_reads():
     # The first low is predicted as nz // 2: with nz = 2^50 its residual
     # needs 50 prefix bins, and the decoder stops at 48.
     with pytest.raises(ValueError, match="layout"):

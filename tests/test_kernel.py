@@ -1,8 +1,8 @@
-"""The native kernel against the Python loops it replaces.
+"""The native kernel against the Python oracles of tests/oracles.py.
 
-Every test skips when the kernel cannot be built or loaded here, so none
-passes without running it. The Python path is forced by replacing the
-kernel loader.
+The kernel is the codec's only path, so these tests run it on the inputs
+where it is likeliest to go wrong: the fuzz suite in every axis order, thin
+dims, encoding calls that stop for room, and corrupt or malformed input.
 """
 
 import ctypes
@@ -19,61 +19,31 @@ from bvlcodec.rangecoder import RangeDecoder, RangeEncoder, count_tables
 from bvlcodec.sections import SECTION_CONTEXTS, build_section, code_section, sweep_decode, sweep_encode
 
 import shapes
-from oracles import table_bytes
+from oracles import brute_force_depthmaps, drop_by_key, reference_group, reference_sweep, table_bytes
 
 
 @pytest.fixture
 def kernel():
-    lib, where = rangecoder.load_kernel()
-    if lib is None:
-        pytest.skip(f"native kernel unavailable: {where}")
-    return lib
+    return rangecoder.native()
 
 
-def _force_python(monkeypatch):
-    monkeypatch.setattr(rangecoder, "load_kernel", lambda: (None, "forced by the test"))
-
-
-def _outcome(data: bytes):
-    try:
-        return decode_cloud(data)
-    except CodecError as exc:
-        return type(exc)
-
-
-def test_corrupt_containers_end_alike_on_both_paths(kernel, monkeypatch):
+def test_corrupt_containers_end_in_a_codec_error_or_a_cloud():
     # Two concentric sphere shells: both shells code sections, and flips land
     # in the header, the length table and every payload.
     cloud = shapes.nested_hollow_spheres(24, (10, 5))
     blob, report = encode_cloud(cloud, permutation=0)
     assert report.shells == 2
     rng = np.random.default_rng(10)
-    cases = []
-    for _ in range(300):
+    errors = 0
+    for k in range(300):
         data = bytearray(blob)
         data[int(rng.integers(len(data)))] ^= int(rng.integers(1, 256))
-        cases.append(bytes(data))
-    native = [_outcome(data) for data in cases]
-    _force_python(monkeypatch)
-    python = [_outcome(data) for data in cases]
-    errors = 0
-    for k, (a, b) in enumerate(zip(native, python)):
-        if isinstance(a, type) or isinstance(b, type):
-            assert a is b, f"case {k}: {a} natively, {b} in Python"
+        try:
+            assert isinstance(decode_cloud(bytes(data)), VoxelCloud), f"case {k}"
+        except CodecError:
             errors += 1
-        else:
-            assert a == b, f"case {k}: the two paths decode different clouds"
-    # Most flips are caught, some decode to a cloud: both outcomes are compared.
-    assert 0 < errors < len(cases)
-
-
-def test_containers_are_byte_identical_on_both_paths(kernel, monkeypatch):
-    suite = shapes.fuzz_suite()
-    native = [encode_cloud(cloud, permutation=k % 6)[0] for k, (_, cloud) in enumerate(suite)]
-    _force_python(monkeypatch)
-    python = [encode_cloud(cloud, permutation=k % 6)[0] for k, (_, cloud) in enumerate(suite)]
-    for (name, _), a, b in zip(suite, native, python):
-        assert a == b, name
+    # Most flips are caught, some decode to a cloud.
+    assert 0 < errors < 300
 
 
 def _decode_zeros(shell):
@@ -128,60 +98,55 @@ def test_kernel_refuses_a_label_past_the_coders_tables(kernel):
     assert bytes(short.counts) == bytes(4)
 
 
-def _sweep_record(cloud, shells=2):
-    """Per shell, encoder then decoder: section bytes, decisions and sorted reconstruction; then both sides' tables.
+def _point_set(points):
+    return set(map(tuple, np.asarray(points).tolist()))
 
-    The encoder's reconstruction is the rows it reports reached, which must
-    be the decoder's reconstruction as a point set. The tables carry their
-    counts from shell to shell, so those of the last shell hold every
-    shell's updates.
+
+def _assert_sweeps_match_the_oracle(cloud, name=""):
+    """Code up to two shells of cloud on the kernel and on reference_sweep; returns the kernel's decisions.
+
+    Per shell, the section bytes and decision counts are equal, and the
+    encoder's reached rows, one per point, are the decoder's and the
+    oracle's reconstruction; the leftovers are the rows the oracle did not
+    reconstruct. The tables carry their counts from shell to shell, so the
+    last shell's hold every shell's updates, and are equal on all three
+    sides.
     """
     dims = cloud.dims
-    enc_tables = count_tables(SECTION_CONTEXTS)
-    dec_tables = count_tables(SECTION_CONTEXTS)
+    enc_tables, dec_tables, oracle_tables = (count_tables(SECTION_CONTEXTS) for _ in range(3))
     remaining = cloud.to_array()
-    record = []
-    for _ in range(shells):
+    decisions = 0
+    for _ in range(2):
         if not len(remaining):
             break
         pair = project_array(remaining, dims)
         enc = RangeEncoder(enc_tables)
         reached, n = sweep_encode(remaining, pair, dims, enc_tables, enc)
         stream = enc.finish()
-        dec = RangeDecoder(stream.data, dec_tables)
-        dec_recon, dec_n = sweep_decode(pair, dims, dec_tables, dec)
-        recon = np.unique(remaining[reached], axis=0).tolist()
-        dec_points = np.unique(dec_recon, axis=0).tolist()
-        assert len(recon) == len(reached) and recon == dec_points
-        record.append((stream, n, recon, dec_n, dec_points))
-        remaining = np.delete(remaining, reached, axis=0)
-    return record, table_bytes(enc_tables), table_bytes(dec_tables)
-
-
-def _assert_paths_agree(clouds, monkeypatch):
-    """Each cloud's record on the kernel, then on the Python loops; returns each cloud's decisions."""
-    decisions = []
-    for k, cloud in enumerate(clouds):
-        native = _sweep_record(cloud)
-        with monkeypatch.context() as patch:
-            _force_python(patch)
-            assert _sweep_record(cloud) == native, f"cloud {k}"
-        decisions.append(sum(shell[1] for shell in native[0]))
+        recon, dec_n = sweep_decode(pair, dims, dec_tables, RangeDecoder(stream.data, dec_tables))
+        oracle_stream, oracle_n, oracle_points = reference_sweep(remaining, pair, dims, oracle_tables)
+        assert stream == oracle_stream and n == dec_n == oracle_n, name
+        rows = _point_set(remaining[reached])
+        assert len(rows) == len(reached) == len(recon) and rows == _point_set(recon) == oracle_points, name
+        expected = drop_by_key(remaining, sorted(oracle_points), dims)
+        remaining = sections._leftovers(remaining, reached)
+        assert np.array_equal(remaining, expected), name
+        decisions += n
+    assert table_bytes(enc_tables) == table_bytes(dec_tables) == table_bytes(oracle_tables), name
     return decisions
 
 
-def test_kernel_and_python_sweeps_agree_on_fuzz_suite_in_every_permutation(kernel, monkeypatch):
-    clouds = [AxisPermutation(pid).apply(cloud) for _, cloud in shapes.fuzz_suite()
-              for pid in range(PERMUTATION_COUNT)]
+def test_kernel_sweeps_match_the_oracle_on_fuzz_suite_in_every_permutation():
+    for name, cloud in shapes.fuzz_suite():
+        for pid in range(PERMUTATION_COUNT):
+            _assert_sweeps_match_the_oracle(AxisPermutation(pid).apply(cloud), f"{name}, permutation {pid}")
     # A solid sphere's shell makes more decisions than any fuzz-suite shell.
-    clouds.append(shapes.solid_sphere(48, 20))
-    assert _assert_paths_agree(clouds, monkeypatch)[-1] > 2 * (1 << 14)
+    assert _assert_sweeps_match_the_oracle(shapes.solid_sphere(48, 20)) > 2 * (1 << 14)
 
 
-def test_kernel_and_python_sweeps_agree_when_kernel_calls_resume(kernel, monkeypatch):
+def test_kernel_sweeps_match_the_oracle_when_kernel_calls_resume(kernel, monkeypatch):
     # Room for 7 bits at first: the kernel's encoding calls resume inside and
-    # across sections; section 3 of each cloud is empty. Each shell's reached
-    # rows still equal its decoded points (_sweep_record).
+    # across sections; section 3 of each cloud is empty.
     monkeypatch.setattr(rangecoder, "_BITS_ROOM", 7)
     stops = []
 
@@ -192,19 +157,16 @@ def test_kernel_and_python_sweeps_agree_when_kernel_calls_resume(kernel, monkeyp
         return status
 
     # The shell's row passes run in the kernel as they are.
-    monkeypatch.setattr(sections, "native", lambda: rangecoder.native() and SimpleNamespace(
+    monkeypatch.setattr(sections, "native", lambda: SimpleNamespace(
         code_shell=code_shell, group_rows=kernel.group_rows, leftover_rows=kernel.leftover_rows))
     rng = np.random.default_rng(79)
-    clouds = []
     for _ in range(4):
         points = []
         for y in (y for y in range(12) if y != 3):
             for x in range(8):
                 lo, hi = sorted(rng.integers(0, 8, size=2).tolist())
                 points += [(x, y, z) for z in range(lo, hi + 1) if z in (lo, hi) or rng.random() < 0.7]
-        clouds.append(VoxelCloud((8, 12, 8), points))
-    for decisions in _assert_paths_agree(clouds, monkeypatch):
-        assert decisions > 3 * 7
+        assert _assert_sweeps_match_the_oracle(VoxelCloud((8, 12, 8), points)) > 3 * 7
     assert any(head for _, head in stops) and len({section for section, _ in stops}) > 1
 
 
@@ -249,36 +211,50 @@ def _thin_clouds(dims):
 
 
 @_THIN_DIMS
-def test_kernel_and_python_sweeps_agree_on_thin_dims(kernel, monkeypatch, dims):
-    _assert_paths_agree(_thin_clouds(dims), monkeypatch)
+def test_kernel_sweeps_match_the_oracle_on_thin_dims(dims):
+    for cloud in _thin_clouds(dims):
+        _assert_sweeps_match_the_oracle(cloud, f"dims {cloud.dims}")
 
 
-def _row_passes(points, dims, reached, lib):
-    """The projection's maps, the grouping's cells, offsets and order, and the leftovers, on lib or numpy (None)."""
-    pair = depthmap._project(points, dims, lib)
-    return [pair.occ, pair.zmin, pair.zmax, *sections._group(points, dims, lib),
-            sections._leftovers(points, reached, lib)]
+def _row_passes(points, dims, reached):
+    """The projection's maps, the grouping's cells, offsets and order, and the leftovers, in the kernel."""
+    pair = project_array(points, dims)
+    return [pair.occ, pair.zmin, pair.zmax, *sections._group(points, dims), sections._leftovers(points, reached)]
 
 
-def _assert_row_passes_agree(kernel, clouds):
+def _reference_row_passes(points, dims, reached):
+    """_row_passes from the oracles: brute_force_depthmaps, reference_group and drop_by_key."""
+    nx, ny, _ = dims
+    occ = np.zeros((nx, ny), np.uint8)
+    zmin = np.zeros((nx, ny), np.int32)
+    zmax = np.zeros((nx, ny), np.int32)
+    lo, hi = brute_force_depthmaps(points.tolist(), dims)
+    for (x, y), z in lo.items():
+        occ[x, y] = 1
+        zmin[x, y] = z
+        zmax[x, y] = hi[x, y]
+    return [occ, zmin, zmax, *reference_group(points, dims), drop_by_key(points, points[reached], dims)]
+
+
+def _assert_row_passes_match_the_oracles(clouds):
     rng = np.random.default_rng(31)
     for k, cloud in enumerate(clouds):
         points = cloud.to_array()
         # Any share of the rows, in any order, as a sweep's reached rows come.
         reached = rng.permutation(len(points))[: int(rng.integers(len(points) + 1))]
-        for a, b in zip(_row_passes(points, cloud.dims, reached, kernel),
-                        _row_passes(points, cloud.dims, reached, None), strict=True):
+        for a, b in zip(_row_passes(points, cloud.dims, reached),
+                        _reference_row_passes(points, cloud.dims, reached), strict=True):
             assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), f"cloud {k}"
 
 
-def test_kernel_and_numpy_row_passes_agree_on_fuzz_suite_in_every_permutation(kernel):
-    _assert_row_passes_agree(kernel, [AxisPermutation(pid).apply(cloud) for _, cloud in shapes.fuzz_suite()
-                                      for pid in range(PERMUTATION_COUNT)])
+def test_kernel_row_passes_match_the_oracles_on_fuzz_suite_in_every_permutation():
+    _assert_row_passes_match_the_oracles([AxisPermutation(pid).apply(cloud) for _, cloud in shapes.fuzz_suite()
+                                          for pid in range(PERMUTATION_COUNT)])
 
 
 @_THIN_DIMS
-def test_kernel_and_numpy_row_passes_agree_on_thin_dims(kernel, dims):
-    _assert_row_passes_agree(kernel, _thin_clouds(dims))
+def test_kernel_row_passes_match_the_oracles_on_thin_dims(dims):
+    _assert_row_passes_match_the_oracles(_thin_clouds(dims))
 
 
 _GUARD = 64
@@ -313,11 +289,11 @@ def _row_loops(kernel, points, dims, reached, fill):
 
 
 def test_row_loops_fill_every_output_byte_and_write_nothing_past_them(kernel):
-    # Outputs full of 0xA5 come out as zeroed ones do, and as numpy's.
+    # Outputs full of 0xA5 come out as zeroed ones do, and as the oracles'.
     cloud = shapes.nested_hollow_spheres(24, (10, 5))
     points = cloud.to_array()
     reached = np.random.default_rng(4).permutation(len(points))[: len(points) // 3]
-    expected = _row_passes(points, cloud.dims, reached, None)
+    expected = _reference_row_passes(points, cloud.dims, reached)
     for fill in (0, 0xA5):
         statuses, outputs = _row_loops(kernel, points, cloud.dims, reached, fill)
         assert statuses == [0, 0, 0]

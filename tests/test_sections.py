@@ -1,9 +1,9 @@
-"""Section building, list-driven coding, sweep, and shell tests."""
+"""Section coding, sweep, and shell tests."""
 
 import numpy as np
 import pytest
 
-from bvlcodec import rangecoder, sections
+from bvlcodec import sections
 from bvlcodec.depthmap import DepthmapPair, project_array
 from bvlcodec.errors import BitstreamError, TruncatedStreamError
 from bvlcodec.rangecoder import RangeDecoder, RangeEncoder, count_tables
@@ -20,28 +20,7 @@ from bvlcodec.sections import (
 )
 
 import shapes
-from oracles import (
-    encode_section_decisions,
-    flood_fill_labels,
-    marked_cells,
-    occupied_cells,
-    reference_build_section,
-    reference_leftovers,
-    section_flood_fill,
-    slab_cells,
-    table_bytes,
-    unknown_count,
-)
-
-
-@pytest.fixture(params=["kernel", "python"])
-def path(request, monkeypatch):
-    """Run a test on the native kernel (skipped where it does not load), then on the Python loops."""
-    if request.param == "python":
-        monkeypatch.setattr(rangecoder, "load_kernel", lambda: (None, "forced by the test"))
-    elif rangecoder.native() is None:
-        pytest.skip("native kernel unavailable")
-    return request.param
+from oracles import encode_section_decisions, flood_fill_shell, reference_leftovers, table_bytes
 
 
 def _coder(tables, stream=None):
@@ -51,210 +30,103 @@ def _coder(tables, stream=None):
     return RangeDecoder(stream, tables)
 
 
-def _single_section_pair(nz, nx, columns) -> DepthmapPair:
-    occ = np.zeros((nx, 1), np.uint8)
-    zmin = np.zeros((nx, 1), np.int32)
-    zmax = np.zeros((nx, 1), np.int32)
-    for x, (lo, hi) in columns.items():
-        occ[x, 0] = 1
-        zmin[x, 0] = lo
-        zmax[x, 0] = hi
+def _shell_pair(nz, nx, columns_by_section) -> DepthmapPair:
+    """Maps whose section y has the columns columns_by_section[y], each x -> (low, high)."""
+    occ = np.zeros((nx, len(columns_by_section)), np.uint8)
+    zmin = np.zeros(occ.shape, np.int32)
+    zmax = np.zeros(occ.shape, np.int32)
+    for y, columns in enumerate(columns_by_section):
+        for x, (lo, hi) in columns.items():
+            occ[x, y] = 1
+            zmin[x, y] = lo
+            zmax[x, y] = hi
     return DepthmapPair(occ=occ, zmin=zmin, zmax=zmax)
 
 
-def _true_bytes(true_cells, nz, nx):
-    st = nz + 2
-    t = bytearray((nx + 2) * st)
-    for z, x in true_cells:
-        t[(x + 1) * st + z + 1] = 1
-    return bytes(t)
+def _point_set(points):
+    return set(map(tuple, points.tolist()))
 
 
-def test_build_section_empty_column():
-    pair = _single_section_pair(8, 4, {1: (2, 5)})
-    buf = sections._section_buffers(pair, 0, 8)
-    st = buf.stride
-    # column 3 has no occupancy: everything there is known empty
-    for z in range(8):
-        assert buf.state[(3 + 1) * st + z + 1] == 1
+def _run_both_sides(nz, nx, shell):
+    """Encode a shell in the kernel and decode it again; both sides must agree.
 
-
-def test_build_section_single_cell_interval():
-    pair = _single_section_pair(8, 4, {2: (5, 5)})
-    buf = sections._section_buffers(pair, 0, 8)
-    st = buf.stride
-    assert buf.state[(2 + 1) * st + 5 + 1] == 2
-    assert unknown_count(buf) == 0
-    assert occupied_cells(buf) == {(5, 2)}
-
-
-def test_build_section_interval_counts():
-    pair = _single_section_pair(16, 4, {1: (2, 9)})
-    buf = sections._section_buffers(pair, 0, 16)
-    st = buf.stride
-    assert buf.state[(1 + 1) * st + 2 + 1] == 2
-    assert buf.state[(1 + 1) * st + 9 + 1] == 2
-    for z in range(3, 9):
-        assert buf.state[(1 + 1) * st + z + 1] == 0
-    assert unknown_count(buf) == 6
-
-
-def test_build_section_list_is_row_major_dilation():
-    # Unknown cells in columns 0, 1 and 2; column 5 is a lone seed.
-    columns = {0: (1, 5), 1: (2, 6), 2: (0, 4), 5: (3, 3)}
-    pair = _single_section_pair(8, 8, columns)
-    buf = sections._section_buffers(pair, 0, 8)
-    st = buf.stride
-    cells = [((i % st) - 1, (i // st) - 1) for i in buf.queue]
-    seeds = {(z, x) for x, band in columns.items() for z in band}
-    unknown = {(z, x) for x, (lo, hi) in columns.items() for z in range(lo + 1, hi)}
-    expected = sorted(
-        {
-            (z + dz, x + dx)
-            for z, x in seeds
-            for dz in (-1, 0, 1)
-            for dx in (-1, 0, 1)
-        }
-        & unknown
-    )
-    assert {x for _, x in expected} == {0, 1, 2}
-    assert cells == expected
-    assert marked_cells(buf) == set(cells)
-
-
-def _assert_matches_reference(pair, nz):
-    for y0 in np.flatnonzero(pair.occ.any(axis=0)).tolist():
-        state, marked, queue = reference_build_section(pair, y0, nz)
-        buf = sections._section_buffers(pair, y0, nz)
-        assert buf.state == state
-        assert buf.marked == marked
-        assert list(buf.queue) == queue
-
-
-def test_build_section_matches_reference_on_fuzz_suite():
-    for _, cloud in shapes.fuzz_suite():
-        _assert_matches_reference(project_array(cloud.to_array(), cloud.dims), cloud.dims[2])
-
-
-def test_build_section_matches_reference_at_borders():
-    cases = [
-        # seeds on every border side: x = 0, x = nx - 1, z = 0, z = nz - 1
-        (6, 5, {0: (0, 5), 4: (0, 5), 2: (0, 0)}),
-        (6, 5, {0: (2, 2), 4: (5, 5), 1: (0, 3), 3: (1, 5)}),
-        (3, 3, {0: (0, 2), 1: (0, 2), 2: (0, 2)}),
-        # a single column, a single row, and a single cell
-        (7, 1, {0: (0, 6)}),
-        (7, 1, {0: (3, 3)}),
-        (1, 6, {0: (0, 0), 2: (0, 0), 5: (0, 0)}),
-        (1, 1, {0: (0, 0)}),
-    ]
-    for nz, nx, columns in cases:
-        _assert_matches_reference(_single_section_pair(nz, nx, columns), nz)
-
-
-def _run_both_sides(pair, nz, true_cells, prev=None):
-    """Encode one section with the Python loop and decode it again; both sides must agree.
-
-    Every listed cell is coded once, so each side's coded cells are its
-    marked ones. Without prev the section is also a whole shell, whose
-    decode through build_section and code_section (in the kernel when it
-    loads) must agree too. Returns (encoder's buffers, decoder's buffers,
-    decision count, stream, encoder's tables).
+    shell lists each section's (columns, true (z, x) cells). The encoder's
+    reached rows, one per point, must be the decoder's points, and both
+    sides must count the same decisions and leave the same tables. Returns
+    (reconstructed (x, y, z) points, decision count, stream, encoder's
+    tables).
     """
-    nx = pair.occ.shape[0]
+    pair = _shell_pair(nz, nx, [columns for columns, _ in shell])
+    dims = (nx, len(shell), nz)
+    points = np.array(sorted((x, y, z) for y, (_, cells) in enumerate(shell) for z, x in cells),
+                      dtype=np.int64).reshape(-1, 3)
     tables = count_tables(SECTION_CONTEXTS)
     enc = _coder(tables)
-    enc_buf = sections._section_buffers(pair, 0, nz, prev)
-    coded = sections._code_buffers(enc_buf, enc, _true_bytes(true_cells, nz, nx))
+    reached, coded = code_section(build_section(pair, dims, points), tables, encoder=enc)
     stream = enc.finish()
     dec_tables = count_tables(SECTION_CONTEXTS)
-    dec_buf = sections._section_buffers(pair, 0, nz, prev)
-    assert sections._code_buffers(dec_buf, _coder(dec_tables, stream)) == coded
-    assert marked_cells(dec_buf) == marked_cells(enc_buf)
-    assert occupied_cells(dec_buf) == occupied_cells(enc_buf)
+    recon, dec_coded = code_section(build_section(pair, dims), dec_tables, decoder=_coder(dec_tables, stream))
+    assert dec_coded == coded
+    rows = _point_set(points[reached])
+    assert len(rows) == len(reached) == len(recon) and rows == _point_set(recon)
     assert table_bytes(dec_tables) == table_bytes(tables)
-    if prev is None:
-        shell = build_section(pair, (nx, 1, nz))
-        shell_tables = count_tables(SECTION_CONTEXTS)
-        recon, shell_coded = code_section(shell, shell_tables, decoder=_coder(shell_tables, stream))
-        assert shell_coded == coded
-        assert {(z, x) for x, _, z in recon.tolist()} == occupied_cells(dec_buf)
-    return enc_buf, dec_buf, coded, stream, tables
+    return rows, coded, stream, tables
+
+
+def _cells(points):
+    """The (z, x) cells of (x, y, z) points."""
+    return {(z, x) for x, _, z in points}
 
 
 def test_all_seed_section_codes_nothing():
-    pair = _single_section_pair(8, 6, {0: (1, 2), 2: (4, 4), 5: (0, 1)})
+    columns = {0: (1, 2), 2: (4, 4), 5: (0, 1)}
     true_cells = {(1, 0), (2, 0), (4, 2), (0, 5), (1, 5)}
-    enc_buf, _, coded, stream, tables = _run_both_sides(pair, 8, true_cells)
+    occupied, coded, stream, tables = _run_both_sides(8, 6, [(columns, true_cells)])
     assert coded == 0
-    assert marked_cells(enc_buf) == set()
+    assert _cells(occupied) == true_cells
     assert stream.bit_length <= 8
     assert len(tables) == 0
 
 
 def test_full_solid_column_codes_interior_once():
     nz = 8
-    pair = _single_section_pair(nz, 1, {0: (0, nz - 1)})
     true_cells = {(z, 0) for z in range(nz)}
-    enc_buf, dec_buf, coded, _, _ = _run_both_sides(pair, nz, true_cells)
+    occupied, coded, _, _ = _run_both_sides(nz, 1, [({0: (0, nz - 1)}, true_cells)])
     assert coded == nz - 2
-    assert marked_cells(enc_buf) == {(z, 0) for z in range(1, nz - 1)}
-    assert occupied_cells(enc_buf) == true_cells
-    assert occupied_cells(dec_buf) == true_cells
+    assert _cells(occupied) == true_cells
 
 
 def test_section_coder_matches_flood_fill_oracle():
+    # Half the trials code the section after a random section 0, whose
+    # reconstruction is the previous section of its contexts.
     rng = np.random.default_rng(424)
     for trial in range(60):
         nz = int(rng.integers(4, 33))
         nx = int(rng.integers(4, 33))
-        columns = {}
-        true_cells = set()
-        for x in range(nx):
-            if rng.random() < 0.6:
-                count = int(rng.integers(1, 6))
-                zs = sorted(set(int(rng.integers(0, nz)) for _ in range(count)))
-                columns[x] = (zs[0], zs[-1])
-                for z in zs:
-                    true_cells.add((z, x))
-                # sprinkle extra occupancy strictly inside the band
-                for z in range(zs[0] + 1, zs[-1]):
-                    if rng.random() < 0.35:
-                        true_cells.add((z, x))
-        if not columns:
+        shell = [shapes.random_section(rng, nz, nx, 0.6, 0.35)]
+        if not shell[0][0]:
             continue
-        pair = _single_section_pair(nz, nx, columns)
-        prev = None
-        previous = set()
         if rng.random() < 0.5:
-            noise = (rng.random((nz + 2) * (nx + 2)) < 0.2).astype(np.uint8)
-            prev = noise.tobytes()
-            previous = slab_cells(noise, nz + 2)
-        enc_buf, dec_buf, coded, stream, tables = _run_both_sides(pair, nz, true_cells, prev)
-        order, oracle_occupied = section_flood_fill(nz, nx, columns, true_cells)
-        assert marked_cells(enc_buf) == set(order)
-        assert coded == len(order)
-        assert occupied_cells(enc_buf) == oracle_occupied
+            shell.insert(0, shapes.random_section(rng, nz, nx, 0.8, 0.5))
+        occupied, coded, stream, tables = _run_both_sides(nz, nx, shell)
+        labels, bits, oracle_occupied = flood_fill_shell(nz, nx, shell)
+        assert coded == len(labels), f"trial {trial}"
+        assert occupied == oracle_occupied
         # The oracle's decisions, in its coding order, give the same bytes and counts.
-        labels = flood_fill_labels(columns, true_cells, order, previous)
-        oracle_stream, oracle_tables = encode_section_decisions(labels, [int(c in true_cells) for c in order])
+        oracle_stream, oracle_tables = encode_section_decisions(labels, bits)
         assert stream == oracle_stream
         assert len(tables) == len(set(labels))
         assert table_bytes(tables) == table_bytes(oracle_tables)
 
 
 def test_infeasible_cells_never_touched():
-    pair = _single_section_pair(16, 6, {2: (3, 10)})
     true_cells = {(3, 2), (10, 2)} | {(z, 2) for z in range(4, 10, 2)}
-    enc_buf, _, _, _, _ = _run_both_sides(pair, 16, true_cells)
-    for z, x in marked_cells(enc_buf):
+    occupied, coded, _, _ = _run_both_sides(16, 6, [({2: (3, 10)}, true_cells)])
+    # (4, 2) and (9, 2) around the seeds, then (5, 2) once (4, 2) codes
+    # occupied: the columns beside the band hold no feasible cell.
+    assert coded == 3
+    for z, x in _cells(occupied):
         assert x == 2 and 3 <= z <= 10
-    for (z, x) in occupied_cells(enc_buf):
-        assert x == 2 and 3 <= z <= 10
-
-
-def _point_set(points):
-    return set(map(tuple, points.tolist()))
 
 
 def _sweep_round_trip(cloud):
@@ -300,7 +172,7 @@ def test_sweep_hollow_sphere_exact_in_one_shell():
 
 
 @pytest.mark.parametrize("field,value", [("occ", 257), ("zmin", 2**32 + 1)])
-def test_sweep_refuses_map_values_the_coded_types_cannot_hold(path, field, value):
+def test_sweep_refuses_map_values_the_coded_types_cannot_hold(field, value):
     # Cast to uint8 and int32, both values would wrap to 1 and give a valid
     # map that codes the wrong value.
     maps = {"occ": np.ones((2, 2), np.int64), "zmin": np.zeros((2, 2), np.int64), "zmax": np.full((2, 2), 3, np.int64)}
@@ -313,7 +185,7 @@ def test_sweep_refuses_map_values_the_coded_types_cannot_hold(path, field, value
     assert len(tables) == 0
 
 
-def test_code_section_refuses_tables_that_do_not_span_the_section_contexts(path):
+def test_code_section_refuses_tables_that_do_not_span_the_section_contexts():
     cloud = shapes.solid_cube(16, 2, 14)
     points = cloud.to_array()
     pair = project_array(points, cloud.dims)
@@ -371,7 +243,7 @@ def test_shells_are_disjoint_point_sets():
     assert first.isdisjoint(second) and second
 
 
-def test_shell_leftovers_match_the_key_search(path):
+def test_shell_leftovers_match_the_key_search():
     # Each cloud may take up to two shells; about a quarter of the fuzz suite
     # takes both, some of those with a residual.
     clouds = [cloud for _, cloud in shapes.fuzz_suite()]
@@ -393,19 +265,19 @@ _OUTSIDE_IDS = ["x-at-nx", "y-at-ny", "z-at-nz", "x-negative", "y-negative", "z-
 
 @pytest.mark.parametrize("row", _OUTSIDE + [(3, 2, 3), (3, 2, 2), (3, 1, 5), (2, 4, 5)],
                          ids=_OUTSIDE_IDS + ["repeated", "z-out-of-order", "y-out-of-order", "x-out-of-order"])
-def test_projection_refuses_a_row_outside_the_dims_or_out_of_order(path, row):
+def test_projection_refuses_a_row_outside_the_dims_or_out_of_order(row):
     with pytest.raises(ValueError, match="layout"):
         project_array(np.vstack((_ROWS, [row])), _DIMS)
 
 
 @pytest.mark.parametrize("row", _OUTSIDE, ids=_OUTSIDE_IDS)
-def test_grouping_refuses_a_row_outside_the_dims(path, row):
+def test_grouping_refuses_a_row_outside_the_dims(row):
     pair = project_array(_ROWS, _DIMS)
     with pytest.raises(ValueError, match="layout"):
         build_section(pair, _DIMS, np.vstack((_ROWS, [row])))
 
 
-def test_grouping_keeps_repeated_and_unsorted_rows_in_their_order(path):
+def test_grouping_keeps_repeated_and_unsorted_rows_in_their_order():
     points = np.vstack((_ROWS, [(3, 2, 3), (0, 2, 1)]))
     shell = build_section(project_array(_ROWS, _DIMS), _DIMS, points)
     assert shell.order.tolist() == [0, 1, 3, 4, 5, 6, 2]
@@ -415,15 +287,15 @@ def test_grouping_keeps_repeated_and_unsorted_rows_in_their_order(path):
 
 @pytest.mark.parametrize("reached", [[1, 5], [1, -1], [1, 3, 1], [0, 1, 2, 3, 4, 0]],
                          ids=["index-at-n", "index-negative", "index-repeated", "more-indices-than-rows"])
-def test_leftovers_refuse_a_bad_row_index(path, reached):
+def test_leftovers_refuse_a_bad_row_index(reached):
     with pytest.raises(ValueError, match="layout"):
-        sections._leftovers(_ROWS, np.array(reached), sections.native())
+        sections._leftovers(_ROWS, np.array(reached))
 
 
-def test_leftovers_keep_the_unlisted_rows_in_order(path):
-    assert sections._leftovers(_ROWS, np.array([3, 0]), sections.native()).tolist() == _ROWS[[1, 2, 4]].tolist()
-    assert sections._leftovers(_ROWS, np.array([], np.int64), sections.native()).tolist() == _ROWS.tolist()
-    assert sections._leftovers(_ROWS, np.arange(5)[::-1], sections.native()).shape == (0, 3)
+def test_leftovers_keep_the_unlisted_rows_in_order():
+    assert sections._leftovers(_ROWS, np.array([3, 0])).tolist() == _ROWS[[1, 2, 4]].tolist()
+    assert sections._leftovers(_ROWS, np.array([], np.int64)).tolist() == _ROWS.tolist()
+    assert sections._leftovers(_ROWS, np.arange(5)[::-1]).shape == (0, 3)
 
 
 def test_each_shell_is_built_and_coded_in_one_call_each(monkeypatch):
