@@ -171,9 +171,9 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out
 
 
-def _spoil_coder_output(side, points):
-    """Spoil code_section's result on one side only: drop a row of its points."""
-    return lambda result, coders: (points(result[0]), result[1]) if side in coders else result
+def _spoil_coder_output(side, spoil):
+    """Apply spoil to the points or rows that code_section returns on one side, encoder or decoder, only."""
+    return lambda result, coders: (spoil(result[0]), result[1]) if side in coders else result
 
 
 @pytest.mark.parametrize("module, name, spoil, problem", [
