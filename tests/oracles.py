@@ -271,6 +271,47 @@ def reference_leftovers(cloud, max_shells: int) -> np.ndarray:
     return remaining
 
 
+def reference_build_section(pair, y0: int, nz: int):
+    """Full-array section set-up: (state, marked, queue) for section y0.
+
+    Fills the whole padded (nz + 2) x (nx + 2) section, indexed (z, x),
+    dilates the seed bitmap with a 9-way OR and keeps its unknown cells as
+    the work list, in row-major order; marked holds exactly the listed cells.
+    The slabs and the list's cell indices are column-major: cell (z, x) at
+    (x + 1) * (nz + 2) + z + 1.
+    """
+    occ_col = pair.occ[:, y0]
+    nx = occ_col.shape[0]
+    state = np.ones((nz + 2, nx + 2), dtype=np.uint8)
+    seeds = np.zeros((nz + 2, nx + 2), dtype=np.uint8)
+    xs = np.flatnonzero(occ_col)
+    if xs.size:
+        lo = pair.zmin[xs, y0].astype(np.int64)
+        hi = pair.zmax[xs, y0].astype(np.int64)
+        for x, a, b in zip(xs.tolist(), lo.tolist(), hi.tolist()):
+            state[a + 1 : b + 2, x + 1] = 0
+        state[lo + 1, xs + 1] = 2
+        state[hi + 1, xs + 1] = 2
+        seeds[lo + 1, xs + 1] = 1
+        seeds[hi + 1, xs + 1] = 1
+    dilated = np.zeros_like(seeds)
+    dilated[1:-1, 1:-1] = (
+        seeds[:-2, :-2] | seeds[:-2, 1:-1] | seeds[:-2, 2:]
+        | seeds[1:-1, :-2] | seeds[1:-1, 1:-1] | seeds[1:-1, 2:]
+        | seeds[2:, :-2] | seeds[2:, 1:-1] | seeds[2:, 2:]
+    )
+    listed = dilated & (state == 0)
+    zs, xs = np.nonzero(listed)
+    queue = (xs * (nz + 2) + zs).tolist()
+    return bytearray(state.tobytes(order="F")), bytearray(listed.tobytes(order="F")), queue
+
+
+def slab_cells(mask, stride: int) -> set[tuple[int, int]]:
+    """(z, x) cells set in a flat column-major padded slab of the given stride."""
+    xs, zs = np.nonzero(np.asarray(mask).reshape(-1, stride))
+    return set(zip((zs - 1).tolist(), (xs - 1).tolist()))
+
+
 def table_bytes(tables) -> bytes:
     """The count table of a CountTables, as bytes."""
     return bytes(tables.counts)
@@ -312,14 +353,13 @@ def _reference_predict_low(occ, low, x, y, previous, nz):
     return previous if previous is not None else nz // 2
 
 
-def reference_encode_depthmaps(pair, nz: int):
-    """Pixel-by-pixel surface encoder: the same stream as encode_depthmaps.
+def reference_depthmap_decisions(pair, nz: int) -> list[tuple[int, int]]:
+    """Every (context, bit) pair of encode_depthmaps's stream, pixel by pixel.
 
     Builds each mask context with bounds checks, predicts each surface value
     from its neighbours (nested lists, one pixel at a time) and binarizes each
-    residual on its own, then codes the whole (context, bit) sequence. The
-    1024 mask contexts come first, then 32 low-surface and 32 thickness
-    contexts.
+    residual on its own. The 1024 mask contexts come first, then 32
+    low-surface and 32 thickness contexts.
     """
     occ, low, high = (a.tolist() for a in (pair.occ, pair.zmin, pair.zmax))
     nx, ny = pair.occ.shape
@@ -345,6 +385,15 @@ def reference_encode_depthmaps(pair, nz: int):
         decisions += _reference_signed_bins(1024 + 32, t - predicted)
         prev_low = v
         prev_thick = t
+    return decisions
+
+
+def reference_encode_depthmaps(pair, nz: int):
+    """Pixel-by-pixel surface encoder: the same stream as encode_depthmaps.
+
+    Codes the whole sequence of reference_depthmap_decisions at once.
+    """
+    decisions = reference_depthmap_decisions(pair, nz)
     enc = RangeEncoder(count_tables(1024 + 2 * 32))
     enc.encode_many([c for c, _ in decisions], [b for _, b in decisions])
     return enc.finish()

@@ -176,20 +176,8 @@ def _spoil_coder_output(side, spoil):
     return lambda result, coders: (spoil(result[0]), result[1]) if side in coders else result
 
 
-@pytest.mark.parametrize("module, name, spoil, problem", [
-    (depthmap, "project_array", lambda pair, _: DepthmapPair(pair.occ, pair.zmin, pair.zmax - (pair.zmax > pair.zmin)),
-     "FAIL depth-map encoder: the projection does not hold the points' z extrema"),
-    (depthmap, "decode_depthmaps", lambda pair, _: DepthmapPair(pair.occ, pair.zmin, pair.zmax + 1),
-     "FAIL depth-map encoder: the decoded maps differ from the projection"),
-    (sections, "code_section", _spoil_coder_output("decoder", lambda points: points[:-1]),
-     "FAIL section sweep: the decoded points differ from the rows the encoder reached"),
-    (sections, "code_section", _spoil_coder_output("encoder", lambda rows: rows[1:]),
-     "FAIL section sweep: the decoded points differ from the rows the encoder reached"),
-    (sections, "_group", lambda groups, _: (groups[0], groups[1], groups[2][::-1]),
-     "FAIL section sweep: the decoded points differ from the rows the encoder reached"),
-    (sections, "_leftovers", lambda rows, _: rows[:-1], "FAIL section sweep: the leftovers are not the rows the sweep left"),
-], ids=["projection", "depthmap-decoder", "section-decoder", "reached-points", "grouping", "leftovers"])
-def test_selftest_reports_a_spoiled_kernel_output(capsys, monkeypatch, module, name, spoil, problem):
+def _assert_selftest_reports(capsys, monkeypatch, module, name, spoil, problem):
+    """Spoil what module.name returns, by spoil(result, keyword arguments); the self-test must report problem."""
     real = getattr(module, name)
 
     def spoiled(*args, **kwargs):
@@ -198,6 +186,38 @@ def test_selftest_reports_a_spoiled_kernel_output(capsys, monkeypatch, module, n
     monkeypatch.setattr(module, name, spoiled)
     assert main(["selftest"]) == 1
     assert problem in capsys.readouterr().out
+
+
+def test_selftest_compares_the_depthmap_paths(capsys, monkeypatch):
+    # The decoder's maps against the encoder's.
+    _assert_selftest_reports(capsys, monkeypatch, depthmap, "decode_depthmaps",
+                             lambda pair, _: DepthmapPair(pair.occ, pair.zmin, pair.zmax + 1),
+                             "FAIL depth-map encoder: the decoded maps differ from the projection")
+
+
+def test_selftest_compares_the_section_paths(capsys, monkeypatch):
+    # The decoder's points against the encoder's reached rows.
+    _assert_selftest_reports(capsys, monkeypatch, sections, "code_section",
+                             _spoil_coder_output("decoder", lambda points: points[:-1]),
+                             "FAIL section sweep: the decoded points differ from the rows the encoder reached")
+
+
+def test_selftest_compares_the_reached_points(capsys, monkeypatch):
+    # The encoder reports one reached row too few; its stream is right.
+    _assert_selftest_reports(capsys, monkeypatch, sections, "code_section",
+                             _spoil_coder_output("encoder", lambda rows: rows[1:]),
+                             "FAIL section sweep: the decoded points differ from the rows the encoder reached")
+
+
+@pytest.mark.parametrize("module, name, spoil, problem", [
+    (depthmap, "project_array", lambda pair, _: DepthmapPair(pair.occ, pair.zmin, pair.zmax - (pair.zmax > pair.zmin)),
+     "FAIL depth-map encoder: the projection does not hold the points' z extrema"),
+    (sections, "_group", lambda groups, _: (groups[0], groups[1], groups[2][::-1]),
+     "FAIL section sweep: the decoded points differ from the rows the encoder reached"),
+    (sections, "_leftovers", lambda rows, _: rows[:-1], "FAIL section sweep: the leftovers are not the rows the sweep left"),
+], ids=["projection", "grouping", "leftovers"])
+def test_selftest_compares_the_row_passes(capsys, monkeypatch, module, name, spoil, problem):
+    _assert_selftest_reports(capsys, monkeypatch, module, name, spoil, problem)
 
 
 def test_a_kernel_that_cannot_load_ends_in_one_error_line(tmp_path, capsys, monkeypatch):

@@ -5,10 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bvlcodec import VoxelCloud
+from bvlcodec import VoxelCloud, rangecoder
 from bvlcodec.depthmap import DepthmapPair, decode_depthmaps, encode_depthmaps, project_array
+from bvlcodec.rangecoder import RangeDecoder, count_tables
 
-from oracles import brute_force_depthmaps, reference_encode_depthmaps
+from oracles import brute_force_depthmaps, reference_depthmap_decisions, reference_encode_depthmaps
 
 
 def _project(cloud) -> DepthmapPair:
@@ -177,11 +178,27 @@ def _reference_cases():
 _REFERENCE_CASES = [pytest.param(pair, nz, id=name) for name, pair, nz in _reference_cases()]
 
 
+@pytest.fixture(params=["kernel"])
+def path(request):
+    """The native kernel, the codec's one path, named in the test's id."""
+    return rangecoder.native()
+
+
 @pytest.mark.parametrize("pair,nz", _REFERENCE_CASES)
 def test_encoder_matches_the_scalar_reference(pair, nz):
     stream = encode_depthmaps(pair, nz)
     assert stream == reference_encode_depthmaps(pair, nz)
     assert _pairs_equal(pair, decode_depthmaps(stream.data, *pair.occ.shape, nz))
+
+
+@pytest.mark.parametrize("pair,nz", _REFERENCE_CASES)
+def test_python_loops_match_the_scalar_reference(pair, nz):
+    # The coder's Python decoding loop, which the self-test codes through,
+    # reads the reference's bits from the kernel's stream on the reference's
+    # contexts, count rescaling included.
+    decisions = reference_depthmap_decisions(pair, nz)
+    decoder = RangeDecoder(encode_depthmaps(pair, nz).data, count_tables(1024 + 2 * 32))
+    assert [decoder.decode(c) for c, _ in decisions] == [b for _, b in decisions]
 
 
 # 2x2 maps that the decoder would refuse or decode to a different mask.
@@ -190,7 +207,7 @@ def test_encoder_matches_the_scalar_reference(pair, nz):
     ([[1, 0], [1, 1]], [[2, 0], [8, 1]], [[3, 0], [8, 1]]),
     ([[1, 2], [0, 1]], [[2, 3], [0, 1]], [[3, 3], [0, 1]]),
 ], ids=["zmax-below-zmin", "zmin-at-nz", "occ-byte-2"])
-def test_encoder_refuses_malformed_maps(occ, zmin, zmax):
+def test_encoder_refuses_malformed_maps(path, occ, zmin, zmax):
     pair = DepthmapPair(*(np.array(a, dtype) for a, dtype in ((occ, np.uint8), (zmin, np.int32),
                                                                 (zmax, np.int32))))
     with pytest.raises(ValueError, match="layout"):
@@ -220,7 +237,7 @@ def test_encode_peak_memory_follows_the_block_not_the_map():
     assert peak <= 1.25 * _PIXEL_LOOP_PEAK_BYTES
 
 
-def test_encoder_refuses_values_its_maps_cannot_hold():
+def test_encoder_refuses_values_its_maps_cannot_hold(path):
     # Cast to uint8 and int32, these would code as an occ byte of 1 and a zmin of 1.
     occ = np.ones((2, 2), np.int64)
     z = np.full((2, 2), 3, np.int64)
@@ -235,7 +252,7 @@ def test_encoder_refuses_values_its_maps_cannot_hold():
     assert _pairs_equal(narrow, decode_depthmaps(encode_depthmaps(narrow, 8).data, 2, 2, 8))
 
 
-def test_encoder_refuses_a_residual_longer_than_the_decoder_reads():
+def test_encoder_refuses_a_residual_longer_than_the_decoder_reads(path):
     # The first low is predicted as nz // 2: with nz = 2^50 its residual
     # needs 50 prefix bins, and the decoder stops at 48.
     with pytest.raises(ValueError, match="layout"):

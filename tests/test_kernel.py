@@ -12,14 +12,21 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bvlcodec import CodecError, decode_cloud, depthmap, encode_cloud, rangecoder, sections
+from bvlcodec import CodecError, container, decode_cloud, depthmap, encode_cloud, rangecoder, sections
 from bvlcodec.cloud import PERMUTATION_COUNT, AxisPermutation, VoxelCloud
 from bvlcodec.depthmap import DepthmapPair, project_array
 from bvlcodec.rangecoder import RangeDecoder, RangeEncoder, count_tables
 from bvlcodec.sections import SECTION_CONTEXTS, build_section, code_section, sweep_decode, sweep_encode
 
 import shapes
-from oracles import brute_force_depthmaps, drop_by_key, reference_group, reference_sweep, table_bytes
+from oracles import (
+    brute_force_depthmaps,
+    drop_by_key,
+    reference_encode_depthmaps,
+    reference_group,
+    reference_sweep,
+    table_bytes,
+)
 
 
 @pytest.fixture
@@ -44,6 +51,33 @@ def test_corrupt_containers_end_in_a_codec_error_or_a_cloud():
             errors += 1
     # Most flips are caught, some decode to a cloud.
     assert 0 < errors < 300
+
+
+def _reference_container(cloud, permutation):
+    """encode_cloud's container for one permutation and two shells, from the oracles.
+
+    Each shell's maps come from brute_force_depthmaps and code by
+    reference_encode_depthmaps; its sections code by reference_sweep, on
+    tables carried across shells, and the next shell takes the points the
+    oracle did not reconstruct. The residual and the header are the codec's.
+    """
+    permuted = AxisPermutation(permutation).apply(cloud)
+    dims = permuted.dims
+    tables = count_tables(SECTION_CONTEXTS)
+    remaining = permuted.to_array()
+    shells = []
+    while len(remaining) and len(shells) < 2:
+        pair = _reference_pair(remaining, dims)
+        section_stream, _, reconstructed = reference_sweep(remaining, pair, dims, tables)
+        shells.append((reference_encode_depthmaps(pair, dims[2]), section_stream))
+        remaining = drop_by_key(remaining, sorted(reconstructed), dims)
+    return container._assemble(permutation, dims, shells, sections.encode_residual(remaining, dims))
+
+
+def test_containers_are_byte_identical_on_both_paths():
+    # The codec's path, in the kernel, and the oracles' path, in Python.
+    for k, (name, cloud) in enumerate(shapes.fuzz_suite()):
+        assert encode_cloud(cloud, permutation=k % 6)[0] == _reference_container(cloud, k % 6), name
 
 
 def _decode_zeros(shell):
@@ -136,7 +170,7 @@ def _assert_sweeps_match_the_oracle(cloud, name=""):
     return decisions
 
 
-def test_kernel_sweeps_match_the_oracle_on_fuzz_suite_in_every_permutation():
+def test_kernel_and_python_sweeps_agree_on_fuzz_suite_in_every_permutation():
     for name, cloud in shapes.fuzz_suite():
         for pid in range(PERMUTATION_COUNT):
             _assert_sweeps_match_the_oracle(AxisPermutation(pid).apply(cloud), f"{name}, permutation {pid}")
@@ -144,7 +178,7 @@ def test_kernel_sweeps_match_the_oracle_on_fuzz_suite_in_every_permutation():
     assert _assert_sweeps_match_the_oracle(shapes.solid_sphere(48, 20)) > 2 * (1 << 14)
 
 
-def test_kernel_sweeps_match_the_oracle_when_kernel_calls_resume(kernel, monkeypatch):
+def test_kernel_and_python_sweeps_agree_when_kernel_calls_resume(kernel, monkeypatch):
     # Room for 7 bits at first: the kernel's encoding calls resume inside and
     # across sections; section 3 of each cloud is empty.
     monkeypatch.setattr(rangecoder, "_BITS_ROOM", 7)
@@ -211,7 +245,7 @@ def _thin_clouds(dims):
 
 
 @_THIN_DIMS
-def test_kernel_sweeps_match_the_oracle_on_thin_dims(dims):
+def test_kernel_and_python_sweeps_agree_on_thin_dims(dims):
     for cloud in _thin_clouds(dims):
         _assert_sweeps_match_the_oracle(cloud, f"dims {cloud.dims}")
 
@@ -222,8 +256,8 @@ def _row_passes(points, dims, reached):
     return [pair.occ, pair.zmin, pair.zmax, *sections._group(points, dims), sections._leftovers(points, reached)]
 
 
-def _reference_row_passes(points, dims, reached):
-    """_row_passes from the oracles: brute_force_depthmaps, reference_group and drop_by_key."""
+def _reference_pair(points, dims) -> DepthmapPair:
+    """project_array's maps from brute_force_depthmaps."""
     nx, ny, _ = dims
     occ = np.zeros((nx, ny), np.uint8)
     zmin = np.zeros((nx, ny), np.int32)
@@ -233,7 +267,13 @@ def _reference_row_passes(points, dims, reached):
         occ[x, y] = 1
         zmin[x, y] = z
         zmax[x, y] = hi[x, y]
-    return [occ, zmin, zmax, *reference_group(points, dims), drop_by_key(points, points[reached], dims)]
+    return DepthmapPair(occ, zmin, zmax)
+
+
+def _reference_row_passes(points, dims, reached):
+    """_row_passes from the oracles: brute_force_depthmaps, reference_group and drop_by_key."""
+    pair = _reference_pair(points, dims)
+    return [pair.occ, pair.zmin, pair.zmax, *reference_group(points, dims), drop_by_key(points, points[reached], dims)]
 
 
 def _assert_row_passes_match_the_oracles(clouds):
@@ -247,13 +287,13 @@ def _assert_row_passes_match_the_oracles(clouds):
             assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), f"cloud {k}"
 
 
-def test_kernel_row_passes_match_the_oracles_on_fuzz_suite_in_every_permutation():
+def test_kernel_and_numpy_row_passes_agree_on_fuzz_suite_in_every_permutation():
     _assert_row_passes_match_the_oracles([AxisPermutation(pid).apply(cloud) for _, cloud in shapes.fuzz_suite()
                                           for pid in range(PERMUTATION_COUNT)])
 
 
 @_THIN_DIMS
-def test_kernel_row_passes_match_the_oracles_on_thin_dims(dims):
+def test_kernel_and_numpy_row_passes_agree_on_thin_dims(dims):
     _assert_row_passes_match_the_oracles(_thin_clouds(dims))
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bvlcodec import sections
+from bvlcodec import rangecoder, sections
 from bvlcodec.depthmap import DepthmapPair, project_array
 from bvlcodec.errors import BitstreamError, TruncatedStreamError
 from bvlcodec.rangecoder import RangeDecoder, RangeEncoder, count_tables
@@ -20,7 +20,20 @@ from bvlcodec.sections import (
 )
 
 import shapes
-from oracles import encode_section_decisions, flood_fill_shell, reference_leftovers, table_bytes
+from oracles import (
+    encode_section_decisions,
+    flood_fill_shell,
+    reference_build_section,
+    reference_leftovers,
+    slab_cells,
+    table_bytes,
+)
+
+
+@pytest.fixture(params=["kernel"])
+def path(request):
+    """The native kernel, the codec's one path, named in the test's id."""
+    return rangecoder.native()
 
 
 def _coder(tables, stream=None):
@@ -41,6 +54,108 @@ def _shell_pair(nz, nx, columns_by_section) -> DepthmapPair:
             zmin[x, y] = lo
             zmax[x, y] = hi
     return DepthmapPair(occ=occ, zmin=zmin, zmax=zmax)
+
+
+def _loaded_section(pair, nz):
+    """Set up a one-section shell in the kernel and code it with only its seeds true: (state, list, decisions).
+
+    Only a cell coded occupied extends the work list, so the cells coded
+    are the start list, in its order, each coded empty. state is the
+    section's slab after coding: the set-up's, with the listed cells known
+    empty. The kernel clears its marks after the section.
+    """
+    nx = pair.occ.shape[0]
+    xs = np.flatnonzero(pair.occ[:, 0]).tolist()
+    seeds = sorted({(x, 0, int(z)) for x in xs for z in (pair.zmin[x, 0], pair.zmax[x, 0])})
+    tables = count_tables(SECTION_CONTEXTS)
+    shell = build_section(pair, (nx, 1, nz), np.array(seeds, np.int64).reshape(-1, 3))
+    _, coded = code_section(shell, tables, encoder=_coder(tables))
+    buffers = shell.buffers
+    assert not buffers.marked.any()
+    return buffers.state[: (nz + 2) * (nx + 2)], buffers.fifo[: buffers.struct.tail].tolist(), coded
+
+
+def test_build_section_empty_column():
+    state, _, _ = _loaded_section(_shell_pair(8, 4, [{1: (2, 5)}]), 8)
+    st = 8 + 2
+    # column 3 has no occupancy: everything there is known empty
+    for z in range(8):
+        assert state[(3 + 1) * st + z + 1] == 1
+
+
+def test_build_section_single_cell_interval():
+    state, listed, coded = _loaded_section(_shell_pair(8, 4, [{2: (5, 5)}]), 8)
+    st = 8 + 2
+    assert state[(2 + 1) * st + 5 + 1] == 2
+    assert listed == [] and coded == 0
+    assert slab_cells(state == 2, st) == {(5, 2)}
+
+
+def test_build_section_interval_counts():
+    state, listed, _ = _loaded_section(_shell_pair(16, 4, [{1: (2, 9)}]), 16)
+    st = 16 + 2
+    assert state[(1 + 1) * st + 2 + 1] == 2
+    assert state[(1 + 1) * st + 9 + 1] == 2
+    # The six cells between the seeds are unknown; the two beside the seeds
+    # are listed, and coded empty.
+    assert listed == [(1 + 1) * st + 3 + 1, (1 + 1) * st + 8 + 1]
+    for z in range(4, 8):
+        assert state[(1 + 1) * st + z + 1] == 0
+    assert np.count_nonzero(state == 0) + len(listed) == 6
+
+
+def test_build_section_list_is_row_major_dilation():
+    # Unknown cells in columns 0, 1 and 2; column 5 is a lone seed.
+    columns = {0: (1, 5), 1: (2, 6), 2: (0, 4), 5: (3, 3)}
+    _, listed, coded = _loaded_section(_shell_pair(8, 8, [columns]), 8)
+    st = 8 + 2
+    cells = [((i % st) - 1, (i // st) - 1) for i in listed]
+    seeds = {(z, x) for x, band in columns.items() for z in band}
+    unknown = {(z, x) for x, (lo, hi) in columns.items() for z in range(lo + 1, hi)}
+    expected = sorted(
+        {
+            (z + dz, x + dx)
+            for z, x in seeds
+            for dz in (-1, 0, 1)
+            for dx in (-1, 0, 1)
+        }
+        & unknown
+    )
+    assert {x for _, x in expected} == {0, 1, 2}
+    assert cells == expected
+    assert coded == len(expected)
+
+
+def _assert_matches_reference(pair, nz):
+    """Each occupied section of pair, set up alone in the kernel, matches reference_build_section."""
+    for y0 in np.flatnonzero(pair.occ.any(axis=0)).tolist():
+        section = DepthmapPair(*(a[:, y0 : y0 + 1] for a in (pair.occ, pair.zmin, pair.zmax)))
+        state, _, queue = reference_build_section(section, 0, nz)
+        for cell in queue:
+            state[cell] = 1
+        got, listed, coded = _loaded_section(section, nz)
+        assert bytes(got) == bytes(state) and listed == queue and coded == len(queue), f"section {y0}"
+
+
+def test_build_section_matches_reference_on_fuzz_suite():
+    for _, cloud in shapes.fuzz_suite():
+        _assert_matches_reference(project_array(cloud.to_array(), cloud.dims), cloud.dims[2])
+
+
+def test_build_section_matches_reference_at_borders():
+    cases = [
+        # seeds on every border side: x = 0, x = nx - 1, z = 0, z = nz - 1
+        (6, 5, {0: (0, 5), 4: (0, 5), 2: (0, 0)}),
+        (6, 5, {0: (2, 2), 4: (5, 5), 1: (0, 3), 3: (1, 5)}),
+        (3, 3, {0: (0, 2), 1: (0, 2), 2: (0, 2)}),
+        # a single column, a single row, and a single cell
+        (7, 1, {0: (0, 6)}),
+        (7, 1, {0: (3, 3)}),
+        (1, 6, {0: (0, 0), 2: (0, 0), 5: (0, 0)}),
+        (1, 1, {0: (0, 0)}),
+    ]
+    for nz, nx, columns in cases:
+        _assert_matches_reference(_shell_pair(nz, nx, [columns]), nz)
 
 
 def _point_set(points):
@@ -172,7 +287,7 @@ def test_sweep_hollow_sphere_exact_in_one_shell():
 
 
 @pytest.mark.parametrize("field,value", [("occ", 257), ("zmin", 2**32 + 1)])
-def test_sweep_refuses_map_values_the_coded_types_cannot_hold(field, value):
+def test_sweep_refuses_map_values_the_coded_types_cannot_hold(path, field, value):
     # Cast to uint8 and int32, both values would wrap to 1 and give a valid
     # map that codes the wrong value.
     maps = {"occ": np.ones((2, 2), np.int64), "zmin": np.zeros((2, 2), np.int64), "zmax": np.full((2, 2), 3, np.int64)}
@@ -185,7 +300,7 @@ def test_sweep_refuses_map_values_the_coded_types_cannot_hold(field, value):
     assert len(tables) == 0
 
 
-def test_code_section_refuses_tables_that_do_not_span_the_section_contexts():
+def test_code_section_refuses_tables_that_do_not_span_the_section_contexts(path):
     cloud = shapes.solid_cube(16, 2, 14)
     points = cloud.to_array()
     pair = project_array(points, cloud.dims)
@@ -243,7 +358,7 @@ def test_shells_are_disjoint_point_sets():
     assert first.isdisjoint(second) and second
 
 
-def test_shell_leftovers_match_the_key_search():
+def test_shell_leftovers_match_the_key_search(path):
     # Each cloud may take up to two shells; about a quarter of the fuzz suite
     # takes both, some of those with a residual.
     clouds = [cloud for _, cloud in shapes.fuzz_suite()]
@@ -265,19 +380,19 @@ _OUTSIDE_IDS = ["x-at-nx", "y-at-ny", "z-at-nz", "x-negative", "y-negative", "z-
 
 @pytest.mark.parametrize("row", _OUTSIDE + [(3, 2, 3), (3, 2, 2), (3, 1, 5), (2, 4, 5)],
                          ids=_OUTSIDE_IDS + ["repeated", "z-out-of-order", "y-out-of-order", "x-out-of-order"])
-def test_projection_refuses_a_row_outside_the_dims_or_out_of_order(row):
+def test_projection_refuses_a_row_outside_the_dims_or_out_of_order(path, row):
     with pytest.raises(ValueError, match="layout"):
         project_array(np.vstack((_ROWS, [row])), _DIMS)
 
 
 @pytest.mark.parametrize("row", _OUTSIDE, ids=_OUTSIDE_IDS)
-def test_grouping_refuses_a_row_outside_the_dims(row):
+def test_grouping_refuses_a_row_outside_the_dims(path, row):
     pair = project_array(_ROWS, _DIMS)
     with pytest.raises(ValueError, match="layout"):
         build_section(pair, _DIMS, np.vstack((_ROWS, [row])))
 
 
-def test_grouping_keeps_repeated_and_unsorted_rows_in_their_order():
+def test_grouping_keeps_repeated_and_unsorted_rows_in_their_order(path):
     points = np.vstack((_ROWS, [(3, 2, 3), (0, 2, 1)]))
     shell = build_section(project_array(_ROWS, _DIMS), _DIMS, points)
     assert shell.order.tolist() == [0, 1, 3, 4, 5, 6, 2]
@@ -287,12 +402,12 @@ def test_grouping_keeps_repeated_and_unsorted_rows_in_their_order():
 
 @pytest.mark.parametrize("reached", [[1, 5], [1, -1], [1, 3, 1], [0, 1, 2, 3, 4, 0]],
                          ids=["index-at-n", "index-negative", "index-repeated", "more-indices-than-rows"])
-def test_leftovers_refuse_a_bad_row_index(reached):
+def test_leftovers_refuse_a_bad_row_index(path, reached):
     with pytest.raises(ValueError, match="layout"):
         sections._leftovers(_ROWS, np.array(reached))
 
 
-def test_leftovers_keep_the_unlisted_rows_in_order():
+def test_leftovers_keep_the_unlisted_rows_in_order(path):
     assert sections._leftovers(_ROWS, np.array([3, 0])).tolist() == _ROWS[[1, 2, 4]].tolist()
     assert sections._leftovers(_ROWS, np.array([], np.int64)).tolist() == _ROWS.tolist()
     assert sections._leftovers(_ROWS, np.arange(5)[::-1]).shape == (0, 3)
