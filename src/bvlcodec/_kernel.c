@@ -22,6 +22,10 @@
  * and leftover_rows (the rows sections.encode_shells hands to the next
  * shell). Each fills every byte of its outputs, and returns BAD_LAYOUT
  * before it would write outside them.
+ *
+ * One last loop, normalize_rows (cloud._normalized), builds every
+ * VoxelCloud: it sorts the rows it is given into (x, y, z) order and drops
+ * the repeated ones, into a fresh array.
  */
 #include <stdint.h>
 #include <string.h>
@@ -35,7 +39,10 @@
 #define RESIDUAL_CONTEXTS 32
 #define MAX_PREFIX 48
 
-enum { DONE = 0, NEED_ROOM = 1, TRUNCATED = -1, RUNAWAY = -2, LOW_RANGE = -3, THICKNESS_RANGE = -4, BAD_LAYOUT = -5 };
+enum {
+    DONE = 0, NEED_ROOM = 1, TRUNCATED = -1, RUNAWAY = -2, LOW_RANGE = -3, THICKNESS_RANGE = -4, BAD_LAYOUT = -5,
+    TOO_WIDE = -6
+};
 
 /* One coder. The encoder keeps its pending bit count in `extra` and writes
  * bits at `pos`; the decoder keeps its code value in `extra` and reads bits
@@ -604,6 +611,103 @@ int64_t group_rows(const int64_t *pts, int64_t n, int64_t nx, int64_t ny, int64_
     memmove(offsets + 1, offsets, (size_t)ny * sizeof *offsets);
     offsets[0] = 0;
     return DONE;
+}
+
+/* Row i, column k of an (n, 3) int64 array read through its byte strides;
+ * memcpy makes an unaligned element safe to load. */
+static inline int64_t element(const char *pts, int64_t i, int k, int64_t row_stride, int64_t col_stride) {
+    int64_t v;
+    memcpy(&v, pts + i * row_stride + k * col_stride, sizeof v);
+    return v;
+}
+
+static inline __attribute__((always_inline)) int64_t normalize_loop(const char *pts, int64_t n, int64_t row_stride,
+                                                                     int64_t col_stride, int64_t *out) {
+    int64_t i = 0, x = 0, y = 0, z = 0;
+    for (; i < n; i++) {
+        const int64_t a = element(pts, i, 0, row_stride, col_stride), b = element(pts, i, 1, row_stride, col_stride),
+                      c = element(pts, i, 2, row_stride, col_stride);
+        if (i && (a < x || (a == x && (b < y || (b == y && c <= z)))))
+            break;
+        out[3 * i] = x = a;
+        out[3 * i + 1] = y = b;
+        out[3 * i + 2] = z = c;
+    }
+    if (i == n)
+        return n;
+    int64_t lo = x, hi = x;
+    for (i = 0; i < n; i++) {
+        for (int k = 0; k < 3; k++) {
+            const int64_t v = element(pts, i, k, row_stride, col_stride);
+            lo = v < lo ? v : lo;
+            hi = v > hi ? v : hi;
+        }
+    }
+    const uint64_t range = (uint64_t)hi - (uint64_t)lo;
+    const int width = range ? 64 - __builtin_clzll(range) : 0, bits = 3 * width;
+    if (bits > 63)
+        return TOO_WIDE;
+    /* Digits of at most 12 bits, as few passes as that allows, each as wide
+     * as the others; their counts take at most 160 KiB of stack, and 64 KiB
+     * up to 8 bits per axis. */
+    const int passes = (bits + 11) / 12, digit = passes ? (bits + passes - 1) / passes : 0;
+    const uint64_t fmask = ((uint64_t)1 << width) - 1, dmask = ((uint64_t)1 << digit) - 1;
+    int64_t count[passes ? passes : 1][(size_t)1 << digit];
+    memset(count, 0, sizeof count);
+    uint64_t *keys = (uint64_t *)out, *spare = keys + n;
+    for (i = 0; i < n; i++) {
+        uint64_t key = 0;
+        for (int k = 0; k < 3; k++)
+            key = key << width | ((uint64_t)element(pts, i, k, row_stride, col_stride) - (uint64_t)lo);
+        keys[i] = key;
+        for (int d = 0; d < passes; d++)
+            count[d][key >> d * digit & dmask]++;
+    }
+    for (int d = 0; d < passes; d++) {
+        int64_t *c = count[d], pos = 0;
+        if (c[keys[0] >> d * digit & dmask] == n)
+            continue;
+        for (uint64_t b = 0; b <= dmask; b++) {
+            const int64_t m = c[b];
+            c[b] = pos;
+            pos += m;
+        }
+        for (i = 0; i < n; i++)
+            spare[c[keys[i] >> d * digit & dmask]++] = keys[i];
+        uint64_t *t = keys;
+        keys = spare;
+        spare = t;
+    }
+    /* The sorted keys are in either half; the distinct ones gather at the front. */
+    uint64_t *front = (uint64_t *)out;
+    int64_t m = 0;
+    for (i = 0; i < n; i++)
+        if (!m || keys[i] != front[m - 1])
+            front[m++] = keys[i];
+    for (i = m - 1; i >= 0; i--) {
+        const uint64_t key = front[i];
+        out[3 * i] = (int64_t)(key >> 2 * width) + lo;
+        out[3 * i + 1] = (int64_t)(key >> width & fmask) + lo;
+        out[3 * i + 2] = (int64_t)(key & fmask) + lo;
+    }
+    return m;
+}
+
+/* The distinct rows of an (n, 3) int64 array, read through its byte
+ * strides, in (x, y, z) order, into out: n C-ordered rows of room. Returns
+ * how many there are, or TOO_WIDE, with out spoilt, when the rows are not
+ * already strictly increasing and their range is wider than 21 bits (three
+ * fields would not pack into 63). Rows that already increase are copied as
+ * they come. Any others pack into one key each, the coordinates less the
+ * whole array's minimum side by side, which an LSD radix sort orders (Knuth,
+ * TAOCP vol. 3, 5.2.5) in out itself: keys in out's first n entries, their
+ * spare in the next n. A digit that is the same in every key needs no pass.
+ * Repeated keys then drop, and the rest unpack, last row first, so that a
+ * row never overwrites a key still to be read. C-ordered rows, the common
+ * case, get a loop compiled for their strides. */
+int64_t normalize_rows(const char *pts, int64_t n, int64_t row_stride, int64_t col_stride, int64_t *out) {
+    return row_stride == 24 && col_stride == 8 ? normalize_loop(pts, n, 24, 8, out)
+                                               : normalize_loop(pts, n, row_stride, col_stride, out);
 }
 
 /* The n - k rows of pts that rows does not list, in their order, into out;

@@ -3,12 +3,15 @@
 A VoxelCloud stores its voxels as one read-only, C-contiguous (N, 3) int64
 array, sorted by (x, y, z) and free of duplicates; `points` derives a
 frozenset on request.
-The constructor reaches that order through one int64 key per row, the three
-coordinates less the array's minimum packed side by side: one sort of the
-keys, a neighbour test for duplicates, and shifts and masks back to rows.
-Input that already has strictly increasing keys (another cloud's array, a
-written PLY) is kept as it is. Only a coordinate range too wide for three
-fields in 63 bits falls back to a lexsort of the columns.
+The constructor reaches that order in one native pass, the kernel's
+normalize_rows, which reads the caller's rows through their strides and
+always writes a fresh array. Rows that already increase strictly (another
+cloud's array, a written PLY) are copied as they come. Any others pack into
+one int64 key per row, the three coordinates less the array's minimum side
+by side, which a radix sort orders before the repeated keys drop and the
+rest unpack. Only unsorted rows whose range is too wide for three fields in
+63 bits fall back to a lexsort of the columns. So building a cloud needs the
+kernel, as coding one does.
 """
 
 from __future__ import annotations
@@ -20,56 +23,43 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PlyError
+from .rangecoder import TOO_WIDE, native
 
 _AXIS_ORDERINGS: tuple[tuple[int, int, int], ...] = tuple(itertools.permutations((0, 1, 2)))
 PERMUTATION_COUNT = len(_AXIS_ORDERINGS)
 
 
 def _normalized(arr: np.ndarray) -> np.ndarray:
-    """The distinct rows of an (N, 3) int64 array in (x, y, z) order; arr itself when already so."""
-    if len(arr) < 2:
-        return arr
-    # Whole-array min and max cost far less than per-column ones (axis=0).
-    lo = int(arr.min())
-    width = (int(arr.max()) - lo).bit_length()
-    if 3 * width > 63:
+    """The distinct rows of an (N, 3) int64 array in (x, y, z) order, as a fresh C-ordered array.
+
+    The kernel's normalize_rows does the work; rows it finds too wide to
+    pack into one key are lexsorted here.
+    """
+    out = np.empty((len(arr), 3), dtype=np.int64)
+    m = native().normalize_rows(arr.ctypes.data, len(arr), *arr.strides, out.ctypes.data)
+    if m == TOO_WIDE:
         arr = arr[np.lexsort(arr.T[::-1])]
         return arr[np.append(True, np.any(arr[1:] != arr[:-1], axis=1))]
-    # One packed key per row orders the rows as (x, y, z) does.
-    key = (arr[:, 0] - lo) << 2 * width
-    key |= (arr[:, 1] - lo) << width
-    key |= arr[:, 2] - lo
-    if np.all(key[1:] > key[:-1]):
-        return arr
-    # np.sort and a neighbour test; np.unique hashes, and is far slower here.
-    key.sort()
-    fresh = key[1:] != key[:-1]
-    if not fresh.all():
-        key = key[np.append(True, fresh)]
-    mask = (1 << width) - 1
-    out = np.empty((len(key), 3), dtype=np.int64)
-    out[:, 0] = key >> 2 * width
-    out[:, 1] = (key >> width) & mask
-    out[:, 2] = key & mask
-    out += lo
+    # Drops the room of the repeated rows; nothing else refers to out.
+    out.resize((m, 3), refcheck=False)
     return out
 
 
 class VoxelCloud:
     """A set of occupied integer voxels inside an (Nx, Ny, Nz) grid.
 
-    `points` may be any (N, 3) array or iterable of integer triples; it is
-    copied and normalized (sorted by the packed key, duplicates dropped), but
-    not bounds-checked (see validate).
+    `points` may be any (N, 3) array or iterable of integer triples; its
+    rows are copied into (x, y, z) order with duplicates dropped, but not
+    bounds-checked (see validate). The caller's array is only read.
     """
 
     def __init__(self, dims: tuple[int, int, int], points) -> None:
         if len(dims) != 3 or any(d < 1 for d in dims):
             raise ValueError(f"invalid dims {dims!r}")
         self.dims = (int(dims[0]), int(dims[1]), int(dims[2]))
-        # C order: a column selection such as AxisPermutation.apply's is
-        # Fortran-ordered, and the kernel reads the rows where they lie.
-        arr = np.array(points if isinstance(points, np.ndarray) else list(points), dtype=np.int64, order="C")
+        # No copy: the kernel reads the rows through their strides, in any
+        # order, and writes the cloud's array afresh.
+        arr = np.asarray(points if isinstance(points, np.ndarray) else list(points), dtype=np.int64)
         if arr.size == 0:
             arr = arr.reshape(0, 3)
         if arr.ndim != 2 or arr.shape[1] != 3:
@@ -340,7 +330,8 @@ def write_ply(cloud: VoxelCloud, binary: bool = False) -> bytes:
         "end_header\n"
     ).encode("ascii")
     if binary:
-        if len(pts) and pts.max() >= 1 << 31:
+        if len(pts) and (pts.max() >= 1 << 31 or pts.min() < -(1 << 31)):
             raise ValueError("coordinate does not fit a PLY int")
-        return header + pts.astype("<i4").tobytes()
+        # One cast, and join copies it straight from its buffer.
+        return b"".join((header, pts.astype("<i4")))
     return header + "".join(f"{x} {y} {z}\n" for x, y, z in pts.tolist()).encode("ascii")

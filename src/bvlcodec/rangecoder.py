@@ -28,13 +28,14 @@ those zero bits, possible only on corrupt input, raises TruncatedStreamError.
 The coding loops run natively: _kernel.c holds the coder and one loop per
 stream that both sides share (code_mask, code_surfaces and code_shell),
 plus the encoder's three passes over a shell's rows (project_rows,
-group_rows and leftover_rows), and load_kernel compiles it with gcc on
+group_rows and leftover_rows) and the pass that puts every VoxelCloud's
+rows in order (normalize_rows), and load_kernel compiles it with gcc on
 first use into a per-user cache and loads it through ctypes. run() drives
 each coding loop, calling it again with more room whenever it stops for
-some. The kernel is the codec's only path: where it fails to load,
-native() raises OSError with the reason. RangeEncoder.encode_many and
-RangeDecoder.decode code one decision at a time in Python, for the test
-oracles and the self-test.
+some. The kernel is the codec's only path, and building a VoxelCloud needs
+it too: where it fails to load, native() raises OSError with the reason.
+RangeEncoder.encode_many and RangeDecoder.decode code one decision at a
+time in Python, for the test oracles and the self-test.
 """
 
 from __future__ import annotations
@@ -78,14 +79,17 @@ _SIGNATURES = {
     "project_rows": (_P, _I, _I, _I, _I, _P, _P, _P),
     "group_rows": (_P, _I, _I, _I, _I, _P, _P, _P),
     "leftover_rows": (_P, _I, _P, _I, _P, _P),
+    "normalize_rows": (_P, _I, _I, _I, _P),
 }
 # The room in bits that each call into a kernel loop starts with when
 # encoding; run() doubles it whenever a loop stops for more.
 _BITS_ROOM = 1 << 16
 # Kernel statuses: a loop that ran out of room, the errors of corrupt input,
-# and maps or buffers that break their layout (BAD_LAYOUT).
+# and maps or buffers that break their layout (BAD_LAYOUT). normalize_rows
+# answers TOO_WIDE for rows it leaves to numpy.
 NEED_ROOM = 1
 BAD_LAYOUT = -5
+TOO_WIDE = -6
 _ERRORS = {
     -1: (TruncatedStreamError, "bit stream exhausted"),
     -2: (BitstreamError, "runaway residual prefix"),

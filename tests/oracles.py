@@ -51,15 +51,14 @@ def section_flood_fill(nz, nx, columns, true_cells):
     z-major, from (z - 1, x - 1) to (z + 1, x + 1).
     """
     seeds = set()
-    feasible = set()
     for x, (lo, hi) in columns.items():
         seeds.add((lo, x))
         seeds.add((hi, x))
-        for z in range(lo, hi + 1):
-            feasible.add((z, x))
 
     def unknown(cell):
-        return cell in feasible and cell not in seeds
+        # Feasible and not a seed: strictly inside its column's band.
+        z, x = cell
+        return x in columns and columns[x][0] < z < columns[x][1]
 
     neighborhood = [(dz, dx) for dz in (-1, 0, 1) for dx in (-1, 0, 1)]
     start = set()

@@ -221,12 +221,13 @@ def test_selftest_compares_the_row_passes(capsys, monkeypatch, module, name, spo
 
 
 def test_a_kernel_that_cannot_load_ends_in_one_error_line(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(rangecoder, "load_kernel", lambda: (None, "forced by the test"))
+    # Building a cloud needs the kernel too, so the cloud and its file come first.
     cloud = shapes.hollow_sphere(16, 5)
-    with pytest.raises(OSError, match="forced by the test"):
-        encode_cloud(cloud)
     src = tmp_path / "sphere.ply"
     _write_cloud(src, cloud)
+    monkeypatch.setattr(rangecoder, "load_kernel", lambda: (None, "forced by the test"))
+    with pytest.raises(OSError, match="forced by the test"):
+        encode_cloud(cloud)
     for args in (["encode", str(src)], ["selftest"]):
         assert main(args) == 2
         captured = capsys.readouterr()

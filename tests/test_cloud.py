@@ -161,6 +161,19 @@ def test_write_parse_round_trip_ascii_and_binary():
         assert again == cloud  # dims survive via the comment line
 
 
+@pytest.mark.parametrize("x", [-(1 << 40) + 5, -(1 << 31) - 1, 1 << 31], ids=["wraps-to-5", "below", "above"])
+def test_binary_write_refuses_a_coordinate_outside_a_ply_int(x):
+    cloud = VoxelCloud((1, 1, 1), [[x, 0, 0]])
+    with pytest.raises(ValueError, match="does not fit a PLY int"):
+        write_ply(cloud, binary=True)
+
+
+def test_binary_write_keeps_the_int32_extremes():
+    cloud = VoxelCloud((1, 1, 1), [[-(1 << 31), 0, (1 << 31) - 1]])
+    body = write_ply(cloud, binary=True).split(b"end_header\n", 1)[1]
+    assert np.frombuffer(body, dtype="<i4").tolist() == [-(1 << 31), 0, (1 << 31) - 1]
+
+
 def test_binary_parse_matches_ascii():
     rng = np.random.default_rng(1)
     pts = set(map(tuple, rng.integers(0, 30, size=(100, 3)).tolist()))

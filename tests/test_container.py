@@ -11,6 +11,7 @@ import pytest
 
 import bvlcodec
 from bvlcodec import (
+    AxisPermutation,
     BitstreamError,
     ContainerError,
     EmptyCloudError,
@@ -176,6 +177,24 @@ def test_a_point_decoded_twice_fails_closed():
     doubled = np.vstack([residual, [shell_point]])
     forged = _assemble(0, cloud.dims, shells, encode_residual(doubled, cloud.dims))
     with pytest.raises(BitstreamError):
+        decode_cloud(forged)
+
+
+@pytest.mark.parametrize("permutation", [0, 4])
+def test_a_residual_that_repeats_a_shell_point_fails_closed_in_any_permutation(permutation):
+    # The check counts the distinct points the constructor keeps, so it
+    # holds only while building a cloud drops repeated rows.
+    cloud = shapes.nested_hollow_spheres(24, (10, 5))
+    permuted = AxisPermutation(permutation).apply(cloud)
+    shells, residual = encode_shells(permuted, 1)
+    honest = _assemble(permutation, permuted.dims, shells, encode_residual(residual, permuted.dims))
+    assert honest == encode_cloud(cloud, permutation=permutation, max_shells=1)[0]
+    assert decode_cloud(honest) == cloud
+    in_residual = set(map(tuple, residual.tolist()))
+    shell_point = next(p for p in permuted.to_array().tolist() if tuple(p) not in in_residual)
+    repeated = np.vstack([residual, [shell_point]])
+    forged = _assemble(permutation, permuted.dims, shells, encode_residual(repeated, permuted.dims))
+    with pytest.raises(BitstreamError, match="decoded points repeat"):
         decode_cloud(forged)
 
 

@@ -413,3 +413,101 @@ def test_kernel_mask_loop_refuses_an_occ_byte_above_1(kernel):
     encoder = RangeEncoder(count_tables(depthmap._CONTEXTS))
     with pytest.raises(ValueError, match="layout"):
         rangecoder.run(kernel.code_mask, encoder, ctypes.byref(depthmap._Cursor(0, 4, 0)), grid.ctypes.data, 2, 2, 1)
+
+
+def _unique_rows(rows):
+    """The reference for the kernel's normalize_rows: numpy's sorted distinct rows."""
+    return np.unique(np.asarray(rows, dtype=np.int64).reshape(-1, 3), axis=0)
+
+
+def test_normalize_rows_matches_unique_on_the_property_rows():
+    hypothesis = pytest.importorskip("hypothesis")
+    from test_properties import row_lists
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(row_lists())
+    def check(rows):
+        assert np.array_equal(VoxelCloud((1, 1, 1), rows).to_array(), _unique_rows(rows))
+
+    check()
+
+
+def _wide_rows(width, n=100_000):
+    """n random rows whose coordinates span exactly `width` bits, from a negative low."""
+    rng = np.random.default_rng(width)
+    lo = -(1 << width) // 3
+    rows = rng.integers(0, 1 << width, size=(n, 3)) + lo
+    rows[0, 0] = lo
+    rows[1, 2] = lo + (1 << width) - 1
+    return rows
+
+
+def _arrangement(rows, kind):
+    if kind == "random":
+        return rows
+    ordered = rows[np.lexsort(rows.T[::-1])]
+    if kind == "sorted":
+        return ordered
+    if kind == "reversed":
+        return ordered[::-1]
+    if kind == "one-row":
+        return np.repeat(rows[:1], len(rows), axis=0)
+    varying = rows.copy()
+    varying[:, 1:] = rows[0, 1:]
+    return varying
+
+
+# Widths of 1, 8, 9, 16, 18 and 21 bits per axis give keys of one to six
+# radix passes, 21 the widest that packs into 63 bits.
+@pytest.mark.parametrize("width", [1, 8, 9, 16, 18, 21])
+@pytest.mark.parametrize("kind", ["random", "sorted", "reversed", "one-row", "one-column"])
+def test_normalize_rows_matches_unique_on_large_arrays(width, kind):
+    rows = _arrangement(_wide_rows(width), kind)
+    assert np.array_equal(VoxelCloud((1, 1, 1), rows).to_array(), _unique_rows(rows))
+
+
+def _layout(rows, layout):
+    """rows, or a copy of them, as an array of the layout named; its values are rows'."""
+    if layout == "fortran":
+        return np.asfortranarray(rows)
+    if layout == "columns":
+        return np.ascontiguousarray(rows[:, [2, 0, 1]])[:, [1, 2, 0]]
+    if layout == "strided":
+        wider = np.zeros((2 * len(rows), 5), dtype=np.int64)
+        wider[::2, 4:1:-1] = rows
+        return wider[::2, 4:1:-1]
+    # int64 fields one byte apart from the start of each 25-byte record.
+    packed = np.zeros(len(rows), dtype=[("pad", "i1"), ("xyz", "<i8", 3)])
+    packed["xyz"] = rows
+    return packed["xyz"]
+
+
+@pytest.mark.parametrize("width", [8, 21])
+@pytest.mark.parametrize("layout", ["fortran", "columns", "strided", "unaligned"])
+def test_normalize_rows_reads_any_layout(width, layout):
+    rows = _wide_rows(width)
+    viewed = _layout(rows, layout)
+    assert np.array_equal(viewed, rows)
+    cloud = VoxelCloud((1, 1, 1), viewed)
+    assert np.array_equal(cloud.to_array(), _unique_rows(rows))
+    assert cloud.to_array().flags.c_contiguous
+    assert np.array_equal(VoxelCloud((1, 1, 1), viewed[::-1]).to_array(), cloud.to_array())
+
+
+@pytest.mark.parametrize("kind", ["random", "sorted", "too-wide"])
+def test_building_a_cloud_only_reads_the_callers_rows(kind):
+    rows = _arrangement(_wide_rows(8, 1000), "random" if kind == "too-wide" else kind)
+    if kind == "too-wide":
+        rows[0, 0] = 1 << 40
+    before = rows.copy()
+    cloud = VoxelCloud((1, 1, 1), rows)
+    kept = cloud.to_array().copy()
+    assert rows.flags.writeable and np.array_equal(rows, before)
+    assert not np.shares_memory(rows, cloud.to_array())
+    rows[:] = 7
+    assert np.array_equal(cloud.to_array(), kept)
+    assert not cloud.to_array().flags.writeable
+    # A read-only array is only read too.
+    before.flags.writeable = False
+    assert VoxelCloud((1, 1, 1), before) == cloud
+    assert not before.flags.writeable
