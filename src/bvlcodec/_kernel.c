@@ -1,15 +1,17 @@
 /* Native loops of the bvlcodec coder, loaded through ctypes by rangecoder.py.
  *
- * The range coder and its count update mirror rangecoder.RangeEncoder and
- * RangeDecoder bit for bit, first-use rule included. A stream's counts live
- * in one table of c0 | c1 << 16 entries, one uint32 per context, and a zero
- * entry codes as FIRST_USE, counts 1 and 1, so the zeroed table of
- * rangecoder.count_tables needs no set-up. Three loops code the streams,
- * each on both sides: code_mask (the occupancy mask), code_surfaces (the
- * low surface and thickness) and code_shell (a shell's section sweep). Each
- * bit is read from the maps and encoded, or decoded and stored. They are
- * the codec's only coding loops; the Python reference coders of
- * tests/oracles.py check them decision for decision. Every buffer is
+ * This is the codec's one range coder (encode_bit and decode_bit) and its
+ * count update; tests/oracles.py::reference_encode is its independent
+ * Python reference. A stream's counts live in one table of c0 | c1 << 16
+ * entries, one uint32 per context, and a zero entry codes as FIRST_USE,
+ * counts 1 and 1, so the zeroed table of rangecoder.count_tables needs no
+ * set-up. Three loops code the streams, each on both sides: code_mask (the
+ * occupancy mask), code_surfaces (the low surface and thickness) and
+ * code_shell (a shell's section sweep). Each bit is read from the maps and
+ * encoded, or decoded and stored. They are the codec's only coding loops;
+ * the Python reference coders of tests/oracles.py check them decision for
+ * decision. A fourth, code_bits, codes given (context, bit) pairs for
+ * RangeEncoder.encode_many and RangeDecoder.decode. Every buffer is
  * allocated and sized by the caller. An encoding loop that would need more
  * room than it was given stops before touching the pixel or cell it is on,
  * saves where it stands and returns NEED_ROOM; rangecoder.run grows the
@@ -167,11 +169,29 @@ static inline int code_bit(Coder *c, int64_t encoding, int64_t ctx, int bit) {
     return bit;
 }
 
+/* n decisions on either side, from *done on: bits[i] is encoded under
+ * contexts[i], or decoded into it. An encoding call stops with NEED_ROOM
+ * before a decision it has no room for, and *done counts the decisions
+ * coded. A context outside the tables is BAD_LAYOUT. */
+int64_t code_bits(Coder *c, int64_t *done, const int64_t *contexts, uint8_t *bits, int64_t n, int64_t encoding) {
+    for (int64_t i = *done; i < n; *done = ++i) {
+        if (contexts[i] < 0 || contexts[i] >= c->contexts)
+            return BAD_LAYOUT;
+        if (encoding && c->pos + c->extra + 64 > c->size)
+            return NEED_ROOM;
+        const int bit = code_bit(c, encoding, contexts[i], bits[i]);
+        if (bit < 0)
+            return bit;
+        bits[i] = (uint8_t)bit;
+    }
+    return DONE;
+}
+
 /* The occupancy mask, row by row, on either side: each bit is read from the
  * grid and encoded, or decoded and stored there. grid holds nx + 2 rows of
  * ny + 4 bytes: two zero rows of history above the map and two zero columns
  * on either side. Bit k of a pixel's context is template term k of
- * depthmap._TEMPLATE. A map byte above 1 is BAD_LAYOUT. */
+ * tests/oracles.py::_MASK_TEMPLATE. A map byte above 1 is BAD_LAYOUT. */
 static inline __attribute__((always_inline)) int64_t mask_loop(Coder *c, Cursor *at, uint8_t *grid, int64_t nx,
                                                                 int64_t ny, int64_t encoding) {
     const int64_t s = ny + 4;
@@ -232,7 +252,8 @@ static inline int code_signed(Coder *c, int64_t encoding, int64_t base, int64_t 
 }
 
 /* The low surface and the thickness at the occupied pixels, in row order, on
- * either side: depthmap._predict_low and the previous thickness predict them.
+ * either side: the predictor of tests/oracles.py::_reference_predict_low and
+ * the previous thickness predict them.
  * The encoder reads each value from low and high; an occupied pixel whose occ
  * byte is above 1 or whose values break 0 <= low <= high < nz is BAD_LAYOUT.
  * The decoder range-checks each value and stores it in low and high, which

@@ -34,12 +34,15 @@ first use into a per-user cache and loads it through ctypes. run() drives
 each coding loop, calling it again with more room whenever it stops for
 some. The kernel is the codec's only path, and building a VoxelCloud needs
 it too: where it fails to load, native() raises OSError with the reason.
-RangeEncoder.encode_many and RangeDecoder.decode code one decision at a
-time in Python, for the test oracles and the self-test.
+The coder is written once, in the kernel: RangeEncoder.encode_many codes
+given (context, bit) pairs and RangeDecoder.decode one decision, both
+through its code_bits loop, for the tests and the self-test.
+tests/oracles.py::reference_encode is its plain-Python reference.
 """
 
 from __future__ import annotations
 
+import array
 import ctypes
 import functools
 import mmap
@@ -47,7 +50,6 @@ import os
 import tempfile
 import zlib
 from collections.abc import Iterable
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,9 +59,7 @@ from .errors import BitstreamError, TruncatedStreamError
 
 _STATE_BITS = 32
 _FULL = 1 << _STATE_BITS
-_HALF = _FULL >> 1
 _QUARTER = _FULL >> 2
-_THREE_QUARTER = _HALF + _QUARTER
 
 # Counts are halved (rounding up) once their sum would exceed this, keeping
 # the estimator responsive on nonstationary data. Must stay far below the
@@ -80,6 +80,7 @@ _SIGNATURES = {
     "group_rows": (_P, _I, _I, _I, _I, _P, _P, _P),
     "leftover_rows": (_P, _I, _P, _I, _P, _P),
     "normalize_rows": (_P, _I, _I, _I, _P),
+    "code_bits": (_P, _P, _P, _P, _I, _I),
 }
 # The room in bits that each call into a kernel loop starts with when
 # encoding; run() doubles it whenever a loop stops for more.
@@ -237,8 +238,7 @@ def run(loop, coder, *args, grow=None) -> None:
     while status == NEED_ROOM:
         if grow is not None:
             grow()
-        with coder.native_state(room) as state:
-            status = loop(ctypes.byref(state), *args)
+        status = loop(ctypes.byref(coder.native_state(room)), *args)
         room *= 2
     check_status(status)
 
@@ -269,8 +269,11 @@ class RangeEncoder:
         self.tables = tables
         self._bits = bytearray()
 
-    def _room(self, room: int) -> _Coder:
-        """The state, with room for `room` bits beyond the pending ones."""
+    def native_state(self, room: int) -> _Coder:
+        """The coder as the kernel's struct, with room for `room` bits beyond the pending ones.
+
+        The kernel updates the state in place.
+        """
         state = self._state
         need = state.pos + state.extra + 64 + room
         if need > state.size:
@@ -281,85 +284,31 @@ class RangeEncoder:
             state.size = len(bits)
         return state
 
-    def _written(self) -> bytearray:
-        """The bits written so far, as the buffer itself; marks the kernel's view of it stale."""
-        del self._bits[self._state.pos :]
-        self._state.size = 0
-        return self._bits
-
-    @contextmanager
-    def native_state(self, room: int):
-        """The coder as the kernel's struct, with room for `room` bits beyond the pending ones.
-
-        The kernel updates the state in place.
-        """
-        yield self._room(room)
-
     def encode_many(self, contexts: Iterable[int], bits: Iterable[int]) -> None:
-        """Code each bit under its context, in order; the counts adapt as they go.
+        """Code each bit under its context, in order, on the kernel's coder; the counts adapt as they go.
 
-        The test oracles and the self-test code through this; the kernel's
-        loops call their own coder. The two sequences must have the same
-        length (ValueError otherwise, after the pairs before the mismatch are
-        coded). A nonzero bit codes a 1.
+        A nonzero bit codes a 1. The two sequences must have the same length,
+        and each context must lie in the tables: ValueError otherwise, after
+        the pairs before the mismatch or the context are coded. A context
+        that int64 cannot hold raises OverflowError before any pair is coded.
         """
-        state = self._state
-        low = state.low
-        high = state.high
-        pending = state.extra
-        out = self._written()
-        append = out.append
-        counts = self.tables.counts
-        try:
-            for ctx, bit in zip(contexts, bits, strict=True):
-                entry = counts[ctx] or FIRST_USE
-                c0, c1 = entry & 0xFFFF, entry >> 16
-                total = c0 + c1
-                split = low + c0 * (high - low + 1) // total
-                if bit:
-                    low = split
-                    c1 += 1
-                else:
-                    high = split - 1
-                    c0 += 1
-                while True:
-                    if high < _HALF:
-                        append(0)
-                        if pending:
-                            out += b"\x01" * pending
-                            pending = 0
-                    elif low >= _HALF:
-                        append(1)
-                        if pending:
-                            out += bytes(pending)
-                            pending = 0
-                        low -= _HALF
-                        high -= _HALF
-                    elif low >= _QUARTER and high < _THREE_QUARTER:
-                        pending += 1
-                        low -= _QUARTER
-                        high -= _QUARTER
-                    else:
-                        break
-                    low <<= 1
-                    high = (high << 1) | 1
-                if total >= RESCALE_LIMIT:
-                    c0 = (c0 + 1) >> 1
-                    c1 = (c1 + 1) >> 1
-                counts[ctx] = c0 | c1 << 16
-        finally:
-            # On a length mismatch the pairs before it stay coded.
-            state.low = low
-            state.high = high
-            state.extra = pending
-            state.pos = len(out)
+        contexts = array.array("q", contexts)
+        bits = array.array("B", map(bool, bits))
+        n = min(len(contexts), len(bits))
+        if n:
+            done = array.array("q", [0])
+            run(native().code_bits, self, *(a.buffer_info()[0] for a in (done, contexts, bits)), n, 1)
+        if len(contexts) != len(bits):
+            raise ValueError("contexts and bits differ in length")
 
     def finish(self) -> CodedStream:
         # One more bit, followed by its pending inversions, pins a value
         # inside the final interval; the byte padding after it is zeros,
         # matching what the decoder reads past the end of the payload.
         state = self._state
-        bits = self._written()
+        bits = self._bits
+        del bits[state.pos :]
+        state.size = 0
         bit = 0 if state.low < _QUARTER else 1
         bits.append(bit)
         bits += bytes([bit ^ 1]) * (state.extra + 1)
@@ -372,7 +321,7 @@ class RangeEncoder:
 class RangeDecoder:
     """Mirror of RangeEncoder; count updates replay the encoder's exactly."""
 
-    __slots__ = ("tables", "_state", "_bits", "_pos", "_low", "_high", "_code")
+    __slots__ = ("tables", "_state", "_bits", "_context", "_bit", "_done", "_decode_one")
 
     def __init__(self, data: bytes | CodedStream, tables: CountTables) -> None:
         if isinstance(data, CodedStream):
@@ -380,78 +329,33 @@ class RangeDecoder:
         packed = np.frombuffer(data, dtype=np.uint8)
         self._bits = bytearray(8 * packed.size + 64)
         np.frombuffer(self._bits, dtype=np.uint8)[: 8 * packed.size] = np.unpackbits(packed)
-        self._pos = _STATE_BITS
-        self._low = 0
-        self._high = _FULL - 1
-        code = 0
-        for bit in self._bits[:_STATE_BITS]:
-            code = (code << 1) | bit
-        self._code = code
-        # The registers live in the attributes above; native_state copies them in and out.
-        self._state = _coder_state(tables, 0, 0, 0, 0, address(self._bits), len(self._bits))
+        # The code value starts as the first 32 bits, read past the payload as zeros.
+        code = int.from_bytes(bytes(packed[:4]).ljust(4, b"\0"), "big")
+        self._state = _coder_state(tables, 0, _FULL - 1, code, _STATE_BITS, address(self._bits), len(self._bits))
         self.tables = tables
+        # decode() codes one decision through these one-item arrays, so that
+        # a call allocates nothing; a context past int64 raises OverflowError.
+        # Its arguments are ctypes objects made once, passed to a pointer to
+        # code_bits without argtypes, so no call converts them again.
+        self._context = array.array("q", [0])
+        self._bit = array.array("B", [0])
+        self._done = array.array("q", [0])
+        loop = native()["code_bits"]
+        loop.restype = _I
+        self._decode_one = functools.partial(
+            loop, ctypes.byref(self._state),
+            *(_P(a.buffer_info()[0]) for a in (self._done, self._context, self._bit)), _I(1), _I(0))
 
-    @contextmanager
-    def native_state(self, room: int = 0):
+    def native_state(self, room: int) -> _Coder:
         """The coder as the kernel's struct; `room` sizes an encoder's bits and is unused here.
 
-        The kernel's changes to the state come back when the block ends.
+        The kernel updates the state in place.
         """
-        state = self._state
-        state.low, state.high, state.extra, state.pos = self._low, self._high, self._code, self._pos
-        try:
-            yield state
-        finally:
-            self._low, self._high, self._code, self._pos = state.low, state.high, state.extra, state.pos
+        return self._state
 
     def decode(self, ctx: int) -> int:
-        """Decode one decision in Python; the kernel's loops decode whole streams."""
-        counts = self.tables.counts
-        entry = counts[ctx] or FIRST_USE
-        c0, c1 = entry & 0xFFFF, entry >> 16
-        total = c0 + c1
-        low = self._low
-        high = self._high
-        code = self._code
-        split = low + c0 * (high - low + 1) // total
-        if code >= split:
-            bit = 1
-            low = split
-        else:
-            bit = 0
-            high = split - 1
-        bits = self._bits
-        pos = self._pos
-        try:
-            while True:
-                if high < _HALF:
-                    pass
-                elif low >= _HALF:
-                    low -= _HALF
-                    high -= _HALF
-                    code -= _HALF
-                elif low >= _QUARTER and high < _THREE_QUARTER:
-                    low -= _QUARTER
-                    high -= _QUARTER
-                    code -= _QUARTER
-                else:
-                    break
-                low <<= 1
-                high = (high << 1) | 1
-                code = (code << 1) | bits[pos]
-                pos += 1
-        except IndexError:
-            raise TruncatedStreamError("bit stream exhausted") from None
-        self._pos = pos
-        self._low = low
-        self._high = high
-        self._code = code
-        if bit:
-            c1 += 1
-        else:
-            c0 += 1
-        if total + 1 > RESCALE_LIMIT:
-            c0 = (c0 + 1) >> 1
-            c1 = (c1 + 1) >> 1
-        counts[ctx] = c0 | c1 << 16
-        return bit
+        """Decode one decision under ctx on the kernel's coder; ValueError for a context outside the tables."""
+        self._context[0] = ctx
+        self._done[0] = 0
+        check_status(self._decode_one())
+        return self._bit[0]

@@ -10,9 +10,13 @@ import numpy as np
 
 from bvlcodec.contexts import get_norm_tables
 from bvlcodec.depthmap import project_array
-from bvlcodec.rangecoder import RangeDecoder, RangeEncoder, count_tables
+from bvlcodec.rangecoder import FIRST_USE, RESCALE_LIMIT, CodedStream, RangeDecoder, RangeEncoder, count_tables
 from bvlcodec.sections import SECTION_CONTEXTS, sweep_decode, sweep_encode
 
+_FULL = 1 << 32
+_HALF = _FULL >> 1
+_QUARTER = _FULL >> 2
+_THREE_QUARTER = _HALF + _QUARTER
 _POW2 = 2 ** np.arange(9, dtype=np.int64)
 _POW3 = 3 ** np.arange(9, dtype=np.int64)
 # Anti-diagonal scan used by the rotation score: cells near (0, 0) first.
@@ -24,6 +28,62 @@ def binary_entropy(p: float) -> float:
     if p in (0.0, 1.0):
         return 0.0
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+
+
+def reference_encode(contexts, bits, tables) -> CodedStream:
+    """The range coder in plain Python: each bit coded under its context, in order, then the stream finished.
+
+    The reference for the kernel's coder, written apart from it: 32-bit
+    interval registers, pending-bit carry resolution, and the count update of
+    rangecoder (FIRST_USE for a zero entry, halving at RESCALE_LIMIT) on the
+    tables' counts, in place. A nonzero bit codes a 1.
+    """
+    low, high, pending = 0, _FULL - 1, 0
+    out = bytearray()
+    append = out.append
+    counts = tables.counts
+    for ctx, bit in zip(contexts, bits, strict=True):
+        entry = counts[ctx] or FIRST_USE
+        c0, c1 = entry & 0xFFFF, entry >> 16
+        total = c0 + c1
+        split = low + c0 * (high - low + 1) // total
+        if bit:
+            low = split
+            c1 += 1
+        else:
+            high = split - 1
+            c0 += 1
+        while True:
+            if high < _HALF:
+                append(0)
+                if pending:
+                    out += b"\x01" * pending
+                    pending = 0
+            elif low >= _HALF:
+                append(1)
+                if pending:
+                    out += bytes(pending)
+                    pending = 0
+                low -= _HALF
+                high -= _HALF
+            elif low >= _QUARTER and high < _THREE_QUARTER:
+                pending += 1
+                low -= _QUARTER
+                high -= _QUARTER
+            else:
+                break
+            low <<= 1
+            high = (high << 1) | 1
+        if total >= RESCALE_LIMIT:
+            c0 = (c0 + 1) >> 1
+            c1 = (c1 + 1) >> 1
+        counts[ctx] = c0 | c1 << 16
+    # One more bit, followed by its pending inversions, pins a value inside
+    # the final interval; the byte padding after it is zeros.
+    bit = 0 if low < _QUARTER else 1
+    out.append(bit)
+    out += bytes([bit ^ 1]) * (pending + 1)
+    return CodedStream(np.packbits(np.frombuffer(out, dtype=np.uint8)).tobytes(), len(out))
 
 
 def brute_force_depthmaps(points, dims):
@@ -131,9 +191,7 @@ def _label(current, before) -> int:
 def encode_section_decisions(labels, bits):
     """(stream, tables): the (label, bit) decisions coded on fresh section tables."""
     tables = count_tables(SECTION_CONTEXTS)
-    encoder = RangeEncoder(tables)
-    encoder.encode_many(labels, bits)
-    return encoder.finish(), tables
+    return reference_encode(labels, bits, tables), tables
 
 
 def rotation_orbit_count() -> int:
@@ -224,9 +282,7 @@ def reference_sweep(points, pair, dims, tables):
     sections = [({x: (int(pair.zmin[x, y]), int(pair.zmax[x, y])) for x in np.flatnonzero(pair.occ[:, y]).tolist()},
                  true_cells[y]) for y in range(ny)]
     labels, bits, reconstructed = flood_fill_shell(nz, nx, sections)
-    encoder = RangeEncoder(tables)
-    encoder.encode_many(labels, bits)
-    return encoder.finish(), len(labels), reconstructed
+    return reference_encode(labels, bits, tables), len(labels), reconstructed
 
 
 def reference_group(points, dims):
@@ -393,6 +449,4 @@ def reference_encode_depthmaps(pair, nz: int):
     Codes the whole sequence of reference_depthmap_decisions at once.
     """
     decisions = reference_depthmap_decisions(pair, nz)
-    enc = RangeEncoder(count_tables(1024 + 2 * 32))
-    enc.encode_many([c for c, _ in decisions], [b for _, b in decisions])
-    return enc.finish()
+    return reference_encode([c for c, _ in decisions], [b for _, b in decisions], count_tables(1024 + 2 * 32))

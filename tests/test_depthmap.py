@@ -193,9 +193,10 @@ def test_encoder_matches_the_scalar_reference(pair, nz):
 
 @pytest.mark.parametrize("pair,nz", _REFERENCE_CASES)
 def test_python_loops_match_the_scalar_reference(pair, nz):
-    # The coder's Python decoding loop, which the self-test codes through,
-    # reads the reference's bits from the kernel's stream on the reference's
-    # contexts, count rescaling included.
+    # RangeDecoder.decode, one decision per kernel call (the self-test codes
+    # through it), reads the reference's bits from the depth-map loops'
+    # stream on the reference's contexts, count rescaling included: the
+    # stream is one sequence of decisions, whichever loop codes it.
     decisions = reference_depthmap_decisions(pair, nz)
     decoder = RangeDecoder(encode_depthmaps(pair, nz).data, count_tables(1024 + 2 * 32))
     assert [decoder.decode(c) for c, _ in decisions] == [b for _, b in decisions]

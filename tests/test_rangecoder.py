@@ -1,12 +1,16 @@
 """Round-trip and rate tests for the adaptive arithmetic coder."""
 
+import ctypes
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from bvlcodec import rangecoder
 from bvlcodec.errors import TruncatedStreamError
 from bvlcodec.rangecoder import FIRST_USE, RESCALE_LIMIT, CountTables, RangeDecoder, RangeEncoder, count_tables
 
-from oracles import binary_entropy, table_bytes
+from oracles import binary_entropy, reference_encode, table_bytes
 
 
 def _round_trip(bits, picks, n_contexts):
@@ -226,3 +230,70 @@ def test_coders_refuse_anything_but_count_tables():
         RangeEncoder(counts)
     with pytest.raises(TypeError):
         RangeDecoder(bytes(4), counts)
+
+
+@pytest.mark.parametrize("bad", [-1, 4], ids=["negative", "table-length"])
+def test_a_context_outside_the_tables_raises_after_the_pairs_before_it(bad):
+    # Four contexts: -1 and 4 (the table's length) lie outside on either end.
+    enc = RangeEncoder(count_tables(4))
+    with pytest.raises(ValueError):
+        enc.encode_many([1, 2, bad, 3], [1, 0, 1, 1])
+    ref = RangeEncoder(count_tables(4))
+    ref.encode_many([1, 2], [1, 0])
+    assert table_bytes(enc.tables) == table_bytes(ref.tables)
+    stream = enc.finish()
+    assert stream == ref.finish()
+    dec = RangeDecoder(stream, count_tables(4))
+    assert [dec.decode(1), dec.decode(2)] == [1, 0]
+    with pytest.raises(ValueError):
+        dec.decode(bad)
+    assert table_bytes(dec.tables) == table_bytes(ref.tables)
+
+
+def test_a_context_past_int64_codes_nothing_on_either_side():
+    # 2^64 + 1 would wrap to context 1 in 64 bits.
+    enc = RangeEncoder(count_tables(4))
+    with pytest.raises(OverflowError):
+        enc.encode_many([1, 2**64 + 1], [1, 1])
+    dec = RangeDecoder(enc.finish(), count_tables(4))
+    with pytest.raises(OverflowError):
+        dec.decode(2**64 + 1)
+    assert not any(enc.tables.counts) and not any(dec.tables.counts)
+
+
+def _reference_sequences():
+    rng = np.random.default_rng(47)
+    n = 70_000
+    # More zeros than RESCALE_LIMIT under one context, so its counts halve.
+    yield "rescaled", [0] * n, [0] * n
+    # p = 0.5 under one context: long runs of pending bits.
+    yield "pending", [0] * n, (rng.random(n) < 0.5).astype(int).tolist()
+    yield "interleaved", rng.integers(0, 64, size=n).tolist(), (rng.random(n) < rng.random(n)).astype(int).tolist()
+
+
+@pytest.mark.parametrize("contexts,bits", [pytest.param(c, b, id=name) for name, c, b in _reference_sequences()])
+def test_kernel_coder_matches_the_reference_coder_when_it_stops_for_room(contexts, bits, monkeypatch):
+    # With room for one bit at first, the kernel's calls stop for room and
+    # resume mid-sequence.
+    kernel = rangecoder.native()
+    stops = []
+
+    def code_bits(state, done, *args):
+        status = kernel.code_bits(state, done, *args)
+        if status == rangecoder.NEED_ROOM:
+            stops.append(ctypes.c_int64.from_address(done).value)
+        return status
+
+    monkeypatch.setattr(rangecoder, "_BITS_ROOM", 1)
+    monkeypatch.setattr(rangecoder, "native", lambda: SimpleNamespace(code_bits=code_bits))
+    enc = RangeEncoder(count_tables(64))
+    enc.encode_many(contexts, bits)
+    stream = enc.finish()
+    ref_tables = count_tables(64)
+    assert stream == reference_encode(contexts, bits, ref_tables)
+    assert table_bytes(enc.tables) == table_bytes(ref_tables)
+    assert stops and all(0 < k < len(bits) for k in stops)
+    monkeypatch.undo()
+    dec = RangeDecoder(stream, count_tables(64))
+    assert [dec.decode(ctx) for ctx in contexts] == bits
+    assert table_bytes(dec.tables) == table_bytes(ref_tables)
