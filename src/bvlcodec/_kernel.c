@@ -18,12 +18,12 @@
  * buffers and calls it again. code_shell's slabs are column-major (stride nz + 2), so a
  * column's band is contiguous and loading or clearing it is one memset.
  *
- * Three more loops prepare and retire each of the encoder's shells, one pass
- * over its (N, 3) int64 rows each:
- * project_rows (depthmap.project_array), group_rows (sections.build_section)
- * and leftover_rows (the rows sections.encode_shells hands to the next
- * shell). Each fills every byte of its outputs, and returns BAD_LAYOUT
- * before it would write outside them.
+ * Two more loops prepare each of the encoder's shells, one pass over its
+ * (N, 3) int64 rows each, sorted in (x, y, z) order: project_rows
+ * (depthmap.project_array) and column_starts (sections.build_section), which
+ * points each column at its first row so that code_shell reads the rows in
+ * place. Both check each row the same way, fill every byte of their outputs,
+ * and return BAD_LAYOUT before they would write outside them.
  *
  * One last loop, normalize_rows (cloud._normalized), builds every
  * VoxelCloud: it sorts the rows it is given into (x, y, z) order and drops
@@ -43,7 +43,7 @@
 
 enum {
     DONE = 0, NEED_ROOM = 1, TRUNCATED = -1, RUNAWAY = -2, LOW_RANGE = -3, THICKNESS_RANGE = -4, BAD_LAYOUT = -5,
-    TOO_WIDE = -6
+    TOO_WIDE = -6, BAD_CONTEXT = -7
 };
 
 /* One coder. The encoder keeps its pending bit count in `extra` and writes
@@ -172,11 +172,11 @@ static inline int code_bit(Coder *c, int64_t encoding, int64_t ctx, int bit) {
 /* n decisions on either side, from *done on: bits[i] is encoded under
  * contexts[i], or decoded into it. An encoding call stops with NEED_ROOM
  * before a decision it has no room for, and *done counts the decisions
- * coded. A context outside the tables is BAD_LAYOUT. */
+ * coded. A context outside the tables is BAD_CONTEXT. */
 int64_t code_bits(Coder *c, int64_t *done, const int64_t *contexts, uint8_t *bits, int64_t n, int64_t encoding) {
     for (int64_t i = *done; i < n; *done = ++i) {
         if (contexts[i] < 0 || contexts[i] >= c->contexts)
-            return BAD_LAYOUT;
+            return BAD_CONTEXT;
         if (encoding && c->pos + c->extra + 64 > c->size)
             return NEED_ROOM;
         const int bit = code_bit(c, encoding, contexts[i], bits[i]);
@@ -336,15 +336,17 @@ int64_t code_surfaces(Coder *c, Cursor *at, const uint8_t *occ, int32_t *low, in
  * and where a resumed call picks up. The slabs are column-major: cell (z, x)
  * of a section sits at (x + 1) * (nz + 2) + z + 1, inside a one-cell border
  * ring, so a column's band is contiguous and one memset loads or clears it.
- * The encoder emits no points: it flags which of its true cells the sweep
- * reached, and out, room and emitted serve the decoder alone. */
+ * The encoder reads its rows in place, column by column, and emits no
+ * points: it flags which of its rows the sweep reached, and out, room and
+ * emitted serve the decoder alone. */
 typedef struct {
     const uint8_t *occ;            /* the (nx, ny) depth surfaces, row-major, read in place */
     const int32_t *zmin, *zmax;
     int64_t nx, ny, nz;
-    const int64_t *cells;          /* encoding: the true cells' slab indices, sorted by section; NULL decoding */
-    const int64_t *offsets;        /* section y's true cells: cells[offsets[y] .. offsets[y + 1]) */
-    uint8_t *reached;              /* encoding: one byte per entry of cells, 1 once its section reconstructs it */
+    const int64_t *points;         /* encoding: the n true rows, as column_starts accepts them; NULL decoding */
+    int64_t n;
+    int64_t *next;                 /* nx cursors: the first row of column x that no earlier section holds */
+    uint8_t *reached;              /* one byte per row, 1 once its section reconstructs it */
     uint8_t *state;                /* two slabs of stride nz + 2: section y codes in slab y % 2 */
     uint8_t *marked, *truth;       /* one slab each, all zero between sections */
     int32_t *fifo;                 /* room for one slab of cells */
@@ -356,6 +358,7 @@ typedef struct {
     const int32_t *classes;
     const int64_t *rotated;
     int64_t section, loaded, head, tail, coded, emitted;
+    int64_t open;                  /* the loaded section's occupied columns: columns[0 .. open) */
 } Shell;
 
 /* Column x of section y: 1 with its band [lo, hi], 0 when empty, or
@@ -367,6 +370,11 @@ static inline int column(const Shell *s, int64_t x, int64_t y, int64_t *lo, int6
     *lo = s->zmin[i];
     *hi = s->zmax[i];
     return s->occ[i] == 1 && 0 <= *lo && *lo <= *hi && *hi < s->nz ? 1 : BAD_LAYOUT;
+}
+
+/* 1 while row i, reached from a cursor of column x, is a true cell of section y. */
+static inline int in_column(const Shell *s, int64_t i, int64_t x, int64_t y) {
+    return (uint64_t)i < (uint64_t)s->n && s->points[3 * i] == x && s->points[3 * i + 1] == y;
 }
 
 static inline void emit_point(Shell *s, int64_t x, int64_t y, int64_t z) {
@@ -412,9 +420,10 @@ static int64_t list_starts(Shell *s, uint8_t *state, int64_t y, int64_t n, uint8
 
 /* Set up section y in its slab: clear the bands section y - 2 left there,
  * write the bands (unknown) and seeds (occupied) of the occupied columns,
- * emit the seeds when decoding, list the unknown cells around the seeds
- * sorted row-major into the fifo, and mark the true cells when encoding. The
- * work follows the columns and the listed cells, never the slab's area. */
+ * mark their true cells when encoding or emit their seeds when decoding, and
+ * list the unknown cells around the seeds sorted row-major into the fifo.
+ * The work follows the columns, their rows and the listed cells, never the
+ * slab's area. */
 static inline __attribute__((always_inline)) int64_t load_section(Shell *s, int64_t y, int64_t encoding) {
     const int64_t st = s->nz + 2, size = (s->nx + 2) * st;
     uint8_t *state = s->state + (y & 1) * size;
@@ -434,7 +443,11 @@ static inline __attribute__((always_inline)) int64_t load_section(Shell *s, int6
         uint8_t *cell = state + (x + 1) * st + lo + 1;
         memset(cell, 0, (size_t)(hi - lo + 1));
         cell[0] = cell[hi - lo] = 2;
-        if (!encoding) {
+        if (encoding) {
+            /* column_starts put every row inside the dims. */
+            for (int64_t i = s->next[x]; in_column(s, i, x, y); i++)
+                s->truth[(x + 1) * st + s->points[3 * i + 2] + 1] = 1;
+        } else {
             emit_point(s, x, y, lo);
             if (hi > lo)
                 emit_point(s, x, y, hi);
@@ -458,24 +471,28 @@ static inline __attribute__((always_inline)) int64_t load_section(Shell *s, int6
         s->rows[r] = 0;
     s->head = 0;
     s->tail = total;
-    for (int64_t i = encoding ? s->offsets[y] : 0; encoding && i < s->offsets[y + 1]; i++) {
-        if ((uint64_t)s->cells[i] >= (uint64_t)size)
-            return BAD_LAYOUT;
-        s->truth[s->cells[i]] = 1;
-    }
+    s->open = n;
     return DONE;
 }
 
 /* Clear the marks section y set in its slab, state. When encoding, first
- * flag each true cell of the section that state holds occupied as reached,
- * then clear the true cells; the bands stay for section y + 1 to read. */
+ * flag each row of the section whose cell state holds occupied as reached,
+ * clear its true cell and move its column's cursor past it; the bands stay
+ * for section y + 1 to read. */
 static inline __attribute__((always_inline)) void unload_section(Shell *s, const uint8_t *state, int64_t y,
                                                                 int64_t encoding) {
+    const int64_t st = s->nz + 2;
     for (int64_t i = 0; i < s->tail; i++)
         s->marked[s->fifo[i]] = 0;
-    for (int64_t i = encoding ? s->offsets[y] : 0; encoding && i < s->offsets[y + 1]; i++) {
-        s->reached[i] = state[s->cells[i]] == 2;
-        s->truth[s->cells[i]] = 0;
+    for (int64_t j = 0; encoding && j < s->open; j++) {
+        const int64_t x = s->columns[j];
+        int64_t i = s->next[x];
+        for (; in_column(s, i, x, y); i++) {
+            const int64_t cell = (x + 1) * st + s->points[3 * i + 2] + 1;
+            s->reached[i] = state[cell] == 2;
+            s->truth[cell] = 0;
+        }
+        s->next[x] = i;
     }
 }
 
@@ -485,10 +502,10 @@ static inline __attribute__((always_inline)) void unload_section(Shell *s, const
  * from the other slab. The decoder's reconstructed points go to out: each
  * section's seeds, then its cells coded occupied; out needs room for 2 nx
  * more points before a section loads. The encoder emits nothing; unloading
- * a section flags its reached true cells. A cell's context is its label,
- * class * 512 + rotated binary patch. A malformed column or true cell, a
- * listed cell whose 3x3 crop leaves its slab, or a patch or label outside
- * the tables (state above 2) means the shell breaks its layout: BAD_LAYOUT. */
+ * a section flags its reached rows. A cell's context is its label, class *
+ * 512 + rotated binary patch. A malformed column, a listed cell whose 3x3
+ * crop leaves its slab, or a patch or label outside the tables (state above
+ * 2) means the shell breaks its layout: BAD_LAYOUT. */
 static inline __attribute__((always_inline)) int64_t shell_loop(Coder *c, Shell *s, int64_t encoding) {
     const int64_t st = s->nz + 2, size = (s->nx + 2) * st;
     /* The 8-neighbours in the oracle's order: nw, n, ne, w, e, sw, s, se. */
@@ -568,15 +585,22 @@ static inline __attribute__((always_inline)) int64_t shell_loop(Coder *c, Shell 
     return DONE;
 }
 
-/* A shell on either side; cells is NULL when decoding. The side is decided
+/* A shell on either side; points is NULL when decoding. The side is decided
  * once per call, so neither side's loop tests for the other's work. */
 int64_t code_shell(Coder *c, Shell *s) {
-    return s->cells ? shell_loop(c, s, 1) : shell_loop(c, s, 0);
+    return s->points ? shell_loop(c, s, 1) : shell_loop(c, s, 0);
 }
 
-/* 1 when row p lies inside the dims; a negative coordinate wraps past them. */
-static inline int inside(const int64_t *p, int64_t nx, int64_t ny, int64_t nz) {
-    return (uint64_t)p[0] < (uint64_t)nx && (uint64_t)p[1] < (uint64_t)ny && (uint64_t)p[2] < (uint64_t)nz;
+/* The pixel x * ny + y of row p, or BAD_LAYOUT when p lies outside the dims
+ * or is not above the row before it, at pixel last (-1 before the first row)
+ * and depth last_z. A negative coordinate wraps past the dims, and inside
+ * them the pixel index orders rows as (x, y) does. */
+static inline int64_t pixel_after(const int64_t *p, int64_t nx, int64_t ny, int64_t nz, int64_t last,
+                                  int64_t last_z) {
+    if ((uint64_t)p[0] >= (uint64_t)nx || (uint64_t)p[1] >= (uint64_t)ny || (uint64_t)p[2] >= (uint64_t)nz)
+        return BAD_LAYOUT;
+    const int64_t px = p[0] * ny + p[1];
+    return px < last || (px == last && p[2] <= last_z) ? BAD_LAYOUT : px;
 }
 
 /* The (nx, ny) depth maps of n rows strictly increasing in (x, y, z): the
@@ -590,12 +614,9 @@ int64_t project_rows(const int64_t *pts, int64_t n, int64_t nx, int64_t ny, int6
     memset(zmax, 0, (size_t)(nx * ny) * sizeof *zmax);
     int64_t last = -1, last_z = 0;
     for (const int64_t *p = pts; p < pts + 3 * n; p += 3) {
-        if (!inside(p, nx, ny, nz))
-            return BAD_LAYOUT;
-        /* Inside the dims, the pixel index orders rows as (x, y) does. */
-        const int64_t px = p[0] * ny + p[1];
-        if (px < last || (px == last && p[2] <= last_z))
-            return BAD_LAYOUT;
+        const int64_t px = pixel_after(p, nx, ny, nz, last, last_z);
+        if (px < 0)
+            return px;
         if (px != last) {
             occ[px] = 1;
             zmin[px] = (int32_t)p[2];
@@ -607,30 +628,26 @@ int64_t project_rows(const int64_t *pts, int64_t n, int64_t nx, int64_t ny, int6
     return DONE;
 }
 
-/* The slab cells of n rows grouped by section, by a counting sort on y that
- * keeps the rows' order within a section: section y's cells are
- * cells[offsets[y] .. offsets[y + 1]), and cells[j] is row order[j]. offsets
- * holds ny + 1 entries. A row outside the dims is BAD_LAYOUT. */
-int64_t group_rows(const int64_t *pts, int64_t n, int64_t nx, int64_t ny, int64_t nz, int64_t *offsets,
-                   int64_t *cells, int64_t *order) {
-    const int64_t st = nz + 2;
-    memset(offsets, 0, (size_t)(ny + 1) * sizeof *offsets);
-    for (const int64_t *p = pts; p < pts + 3 * n; p += 3) {
-        if (!inside(p, nx, ny, nz))
-            return BAD_LAYOUT;
-        offsets[p[1] + 1]++;
-    }
-    /* offsets[y] becomes section y's first position; placing a cell moves it on. */
-    for (int64_t y = 0; y < ny; y++)
-        offsets[y + 1] += offsets[y];
+/* Each column's first row, into next (nx entries): next[x] is the first of
+ * the n rows whose x is x or more, n when there is none. The rows must be
+ * strictly increasing in (x, y, z), and each must lie in the band of an
+ * occupied pixel of the (nx, ny) maps occ, zmin and zmax, so that code_shell
+ * finds every row of section y in column x from next[x] on; any other row is
+ * BAD_LAYOUT. */
+int64_t column_starts(const int64_t *pts, int64_t n, int64_t nx, int64_t ny, int64_t nz, const uint8_t *occ,
+                      const int32_t *zmin, const int32_t *zmax, int64_t *next) {
+    int64_t last = -1, last_z = 0, x = 0;
     for (int64_t i = 0; i < n; i++) {
-        const int64_t *p = pts + 3 * i, j = offsets[p[1]]++;
-        cells[j] = (p[0] + 1) * st + p[2] + 1;
-        order[j] = i;
+        const int64_t *p = pts + 3 * i, px = pixel_after(p, nx, ny, nz, last, last_z);
+        if (px < 0 || !occ[px] || p[2] < zmin[px] || p[2] > zmax[px])
+            return BAD_LAYOUT;
+        while (x <= p[0])
+            next[x++] = i;
+        last = px;
+        last_z = p[2];
     }
-    /* Each offsets[y] now ends section y: shift them back to the starts. */
-    memmove(offsets + 1, offsets, (size_t)ny * sizeof *offsets);
-    offsets[0] = 0;
+    while (x < nx)
+        next[x++] = n;
     return DONE;
 }
 
@@ -729,24 +746,4 @@ static inline __attribute__((always_inline)) int64_t normalize_loop(const char *
 int64_t normalize_rows(const char *pts, int64_t n, int64_t row_stride, int64_t col_stride, int64_t *out) {
     return row_stride == 24 && col_stride == 8 ? normalize_loop(pts, n, 24, 8, out)
                                                : normalize_loop(pts, n, row_stride, col_stride, out);
-}
-
-/* The n - k rows of pts that rows does not list, in their order, into out;
- * dropped is n bytes of room. A listed row outside 0 .. n - 1 or listed
- * twice is BAD_LAYOUT, found before out is written. */
-int64_t leftover_rows(const int64_t *pts, int64_t n, const int64_t *rows, int64_t k, uint8_t *dropped,
-                      int64_t *out) {
-    memset(dropped, 0, (size_t)n);
-    for (int64_t j = 0; j < k; j++) {
-        if ((uint64_t)rows[j] >= (uint64_t)n || dropped[rows[j]])
-            return BAD_LAYOUT;
-        dropped[rows[j]] = 1;
-    }
-    for (int64_t i = 0; i < n; i++) {
-        if (!dropped[i]) {
-            memcpy(out, pts + 3 * i, 3 * sizeof *out);
-            out += 3;
-        }
-    }
-    return DONE;
 }

@@ -190,7 +190,7 @@ def decode_cloud(data: bytes) -> VoxelCloud:
         offset += length
     dims = (int(nx), int(ny), int(nz))
     shell_blobs = [(blobs[2 * i], blobs[2 * i + 1]) for i in range(shell_count)]
-    points = np.concatenate((decode_shells(shell_blobs, dims), decode_residual(blobs[-1], dims)))
+    points = np.concatenate([*decode_shells(shell_blobs, dims), decode_residual(blobs[-1], dims)])
     permuted = VoxelCloud(dims, points)
     # Shells peel disjoint points and the residual holds the rest, so a
     # valid container never decodes a point twice.

@@ -27,9 +27,9 @@ those zero bits, possible only on corrupt input, raises TruncatedStreamError.
 
 The coding loops run natively: _kernel.c holds the coder and one loop per
 stream that both sides share (code_mask, code_surfaces and code_shell),
-plus the encoder's three passes over a shell's rows (project_rows,
-group_rows and leftover_rows) and the pass that puts every VoxelCloud's
-rows in order (normalize_rows), and load_kernel compiles it with gcc on
+plus the encoder's two passes over a shell's sorted rows (project_rows, and
+column_starts, which lets code_shell read them in place) and the pass that
+puts every VoxelCloud's rows in order (normalize_rows), and load_kernel compiles it with gcc on
 first use into a per-user cache and loads it through ctypes. run() drives
 each coding loop, calling it again with more room whenever it stops for
 some. The kernel is the codec's only path, and building a VoxelCloud needs
@@ -77,8 +77,7 @@ _SIGNATURES = {
     "code_surfaces": (_P, _P, _P, _P, _P, _I, _I, _I, _I),
     "code_shell": (_P, _P),
     "project_rows": (_P, _I, _I, _I, _I, _P, _P, _P),
-    "group_rows": (_P, _I, _I, _I, _I, _P, _P, _P),
-    "leftover_rows": (_P, _I, _P, _I, _P, _P),
+    "column_starts": (_P, _I, _I, _I, _I, _P, _P, _P, _P),
     "normalize_rows": (_P, _I, _I, _I, _P),
     "code_bits": (_P, _P, _P, _P, _I, _I),
 }
@@ -86,8 +85,9 @@ _SIGNATURES = {
 # encoding; run() doubles it whenever a loop stops for more.
 _BITS_ROOM = 1 << 16
 # Kernel statuses: a loop that ran out of room, the errors of corrupt input,
-# and maps or buffers that break their layout (BAD_LAYOUT). normalize_rows
-# answers TOO_WIDE for rows it leaves to numpy.
+# maps or buffers that break their layout (BAD_LAYOUT), and a context that
+# code_bits finds outside the coder's tables (-7). normalize_rows answers
+# TOO_WIDE for rows it leaves to numpy.
 NEED_ROOM = 1
 BAD_LAYOUT = -5
 TOO_WIDE = -6
@@ -97,6 +97,7 @@ _ERRORS = {
     -3: (BitstreamError, "decoded low surface out of range"),
     -4: (BitstreamError, "decoded thickness out of range"),
     BAD_LAYOUT: (ValueError, "maps or buffers do not match their layout"),
+    -7: (ValueError, "a context lies outside the coder's tables"),
 }
 
 

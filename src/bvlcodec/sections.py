@@ -31,38 +31,40 @@ sides share one table across shells. It is a zeroed anonymous mapping, so
 only the pages of coded labels become resident.
 
 Both sides code a whole shell in one call. build_section prepares it once:
-the depth maps, read in place; the slab cells of the encoder's points,
-grouped by section by a stable counting sort on y whose order it keeps; and
-the coding buffers. code_section then walks the sections in y order. Section
-y codes in state slab y % 2 and reads the reconstruction of section y - 1
+the depth maps, read in place; the encoder's points, read in place in their
+(x, y, z) order, with a cursor per column at its first point; and the
+coding buffers. code_section then walks the sections in y order. Section y
+codes in state slab y % 2 and reads the reconstruction of section y - 1
 (state 2) from the other slab, which an empty section leaves blank. Loading
 a section first clears the bands that section y - 2 left in its slab, then
-writes its own bands and seeds, lists the unknown cells around the seeds
-(sorted row-major, deduplicated) and marks the encoder's true cells.
-Afterwards the encoder flags each true cell that the section's state holds
-occupied as reached, one byte per point in sorted order, and the marks and
-true cells are cleared again. So the set-up follows the occupied columns and
-the coded cells, never a slab's area. The encoder emits no points; the decoder's reconstructed
-points, each section's seeds then its cells coded occupied, go to an output
-array as they are found.
+writes its own bands and seeds, marks the encoder's true cells (the points
+at each occupied column's cursor whose y is the section's) and lists the
+unknown cells around the seeds (sorted row-major, deduplicated). Afterwards
+the encoder flags each of those points whose cell the section's state holds
+occupied as reached, one byte per point, clears the marks and true cells
+and moves each cursor past its section's points. So the set-up follows the
+occupied columns, their points and the coded cells, never a slab's area.
+The encoder emits no points; the decoder's reconstructed points, each
+section's seeds then its cells coded occupied, go to an output array as
+they are found.
 
 The loop runs in the native kernel (rangecoder.run), and so do the
-encoder's passes over a shell's rows, one pass each: their projection
-(depthmap.project_array), their grouping by section (_group) and the copy
-of the rows the sweep left (_leftovers). tests/oracles.py holds a
-set-based Python reference of the same sweep.
+encoder's two passes over a shell's rows: their projection
+(depthmap.project_array) and the pass that checks them and sets the
+cursors (_column_starts). The rows the sweep left go to the next shell in
+one numpy compress. tests/oracles.py holds a set-based Python reference of
+the same sweep.
 
 Slabs are flat byte buffers with a one-cell border ring so the 3x3 crops
 never bounds-check; border cells read as known empty and never enter the
 list. The layout is column-major: cell (z, x) sits at
-(x + 1) * (nz + 2) + z + 1, and Shell.cells indexes it. Each band is
-contiguous, so the kernel writes or clears it with one memset.
+(x + 1) * (nz + 2) + z + 1. Each band is contiguous, so the kernel writes
+or clears it with one memset.
 """
 
 from __future__ import annotations
 
 import ctypes
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,71 +98,56 @@ class _Shell(ctypes.Structure):
 
     _fields_ = [(name, ctypes.c_void_p) for name in ("occ", "zmin", "zmax")] + [
         (name, ctypes.c_int64) for name in ("nx", "ny", "nz")
-    ] + [(name, ctypes.c_void_p) for name in (
-        "cells", "offsets", "reached", "state", "marked", "truth", "fifo", "columns", "rows", "out")] + [
+    ] + [("points", ctypes.c_void_p), ("n", ctypes.c_int64)] + [(name, ctypes.c_void_p) for name in (
+        "next", "reached", "state", "marked", "truth", "fifo", "columns", "rows", "out")] + [
         ("room", ctypes.c_int64)
     ] + [(name, ctypes.c_void_p) for name in ("turn", "classes", "rotated")] + [
-        (name, ctypes.c_int64) for name in ("section", "loaded", "head", "tail", "coded", "emitted")
+        (name, ctypes.c_int64) for name in ("section", "loaded", "head", "tail", "coded", "emitted", "open")
     ]
 
 
-@dataclass(eq=False)
+def _address(a: np.ndarray | None) -> int | None:
+    return None if a is None else a.ctypes.data
+
+
 class Shell:
     """One shell's sweep, prepared by build_section and coded by code_section.
 
-    The maps are C-contiguous (nx, ny) arrays: occ as uint8, zmin and zmax
-    as int32. When encoding, cells holds the kernel's (column-major) slab
-    index of each true point, grouped by section: section y's are
-    cells[offsets[y] : offsets[y + 1]]. Entry i of cells is row order[i] of
-    the points, and reached[i], uint8, becomes 1 once the sweep reconstructs
-    it. buffers holds what the kernel codes in.
-    """
+    The maps of pair are C-contiguous (nx, ny) arrays: occ as uint8, zmin
+    and zmax as int32. When encoding, points holds the shell's (N, 3) rows
+    and next[x] the cursor of column x, which starts at the column's first
+    row (_column_starts) and passes each section's rows once the sweep has
+    flagged them: reached[i], uint8, becomes 1 once it reconstructs row i.
 
-    pair: DepthmapPair
-    dims: tuple[int, int, int]
-    cells: np.ndarray | None
-    offsets: np.ndarray | None
-    order: np.ndarray | None
-    reached: np.ndarray | None
-    buffers: _ShellBuffers = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.buffers = _ShellBuffers(self)
-
-
-class _ShellBuffers:
-    """The kernel's Shell struct over buffers this object keeps alive.
-
-    Two state slabs (known empty), one slab each of marks and true cells
-    (zero), all column-major with stride nz + 2; a slab of work-list room, a
+    struct is the kernel's Shell over buffers the shell keeps alive: two
+    state slabs (known empty), one slab each of marks and true cells (zero),
+    all column-major with stride nz + 2; a slab of work-list room, a
     section's occupied columns, the per-row counts of its start list, and
-    room for the reconstructed points. The encoder emits no points, only the
-    shell's reached flags, so it gets no room; the decoder's room starts at
-    two seeds per occupied column and grow() doubles it as needed.
+    room for the reconstructed points. The encoder emits no points, only
+    reached flags, so it gets no room; the decoder's room starts at two seeds
+    per occupied column and grow() doubles it as needed.
     """
 
-    def __init__(self, shell: Shell) -> None:
-        nx, ny, nz = shell.dims
+    def __init__(self, pair: DepthmapPair, dims, points: np.ndarray | None = None,
+                 starts: np.ndarray | None = None) -> None:
+        nx, ny, nz = dims
         slab = (nz + 2) * (nx + 2)
-        pair = shell.pair
+        encoding = points is not None
+        self.pair, self.points, self.next = pair, points, starts
+        self.reached = np.zeros(len(points), dtype=np.uint8) if encoding else None
         self.state = np.ones(2 * slab, dtype=np.uint8)
         self.marked = np.zeros(slab, dtype=np.uint8)
-        self.truth = None if shell.cells is None else np.zeros(slab, dtype=np.uint8)
+        self.truth = np.zeros(slab, dtype=np.uint8) if encoding else None
         self.fifo = np.empty(slab, dtype=np.int32)
         self.columns = np.empty(nx, dtype=np.int32)
         self.rows = np.zeros(nz + 2, dtype=np.int64)
-        room = 0 if shell.cells is not None else 2 * np.count_nonzero(pair.occ) + 2 * nx + 1
+        room = 0 if encoding else 2 * np.count_nonzero(pair.occ) + 2 * nx + 1
         self.out = np.empty((room, 3), dtype=np.int64)
         self.tables = tables = get_norm_tables()
-        cells = offsets = reached = None
-        if shell.cells is not None:
-            cells = shell.cells.ctypes.data
-            offsets = shell.offsets.ctypes.data
-            reached = shell.reached.ctypes.data
         self.struct = _Shell(
             pair.occ.ctypes.data, pair.zmin.ctypes.data, pair.zmax.ctypes.data, nx, ny, nz,
-            cells, offsets, reached, self.state.ctypes.data, self.marked.ctypes.data,
-            None if self.truth is None else self.truth.ctypes.data, self.fifo.ctypes.data,
+            _address(points), len(points) if encoding else 0, _address(starts), _address(self.reached),
+            self.state.ctypes.data, self.marked.ctypes.data, _address(self.truth), self.fifo.ctypes.data,
             self.columns.ctypes.data, self.rows.ctypes.data, self.out.ctypes.data, len(self.out),
             tables.alpha_star.ctypes.data, tables.class_index.ctypes.data, tables.rotated_binary.ctypes.data)
 
@@ -184,56 +171,34 @@ def build_section(pair: DepthmapPair, dims, points: np.ndarray | None = None) ->
     The maps are used in place when they already have the layout of Shell;
     a value that the coded types (uint8 occ, int32 zmin and zmax) cannot hold
     raises ValueError. The encoder passes the shell's (N, 3) points, which
-    give each section's true occupancy: _group sorts them by section, stably,
-    and the shell keeps that order to name the rows the sweep reached. A
-    point outside the dims raises ValueError.
+    give each section's true occupancy, strictly increasing in (x, y, z) and
+    each in the band of an occupied pixel, as are the points that the maps
+    were projected from; any other point raises ValueError (_column_starts).
     """
     nx, ny, nz = dims
     pair = DepthmapPair(_exact(pair.occ, np.uint8), _exact(pair.zmin, np.int32), _exact(pair.zmax, np.int32))
     if not pair.occ.shape == pair.zmin.shape == pair.zmax.shape == (nx, ny):
         raise ValueError("depth maps do not match the dims")
-    cells = offsets = order = reached = None
-    if points is not None:
-        cells, offsets, order = _group(points, (nx, ny, nz))
-        reached = np.zeros(len(cells), dtype=np.uint8)
-    return Shell(pair, (nx, ny, nz), cells, offsets, order, reached)
+    if points is None:
+        return Shell(pair, (nx, ny, nz))
+    points = _rows(points)
+    return Shell(pair, (nx, ny, nz), points, _column_starts(points, pair, (nx, ny, nz)))
 
 
-def _group(points, dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The slab cells of (N, 3) points grouped by section; returns (cells, offsets, order).
+def _column_starts(points, pair: DepthmapPair, dims) -> np.ndarray:
+    """The first row of each column of (N, 3) points: entry x is the first row whose x is x or more.
 
-    Section y's cells are cells[offsets[y] : offsets[y + 1]], and cells[j]
-    is row order[j] of the points, in the stable order by y, which the
-    kernel's group_rows makes by a counting sort. A point outside the dims
-    raises ValueError.
+    The kernel's column_starts takes them in one pass over the rows, which
+    refuses, with ValueError, a point outside the dims, one not above the
+    point before, or one outside the band of an occupied pixel of pair,
+    whose maps must have the layout of Shell.
     """
     nx, ny, nz = dims
     points = _rows(points)
-    n = len(points)
-    cells = np.empty(n, dtype=np.int64)
-    offsets = np.empty(ny + 1, dtype=np.int64)
-    order = np.empty(n, dtype=np.int64)
-    check_status(native().group_rows(points.ctypes.data, n, nx, ny, nz, offsets.ctypes.data, cells.ctypes.data,
-                                     order.ctypes.data))
-    return cells, offsets, order
-
-
-def _leftovers(points, reached) -> np.ndarray:
-    """The rows of (N, 3) points that reached does not list, in their order.
-
-    The kernel's leftover_rows copies them in one pass. A row index outside
-    0 .. N - 1 or listed twice raises ValueError.
-    """
-    points = _rows(points)
-    reached = _exact(reached, np.int64)
-    n, k = len(points), len(reached)
-    # More indices than rows must repeat one, which the kernel refuses
-    # before it writes out.
-    out = np.empty((max(n - k, 0), 3), dtype=np.int64)
-    dropped = np.empty(n, dtype=np.uint8)
-    check_status(native().leftover_rows(points.ctypes.data, n, reached.ctypes.data, k, dropped.ctypes.data,
-                                        out.ctypes.data))
-    return out
+    starts = np.empty(nx, dtype=np.int64)
+    check_status(native().column_starts(points.ctypes.data, len(points), nx, ny, nz, pair.occ.ctypes.data,
+                                        pair.zmin.ctypes.data, pair.zmax.ctypes.data, starts.ctypes.data))
+    return starts
 
 
 def code_section(
@@ -248,32 +213,32 @@ def code_section(
     Pass exactly one of encoder/decoder, built on tables; encoding needs a
     shell built with its points. Decoding, reached is the (N, 3)
     reconstructed points; encoding, it is the row indices of the points the
-    sweep reconstructed, grouped by section. Tables of fewer than
+    sweep reconstructed, in increasing order. Tables of fewer than
     SECTION_CONTEXTS entries, or a coder on other tables, raise ValueError
     before anything is coded. A shell is coded once.
     """
     if (encoder is None) == (decoder is None):
         raise ValueError("pass exactly one of encoder or decoder")
-    if encoder is not None and shell.cells is None:
+    if encoder is not None and shell.points is None:
         raise ValueError("encoding requires the shell's points")
     coder = encoder or decoder
     if coder.tables is not tables or len(tables.counts) < SECTION_CONTEXTS:
         raise ValueError("the coder must be built on tables that span every section context")
-    buffers = shell.buffers
-    sweep = buffers.struct
+    sweep = shell.struct
     if encoder is None:
-        sweep.cells = None
-        run(native().code_shell, coder, ctypes.byref(sweep), grow=buffers.grow)
-        return buffers.out[: sweep.emitted], sweep.coded
+        sweep.points = None
+        run(native().code_shell, coder, ctypes.byref(sweep), grow=shell.grow)
+        return shell.out[: sweep.emitted], sweep.coded
     run(native().code_shell, coder, ctypes.byref(sweep))
-    return shell.order[shell.reached.view(bool)], sweep.coded
+    return np.flatnonzero(shell.reached), sweep.coded
 
 
 def sweep_encode(points: np.ndarray, pair: DepthmapPair, dims, tables: CountTables,
                  encoder: RangeEncoder) -> tuple[np.ndarray, int]:
     """Encode all sections with an encoder built on tables; returns (rows of points reached, decision count).
 
-    The rows index points; the decoder reconstructs exactly those points.
+    The rows index points, in increasing order; the decoder reconstructs
+    exactly those points.
     """
     return code_section(build_section(pair, dims, points), tables, encoder=encoder)
 
@@ -292,9 +257,8 @@ def encode_shells(cloud, max_shells: int) -> tuple[list[tuple[CodedStream, Coded
 
     Each pass reconstructs the points reachable from its own depth surfaces;
     the next pass runs on the rows its sweep did not reach, copied in their
-    sorted order (_leftovers). Returns the per-shell payload pairs and the
-    sorted points no shell reached. The section count table persists across
-    shells.
+    sorted order. Returns the per-shell payload pairs and the sorted points
+    no shell reached. The section count table persists across shells.
     """
     dims = cloud.dims
     nz = dims[2]
@@ -307,20 +271,21 @@ def encode_shells(cloud, max_shells: int) -> tuple[list[tuple[CodedStream, Coded
         encoder = RangeEncoder(tables)
         reached, _ = sweep_encode(remaining, pair, dims, tables, encoder)
         shells.append((surface_stream, encoder.finish()))
-        remaining = _leftovers(remaining, reached)
+        keep = np.ones(len(remaining), dtype=bool)
+        keep[reached] = False
+        remaining = remaining.compress(keep, axis=0)
     return shells, remaining
 
 
-def decode_shells(shell_blobs: list[tuple[bytes, bytes]], dims) -> np.ndarray:
-    """Decode every shell's payload pair; returns their points, shell after shell."""
+def decode_shells(shell_blobs: list[tuple[bytes, bytes]], dims) -> list[np.ndarray]:
+    """Decode every shell's payload pair; returns each shell's (N, 3) points, shell after shell."""
     nx, ny, nz = dims
     tables = count_tables(SECTION_CONTEXTS)
-    chunks = [np.empty((0, 3), dtype=np.int64)]
+    shells = []
     for surface_blob, section_blob in shell_blobs:
         pair = decode_depthmaps(surface_blob, nx, ny, nz)
-        recon, _ = sweep_decode(pair, dims, tables, RangeDecoder(section_blob, tables))
-        chunks.append(recon)
-    return np.concatenate(chunks)
+        shells.append(sweep_decode(pair, dims, tables, RangeDecoder(section_blob, tables))[0])
+    return shells
 
 
 def encode_residual(points, dims) -> CodedStream:

@@ -285,14 +285,6 @@ def reference_sweep(points, pair, dims, tables):
     return reference_encode(labels, bits, tables), len(labels), reconstructed
 
 
-def reference_group(points, dims):
-    """sections._group by a stable argsort on y: (cells, offsets, order)."""
-    _, ny, nz = dims
-    order = np.argsort(points[:, 1], kind="stable")
-    rows = points[order]
-    return (rows[:, 0] + 1) * (nz + 2) + rows[:, 2] + 1, np.searchsorted(rows[:, 1], np.arange(ny + 1)), order
-
-
 def drop_by_key(points, dropped, dims) -> np.ndarray:
     """The rows of sorted, distinct (N, 3) points whose keys the (M, 3) dropped points do not hold.
 

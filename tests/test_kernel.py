@@ -25,7 +25,6 @@ from oracles import (
     brute_force_depthmaps,
     drop_by_key,
     reference_encode_depthmaps,
-    reference_group,
     reference_sweep,
     table_bytes,
 )
@@ -104,7 +103,7 @@ def test_kernel_refuses_section_buffers_that_break_their_layout(kernel):
     pair = DepthmapPair(np.ones((4, 1), np.uint8), np.zeros((4, 1), np.int32), np.full((4, 1), 5, np.int32))
     for fill in (7, 0):
         shell = build_section(pair, (4, 1, 6))
-        shell.buffers.state[:] = fill
+        shell.state[:] = fill
         with pytest.raises(ValueError, match="layout"):
             _decode_zeros(shell)
 
@@ -129,8 +128,7 @@ def test_kernel_refuses_a_label_past_the_coders_tables(kernel):
     short = count_tables(1)
     shell = build_section(_column_pair((1, 0, 5)), (1, 1, 6))
     with pytest.raises(ValueError, match="layout"):
-        rangecoder.run(kernel.code_shell, RangeDecoder(bytes(8), short), ctypes.byref(shell.buffers.struct),
-                       grow=shell.buffers.grow)
+        rangecoder.run(kernel.code_shell, RangeDecoder(bytes(8), short), ctypes.byref(shell.struct), grow=shell.grow)
     assert bytes(short.counts) == bytes(4)
 
 
@@ -142,7 +140,7 @@ def _assert_sweeps_match_the_oracle(cloud, name=""):
     """Code up to two shells of cloud on the kernel and on reference_sweep; returns the kernel's decisions.
 
     Per shell, the section bytes and decision counts are equal, and the
-    encoder's reached rows, one per point, are the decoder's and the
+    encoder's reached rows, in increasing order, are the decoder's and the
     oracle's reconstruction; the leftovers are the rows the oracle did not
     reconstruct. The tables carry their counts from shell to shell, so the
     last shell's hold every shell's updates, and are equal on all three
@@ -163,9 +161,10 @@ def _assert_sweeps_match_the_oracle(cloud, name=""):
         oracle_stream, oracle_n, oracle_points = reference_sweep(remaining, pair, dims, oracle_tables)
         assert stream == oracle_stream and n == dec_n == oracle_n, name
         rows = _point_set(remaining[reached])
-        assert len(rows) == len(reached) == len(recon) and rows == _point_set(recon) == oracle_points, name
+        assert (np.diff(reached) > 0).all() and len(reached) == len(recon), name
+        assert rows == _point_set(recon) == oracle_points, name
         expected = drop_by_key(remaining, sorted(oracle_points), dims)
-        remaining = sections._leftovers(remaining, reached)
+        remaining = np.delete(remaining, reached, axis=0)
         assert np.array_equal(remaining, expected), name
         decisions += n
     assert table_bytes(enc_tables) == table_bytes(dec_tables) == table_bytes(oracle_tables), name
@@ -188,13 +187,13 @@ def test_kernel_and_python_sweeps_agree_when_kernel_calls_resume(kernel, monkeyp
 
     def code_shell(state, shell):
         status = kernel.code_shell(state, shell)
-        if status == rangecoder.NEED_ROOM and shell._obj.cells:
+        if status == rangecoder.NEED_ROOM and shell._obj.points:
             stops.append((shell._obj.section, shell._obj.head))
         return status
 
-    # The shell's row passes run in the kernel as they are.
-    monkeypatch.setattr(sections, "native", lambda: SimpleNamespace(
-        code_shell=code_shell, group_rows=kernel.group_rows, leftover_rows=kernel.leftover_rows))
+    # The shell's row pass runs in the kernel as it is.
+    monkeypatch.setattr(sections, "native", lambda: SimpleNamespace(code_shell=code_shell,
+                                                                    column_starts=kernel.column_starts))
     rng = np.random.default_rng(79)
     for _ in range(4):
         points = []
@@ -210,7 +209,7 @@ def test_encoder_room_for_points_never_grows(kernel, monkeypatch):
     # The encoder emits no points, so it has no room to grow; the decoder of
     # a solid starts at two seeds per column and has to grow.
     grown = []
-    grow = sections._ShellBuffers.grow
+    grow = sections.Shell.grow
 
     def recording_grow(self):
         room = self.struct.room
@@ -218,7 +217,7 @@ def test_encoder_room_for_points_never_grows(kernel, monkeypatch):
         if self.struct.room != room:
             grown.append(self.struct.room)
 
-    monkeypatch.setattr(sections._ShellBuffers, "grow", recording_grow)
+    monkeypatch.setattr(sections.Shell, "grow", recording_grow)
     blob, _ = encode_cloud(shapes.solid_sphere(24, 10), permutation=0)
     assert not grown
     decode_cloud(blob)
@@ -252,10 +251,10 @@ def test_kernel_and_python_sweeps_agree_on_thin_dims(dims):
         _assert_sweeps_match_the_oracle(cloud, f"dims {cloud.dims}")
 
 
-def _row_passes(points, dims, reached):
-    """The projection's maps, the grouping's cells, offsets and order, and the leftovers, in the kernel."""
+def _row_passes(points, dims):
+    """The projection's maps and each column's first row, in the kernel."""
     pair = project_array(points, dims)
-    return [pair.occ, pair.zmin, pair.zmax, *sections._group(points, dims), sections._leftovers(points, reached)]
+    return [pair.occ, pair.zmin, pair.zmax, sections._column_starts(points, pair, dims)]
 
 
 def _reference_pair(points, dims) -> DepthmapPair:
@@ -272,20 +271,16 @@ def _reference_pair(points, dims) -> DepthmapPair:
     return DepthmapPair(occ, zmin, zmax)
 
 
-def _reference_row_passes(points, dims, reached):
-    """_row_passes from the oracles: brute_force_depthmaps, reference_group and drop_by_key."""
+def _reference_row_passes(points, dims):
+    """_row_passes from brute_force_depthmaps and a binary search of the rows' x."""
     pair = _reference_pair(points, dims)
-    return [pair.occ, pair.zmin, pair.zmax, *reference_group(points, dims), drop_by_key(points, points[reached], dims)]
+    return [pair.occ, pair.zmin, pair.zmax, np.searchsorted(points[:, 0], np.arange(dims[0]))]
 
 
 def _assert_row_passes_match_the_oracles(clouds):
-    rng = np.random.default_rng(31)
     for k, cloud in enumerate(clouds):
         points = cloud.to_array()
-        # Any share of the rows, in any order, as a sweep's reached rows come.
-        reached = rng.permutation(len(points))[: int(rng.integers(len(points) + 1))]
-        for a, b in zip(_row_passes(points, cloud.dims, reached),
-                        _reference_row_passes(points, cloud.dims, reached), strict=True):
+        for a, b in zip(_row_passes(points, cloud.dims), _reference_row_passes(points, cloud.dims), strict=True):
             assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), f"cloud {k}"
 
 
@@ -309,36 +304,34 @@ def _guarded(shape, dtype, fill):
     return raw, raw[_GUARD : _GUARD + size].view(dtype).reshape(shape)
 
 
-def _row_loops(kernel, points, dims, reached, fill):
-    """Each row loop's status and outputs, with outputs pre-filled with fill and guarded on both sides."""
+def _row_loops(kernel, points, dims, fill, pair=None):
+    """Each row loop's status and outputs, with outputs pre-filled with fill and guarded on both sides.
+
+    project_rows projects the points; column_starts checks them against
+    pair, by default the maps that project_rows wrote.
+    """
     nx, ny, nz = dims
     n = len(points)
     rows = np.ascontiguousarray(points, dtype=np.int64)
-    reached = np.ascontiguousarray(reached, dtype=np.int64)
     maps = [_guarded((nx, ny), np.uint8, fill), _guarded((nx, ny), np.int32, fill), _guarded((nx, ny), np.int32, fill)]
-    groups = [_guarded((ny + 1,), np.int64, fill), _guarded((n,), np.int64, fill), _guarded((n,), np.int64, fill)]
-    rest = [_guarded((n,), np.uint8, fill), _guarded((max(n - len(reached), 0), 3), np.int64, fill)]
-    statuses = [kernel.project_rows(rows.ctypes.data, n, nx, ny, nz, *(b.ctypes.data for _, b in maps)),
-                kernel.group_rows(rows.ctypes.data, n, nx, ny, nz, *(b.ctypes.data for _, b in groups)),
-                kernel.leftover_rows(rows.ctypes.data, n, reached.ctypes.data, len(reached),
-                                     *(b.ctypes.data for _, b in rest))]
-    for raw, _ in maps + groups + rest:
+    starts = _guarded((nx,), np.int64, fill)
+    statuses = [kernel.project_rows(rows.ctypes.data, n, nx, ny, nz, *(b.ctypes.data for _, b in maps))]
+    pair = pair or DepthmapPair(*(b for _, b in maps))
+    statuses.append(kernel.column_starts(rows.ctypes.data, n, nx, ny, nz, pair.occ.ctypes.data,
+                                         pair.zmin.ctypes.data, pair.zmax.ctypes.data, starts[1].ctypes.data))
+    for raw, _ in maps + [starts]:
         assert (raw[:_GUARD] == fill).all() and (raw[len(raw) - _GUARD :] == fill).all()
-    # In _row_passes' order: group_rows takes offsets before cells, and the
-    # dropped-row flags are leftover_rows' scratch, not an output.
-    (_, offsets), (_, cells), (_, order) = groups
-    return statuses, [out for _, out in maps] + [cells, offsets, order, rest[1][1]]
+    return statuses, [out for _, out in maps + [starts]]
 
 
 def test_row_loops_fill_every_output_byte_and_write_nothing_past_them(kernel):
     # Outputs full of 0xA5 come out as zeroed ones do, and as the oracles'.
     cloud = shapes.nested_hollow_spheres(24, (10, 5))
     points = cloud.to_array()
-    reached = np.random.default_rng(4).permutation(len(points))[: len(points) // 3]
-    expected = _reference_row_passes(points, cloud.dims, reached)
+    expected = _reference_row_passes(points, cloud.dims)
     for fill in (0, 0xA5):
-        statuses, outputs = _row_loops(kernel, points, cloud.dims, reached, fill)
-        assert statuses == [0, 0, 0]
+        statuses, outputs = _row_loops(kernel, points, cloud.dims, fill)
+        assert statuses == [0, 0]
         for a, b in zip(outputs, expected, strict=True):
             assert np.array_equal(a, b)
 
@@ -348,23 +341,18 @@ _ROWS = np.array([[0, 0, 0], [0, 0, 5], [1, 4, 2], [3, 2, 1], [3, 2, 3]])
 
 
 @pytest.mark.parametrize("row, refused", [
-    ((4, 0, 0), "project, group"), ((3, 5, 0), "project, group"), ((3, 4, 6), "project, group"),
-    ((-1, 0, 0), "project, group"), ((3, -1, 0), "project, group"), ((3, 4, -1), "project, group"),
-    ((3, 2, 3), "project"), ((3, 2, 2), "project"), ((3, 1, 5), "project"), ((2, 4, 5), "project"),
+    ((4, 0, 0), "project, starts"), ((3, 5, 0), "project, starts"), ((3, 4, 6), "project, starts"),
+    ((-1, 0, 0), "project, starts"), ((3, -1, 0), "project, starts"), ((3, 4, -1), "project, starts"),
+    ((3, 2, 3), "project, starts"), ((3, 2, 2), "project, starts"), ((3, 1, 5), "project, starts"),
+    ((2, 4, 5), "project, starts"), ((3, 2, 4), "starts"), ((3, 3, 0), "starts"),
 ], ids=["x-at-nx", "y-at-ny", "z-at-nz", "x-negative", "y-negative", "z-negative", "repeated", "z-out-of-order",
-        "y-out-of-order", "x-out-of-order"])
+        "y-out-of-order", "x-out-of-order", "out-of-band", "empty-column"])
 def test_row_loops_refuse_a_bad_row_before_writing_past_their_outputs(kernel, row, refused):
-    # Each bad row comes last, so the loops have written every row before it.
+    # Each bad row comes last, so the loops have taken every row before it;
+    # column_starts checks the rows against _ROWS' own maps.
     points = np.vstack((_ROWS, [row]))
-    statuses, _ = _row_loops(kernel, points, _DIMS, [], 0xA5)
-    assert statuses[:2] == [rangecoder.BAD_LAYOUT if name in refused else 0 for name in ("project", "group")]
-
-
-@pytest.mark.parametrize("reached", [[1, 5], [1, -1], [1, 3, 1], [0, 1, 2, 3, 4, 0]],
-                         ids=["index-at-n", "index-negative", "index-repeated", "more-indices-than-rows"])
-def test_leftover_loop_refuses_a_bad_row_index_before_writing_past_its_output(kernel, reached):
-    statuses, _ = _row_loops(kernel, _ROWS, _DIMS, reached, 0xA5)
-    assert statuses == [0, 0, rangecoder.BAD_LAYOUT]
+    statuses, _ = _row_loops(kernel, points, _DIMS, 0xA5, project_array(_ROWS, _DIMS))
+    assert statuses == [rangecoder.BAD_LAYOUT if name in refused else 0 for name in ("project", "starts")]
 
 
 class _StopRecorder:

@@ -236,7 +236,7 @@ def test_coders_refuse_anything_but_count_tables():
 def test_a_context_outside_the_tables_raises_after_the_pairs_before_it(bad):
     # Four contexts: -1 and 4 (the table's length) lie outside on either end.
     enc = RangeEncoder(count_tables(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside the coder's tables"):
         enc.encode_many([1, 2, bad, 3], [1, 0, 1, 1])
     ref = RangeEncoder(count_tables(4))
     ref.encode_many([1, 2], [1, 0])
@@ -245,7 +245,7 @@ def test_a_context_outside_the_tables_raises_after_the_pairs_before_it(bad):
     assert stream == ref.finish()
     dec = RangeDecoder(stream, count_tables(4))
     assert [dec.decode(1), dec.decode(2)] == [1, 0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside the coder's tables"):
         dec.decode(bad)
     assert table_bytes(dec.tables) == table_bytes(ref.tables)
 

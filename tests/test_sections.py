@@ -70,9 +70,8 @@ def _loaded_section(pair, nz):
     tables = count_tables(SECTION_CONTEXTS)
     shell = build_section(pair, (nx, 1, nz), np.array(seeds, np.int64).reshape(-1, 3))
     _, coded = code_section(shell, tables, encoder=_coder(tables))
-    buffers = shell.buffers
-    assert not buffers.marked.any()
-    return buffers.state[: (nz + 2) * (nx + 2)], buffers.fifo[: buffers.struct.tail].tolist(), coded
+    assert not shell.marked.any()
+    return shell.state[: (nz + 2) * (nx + 2)], shell.fifo[: shell.struct.tail].tolist(), coded
 
 
 def test_build_section_empty_column():
@@ -333,7 +332,7 @@ def test_shells_nested_cubes_two_shells_no_residual():
     assert len(streams) == 2
     assert len(residual) == 0
     blobs = [(a.data, b.data) for a, b in streams]
-    assert _point_set(decode_shells(blobs, cloud.dims)) == set(cloud.points)
+    assert _point_set(np.concatenate(decode_shells(blobs, cloud.dims))) == set(cloud.points)
 
 
 def test_shells_triple_nested_overflows_to_residual():
@@ -342,7 +341,7 @@ def test_shells_triple_nested_overflows_to_residual():
     assert len(streams) == 2
     assert len(residual) > 0
     blobs = [(a.data, b.data) for a, b in streams]
-    decoded = _point_set(decode_shells(blobs, cloud.dims))
+    decoded = _point_set(np.concatenate(decode_shells(blobs, cloud.dims)))
     assert decoded | _point_set(residual) == set(cloud.points)
     assert decoded.isdisjoint(_point_set(residual))
 
@@ -351,10 +350,8 @@ def test_shells_are_disjoint_point_sets():
     cloud = shapes.nested_hollow_cubes(32, (2, 9))
     streams, _ = encode_shells(cloud, 2)
     blobs = [(a.data, b.data) for a, b in streams]
-    first = _point_set(decode_shells(blobs[:1], cloud.dims))
-    both = _point_set(decode_shells(blobs, cloud.dims))
-    assert first <= both
-    second = both - first
+    first, second = map(_point_set, decode_shells(blobs, cloud.dims))
+    assert _point_set(decode_shells(blobs[:1], cloud.dims)[0]) == first
     assert first.isdisjoint(second) and second
 
 
@@ -392,25 +389,32 @@ def test_grouping_refuses_a_row_outside_the_dims(path, row):
         build_section(pair, _DIMS, np.vstack((_ROWS, [row])))
 
 
-def test_grouping_keeps_repeated_and_unsorted_rows_in_their_order(path):
-    points = np.vstack((_ROWS, [(3, 2, 3), (0, 2, 1)]))
-    shell = build_section(project_array(_ROWS, _DIMS), _DIMS, points)
-    assert shell.order.tolist() == [0, 1, 3, 4, 5, 6, 2]
-    assert shell.offsets.tolist() == [0, 2, 2, 6, 6, 7]
-    assert shell.cells.tolist() == [(x + 1) * 8 + z + 1 for x, _, z in points[shell.order].tolist()]
-
-
-@pytest.mark.parametrize("reached", [[1, 5], [1, -1], [1, 3, 1], [0, 1, 2, 3, 4, 0]],
-                         ids=["index-at-n", "index-negative", "index-repeated", "more-indices-than-rows"])
-def test_leftovers_refuse_a_bad_row_index(path, reached):
-    with pytest.raises(ValueError, match="layout"):
-        sections._leftovers(_ROWS, np.array(reached))
+def test_grouping_refuses_repeated_unsorted_out_of_band_and_empty_column_rows(path):
+    # Every row lies inside the dims. _ROWS' maps give pixel (3, 2) the band
+    # 1 .. 3 and pixel (3, 3) none: a repeated row, one out of order, one
+    # above and one below its band, and one in an empty column.
+    pair = project_array(_ROWS, _DIMS)
+    bad = [np.vstack((_ROWS, [row])) for row in ((3, 2, 3), (0, 2, 1), (3, 2, 4), (3, 3, 0))]
+    bad.append(np.insert(_ROWS, 3, (3, 2, 0), axis=0))
+    for k, points in enumerate(bad):
+        tables = count_tables(SECTION_CONTEXTS)
+        encoder = _coder(tables)
+        with pytest.raises(ValueError, match="layout"):
+            sweep_encode(points, pair, _DIMS, tables, encoder)
+        assert len(tables) == 0 and encoder.finish() == _coder(count_tables(SECTION_CONTEXTS)).finish(), k
 
 
 def test_leftovers_keep_the_unlisted_rows_in_order(path):
-    assert sections._leftovers(_ROWS, np.array([3, 0])).tolist() == _ROWS[[1, 2, 4]].tolist()
-    assert sections._leftovers(_ROWS, np.array([], np.int64)).tolist() == _ROWS.tolist()
-    assert sections._leftovers(_ROWS, np.arange(5)[::-1]).shape == (0, 3)
+    # A single shell leaves the rows its sweep did not reach to the residual,
+    # in their order: 2,184 of the triple-nested spheres' 7,088 points.
+    cloud = shapes.nested_hollow_spheres(48, (20, 12, 5))
+    points = cloud.to_array()
+    pair = project_array(points, cloud.dims)
+    tables = count_tables(SECTION_CONTEXTS)
+    reached, _ = sweep_encode(points, pair, cloud.dims, tables, _coder(tables))
+    _, residual = encode_shells(cloud, 1)
+    assert 0 < len(residual) < len(points)
+    assert np.array_equal(residual, points[np.setdiff1d(np.arange(len(points)), reached)])
 
 
 def test_each_shell_is_built_and_coded_in_one_call_each(monkeypatch):
