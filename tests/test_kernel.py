@@ -316,7 +316,8 @@ def _row_loops(kernel, points, dims, fill, pair=None):
     maps = [_guarded((nx, ny), np.uint8, fill), _guarded((nx, ny), np.int32, fill), _guarded((nx, ny), np.int32, fill)]
     starts = _guarded((nx,), np.int64, fill)
     statuses = [kernel.project_rows(rows.ctypes.data, n, nx, ny, nz, *(b.ctypes.data for _, b in maps))]
-    pair = pair or DepthmapPair(*(b for _, b in maps))
+    if pair is None:
+        pair = DepthmapPair(*(b for _, b in maps))
     statuses.append(kernel.column_starts(rows.ctypes.data, n, nx, ny, nz, pair.occ.ctypes.data,
                                          pair.zmin.ctypes.data, pair.zmax.ctypes.data, starts[1].ctypes.data))
     for raw, _ in maps + [starts]:
