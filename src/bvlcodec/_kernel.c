@@ -11,8 +11,9 @@
  * encoded, or decoded and stored. They are the codec's only coding loops;
  * the Python reference coders of tests/oracles.py check them decision for
  * decision. A fourth, code_bits, codes given (context, bit) pairs for
- * RangeEncoder.encode_many and RangeDecoder.decode. Every buffer is
- * allocated and sized by the caller. An encoding loop that would need more
+ * RangeEncoder.encode_many and RangeDecoder.decode, and finish_bits ends an
+ * encoder's bits for RangeEncoder.finish. Every buffer is allocated and
+ * sized by the caller. An encoding loop that would need more
  * room than it was given stops before touching the pixel or cell it is on,
  * saves where it stands and returns NEED_ROOM; rangecoder.run grows the
  * buffers and calls it again. code_shell's slabs are column-major (stride nz + 2), so a
@@ -47,20 +48,23 @@ enum {
 };
 
 /* One coder. The encoder keeps its pending bit count in `extra` and writes
- * bits at `pos`; the decoder keeps its code value in `extra` and reads bits
- * at `pos`. Bits are unpacked, one byte per bit. */
+ * bit `pos`; the decoder keeps its code value in `extra` and reads bit `pos`.
+ * Bits are packed, MSB first, as the container stores them. */
 typedef struct {
     int64_t low, high, extra, pos;
-    uint8_t *bits;
-    int64_t size;          /* bytes readable (decoder) or writable (encoder) at bits */
+    uint8_t *bits;         /* encoding: zero past bit pos */
+    int64_t size;          /* bits readable (decoder) or writable (encoder) at bits */
     uint32_t *counts;      /* one c0 | c1 << 16 entry per context; a zero entry codes as FIRST_USE */
     int64_t contexts;      /* entries of counts */
 } Coder;
 
+/* bit, then its extra pending inversions, written from pos on. The bits there
+ * are zero, so only the ones are set: bit itself, or else its inversions. */
 static inline void emit(Coder *c, int bit) {
-    c->bits[c->pos++] = (uint8_t)bit;
-    memset(c->bits + c->pos, !bit, (size_t)c->extra);
-    c->pos += c->extra;
+    int64_t first = c->pos + !bit, end = bit ? c->pos + 1 : c->pos + c->extra + 1;
+    for (int64_t pos = first; pos < end; pos++)
+        c->bits[pos >> 3] |= (uint8_t)(0x80 >> (pos & 7));
+    c->pos += c->extra + 1;
     c->extra = 0;
 }
 
@@ -130,7 +134,8 @@ static inline int decode_bit(Coder *c, int64_t ctx) {
             return TRUNCATED;
         low <<= 1;
         high = (high << 1) | 1;
-        code = (code << 1) | c->bits[pos++];
+        code = (code << 1) | (c->bits[pos >> 3] >> (7 - (pos & 7)) & 1);
+        pos++;
     }
     if (bit)
         c1++;
@@ -155,10 +160,10 @@ typedef struct {
 } Cursor;
 
 /* An encoded decision writes at most its pending bits plus 18 (an interval
- * of at least 2^30 keeps at least 2^-16 of itself), so 64 spare bytes
+ * of at least 2^30 keeps at least 2^-16 of itself), so 64 spare bits
  * always suffice for the next one. The room one pixel of the surfaces may
  * need: two residuals of at most MAX_PREFIX prefix bins, a one and
- * MAX_PREFIX suffix bits each, plus those 64 spare bytes. */
+ * MAX_PREFIX suffix bits each, plus those 64 spare bits. */
 #define PIXEL_ROOM (64 + 18 * 2 * (2 * MAX_PREFIX + 1))
 
 /* Encode bit under ctx and return it, or decode a bit (TRUNCATED past the end). */
@@ -184,6 +189,18 @@ int64_t code_bits(Coder *c, int64_t *done, const int64_t *contexts, uint8_t *bit
             return bit;
         bits[i] = (uint8_t)bit;
     }
+    return DONE;
+}
+
+/* The end of an encoder's bits: one more bit, then its extra + 1
+ * inversions, pin a value inside the final interval; the zero bits after
+ * them are what the decoder reads past the payload. NEED_ROOM, with nothing
+ * written, when they do not fit. */
+int64_t finish_bits(Coder *c) {
+    if (c->pos + c->extra + 2 > c->size)
+        return NEED_ROOM;
+    c->extra++;
+    emit(c, c->low >= QUARTER);
     return DONE;
 }
 

@@ -14,16 +14,18 @@ is zero. Encoder and decoder apply the identical count update after each
 symbol, which keeps both tables bit-for-bit in sync. Counts stay at or below
 RESCALE_LIMIT - 1, so each half of an entry holds its count exactly.
 
-Termination: finish() emits a single disambiguating bit (plus any pending
-carry bits) and zero-pads the last byte. The decoder treats reads past the
-payload as zeros, which is exactly what the padding would have been, so every
-encoded symbol resolves without storing the symbol count in the stream.
+Termination: finish() has the kernel's finish_bits write a single
+disambiguating bit (plus any pending carry bits); the last byte is zero
+padded. The decoder treats reads past the payload as zeros, which is exactly
+what the padding would have been, so every encoded symbol resolves without
+storing the symbol count in the stream.
 
-Each coder owns its bits, buffered unpacked, one byte per bit, MSB first:
-the encoder writes into a bytearray that grows by doubling and that
-np.packbits packs once in finish(), and the decoder indexes the
-np.unpackbits expansion of its payload followed by 64 zero bits. A read past
-those zero bits, possible only on corrupt input, raises TruncatedStreamError.
+Each coder owns its bits, packed MSB first as the container stores them,
+with the kernel's pos and size counting bits: the encoder sets them in a
+zeroed bytearray that grows by doubling, whose whole bytes finish() returns,
+and the decoder reads a copy of its payload followed by 8 zero bytes, 64
+zero bits. A read past those zero bits, possible only on corrupt input,
+raises TruncatedStreamError.
 
 The coding loops run natively: _kernel.c holds the coder and one loop per
 stream that both sides share (code_mask, code_surfaces and code_shell),
@@ -59,7 +61,6 @@ from .errors import BitstreamError, TruncatedStreamError
 
 _STATE_BITS = 32
 _FULL = 1 << _STATE_BITS
-_QUARTER = _FULL >> 2
 
 # Counts are halved (rounding up) once their sum would exceed this, keeping
 # the estimator responsive on nonstationary data. Must stay far below the
@@ -80,6 +81,7 @@ _SIGNATURES = {
     "column_starts": (_P, _I, _I, _I, _I, _P, _P, _P, _P),
     "normalize_rows": (_P, _I, _I, _I, _P),
     "code_bits": (_P, _P, _P, _P, _I, _I),
+    "finish_bits": (_P,),
 }
 # The room in bits that each call into a kernel loop starts with when
 # encoding; run() doubles it whenever a loop stops for more.
@@ -264,8 +266,8 @@ class RangeEncoder:
 
     def __init__(self, tables: CountTables) -> None:
         # The coder's state is the kernel's struct (extra counts the pending
-        # bits); _bits[:pos] are the bits written so far, and the kernel may
-        # write up to size bytes. size 0 marks the address stale.
+        # bits); the first pos bits of _bits are the bits written so far, the
+        # rest are zero, and the kernel may write up to size bits.
         self._state = _coder_state(tables, 0, _FULL - 1, 0, 0, None, 0)
         self.tables = tables
         self._bits = bytearray()
@@ -276,13 +278,12 @@ class RangeEncoder:
         The kernel updates the state in place.
         """
         state = self._state
-        need = state.pos + state.extra + 64 + room
-        if need > state.size:
+        need = (state.pos + state.extra + 64 + room + 7) // 8
+        if 8 * need > state.size:
             bits = self._bits
-            del bits[state.pos :]
             bits += bytes(max(need, 2 * len(bits)) - len(bits))
             state.bits = address(bits)
-            state.size = len(bits)
+            state.size = 8 * len(bits)
         return state
 
     def encode_many(self, contexts: Iterable[int], bits: Iterable[int]) -> None:
@@ -303,20 +304,10 @@ class RangeEncoder:
             raise ValueError("contexts and bits differ in length")
 
     def finish(self) -> CodedStream:
-        # One more bit, followed by its pending inversions, pins a value
-        # inside the final interval; the byte padding after it is zeros,
-        # matching what the decoder reads past the end of the payload.
-        state = self._state
-        bits = self._bits
-        del bits[state.pos :]
-        state.size = 0
-        bit = 0 if state.low < _QUARTER else 1
-        bits.append(bit)
-        bits += bytes([bit ^ 1]) * (state.extra + 1)
-        state.extra = 0
-        state.pos = len(bits)
-        packed = np.packbits(np.frombuffer(bits, dtype=np.uint8)).tobytes()
-        return CodedStream(packed, len(bits))
+        """The stream, ended by the kernel's finish_bits and zero padded to whole bytes."""
+        run(native().finish_bits, self)
+        pos = self._state.pos
+        return CodedStream(bytes(self._bits[: (pos + 7) // 8]), pos)
 
 
 class RangeDecoder:
@@ -327,12 +318,11 @@ class RangeDecoder:
     def __init__(self, data: bytes | CodedStream, tables: CountTables) -> None:
         if isinstance(data, CodedStream):
             data = data.data
-        packed = np.frombuffer(data, dtype=np.uint8)
-        self._bits = bytearray(8 * packed.size + 64)
-        np.frombuffer(self._bits, dtype=np.uint8)[: 8 * packed.size] = np.unpackbits(packed)
+        self._bits = bits = bytearray(data)
+        bits += bytes(8)
         # The code value starts as the first 32 bits, read past the payload as zeros.
-        code = int.from_bytes(bytes(packed[:4]).ljust(4, b"\0"), "big")
-        self._state = _coder_state(tables, 0, _FULL - 1, code, _STATE_BITS, address(self._bits), len(self._bits))
+        code = int.from_bytes(bits[:4], "big")
+        self._state = _coder_state(tables, 0, _FULL - 1, code, _STATE_BITS, address(bits), 8 * len(bits))
         self.tables = tables
         # decode() codes one decision through these one-item arrays, so that
         # a call allocates nothing; a context past int64 raises OverflowError.

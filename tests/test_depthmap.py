@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bvlcodec import VoxelCloud, rangecoder
+from bvlcodec import VoxelCloud
 from bvlcodec.depthmap import DepthmapPair, decode_depthmaps, encode_depthmaps, project_array
 from bvlcodec.rangecoder import RangeDecoder, count_tables
 
@@ -178,12 +178,6 @@ def _reference_cases():
 _REFERENCE_CASES = [pytest.param(pair, nz, id=name) for name, pair, nz in _reference_cases()]
 
 
-@pytest.fixture(params=["kernel"])
-def path(request):
-    """The native kernel, the codec's one path, named in the test's id."""
-    return rangecoder.native()
-
-
 @pytest.mark.parametrize("pair,nz", _REFERENCE_CASES)
 def test_encoder_matches_the_scalar_reference(pair, nz):
     stream = encode_depthmaps(pair, nz)
@@ -192,7 +186,7 @@ def test_encoder_matches_the_scalar_reference(pair, nz):
 
 
 @pytest.mark.parametrize("pair,nz", _REFERENCE_CASES)
-def test_python_loops_match_the_scalar_reference(pair, nz):
+def test_range_decoder_reads_reference_depthmap_decisions(pair, nz):
     # RangeDecoder.decode, one decision per kernel call (the self-test codes
     # through it), reads the reference's bits from the depth-map loops'
     # stream on the reference's contexts, count rescaling included: the
@@ -208,7 +202,7 @@ def test_python_loops_match_the_scalar_reference(pair, nz):
     ([[1, 0], [1, 1]], [[2, 0], [8, 1]], [[3, 0], [8, 1]]),
     ([[1, 2], [0, 1]], [[2, 3], [0, 1]], [[3, 3], [0, 1]]),
 ], ids=["zmax-below-zmin", "zmin-at-nz", "occ-byte-2"])
-def test_encoder_refuses_malformed_maps(path, occ, zmin, zmax):
+def test_encoder_refuses_malformed_maps(occ, zmin, zmax):
     pair = DepthmapPair(*(np.array(a, dtype) for a, dtype in ((occ, np.uint8), (zmin, np.int32),
                                                                 (zmax, np.int32))))
     with pytest.raises(ValueError, match="layout"):
@@ -238,7 +232,7 @@ def test_encode_peak_memory_follows_the_block_not_the_map():
     assert peak <= 1.25 * _PIXEL_LOOP_PEAK_BYTES
 
 
-def test_encoder_refuses_values_its_maps_cannot_hold(path):
+def test_encoder_refuses_values_its_maps_cannot_hold():
     # Cast to uint8 and int32, these would code as an occ byte of 1 and a zmin of 1.
     occ = np.ones((2, 2), np.int64)
     z = np.full((2, 2), 3, np.int64)
@@ -253,7 +247,7 @@ def test_encoder_refuses_values_its_maps_cannot_hold(path):
     assert _pairs_equal(narrow, decode_depthmaps(encode_depthmaps(narrow, 8).data, 2, 2, 8))
 
 
-def test_encoder_refuses_a_residual_longer_than_the_decoder_reads(path):
+def test_encoder_refuses_a_residual_longer_than_the_decoder_reads():
     # The first low is predicted as nz // 2: with nz = 2^50 its residual
     # needs 50 prefix bins, and the decoder stops at 48.
     with pytest.raises(ValueError, match="layout"):

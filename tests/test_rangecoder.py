@@ -274,9 +274,10 @@ def _reference_sequences():
 @pytest.mark.parametrize("contexts,bits", [pytest.param(c, b, id=name) for name, c, b in _reference_sequences()])
 def test_kernel_coder_matches_the_reference_coder_when_it_stops_for_room(contexts, bits, monkeypatch):
     # With room for one bit at first, the kernel's calls stop for room and
-    # resume mid-sequence.
+    # resume mid-sequence; finish_bits then ends the stream the reference ends.
     kernel = rangecoder.native()
     stops = []
+    finishes = []
 
     def code_bits(state, done, *args):
         status = kernel.code_bits(state, done, *args)
@@ -284,8 +285,12 @@ def test_kernel_coder_matches_the_reference_coder_when_it_stops_for_room(context
             stops.append(ctypes.c_int64.from_address(done).value)
         return status
 
+    def finish_bits(state):
+        finishes.append(kernel.finish_bits(state))
+        return finishes[-1]
+
     monkeypatch.setattr(rangecoder, "_BITS_ROOM", 1)
-    monkeypatch.setattr(rangecoder, "native", lambda: SimpleNamespace(code_bits=code_bits))
+    monkeypatch.setattr(rangecoder, "native", lambda: SimpleNamespace(code_bits=code_bits, finish_bits=finish_bits))
     enc = RangeEncoder(count_tables(64))
     enc.encode_many(contexts, bits)
     stream = enc.finish()
@@ -293,7 +298,23 @@ def test_kernel_coder_matches_the_reference_coder_when_it_stops_for_room(context
     assert stream == reference_encode(contexts, bits, ref_tables)
     assert table_bytes(enc.tables) == table_bytes(ref_tables)
     assert stops and all(0 < k < len(bits) for k in stops)
+    assert finishes == [0]
     monkeypatch.undo()
     dec = RangeDecoder(stream, count_tables(64))
     assert [dec.decode(ctx) for ctx in contexts] == bits
     assert table_bytes(dec.tables) == table_bytes(ref_tables)
+
+
+@pytest.mark.parametrize("low,bit", [(0, 0), (1 << 30, 1)], ids=["low-below-a-quarter", "low-at-a-quarter"])
+def test_finish_bits_writes_nothing_until_the_termination_fits(low, bit):
+    # Bits 101 written and 5 pending: the termination is one bit and 6
+    # inversions, so room for 3 + 5 + 1 bits is one short.
+    bits = bytearray(b"\xa0\x00")
+    state = rangecoder._coder_state(count_tables(1), low, (1 << 32) - 1, 5, 3, rangecoder.address(bits), 9)
+    finish_bits = rangecoder.native().finish_bits
+    assert finish_bits(ctypes.byref(state)) == rangecoder.NEED_ROOM
+    assert (bits, state.low, state.pos, state.extra) == (b"\xa0\x00", low, 3, 5)
+    state.size = 10
+    assert finish_bits(ctypes.byref(state)) == 0
+    ended = "101" + str(bit) + str(1 - bit) * 6 + "000000"
+    assert (bits, state.pos, state.extra) == (int(ended, 2).to_bytes(2, "big"), 10, 0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bvlcodec import rangecoder, sections
+from bvlcodec import sections
 from bvlcodec.depthmap import DepthmapPair, project_array
 from bvlcodec.errors import BitstreamError, TruncatedStreamError
 from bvlcodec.rangecoder import RangeDecoder, RangeEncoder, count_tables
@@ -28,12 +28,6 @@ from oracles import (
     slab_cells,
     table_bytes,
 )
-
-
-@pytest.fixture(params=["kernel"])
-def path(request):
-    """The native kernel, the codec's one path, named in the test's id."""
-    return rangecoder.native()
 
 
 def _coder(tables, stream=None):
@@ -286,7 +280,7 @@ def test_sweep_hollow_sphere_exact_in_one_shell():
 
 
 @pytest.mark.parametrize("field,value", [("occ", 257), ("zmin", 2**32 + 1)])
-def test_sweep_refuses_map_values_the_coded_types_cannot_hold(path, field, value):
+def test_sweep_refuses_map_values_the_coded_types_cannot_hold(field, value):
     # Cast to uint8 and int32, both values would wrap to 1 and give a valid
     # map that codes the wrong value.
     maps = {"occ": np.ones((2, 2), np.int64), "zmin": np.zeros((2, 2), np.int64), "zmax": np.full((2, 2), 3, np.int64)}
@@ -299,7 +293,7 @@ def test_sweep_refuses_map_values_the_coded_types_cannot_hold(path, field, value
     assert len(tables) == 0
 
 
-def test_code_section_refuses_tables_that_do_not_span_the_section_contexts(path):
+def test_code_section_refuses_tables_that_do_not_span_the_section_contexts():
     cloud = shapes.solid_cube(16, 2, 14)
     points = cloud.to_array()
     pair = project_array(points, cloud.dims)
@@ -355,7 +349,7 @@ def test_shells_are_disjoint_point_sets():
     assert first.isdisjoint(second) and second
 
 
-def test_shell_leftovers_match_the_key_search(path):
+def test_shell_leftovers_match_the_key_search():
     # Each cloud may take up to two shells; about a quarter of the fuzz suite
     # takes both, some of those with a residual.
     clouds = [cloud for _, cloud in shapes.fuzz_suite()]
@@ -377,19 +371,19 @@ _OUTSIDE_IDS = ["x-at-nx", "y-at-ny", "z-at-nz", "x-negative", "y-negative", "z-
 
 @pytest.mark.parametrize("row", _OUTSIDE + [(3, 2, 3), (3, 2, 2), (3, 1, 5), (2, 4, 5)],
                          ids=_OUTSIDE_IDS + ["repeated", "z-out-of-order", "y-out-of-order", "x-out-of-order"])
-def test_projection_refuses_a_row_outside_the_dims_or_out_of_order(path, row):
+def test_projection_refuses_a_row_outside_the_dims_or_out_of_order(row):
     with pytest.raises(ValueError, match="layout"):
         project_array(np.vstack((_ROWS, [row])), _DIMS)
 
 
 @pytest.mark.parametrize("row", _OUTSIDE, ids=_OUTSIDE_IDS)
-def test_grouping_refuses_a_row_outside_the_dims(path, row):
+def test_grouping_refuses_a_row_outside_the_dims(row):
     pair = project_array(_ROWS, _DIMS)
     with pytest.raises(ValueError, match="layout"):
         build_section(pair, _DIMS, np.vstack((_ROWS, [row])))
 
 
-def test_grouping_refuses_repeated_unsorted_out_of_band_and_empty_column_rows(path):
+def test_grouping_refuses_repeated_unsorted_out_of_band_and_empty_column_rows():
     # Every row lies inside the dims. _ROWS' maps give pixel (3, 2) the band
     # 1 .. 3 and pixel (3, 3) none: a repeated row, one out of order, one
     # above and one below its band, and one in an empty column.
@@ -404,7 +398,7 @@ def test_grouping_refuses_repeated_unsorted_out_of_band_and_empty_column_rows(pa
         assert len(tables) == 0 and encoder.finish() == _coder(count_tables(SECTION_CONTEXTS)).finish(), k
 
 
-def test_leftovers_keep_the_unlisted_rows_in_order(path):
+def test_leftovers_keep_the_unlisted_rows_in_order():
     # A single shell leaves the rows its sweep did not reach to the residual,
     # in their order: 2,184 of the triple-nested spheres' 7,088 points.
     cloud = shapes.nested_hollow_spheres(48, (20, 12, 5))
