@@ -186,7 +186,7 @@ def test_encoder_matches_the_scalar_reference(pair, nz):
 
 
 @pytest.mark.parametrize("pair,nz", _REFERENCE_CASES)
-def test_range_decoder_reads_reference_depthmap_decisions(pair, nz):
+def test_python_loops_match_the_scalar_reference(pair, nz):
     # RangeDecoder.decode, one decision per kernel call (the self-test codes
     # through it), reads the reference's bits from the depth-map loops'
     # stream on the reference's contexts, count rescaling included: the

@@ -83,7 +83,7 @@ def _reference_container(cloud, permutation):
     return container._assemble(permutation, dims, shells, sections.encode_residual(remaining, dims))
 
 
-def test_containers_are_byte_identical_to_the_reference_container():
+def test_containers_are_byte_identical_on_both_paths():
     # The codec's container, from the kernel, and the oracles', from Python.
     for k, (name, cloud) in enumerate(shapes.fuzz_suite()):
         assert encode_cloud(cloud, permutation=k % 6)[0] == _reference_container(cloud, k % 6), name
@@ -179,7 +179,7 @@ def _assert_sweeps_match_the_oracle(cloud, name=""):
     return decisions
 
 
-def test_sweeps_match_reference_sweep_on_fuzz_suite_in_every_permutation():
+def test_kernel_and_python_sweeps_agree_on_fuzz_suite_in_every_permutation():
     for name, cloud in shapes.fuzz_suite():
         for pid in range(PERMUTATION_COUNT):
             _assert_sweeps_match_the_oracle(AxisPermutation(pid).apply(cloud), f"{name}, permutation {pid}")
@@ -187,7 +187,7 @@ def test_sweeps_match_reference_sweep_on_fuzz_suite_in_every_permutation():
     assert _assert_sweeps_match_the_oracle(shapes.solid_sphere(48, 20)) > 2 * (1 << 14)
 
 
-def test_sweeps_match_reference_sweep_when_kernel_calls_resume(kernel, monkeypatch):
+def test_kernel_and_python_sweeps_agree_when_kernel_calls_resume(kernel, monkeypatch):
     # Room for 7 bits at first: the kernel's encoding calls resume inside and
     # across sections; section 3 of each cloud is empty.
     monkeypatch.setattr(rangecoder, "_BITS_ROOM", 7)
@@ -254,7 +254,7 @@ def _thin_clouds(dims):
 
 
 @_THIN_DIMS
-def test_sweeps_match_reference_sweep_on_thin_dims(dims):
+def test_kernel_and_python_sweeps_agree_on_thin_dims(dims):
     for cloud in _thin_clouds(dims):
         _assert_sweeps_match_the_oracle(cloud, f"dims {cloud.dims}")
 
@@ -292,13 +292,13 @@ def _assert_row_passes_match_the_oracles(clouds):
             assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), f"cloud {k}"
 
 
-def test_row_passes_match_reference_row_passes_on_fuzz_suite_in_every_permutation():
+def test_kernel_and_numpy_row_passes_agree_on_fuzz_suite_in_every_permutation():
     _assert_row_passes_match_the_oracles([AxisPermutation(pid).apply(cloud) for _, cloud in shapes.fuzz_suite()
                                           for pid in range(PERMUTATION_COUNT)])
 
 
 @_THIN_DIMS
-def test_row_passes_match_reference_row_passes_on_thin_dims(dims):
+def test_kernel_and_numpy_row_passes_agree_on_thin_dims(dims):
     _assert_row_passes_match_the_oracles(_thin_clouds(dims))
 
 
